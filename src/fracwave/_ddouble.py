@@ -66,7 +66,3 @@ def dd_from_mpf(x) -> tuple[float, float]:
     hi = float(x)
     lo = float(x - hi)
     return hi, lo
-
-
-def dd_zeros(shape):
-    return np.zeros(shape), np.zeros(shape)

@@ -23,9 +23,9 @@ from .fracops import (
     gagliardo_seminorm,
     l2_time_norm,
 )
-from .mittag_leffler import MLParams, ml
 from .params import as_alpha, identity_overlap_range
 from .regularity import NormReport
+from .solver import ModePropagator, mode_second_derivative_samples
 from .spectral import ModeCoefficients, SpectralDomain, pairwise_sum, tail_stabilizes
 
 __all__ = [
@@ -88,6 +88,8 @@ def trace_to_csv(trace: TraceSeries, filename: str) -> None:
 
 
 def _trace_tail_check(domain: SpectralDomain, data: ModeCoefficients, t_end: float) -> None:
+    if len(data) != domain.mode_count:
+        raise ValueError("data length must equal the domain mode count")
     # coarse divergence guard: sqrt(lambda)-weighted coefficients must have
     # visibly flattened partial sums (borderline H1 data, decay ~ 1/n, fails;
     # the n^-2-or-faster test classes pass with margin even for random draws)
@@ -102,25 +104,24 @@ def _trace_tail_check(domain: SpectralDomain, data: ModeCoefficients, t_end: flo
         )
 
 
-def _evolution_matrices(domain: SpectralDomain, alpha: float, tgrid: TimeGrid):
-    lam = domain.eigenvalues
-    tt = tgrid.nodes
-    z = -np.outer(lam, tt**alpha)
-    e1 = ml(MLParams(alpha, 1.0), z)
-    e2 = ml(MLParams(alpha, 2.0), z)
-    return e1, tt[None, :] * e2
+def _normal_sum(domain: SpectralDomain, coeff: np.ndarray) -> np.ndarray:
+    """Pairwise mode sum of (N, M+1) coefficients against the boundary
+    normal derivatives; shape (M+1, B)."""
+    return pairwise_sum(coeff[:, :, None] * domain.boundary_normal_deriv[:, None, :], axis=0)
+
+
+def _draw_trace(domain: SpectralDomain, prop: ModePropagator, data: ModeCoefficients,
+                tgrid: TimeGrid) -> TraceSeries:
+    """Trace of one dataset from the shared mode dynamics."""
+    vals = _normal_sum(domain, prop.value(data.a, data.b))
+    return TraceSeries(tgrid, domain.boundary_points, domain.boundary_weights, vals)
 
 
 def normal_trace(domain: SpectralDomain, data: ModeCoefficients, alpha, tgrid: TimeGrid) -> TraceSeries:
     """Series trace of the normal derivative on the boundary quadrature."""
-    al = as_alpha(alpha)
-    if len(data) != domain.mode_count:
-        raise ValueError("data length must equal the domain mode count")
+    prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
     _trace_tail_check(domain, data, tgrid.t_end)
-    e1, te2 = _evolution_matrices(domain, al, tgrid)
-    coeff = data.a[:, None] * e1 + data.b[:, None] * te2  # (N, M+1)
-    vals = pairwise_sum(coeff[:, :, None] * domain.boundary_normal_deriv[:, None, :], axis=0)
-    return TraceSeries(tgrid, domain.boundary_points, domain.boundary_weights, vals)
+    return _draw_trace(domain, prop, data, tgrid)
 
 
 @dataclass
@@ -142,9 +143,7 @@ def hidden_inequality_ratio(
 ) -> RatioStudy:
     """Trace energy over data energy, per draw, with the shared mode dynamics
     evaluated once for the whole ensemble."""
-    al = as_alpha(alpha)
-    e1, te2 = _evolution_matrices(domain, al, tgrid)
-    nd = domain.boundary_normal_deriv
+    prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
     lam = domain.eigenvalues
     ratios = []
     table = []
@@ -154,9 +153,7 @@ def hidden_inequality_ratio(
         if energy == 0.0:
             skipped += 1
             continue
-        coeff = data.a[:, None] * e1 + data.b[:, None] * te2
-        vals = pairwise_sum(coeff[:, :, None] * nd[:, None, :], axis=0)
-        num = float(np.trapezoid(vals**2 @ domain.boundary_weights, tgrid.nodes))
+        num = _draw_trace(domain, prop, data, tgrid).energy()
         ratios.append(num / energy)
         table.append({"draw": i, "trace_energy": num, "data_energy": energy, "ratio": num / energy})
     if not ratios:
@@ -253,14 +250,9 @@ class IdentityCheck:
 
 
 def _interval_identity_ingredients(domain, data, alpha, beta, tgrid):
-    al = as_alpha(alpha)
-    e1, te2 = _evolution_matrices(domain, al, tgrid)
-    coeff = data.a[:, None] * e1 + data.b[:, None] * te2  # (N, M+1)
+    coeff = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes).value(data.a, data.b)
     icoeff = frac_integral(SampledPath(tgrid, coeff.T), beta).values.T
-    itrace = pairwise_sum(
-        icoeff[:, :, None] * domain.boundary_normal_deriv[:, None, :], axis=0
-    )
-    return icoeff, itrace
+    return icoeff, _normal_sum(domain, icoeff)
 
 
 def _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid):
@@ -271,8 +263,6 @@ def _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid):
     second derivatives (mean-preserving near the origin, where they blow up
     like t^(alpha-2)), then the order-beta integral.
     """
-    from .solver import mode_second_derivative_samples
-
     al = as_alpha(alpha)
     lam = domain.eigenvalues
     second = np.empty((domain.mode_count, tgrid.steps + 1))
@@ -339,50 +329,48 @@ class TraceBoundReport:
 
 def trace_seminorm_bound(
     domain: SpectralDomain,
-    data: ModeCoefficients,
+    ensemble,
     alpha,
     beta: float,
     tgrid: TimeGrid,
-) -> TraceBoundReport:
-    """Trace energy measured two equivalent ways, with their ratio.
+) -> list[TraceBoundReport]:
+    """Trace energy measured two equivalent ways, with their ratio, per draw.
 
     Route 1 integrates the trace fractionally and measures the squared
     time-Sobolev data (L2 squared plus squared Slobodeckij seminorm); route
     2 is the plain squared L2 norm of the trace.  Both are divided by the
-    data energy.
+    data energy; a zero-energy draw reports zeros.  The mode dynamics are
+    evaluated once for the whole ensemble.
     """
-    al = as_alpha(alpha)
+    prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
+    al = prop.alpha
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    trace = normal_trace(domain, data, al, tgrid)
-    path = trace.as_path()
     wts = domain.boundary_weights
-    itr = frac_integral(path, beta)
-    il2 = l2_time_norm(itr, wts)
-    semi = gagliardo_seminorm(itr, beta, wts)
-    plain = l2_time_norm(path, wts)
-    energy = float(np.sum(domain.eigenvalues * data.a**2) + np.sum(data.b**2))
-    if energy == 0.0:
-        return TraceBoundReport(
-            NormReport("integrated-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
-            NormReport("plain-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
-            cross_ratio=0.0,
-        )
-    params = {"alpha": al, "beta": beta, "t_end": tgrid.t_end, "steps": tgrid.steps}
-    integrated = NormReport(
-        "integrated-trace-energy",
-        params,
-        value=(il2**2 + semi**2) / energy,
-        bound_rhs=energy,
-    )
-    plain_rep = NormReport(
-        "plain-trace-energy",
-        params,
-        value=plain**2 / energy,
-        bound_rhs=energy,
-    )
-    cross = plain / (il2 + semi) if (il2 + semi) > 0 else 0.0
-    return TraceBoundReport(integrated, plain_rep, cross_ratio=cross)
+    reports = []
+    for data in ensemble:
+        _trace_tail_check(domain, data, tgrid.t_end)
+        energy = float(np.sum(domain.eigenvalues * data.a**2) + np.sum(data.b**2))
+        if energy == 0.0:
+            reports.append(TraceBoundReport(
+                NormReport("integrated-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
+                NormReport("plain-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
+                cross_ratio=0.0,
+            ))
+            continue
+        path = _draw_trace(domain, prop, data, tgrid).as_path()
+        itr = frac_integral(path, beta)
+        il2 = l2_time_norm(itr, wts)
+        semi = gagliardo_seminorm(itr, beta, wts)
+        plain = l2_time_norm(path, wts)
+        params = {"alpha": al, "beta": beta, "t_end": tgrid.t_end, "steps": tgrid.steps}
+        integrated = NormReport("integrated-trace-energy", params,
+                                value=(il2**2 + semi**2) / energy, bound_rhs=energy)
+        plain_rep = NormReport("plain-trace-energy", params,
+                               value=plain**2 / energy, bound_rhs=energy)
+        cross = plain / (il2 + semi) if (il2 + semi) > 0 else 0.0
+        reports.append(TraceBoundReport(integrated, plain_rep, cross_ratio=cross))
+    return reports
 
 
 def two_time_identity_check(

@@ -34,7 +34,7 @@ from .regularity import (
 )
 from .solver import SolutionQuery, solve_field, write_manifest, write_snapshots_csv
 from .spectral import build_interval, build_rectangle
-from .verify import report_lines, run_all
+from .verify import _random_trig_paths, report_lines, run_all
 
 
 def _json_dump(obj, filename: str) -> None:
@@ -116,33 +116,23 @@ def _maybe_write(obj: dict, out: str | None) -> None:
         _json_dump(obj, out)
 
 
-def _random_trig(grid: TimeGrid, seed: int) -> SampledPath:
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(8)
-    t = grid.nodes
-    vals = np.zeros_like(t)
-    for k in range(8):
-        vals += c[k] * np.sin((k + 1) * np.pi * t / grid.t_end)
-    return SampledPath(grid, vals)
-
-
 def _cmd_frac(args) -> int:
     grid = TimeGrid(args.t_end, args.steps)
     out: dict = {"t_end": args.t_end, "steps": args.steps, "beta": args.beta, "seed": args.seed}
     status = 0
     if args.check == "young":
-        f = _random_trig(grid, args.seed)
+        f = SampledPath(grid, _random_trig_paths(grid, 1, args.seed)[0])
         lhs, rhs = young_bound_check(f, args.beta)
         out["young"] = {"lhs": lhs, "rhs": rhs}
         print(f"contraction: {lhs:.6g} <= {rhs:.6g}")
         status = 0 if lhs <= rhs * 1.001 else 1
     elif args.check == "semigroup":
-        f = _random_trig(grid, args.seed)
+        f = SampledPath(grid, _random_trig_paths(grid, 1, args.seed)[0])
         disc = semigroup_check(f, args.beta, args.gamma)
         out["semigroup"] = {"gamma": args.gamma, "discrepancy": disc}
         print(f"composition discrepancy: {disc:.6g}")
     elif args.check == "equivalence":
-        paths = [_random_trig(grid, args.seed + i) for i in range(args.draws)]
+        paths = [SampledPath(grid, v) for v in _random_trig_paths(grid, args.draws, args.seed)]
         study = norm_equivalence_study(paths, args.beta)
         out["equivalence"] = {
             "draws": args.draws,
@@ -158,8 +148,7 @@ def _cmd_frac(args) -> int:
 
 def _cmd_solve(args) -> int:
     domain = _build_domain(args.domain, args.modes)
-    data = build_preset(args.preset, domain, mode=args.mode_k, p=args.decay_p,
-                        seed=args.seed, on="u0" if args.preset == "single-mode" else "u0")
+    data = build_preset(args.preset, domain, mode=args.mode_k, p=args.decay_p, seed=args.seed)
     grid = TimeGrid(args.t_end, args.steps)
     query = SolutionQuery(FracOrder(args.alpha), domain, data, grid, args.which)
     if domain.is_interval:

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
-import scipy.signal
 
 from .mittag_leffler import gamma
 
@@ -135,7 +135,11 @@ def frac_integral(f: SampledPath, beta: float) -> SampledPath:
     grid = f.grid
     vals = f.components()
     w, v = _conv_weights(beta, grid.steps, grid.spacing)
-    out = scipy.signal.fftconvolve(vals, w[:, None], axes=0)[: grid.steps + 1]
+    # linear convolution by real FFT; padding to the full length 2M+1 keeps
+    # wrap-around out of the first M+1 outputs
+    size = [scipy.fft.next_fast_len(2 * grid.steps + 1, True)]
+    spec = scipy.fft.rfftn(vals, size, axes=[0]) * scipy.fft.rfftn(w[:, None], size, axes=[0])
+    out = scipy.fft.irfftn(spec, size, axes=[0])[: grid.steps + 1]
     out -= v[1 : grid.steps + 2, None] * vals[0][None, :]
     out[0] = 0.0
     if not f.is_vector:

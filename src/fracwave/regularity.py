@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mittag_leffler import MLParams, ml
 from .params import (
     ThetaRange,
     as_alpha,
@@ -24,6 +23,7 @@ from .params import (
     gradient_range,
     velocity_dual_range,
 )
+from .solver import ModePropagator
 from .spectral import ModeCoefficients, SpectralDomain, pairwise_sum, tail_stabilizes
 
 __all__ = [
@@ -80,25 +80,6 @@ def fit_loglog_slope(t, err) -> float:
     return float(np.polyfit(np.log(t[mask]), np.log(err[mask]), 1)[0])
 
 
-def _mode_values(lam, alpha, a, b, times):
-    """y_n(t) on an arbitrary time set; shape (N, len(times))."""
-    tt = np.asarray(times, dtype=float)
-    z = -np.outer(lam, tt**alpha)
-    e1 = ml(MLParams(alpha, 1.0), z)
-    e2 = ml(MLParams(alpha, 2.0), z)
-    return a[:, None] * e1 + b[:, None] * tt[None, :] * e2
-
-
-def _mode_velocities(lam, alpha, a, b, times):
-    tt = np.asarray(times, dtype=float)
-    z = -np.outer(lam, tt**alpha)
-    e1 = ml(MLParams(alpha, 1.0), z)
-    ea = ml(MLParams(alpha, alpha), z)
-    tpow = np.zeros_like(tt)
-    tpow[tt > 0.0] = tt[tt > 0.0] ** (alpha - 1.0)
-    return -lam[:, None] * a[:, None] * tpow[None, :] * ea + b[:, None] * e1
-
-
 def _weighted_norms(weights, per_mode_sq):
     return np.sqrt(pairwise_sum(weights[:, None] * per_mode_sq, axis=0))
 
@@ -121,8 +102,9 @@ def initial_convergence(
     if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) >= 0) or np.any(ts < 0):
         raise ValueError("t_sequence must be strictly decreasing and non-negative")
     lam = domain.eigenvalues
-    y = _mode_values(lam, al, data.a, data.b, ts)
-    v = _mode_velocities(lam, al, data.a, data.b, ts)
+    prop = ModePropagator(lam, al, ts)
+    y = prop.value(data.a, data.b)
+    v = prop.velocity(data.a, data.b)
     h1_err = _weighted_norms(lam, (y - data.a[:, None]) ** 2)
     vel_err = _weighted_norms(lam ** (-2.0 * theta), (v - data.b[:, None]) ** 2)
     return {"t": ts, "h1_error": h1_err, "velocity_error": vel_err, "theta": theta, "alpha": al}
@@ -146,13 +128,14 @@ def uniform_bound_report(
     theta = velocity_dual_range(al).validate(theta)
     times = np.linspace(0.0, t_end, n_times)
     lam = domain.eigenvalues
+    prop = ModePropagator(lam, al, times)
     reports: list[NormReport] = []
     for i, data in enumerate(ensemble):
         data_norm = math.sqrt(float(np.sum(lam * data.a**2))) + math.sqrt(float(np.sum(data.b**2)))
         if data_norm == 0.0:
             continue
-        y = _mode_values(lam, al, data.a, data.b, times)
-        v = _mode_velocities(lam, al, data.a, data.b, times)
+        y = prop.value(data.a, data.b)
+        v = prop.velocity(data.a, data.b)
         sup_u = float(np.max(_weighted_norms(lam, y**2)))
         sup_v = float(np.max(_weighted_norms(lam ** (-2.0 * theta), v**2)))
         reports.append(
@@ -201,7 +184,7 @@ def l2_time_norms(
     lam = domain.eigenvalues
     j = np.arange(steps + 1, dtype=float)
     times = t_end * (j / steps) ** 2
-    y = _mode_values(lam, al, data.a, data.b, times)
+    y = ModePropagator(lam, al, times).value(data.a, data.b)
     grad_integrand = pairwise_sum(lam[:, None] ** (1.0 + 2.0 * theta_grad) * y**2, axis=0)
     cap_integrand = pairwise_sum(lam[:, None] ** (2.0 - 2.0 * theta_cap) * y**2, axis=0)
     grad_sq = _graded_integral(times, grad_integrand)
@@ -245,7 +228,7 @@ def smooth_data_velocity(
     ts = np.asarray(t_sequence, dtype=float)
     if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
         raise ValueError("t_sequence must be strictly decreasing and positive")
-    v = _mode_velocities(lam, al, data.a, data.b, ts)
+    v = ModePropagator(lam, al, ts).velocity(data.a, data.b)
     err = np.sqrt(pairwise_sum((v - data.b[:, None]) ** 2, axis=0))
     return {"t": ts, "velocity_error": err, "epsilon": epsilon, "alpha": al,
             "envelope_exponent": (al - 2.0 + 2.0 * al * epsilon) / 2.0}
@@ -277,7 +260,7 @@ def velocity_blowup_rate(
         raise ValueError("the blow-up rate study needs velocity-free data (b = 0)")
     multi = int(np.count_nonzero(data.a)) > 1
     ts = np.geomspace(t_lo, t_hi, n_points)
-    v = _mode_velocities(domain.eigenvalues, al, data.a, data.b, ts)
+    v = ModePropagator(domain.eigenvalues, al, ts).velocity(data.a, data.b)
     norm = np.sqrt(pairwise_sum(v**2, axis=0))
     slope = fit_loglog_slope(ts, norm)
     return BlowupFit(

@@ -4,9 +4,11 @@ Each Dirichlet mode evolves independently:
 
     y_n(t)      = a_n E_{a,1}(-l_n t^a) + b_n t E_{a,2}(-l_n t^a)
     y_n'(t)     = -l_n a_n t^(a-1) E_{a,a}(-l_n t^a) + b_n E_{a,1}(-l_n t^a)
+    y_n''(t)    = -l_n (a_n t^(a-2) E_{a,a-1}(-l_n t^a) + b_n t^(a-1) E_{a,a}(-l_n t^a))
     (D_t^a y)_n = -l_n y_n(t)
 
-with ``a`` the fractional order and ``l_n`` the eigenvalue.  Fields are
+with ``a`` the fractional order and ``l_n`` the eigenvalue; ``ModePropagator``
+holds these kernels for a set of modes on one time set.  Fields are
 pairwise-summed over modes in ascending order, so results are bitwise
 reproducible.  Every solve can report an upper estimate of the norm it is
 missing by truncating the mode sum.
@@ -18,6 +20,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .spectral import ModeCoefficients, SpectralDomain, eval_modes, pairwise_sum
 __all__ = [
     "SolutionQuery",
     "ModeState",
+    "ModePropagator",
     "mode_solution",
     "mode_second_derivative",
     "mode_second_derivative_samples",
@@ -76,28 +80,89 @@ class ModeState:
     y_caputo: np.ndarray
 
 
+class ModePropagator:
+    """The ML kernels of modes ``l_n`` on one time set, for any data (a, b).
+
+    ``z = -l_n t^a`` (shape (N, len(times))) is formed once; each kernel
+    (``e1`` = E_{a,1}, ``te2`` = t E_{a,2}, ``ea`` = E_{a,a}, ``eam1`` =
+    E_{a,a-1}, the last for t > 0 only) costs one ``ml`` call on that whole
+    grid, on first use.  Time powers stay separate factors so each
+    combination multiplies in one fixed order.  Studies over many datasets
+    build one propagator and reuse it for every draw.
+    """
+
+    def __init__(self, eigenvalues, alpha, times):
+        self.lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
+        self.alpha = as_alpha(alpha)
+        self.times = np.atleast_1d(np.asarray(times, dtype=float))
+        if np.any(self.times < 0.0):
+            raise ValueError("t must be non-negative")
+        self.z = -np.outer(self.lam, self.times**self.alpha)
+
+    def _ml(self, beta: float) -> np.ndarray:
+        return ml(MLParams(self.alpha, beta), self.z)
+
+    @cached_property
+    def e1(self) -> np.ndarray:
+        return self._ml(1.0)
+
+    @cached_property
+    def te2(self) -> np.ndarray:
+        return self.times[None, :] * self._ml(2.0)
+
+    @cached_property
+    def ea(self) -> np.ndarray:
+        return self._ml(self.alpha)
+
+    @cached_property
+    def tpow(self) -> np.ndarray:
+        # t^(alpha-1) -> 0 as t -> 0 for alpha > 1; branch to avoid 0**negative
+        tt = self.times
+        out = np.zeros_like(tt)
+        pos = tt > 0.0
+        out[pos] = tt[pos] ** (self.alpha - 1.0)
+        return out
+
+    @cached_property
+    def eam1(self) -> np.ndarray:
+        if np.any(self.times <= 0.0):
+            raise ValueError("the second derivative needs t > 0")
+        return self._ml(self.alpha - 1.0)
+
+    def value(self, a, b) -> np.ndarray:
+        """y_n(t), shape (N, len(times))."""
+        return _col(a) * self.e1 + _col(b) * self.te2
+
+    def velocity(self, a, b) -> np.ndarray:
+        """y_n'(t); finite at t = 0 for alpha > 1."""
+        return -self.lam[:, None] * _col(a) * self.tpow[None, :] * self.ea + _col(b) * self.e1
+
+    def caputo(self, a, b) -> np.ndarray:
+        """(D_t^a y)_n(t) = -l_n y_n(t)."""
+        return -self.lam[:, None] * self.value(a, b)
+
+    def second_derivative(self, a, b) -> np.ndarray:
+        """y_n''(t); it blows up like t^(alpha-2) at the origin, so t > 0 only."""
+        eam1 = self.eam1
+        t2 = self.times ** (self.alpha - 2.0)
+        return -self.lam[:, None] * (_col(a) * t2[None, :] * eam1
+                                     + _col(b) * self.tpow[None, :] * self.ea)
+
+
+def _col(coeffs) -> np.ndarray:
+    return np.asarray(coeffs, dtype=float).reshape(-1, 1)
+
+
+def _scalar_or_row(rows: np.ndarray, t):
+    return float(rows[0, 0]) if np.ndim(t) == 0 else rows[0]
+
+
 def mode_solution(lam: float, alpha, a: float, b: float, t) -> ModeState:
     """Evolve a single mode; ``t`` may be a scalar or an array, t >= 0."""
     if lam <= 0.0:
         raise ValueError("the eigenvalue must be positive")
-    al = as_alpha(alpha)
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(tt < 0.0):
-        raise ValueError("t must be non-negative")
-    z = -lam * tt**al
-    e1 = ml(MLParams(al, 1.0), z)
-    e2 = ml(MLParams(al, 2.0), z)
-    ea = ml(MLParams(al, al), z)
-    y = a * e1 + b * tt * e2
-    # t^(alpha-1) -> 0 as t -> 0 for alpha > 1; branch to avoid 0**negative
-    tpow = np.zeros_like(tt)
-    pos = tt > 0.0
-    tpow[pos] = tt[pos] ** (al - 1.0)
-    y_prime = -lam * a * tpow * ea + b * e1
-    y_caputo = -lam * y
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return ModeState(float(y[0]), float(y_prime[0]), float(y_caputo[0]))
-    return ModeState(y, y_prime, y_caputo)
+    prop = ModePropagator(lam, alpha, t)
+    return ModeState(*(_scalar_or_row(getattr(prop, w)(a, b), t) for w in _WHICH))
 
 
 def mode_second_derivative(lam: float, alpha, a: float, b: float, t) -> np.ndarray:
@@ -106,17 +171,7 @@ def mode_second_derivative(lam: float, alpha, a: float, b: float, t) -> np.ndarr
     Used by residual studies that feed the discrete fractional derivative;
     it blows up like t^(alpha-2) at the origin, so t = 0 is rejected.
     """
-    al = as_alpha(alpha)
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(tt <= 0.0):
-        raise ValueError("the second derivative needs t > 0")
-    z = -lam * tt**al
-    eam1 = ml(MLParams(al, al - 1.0), z)
-    ea = ml(MLParams(al, al), z)
-    out = -lam * (a * tt ** (al - 2.0) * eam1 + b * tt ** (al - 1.0) * ea)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out[0])
-    return out
+    return _scalar_or_row(ModePropagator(lam, alpha, t).second_derivative(a, b), t)
 
 
 def mode_second_derivative_samples(lam: float, alpha, a: float, b: float, tgrid: TimeGrid) -> np.ndarray:
@@ -130,15 +185,12 @@ def mode_second_derivative_samples(lam: float, alpha, a: float, b: float, tgrid:
     error norms away from the origin then converge at roughly first order
     instead of alpha - 1.
     """
-    al = as_alpha(alpha)
     t = tgrid.nodes
-    h = tgrid.spacing
     M = tgrid.steps
     J = min(M // 2, max(4, math.isqrt(M)))
     v = np.empty(M + 1)
-    v[J:] = mode_second_derivative(lam, al, a, b, t[J:])
-    state = mode_solution(lam, al, a, b, t[: J + 1])
-    means = np.diff(np.atleast_1d(state.y_prime)) / h
+    v[J:] = ModePropagator(lam, alpha, t[J:]).second_derivative(a, b)[0]
+    means = np.diff(ModePropagator(lam, alpha, t[: J + 1]).velocity(a, b)[0]) / tgrid.spacing
     for j in range(J - 1, -1, -1):
         v[j] = 2.0 * means[j] - v[j + 1]
     return v
@@ -146,25 +198,9 @@ def mode_second_derivative_samples(lam: float, alpha, a: float, b: float, tgrid:
 
 def coefficient_evolution(query: SolutionQuery) -> np.ndarray:
     """Selected per-mode quantity on the time grid, shape (n_active, M+1)."""
-    al = query.alpha.alpha
     n = query.active_modes
-    lam = query.domain.eigenvalues[:n]
-    a = query.data.a[:n]
-    b = query.data.b[:n]
-    tt = query.tgrid.nodes
-    z = -np.outer(lam, tt**al)
-    e1 = ml(MLParams(al, 1.0), z)
-    if query.which == "value":
-        e2 = ml(MLParams(al, 2.0), z)
-        return a[:, None] * e1 + b[:, None] * tt[None, :] * e2
-    if query.which == "caputo":
-        e2 = ml(MLParams(al, 2.0), z)
-        y = a[:, None] * e1 + b[:, None] * tt[None, :] * e2
-        return -lam[:, None] * y
-    ea = ml(MLParams(al, al), z)
-    tpow = np.zeros_like(tt)
-    tpow[tt > 0.0] = tt[tt > 0.0] ** (al - 1.0)
-    return -lam[:, None] * a[:, None] * tpow[None, :] * ea + b[:, None] * e1
+    prop = ModePropagator(query.domain.eigenvalues[:n], query.alpha.alpha, query.tgrid.nodes)
+    return getattr(prop, query.which)(query.data.a[:n], query.data.b[:n])
 
 
 def solve_field(query: SolutionQuery, points) -> np.ndarray:

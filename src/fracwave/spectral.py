@@ -10,7 +10,6 @@ every mode.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -309,8 +308,3 @@ def coeffs_from_csv(filename: str) -> ModeCoefficients:
     a = np.array([float(r[1]) for r in rows[1:]])
     b = np.array([float(r[2]) for r in rows[1:]])
     return ModeCoefficients(a, b)
-
-
-def save_domain_config(domain: SpectralDomain, filename: str) -> None:
-    with open(filename, "w") as fh:
-        json.dump(domain_to_config(domain), fh, sort_keys=True, indent=2)

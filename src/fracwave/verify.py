@@ -31,7 +31,7 @@ from .fracops import (
 from .mittag_leffler import MLParams, _mpmath_single, gamma, max_ratio, ml, verify_decay_bound
 from .presets import h1_saturating, random_decay, single_mode
 from .regularity import fit_loglog_slope, initial_convergence, velocity_blowup_rate
-from .solver import mode_second_derivative_samples, mode_solution
+from .solver import ModePropagator, mode_second_derivative_samples
 from .spectral import build_interval
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS", "report_lines"]
@@ -241,10 +241,9 @@ def check_mode_ode_residual(seed: int = 0) -> CheckResult:
         for M in grids:
             g = TimeGrid(1.0, M)
             t = g.nodes
-            state = mode_solution(lam, alpha, 1.0, 0.0, t)
             second = mode_second_derivative_samples(lam, alpha, 1.0, 0.0, g)
             cap = caputo_derivative(SampledPath(g, second), alpha)
-            target = -lam * state.y
+            target = ModePropagator(lam, alpha, t).caputo(1.0, 0.0)[0]
             sel = t >= 0.05
             num = np.sqrt(np.trapezoid((cap.values[sel] - target[sel]) ** 2, t[sel]))
             den = np.sqrt(np.trapezoid(target[sel] ** 2, t[sel]))
@@ -329,11 +328,8 @@ def check_trace_energy_bound(seed: int = 7) -> CheckResult:
         draws128 = [random_decay(128, 2.0, seed + i) for i in range(100)]
         study128 = hidden_inequality_ratio(dom128, draws128, alpha, grid)
 
-        cross = []
-        for i in range(0, 100, 4):
-            rep = trace_seminorm_bound(dom64, draws[i], alpha, beta, grid)
-            cross.append(rep.cross_ratio)
-        cross = np.asarray(cross)
+        reps = trace_seminorm_bound(dom64, draws[::4], alpha, beta, grid)
+        cross = np.asarray([rep.cross_ratio for rep in reps])
         bracket = float(np.max(cross) / np.min(cross))
 
         r0, r1, r2 = study.max_ratio, study_re.max_ratio, study128.max_ratio

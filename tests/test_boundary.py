@@ -1,8 +1,11 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import fracwave.mittag_leffler
 from fracwave.boundary import (
     MultiplierField,
     fractional_identity_check,
@@ -18,6 +21,7 @@ from fracwave.boundary import (
 from fracwave.fracops import TimeGrid
 from fracwave.presets import power_decay, random_decay, single_mode
 from fracwave.spectral import ModeCoefficients, build_interval, build_rectangle
+from fracwave.verify import check_trace_energy_bound
 from oracles import ml_series_ref, quad_ref
 
 LAM1 = math.pi**2
@@ -228,14 +232,14 @@ class TestTraceSeminormBound:
     def test_zero_data(self):
         dom = build_interval(1.0, 4)
         zero = ModeCoefficients(np.zeros(4), np.zeros(4))
-        rep = trace_seminorm_bound(dom, zero, 1.5, 0.25, TimeGrid(1.0, 64))
+        rep = trace_seminorm_bound(dom, [zero], 1.5, 0.25, TimeGrid(1.0, 64))[0]
         assert rep.integrated_route.value == 0.0
         assert rep.cross_ratio == 0.0
 
     def test_routes_positive_and_comparable(self):
         dom = build_interval(1.0, 16)
         data = random_decay(16, 2.0, 9)
-        rep = trace_seminorm_bound(dom, data, 1.5, 0.25, TimeGrid(1.0, 128))
+        rep = trace_seminorm_bound(dom, [data], 1.5, 0.25, TimeGrid(1.0, 128))[0]
         assert rep.integrated_route.value > 0
         assert rep.plain_route.value > 0
         assert 0.05 < rep.cross_ratio < 20.0
@@ -246,16 +250,50 @@ class TestTraceSeminormBound:
         data = single_mode(8, 1)
         ratios = []
         for t_end in (0.5, 1.0, 2.0):
-            rep = trace_seminorm_bound(dom, data, 1.5, 0.25, TimeGrid(t_end, 128))
+            rep = trace_seminorm_bound(dom, [data], 1.5, 0.25, TimeGrid(t_end, 128))[0]
             ratios.append(rep.cross_ratio)
         ratios = np.asarray(ratios)
         assert np.all(ratios > 0.02) and np.all(ratios < 50.0)
         assert np.max(ratios) / np.min(ratios) < 10.0
 
+    def test_ensemble_matches_singletons(self):
+        dom = build_interval(1.0, 16)
+        grid = TimeGrid(1.0, 96)
+        draws = [random_decay(16, 2.0, s) for s in range(4)]
+        draws.insert(2, ModeCoefficients(np.zeros(16), np.zeros(16)))
+        reps = trace_seminorm_bound(dom, draws, 1.5, 0.25, grid)
+        assert len(reps) == len(draws)
+        for data, rep in zip(draws, reps):
+            (one,) = trace_seminorm_bound(dom, [data], 1.5, 0.25, grid)
+            assert rep.cross_ratio == one.cross_ratio
+            for got, ref in ((rep.integrated_route, one.integrated_route),
+                             (rep.plain_route, one.plain_route)):
+                assert got.value == ref.value
+                assert got.bound_rhs == ref.bound_rhs
+                assert got.params == ref.params
+
+    def test_trace_energy_check_evaluates_kernels_once(self, monkeypatch):
+        # every study of the check shares one propagator per domain, so each
+        # alpha needs two ML evaluations per propagator: E_{a,1} and E_{a,2}
+        original = fracwave.mittag_leffler.ml
+        alphas = []
+
+        def counting_ml(params, z):
+            alphas.append(params.alpha)
+            return original(params, z)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fracwave") and getattr(module, "ml", None) is original:
+                monkeypatch.setattr(module, "ml", counting_ml)
+        assert check_trace_energy_bound(7).passed
+        per_alpha = Counter(alphas)
+        assert sorted(per_alpha) == [1.25, 1.5, 1.75]
+        assert max(per_alpha.values()) <= 8
+
     def test_beta_gate(self):
         dom = build_interval(1.0, 4)
         with pytest.raises(ValueError):
-            trace_seminorm_bound(dom, single_mode(4, 1), 1.5, 1.0, TimeGrid(1.0, 64))
+            trace_seminorm_bound(dom, [single_mode(4, 1)], 1.5, 1.0, TimeGrid(1.0, 64))
 
 
 @pytest.mark.slow

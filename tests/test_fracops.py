@@ -116,6 +116,21 @@ class TestFracIntegral:
         f = SampledPath(GRID, rng.uniform(0.0, 1.0, GRID.steps + 1))
         assert np.all(frac_integral(f, 0.5).values >= 0.0)
 
+    def test_matches_fftconvolve_route(self):
+        # the real-FFT convolution pads exactly as scipy.signal.fftconvolve
+        # does, so the two routes agree bit for bit
+        import scipy.signal
+
+        from fracwave.fracops import _conv_weights
+
+        vals = np.stack([trig_path(GRID, s).values for s in (4, 5, 6)], axis=1)
+        beta = 0.35
+        w, v = _conv_weights(beta, GRID.steps, GRID.spacing)
+        ref = scipy.signal.fftconvolve(vals, w[:, None], axes=0)[: GRID.steps + 1]
+        ref -= v[1 : GRID.steps + 2, None] * vals[0][None, :]
+        ref[0] = 0.0
+        assert np.array_equal(frac_integral(SampledPath(GRID, vals), beta).values, ref)
+
     def test_vector_valued(self):
         f = trig_path(GRID, 3)
         stacked = SampledPath(GRID, np.stack([f.values, 2.0 * f.values], axis=1))

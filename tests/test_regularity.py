@@ -13,7 +13,6 @@ from fracwave.params import (
 from fracwave.presets import h1_saturating, power_decay, random_decay, single_mode
 from fracwave.regularity import (
     NormReport,
-    _mode_values,
     fit_loglog_slope,
     initial_convergence,
     l2_time_norms,
@@ -23,6 +22,7 @@ from fracwave.regularity import (
     uniform_bound_report,
     velocity_blowup_rate,
 )
+from fracwave.solver import ModePropagator
 from fracwave.spectral import build_interval
 
 T_SEQ = 2.0 ** (-np.arange(4, 15, dtype=float))
@@ -183,7 +183,7 @@ class TestL2TimeNorms:
         dom = build_interval(1.0, 2048)
         data = h1_saturating(2048, 0.05)
         times = np.geomspace(1e-4, 1e-2, 9)
-        y = _mode_values(dom.eigenvalues, alpha, data.a, data.b, times)
+        y = ModePropagator(dom.eigenvalues, alpha, times).value(data.a, data.b)
         integrand = np.sum(dom.eigenvalues[:, None] ** (1.0 + 2.0 * theta) * y**2, axis=0)
         slope = fit_loglog_slope(times, integrand)
         assert abs(slope - (-2.0 * alpha * theta)) <= 0.15

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import fracwave.solver
 from fracwave.fracops import SampledPath, TimeGrid, caputo_derivative
 from fracwave.params import FracOrder
 from fracwave.presets import poly_bump, single_mode
 from fracwave.solver import (
+    ModePropagator,
     SolutionQuery,
     coefficient_evolution,
     mode_second_derivative,
@@ -92,6 +94,43 @@ class TestSecondDerivative:
         means = np.diff(st.y_prime) / g.spacing
         lin_means = 0.5 * (v[1:] + v[:-1])
         assert np.max(np.abs(lin_means[:8] - means[:8])) < 1e-9 * np.max(np.abs(means[:8]))
+
+
+class TestModePropagator:
+    def setup_method(self):
+        self.lam = np.array([LAM1, 4.0 * LAM1, 9.0 * LAM1])
+        self.a = np.array([1.0, -0.5, 0.25])
+        self.b = np.array([0.3, 0.0, -2.0])
+
+    def test_each_kernel_evaluated_once(self, monkeypatch):
+        betas = []
+        original = fracwave.solver.ml
+
+        def counting_ml(params, z):
+            betas.append(params.beta)
+            return original(params, z)
+
+        monkeypatch.setattr(fracwave.solver, "ml", counting_ml)
+        prop = ModePropagator(self.lam, 1.5, np.linspace(0.1, 1.0, 7))
+        for _ in range(2):
+            for which in ("value", "velocity", "caputo", "second_derivative"):
+                getattr(prop, which)(self.a, self.b)
+        assert sorted(betas) == [0.5, 1.0, 1.5, 2.0]
+
+    def test_initial_values(self):
+        prop = ModePropagator(self.lam, 1.5, [0.0, 0.5])
+        assert np.array_equal(prop.value(self.a, self.b)[:, 0], self.a)
+        assert np.array_equal(prop.velocity(self.a, self.b)[:, 0], self.b)
+        assert np.array_equal(prop.caputo(self.a, self.b), -self.lam[:, None] * prop.value(self.a, self.b))
+
+    def test_rows_match_single_modes(self):
+        t = np.linspace(0.0, 1.0, 9)
+        prop = ModePropagator(self.lam, 1.3, t)
+        y, v = prop.value(self.a, self.b), prop.velocity(self.a, self.b)
+        for n in range(3):
+            st = mode_solution(self.lam[n], 1.3, self.a[n], self.b[n], t)
+            assert np.allclose(y[n], st.y, rtol=1e-12, atol=1e-14)
+            assert np.allclose(v[n], st.y_prime, rtol=1e-12, atol=1e-13)
 
 
 class TestSolveField:
