@@ -26,7 +26,7 @@ from .fracops import (
 from .params import as_alpha, identity_overlap_range
 from .regularity import NormReport
 from .solver import ModePropagator, mode_second_derivative_samples
-from .spectral import ModeCoefficients, SpectralDomain, pairwise_sum, tail_stabilizes
+from .spectral import ModeCoefficients, SpectralDomain, _gauss_panels, pairwise_sum, tail_stabilizes
 
 __all__ = [
     "MultiplierField",
@@ -113,6 +113,7 @@ def _normal_sum(domain: SpectralDomain, coeff: np.ndarray) -> np.ndarray:
 def _draw_trace(domain: SpectralDomain, prop: ModePropagator, data: ModeCoefficients,
                 tgrid: TimeGrid) -> TraceSeries:
     """Trace of one dataset from the shared mode dynamics."""
+    _trace_tail_check(domain, data, tgrid.t_end)
     vals = _normal_sum(domain, prop.value(data.a, data.b))
     return TraceSeries(tgrid, domain.boundary_points, domain.boundary_weights, vals)
 
@@ -120,7 +121,6 @@ def _draw_trace(domain: SpectralDomain, prop: ModePropagator, data: ModeCoeffici
 def normal_trace(domain: SpectralDomain, data: ModeCoefficients, alpha, tgrid: TimeGrid) -> TraceSeries:
     """Series trace of the normal derivative on the boundary quadrature."""
     prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
-    _trace_tail_check(domain, data, tgrid.t_end)
     return _draw_trace(domain, prop, data, tgrid)
 
 
@@ -221,14 +221,7 @@ def multiplier_identity_check(
 def _product_matrix(domain: SpectralDomain, hfield: MultiplierField) -> np.ndarray:
     """G[n, m] = int e_n h e_m' dx by enriched composite Gauss quadrature."""
     (L,) = domain.lengths
-    N = domain.mode_count
-    panels = N + 4
-    xg, wg = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(0.0, L, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    pts = (mid[:, None] + half * xg[None, :]).ravel()
-    wts = np.tile(half * wg, panels)
+    pts, wts = _gauss_panels(0.0, L, domain.mode_count + 4)
     n = domain.mode_index
     amp = math.sqrt(2.0 / L)
     E = amp * np.sin(np.outer(n * math.pi / L, pts))
@@ -349,7 +342,6 @@ def trace_seminorm_bound(
     wts = domain.boundary_weights
     reports = []
     for data in ensemble:
-        _trace_tail_check(domain, data, tgrid.t_end)
         energy = float(np.sum(domain.eigenvalues * data.a**2) + np.sum(data.b**2))
         if energy == 0.0:
             reports.append(TraceBoundReport(

@@ -4,23 +4,28 @@ The evaluator targets the arguments produced by the spectral mode dynamics,
 ``z = -lambda * t**alpha`` with ``alpha`` in (1, 2), but accepts any
 ``alpha`` in (0, 2] and ``beta > 0`` on ``|z| <= Z_MAX``.
 
-Evaluation strategy (negative axis), tiered by the cancellation scale
-``m = |z|**(1/alpha)``:
+Each half-axis runs one estimate-gated cascade of tiers, ordered by the
+cancellation scale ``m = |z|**(1/alpha)``.  A tier sees the arguments no
+earlier tier accepted and whose ``m`` lies below its limit; it keeps only
+the values whose a-posteriori error estimate meets the target tolerance,
+so there is no hand-tuned switch radius.  Negative axis:
 
-1. plain Kahan-compensated Taylor series while the a-posteriori roundoff
-   estimate meets tolerance (roughly ``m <= 12``),
+1. plain Kahan-compensated Taylor series (``m <= 12``),
 2. the same series in double-double arithmetic with reciprocal-gamma term
-   ratios precomputed in extended precision (roughly ``m <= 45``),
+   ratios precomputed in extended precision (``m <= 46``),
 3. the large-argument expansion: optimally truncated algebraic series plus
    the conjugate saddle pair ``(2/alpha) Re[w**(1-beta) e**w]``,
    ``w = m e**(i pi/alpha)`` (present for ``alpha > 1``; for ``alpha`` near 2
-   the damped oscillation dominates and is essential),
-4. arbitrary-precision summation as a last resort.
+   the damped oscillation dominates and is essential).
 
-Every tier carries an error estimate and the first tier that meets the
-target tolerance wins, so there is no hand-tuned switch radius.  Positive
-arguments use the series and the exponential asymptotic
-``(1/alpha) z**((1-beta)/alpha) exp(z**(1/alpha))`` minus the algebraic tail.
+Positive axis:
+
+1. the Kahan series (``m <= 60``),
+2. the exponential lead ``(1/alpha) m**(1-beta) exp(m)`` minus the same
+   optimally truncated algebraic series.
+
+Whatever every tier declines is summed in arbitrary precision.  ``alpha = 1``
+with ``beta`` in {1, 2} uses ``exp`` and ``expm1(z)/z`` on the negative axis.
 """
 
 from __future__ import annotations
@@ -108,12 +113,17 @@ def gamma(x: float) -> float:
 _TABLE_CACHE: dict[tuple[float, float], tuple[np.ndarray, np.ndarray, float, float]] = {}
 
 
-def _series_tables(alpha: float, beta: float, n: int):
+def _series_length(alpha: float, m_max: float) -> int:
+    return min(_SERIES_KMAX, int(3.8 * max(m_max, 1.0) / alpha) + 48)
+
+
+def _series_tables(alpha: float, beta: float):
+    """Term-ratio table as long as any series tier can ask for (m <= _M_POS_SERIES)."""
     key = (alpha, beta)
     cached = _TABLE_CACHE.get(key)
-    if cached is not None and cached[0].size >= n:
+    if cached is not None:
         return cached
-    size = max(n, 128)
+    size = _series_length(alpha, _M_POS_SERIES)
     rhi = np.empty(size)
     rlo = np.empty(size)
     with mp.workdps(50):
@@ -130,15 +140,10 @@ def _series_tables(alpha: float, beta: float, n: int):
     return entry
 
 
-def _series_length(alpha: float, m_max: float) -> int:
-    return min(_SERIES_KMAX, int(3.8 * max(m_max, 1.0) / alpha) + 48)
-
-
 def _series_double(alpha, beta, z, tol):
     """Kahan series; returns (value, accept mask)."""
-    m_max = float(np.max(np.abs(z))) ** (1.0 / alpha)
-    n = _series_length(alpha, m_max)
-    rhi, _, t0h, _ = _series_tables(alpha, beta, n)
+    rhi, _, t0h, _ = _series_tables(alpha, beta)
+    n = min(_series_length(alpha, float(np.max(np.abs(z))) ** (1.0 / alpha)), rhi.size)
     t = np.full(z.shape, t0h)
     s = t.copy()
     comp = np.zeros_like(s)
@@ -159,9 +164,8 @@ def _series_double(alpha, beta, z, tol):
 
 def _series_dd(alpha, beta, z, tol):
     """Double-double series; returns (value, accept mask)."""
-    m_max = float(np.max(np.abs(z))) ** (1.0 / alpha)
-    n = _series_length(alpha, m_max)
-    rhi, rlo, t0h, t0l = _series_tables(alpha, beta, n)
+    rhi, rlo, t0h, t0l = _series_tables(alpha, beta)
+    n = min(_series_length(alpha, float(np.max(np.abs(z))) ** (1.0 / alpha)), rhi.size)
     th = np.full(z.shape, t0h)
     tl = np.full(z.shape, t0l)
     sh, sl = th.copy(), tl.copy()
@@ -180,8 +184,16 @@ def _series_dd(alpha, beta, z, tol):
     return sh, ok
 
 
-def _asym_neg(alpha, beta, z, tol):
-    """Algebraic expansion plus saddle pair for z < 0; returns (value, accept)."""
+# ---------------------------------------------------------------------------
+# large-argument expansions
+
+
+def _algebraic(alpha, beta, z):
+    """Optimally truncated ``sum_{k>=1} z**-k / Gamma(beta - alpha k)``.
+
+    Returns ``(sum, abs_sum, truncation_estimate)``: the sum stops before
+    the first term that fails to decrease, which then bounds the error.
+    """
     invz = 1.0 / z
     p = invz.copy()
     s = np.zeros_like(z)
@@ -210,6 +222,12 @@ def _asym_neg(alpha, beta, z, tol):
         p = p * invz
     # ran out of terms while still decreasing: last kept term is the estimate
     est[active] = np.where(np.isfinite(prev[active]), prev[active], 0.0)
+    return s, s_abs, est
+
+
+def _asym_neg(alpha, beta, z, tol):
+    """Algebraic expansion plus saddle pair for z < 0; returns (value, accept)."""
+    s, s_abs, est = _algebraic(alpha, beta, z)
     val = -s
     m = np.abs(z) ** (1.0 / alpha)
     if alpha > 1.0:
@@ -233,41 +251,16 @@ def _asym_neg(alpha, beta, z, tol):
     return val, ok
 
 
-def _eval_pos(alpha, beta, z):
-    out = np.empty_like(z)
+def _asym_pos(alpha, beta, z, tol):
+    """Exponential lead minus the algebraic expansion for z > 0; returns
+    (value, accept)."""
+    s, s_abs, est = _algebraic(alpha, beta, z)
     m = z ** (1.0 / alpha)
-    small = m <= _M_POS_SERIES
-    if np.any(small):
-        zs = z[small]
-        n = _series_length(alpha, float(np.max(m[small])))
-        rhi, _, t0h, _ = _series_tables(alpha, beta, n)
-        t = np.full(zs.shape, t0h)
-        s = t.copy()
-        comp = np.zeros_like(s)
-        for k in range(n - 1):
-            t = t * (zs * rhi[k])
-            y = t - comp
-            tmp = s + y
-            comp = (tmp - s) - y
-            s = tmp
-            if k > 4 and np.all(t <= 1e-19 * s):
-                break
-        out[small] = s
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        mb = m[big]
-        with np.errstate(over="ignore"):
-            lead = (1.0 / alpha) * mb ** (1.0 - beta) * np.exp(mb)
-        tail = np.zeros_like(zb)
-        p = 1.0 / zb
-        for k in range(1, _ASYM_KMAX + 1):
-            rg = sp.rgamma(beta - alpha * k)
-            if rg != 0.0:
-                tail += p * rg
-            p = p / zb
-        out[big] = lead - tail
-    return out
+    with np.errstate(over="ignore"):
+        lead = (1.0 / alpha) * m ** (1.0 - beta) * np.exp(m)
+    val = lead - s
+    est = est + (3.0 * m + 30.0) * _EPS * (s_abs + lead)
+    return val, est <= 0.1 * tol * np.abs(val)
 
 
 def _mpmath_single(alpha: float, beta: float, z: float) -> float:
@@ -303,44 +296,32 @@ def _mpmath_single(alpha: float, beta: float, z: float) -> float:
         return float(s)
 
 
-def _eval_neg(alpha, beta, z, tol_near, tol_far):
+# (m limit, tier) in the order tried on each half-axis
+_NEG_TIERS = ((_M_DOUBLE, _series_double), (_M_DD, _series_dd), (math.inf, _asym_neg))
+_POS_TIERS = ((_M_POS_SERIES, _series_double), (math.inf, _asym_pos))
+
+
+def _cascade(alpha, beta, z, tiers):
+    """Evaluate at nonzero ``z`` of one sign.
+
+    Each tier sees the still-pending arguments with ``m <= limit`` and
+    keeps the values whose error estimate meets the tolerance; whatever
+    every tier declines goes to arbitrary precision.
+    """
     out = np.empty_like(z)
-    pending = np.ones(z.shape, dtype=bool)
-    tol = np.where(np.abs(z) <= _NEAR_LIMIT, tol_near, tol_far)
-
-    if alpha == 1.0 and beta in (1.0, 2.0):
-        if beta == 1.0:
-            out[:] = np.exp(z)
-        else:
-            out[:] = np.where(z != 0.0, np.expm1(z) / np.where(z != 0.0, z, 1.0), 1.0)
-        return out
-
     m = np.abs(z) ** (1.0 / alpha)
-
-    sel = pending & (m <= _M_DOUBLE)
-    if np.any(sel):
-        val, ok = _series_double(alpha, beta, z[sel], tol[sel])
-        idx = np.flatnonzero(sel)[ok]
-        out.flat[idx] = val[ok]
-        pending[idx] = False
-
-    sel = pending & (m <= _M_DD)
-    if np.any(sel):
-        val, ok = _series_dd(alpha, beta, z[sel], tol[sel])
-        idx = np.flatnonzero(sel)[ok]
-        out.flat[idx] = val[ok]
-        pending[idx] = False
-
-    if np.any(pending):
-        sel = pending.copy()
-        val, ok = _asym_neg(alpha, beta, z[sel], tol[sel])
-        idx = np.flatnonzero(sel)[ok]
-        out.flat[idx] = val[ok]
-        pending[idx] = False
-
-    if np.any(pending):
-        for i in np.flatnonzero(pending):
-            out.flat[i] = _mpmath_single(alpha, beta, float(z.flat[i]))
+    tol = np.where(np.abs(z) <= _NEAR_LIMIT, _TOL_NEAR, _TOL_FAR)
+    pending = np.ones(z.shape, dtype=bool)
+    for limit, tier in tiers:
+        sel = pending & (m <= limit)
+        if np.any(sel):
+            val, ok = tier(alpha, beta, z[sel], tol[sel])
+            idx = np.flatnonzero(sel)[ok]
+            out[idx] = val[ok]
+            pending[idx] = False
+    # looked up at call time so the fallback can be wrapped from outside
+    for i in np.flatnonzero(pending):
+        out[i] = _mpmath_single(alpha, beta, float(z[i]))
     return out
 
 
@@ -361,10 +342,16 @@ def ml(params: MLParams, z):
         out[zero] = 1.0 / gamma(beta)
     pos = flat > 0.0
     if np.any(pos):
-        out[pos] = _eval_pos(alpha, beta, flat[pos])
+        out[pos] = _cascade(alpha, beta, flat[pos], _POS_TIERS)
     neg = flat < 0.0
     if np.any(neg):
-        out[neg] = _eval_neg(alpha, beta, flat[neg], _TOL_NEAR, _TOL_FAR)
+        zn = flat[neg]
+        if alpha == 1.0 and beta == 1.0:
+            out[neg] = np.exp(zn)
+        elif alpha == 1.0 and beta == 2.0:
+            out[neg] = np.expm1(zn) / zn
+        else:
+            out[neg] = _cascade(alpha, beta, zn, _NEG_TIERS)
 
     if scalar:
         return float(out[0])

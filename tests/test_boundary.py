@@ -128,13 +128,21 @@ class TestHiddenRatio:
         dom = build_rectangle(1.0, 1.0, 8)
         draws = [
             ModeCoefficients(
-                np.random.default_rng(s).standard_normal(8) / np.arange(1, 9) ** 2,
+                np.random.default_rng(s).standard_normal(8) / np.arange(1, 9) ** 3,
                 np.zeros(8),
             )
             for s in range(5)
         ]
         study = hidden_inequality_ratio(dom, draws, 1.5, TimeGrid(1.0, 64))
         assert math.isfinite(study.max_ratio)
+
+    @pytest.mark.parametrize("p", [0.75, 1.0])
+    def test_unconverged_mode_sum_rejected(self, p):
+        # the ratio study applies the same tail check as normal_trace
+        dom = build_interval(1.0, 64)
+        draws = [random_decay(64, p, seed) for seed in range(7, 17)]
+        with pytest.raises(ValueError, match="not stabilized"):
+            hidden_inequality_ratio(dom, draws, 1.5, TimeGrid(1.0, 192))
 
 
 class TestMultiplierIdentity:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fracwave.fracops import (
     KernelPhi,
+    _exterior_node_counts,
     SampledPath,
     TimeGrid,
     caputo_derivative,
@@ -270,6 +271,16 @@ class TestGagliardo:
         stacked = SampledPath(GRID, np.stack([v.values, np.zeros_like(v.values)], axis=1))
         w = gagliardo_seminorm(stacked, 0.3, weights=np.array([4.0, 1.0]))
         assert abs(w - 2.0 * gagliardo_seminorm(v, 0.3)) < 1e-10
+
+    @pytest.mark.parametrize("M", range(2, 10))
+    def test_exterior_node_counts_enumerated(self, M):
+        # cell (a, b) spans nodes a..a+1 by b..b+1; count far cells per node pair
+        ref = np.zeros((M + 1, M + 1))
+        for a in range(M):
+            for b in range(M):
+                if abs(a - b) >= 2:
+                    ref[a:a + 2, b:b + 2] += 1.0
+        assert np.array_equal(_exterior_node_counts(M), ref)
 
 
 class TestNormEquivalence:

@@ -6,12 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mpmath as mp
+import fracwave.mittag_leffler as mlmod
 from fracwave.mittag_leffler import (
     Z_MAX,
     BoundFit,
     MLParams,
     _asym_neg,
+    _asym_pos,
     _series_dd,
+    _series_double,
+    _series_tables,
     _tail_growth_violation,
     gamma,
     max_ratio,
@@ -156,6 +160,67 @@ class TestRecurrence:
                 assert np.any(both)
                 agree = np.abs(s_val[both] - a_val[both]) / np.abs(s_val[both])
                 assert np.max(agree) < tol
+
+
+class TestCascade:
+    # (alpha, beta, z, float.hex of the value, tier that produces it)
+    PINNED = [
+        (1.5, 1.0, -5.0, "-0x1.3348b5829067dp-2", "_series_double"),
+        (1.5, 1.0, -200.0, "-0x1.71a1202036158p-10", "_series_dd"),
+        (1.5, 1.5, -5000.0, "-0x1.22c7d7f90dfb5p-26", "_asym_neg"),
+        (1.75, 0.75, -1e6, "0x1.1835bb20d934dp-40", "_asym_neg"),
+        (0.5, 1.0, -40.0, "0x1.ce0a30f4a2d8fp-7", "_asym_neg"),
+        (1.05, 1.05, -40.0, "-0x1.2b3cfbc35b91fp-15", "_mpmath_single"),
+        (1.0, 1.0, -3.0, "0x1.97db0ccceb0afp-5", None),
+        (1.0, 2.0, -3.0, "0x1.4456df777634ep-2", None),
+        (1.5, 2.0, 0.0, "0x1.0000000000000p+0", None),
+        (1.5, 1.0, 30.0, "0x1.44f5104ef5bf5p+13", "_series_double"),
+        (1.0, 1.0, 3.0, "0x1.415e5bf6fb106p+4", "_series_double"),
+        (1.5, 1.0, 1000.0, "0x1.9b70e241ecf22p+143", "_asym_pos"),
+        (0.75, 2.0, 40.0, "0x1.994e8aae13c92p+190", "_asym_pos"),
+    ]
+
+    @pytest.mark.parametrize("alpha,beta,z,bits,tier", PINNED)
+    def test_pinned_bits_and_tier(self, monkeypatch, alpha, beta, z, bits, tier):
+        accepted = []
+
+        def record(fn):
+            def wrapped(a, b, zz, tol):
+                val, ok = fn(a, b, zz, tol)
+                if np.any(ok):
+                    accepted.append(fn.__name__)
+                return val, ok
+            return wrapped
+
+        def fallback(a, b, zz, orig=mlmod._mpmath_single):
+            accepted.append("_mpmath_single")
+            return orig(a, b, zz)
+
+        for name in ("_NEG_TIERS", "_POS_TIERS"):
+            tiers = getattr(mlmod, name)
+            monkeypatch.setattr(mlmod, name, tuple((lim, record(fn)) for lim, fn in tiers))
+        monkeypatch.setattr(mlmod, "_mpmath_single", fallback)
+        assert ml(MLParams(alpha, beta), z).hex() == bits
+        assert accepted == ([tier] if tier else [])
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.25, 1.5, 1.9])
+    def test_positive_regime_consistency(self, alpha):
+        # series and exponential expansion both accept on m in [40, 60]
+        z = np.geomspace(40.0, 60.0, 9) ** alpha
+        tol = np.where(z <= 64.0, 3e-11, 1e-9)
+        for beta in (1.0, 2.0, alpha):
+            s_val, s_ok = _series_double(alpha, beta, z, tol)
+            a_val, a_ok = _asym_pos(alpha, beta, z, tol)
+            assert np.all(s_ok) and np.all(a_ok)
+            assert np.max(np.abs(s_val - a_val) / s_val) < 1e-12
+
+    def test_series_table_built_once(self):
+        alpha, beta = 1.37, 1.11
+        p = MLParams(alpha, beta)
+        ml(p, -1.0)
+        table = _series_tables(alpha, beta)
+        ml(p, np.array([-(40.0**alpha), 55.0**alpha]))
+        assert _series_tables(alpha, beta) is table
 
 
 class TestDecayBound:
