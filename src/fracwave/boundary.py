@@ -26,7 +26,7 @@ from .fracops import (
 from .params import as_alpha, identity_overlap_range
 from .regularity import NormReport
 from .solver import ModePropagator, mode_second_derivative_samples
-from .spectral import ModeCoefficients, SpectralDomain, _gauss_panels, pairwise_sum, tail_stabilizes
+from .spectral import ModeCoefficients, SpectralDomain, _gauss_panels, mode_sum, pairwise_sum, tail_stabilizes
 
 __all__ = [
     "MultiplierField",
@@ -104,17 +104,11 @@ def _trace_tail_check(domain: SpectralDomain, data: ModeCoefficients, t_end: flo
         )
 
 
-def _normal_sum(domain: SpectralDomain, coeff: np.ndarray) -> np.ndarray:
-    """Pairwise mode sum of (N, M+1) coefficients against the boundary
-    normal derivatives; shape (M+1, B)."""
-    return pairwise_sum(coeff[:, :, None] * domain.boundary_normal_deriv[:, None, :], axis=0)
-
-
 def _draw_trace(domain: SpectralDomain, prop: ModePropagator, data: ModeCoefficients,
                 tgrid: TimeGrid) -> TraceSeries:
     """Trace of one dataset from the shared mode dynamics."""
     _trace_tail_check(domain, data, tgrid.t_end)
-    vals = _normal_sum(domain, prop.value(data.a, data.b))
+    vals = mode_sum(prop.value(data.a, data.b), domain.boundary_normal_deriv)
     return TraceSeries(tgrid, domain.boundary_points, domain.boundary_weights, vals)
 
 
@@ -245,7 +239,7 @@ class IdentityCheck:
 def _interval_identity_ingredients(domain, data, alpha, beta, tgrid):
     coeff = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes).value(data.a, data.b)
     icoeff = frac_integral(SampledPath(tgrid, coeff.T), beta).values.T
-    return icoeff, _normal_sum(domain, icoeff)
+    return icoeff, mode_sum(icoeff, domain.boundary_normal_deriv)
 
 
 def _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid):

@@ -22,7 +22,8 @@ Positive axis:
 
 1. the Kahan series (``m <= 60``),
 2. the exponential lead ``(1/alpha) m**(1-beta) exp(m)`` minus the same
-   optimally truncated algebraic series.
+   optimally truncated algebraic series.  Past ``m`` of about 709 the value
+   leaves the double range and ``ml`` raises ``ValueError``.
 
 Whatever every tier declines is summed in arbitrary precision.  ``alpha = 1``
 with ``beta`` in {1, 2} uses ``exp`` and ``expm1(z)/z`` on the negative axis.
@@ -258,7 +259,13 @@ def _asym_pos(alpha, beta, z, tol):
     m = z ** (1.0 / alpha)
     with np.errstate(over="ignore"):
         lead = (1.0 / alpha) * m ** (1.0 - beta) * np.exp(m)
+        # for beta > 1, exp(m) overflows while the lead still fits
+        big = np.isinf(lead)
+        lead[big] = np.exp(m[big] + (1.0 - beta) * np.log(m[big]) - math.log(alpha))
     val = lead - s
+    if np.any(np.isinf(val)):  # an infinite estimate would pass the accept test
+        raise ValueError(f"E_{{alpha,beta}}(z) overflows double precision (alpha={alpha}, "
+                         f"beta={beta}, z={float(z[np.isinf(val)][0])!r})")
     est = est + (3.0 * m + 30.0) * _EPS * (s_abs + lead)
     return val, est <= 0.1 * tol * np.abs(val)
 

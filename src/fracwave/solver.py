@@ -10,8 +10,10 @@ Each Dirichlet mode evolves independently:
 with ``a`` the fractional order and ``l_n`` the eigenvalue; ``ModePropagator``
 holds these kernels for a set of modes on one time set.  Fields are
 pairwise-summed over modes in ascending order, so results are bitwise
-reproducible.  Every solve can report an upper estimate of the norm it is
-missing by truncating the mode sum.
+reproducible; ``spectral.mode_sum`` sums in bounded-memory blocks with the
+same bits, so no solve holds the whole mode x time x point product.  Every
+solve can report an upper estimate of the norm it is missing by truncating
+the mode sum.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .fracops import TimeGrid
 from .mittag_leffler import MLParams, ml, verify_decay_bound
 from .params import FracOrder, as_alpha
-from .spectral import ModeCoefficients, SpectralDomain, eval_modes, pairwise_sum
+from .spectral import ModeCoefficients, SpectralDomain, eval_modes, mode_sum
 
 __all__ = [
     "SolutionQuery",
@@ -206,9 +208,8 @@ def coefficient_evolution(query: SolutionQuery) -> np.ndarray:
 def solve_field(query: SolutionQuery, points) -> np.ndarray:
     """Field snapshots, shape (M+1, P): rows are time nodes."""
     coeff = coefficient_evolution(query)
-    E = eval_modes(query.domain, points)[: query.active_modes]
     # fixed ascending-mode pairwise reduction for reproducibility
-    return pairwise_sum(coeff[:, :, None] * E[:, None, :], axis=0)
+    return mode_sum(coeff, eval_modes(query.domain, points)[: query.active_modes])
 
 
 _DECAY_CACHE: dict[tuple[float, float], float] = {}

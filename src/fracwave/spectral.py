@@ -3,15 +3,18 @@
 Eigenpairs are analytic (sine basis / tensor sines), so every downstream
 estimate check is free of eigensolver error.  The domain object carries a
 composite Gauss-Legendre quadrature sized to resolve products of the highest
-retained modes, plus boundary quadrature with outward-normal derivatives of
-every mode.
+retained modes, plus boundary quadrature; the outward-normal derivatives of
+every mode at the boundary nodes are built on first use.  Mode sums against
+a basis go through ``mode_sum``, which forms the mode x row x point product
+in bounded-memory blocks without changing a bit of the pairwise reduction.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +28,7 @@ __all__ = [
     "eval_modes",
     "frac_power_norm",
     "pairwise_sum",
+    "mode_sum",
     "tail_stabilizes",
     "domain_to_config",
     "domain_from_config",
@@ -45,6 +49,32 @@ def pairwise_sum(arr: np.ndarray, axis: int = 0) -> np.ndarray:
             s = np.concatenate([s, a[-1:]], axis=0)
         a = s
     return a[0]
+
+
+# bytes one ``mode_sum`` block may occupy: the product block plus the
+# pairwise halvings of it (together at most twice the block)
+_MODE_SUM_BYTES = 32 * 2**20
+
+
+def mode_sum(coeff, basis) -> np.ndarray:
+    """``sum_n coeff[n, r] * basis[n, p]`` of (N, R) and (N, P) arrays, shape (R, P).
+
+    Bit for bit ``pairwise_sum(coeff[:, :, None] * basis[:, None, :])``: the
+    pairwise tree depends only on N, so forming the product one block of rows
+    (and, when one row is over budget, of points) at a time changes nothing.
+    """
+    c = np.asarray(coeff, dtype=float)
+    e = np.asarray(basis, dtype=float)
+    (N, R), P = c.shape, e.shape[1]
+    elems = _MODE_SUM_BYTES // 16  # 8-byte floats, twice over for the halvings
+    cols = max(1, min(P, elems // N))
+    rows = max(1, elems // (N * cols))
+    out = np.empty((R, P))
+    for r in range(0, R, rows):
+        for p in range(0, P, cols):
+            out[r : r + rows, p : p + cols] = pairwise_sum(
+                c[:, r : r + rows, None] * e[:, None, p : p + cols], axis=0)
+    return out
 
 
 def tail_stabilizes(terms: np.ndarray, frac: float = 0.125, tol: float = 0.05) -> bool:
@@ -84,11 +114,43 @@ class SpectralDomain:
     quad_weights: np.ndarray  # (Q,)
     boundary_points: np.ndarray  # (B,) interval positions or (B, 2)
     boundary_weights: np.ndarray  # (B,)
-    boundary_normal_deriv: np.ndarray = field(repr=False)  # (N, B)
 
     @property
     def is_interval(self) -> bool:
         return self.kind == "interval"
+
+    @cached_property
+    def boundary_normal_deriv(self) -> np.ndarray:
+        """Outward normal derivative of every mode at every boundary node,
+        shape (N, B); built on first use (only trace studies read it)."""
+        if self.is_interval:
+            (L,) = self.lengths
+            n = self.mode_index
+            dn = math.sqrt(2.0 / L) * (n * math.pi / L)
+            # outward normal derivative: -e'(0) at x=0, +e'(L) at x=L
+            return np.stack([-dn, dn * np.cos(n * math.pi)], axis=1)
+        L1, L2 = self.lengths
+        idx = self.mode_index
+        amp = 2.0 / math.sqrt(L1 * L2)
+        panels = _axis_panels(self.lengths, idx)
+        w = [idx[:, [a]] * math.pi / L for a, L in enumerate(self.lengths)]
+        out = np.empty((len(idx), self.boundary_points.shape[0]))
+        col = 0
+        # edges in boundary-node order: x = 0, x = L1, y = 0, y = L2
+        for a, L in enumerate(self.lengths):
+            nodes = panels[1 - a][0]
+            for x0, sgn in ((0.0, -1.0), (L, 1.0)):  # outward normal along -/+ axis a
+                cos = np.cos(idx[:, [a]] * math.pi * (x0 / L))
+                out[:, col : col + nodes.size] = sgn * amp * w[a] * cos * np.sin(w[1 - a] * nodes)
+                col += nodes.size
+        return out
+
+
+def _axis_panels(lengths, mode_index):
+    """Composite Gauss nodes and weights along each axis, sized to the
+    highest mode index retained in that direction."""
+    return [_gauss_panels(0.0, L, max(4, int(top) // 2 + 3))
+            for L, top in zip(lengths, mode_index.max(axis=0))]
 
 
 def build_interval(L: float, N: int) -> SpectralDomain:
@@ -99,12 +161,7 @@ def build_interval(L: float, N: int) -> SpectralDomain:
         raise ValueError("need at least one mode")
     n = np.arange(1, N + 1)
     lam = (n * math.pi / L) ** 2
-    panels = max(4, N // 2 + 3)
-    pts, wts = _gauss_panels(0.0, L, panels)
-    amp = math.sqrt(2.0 / L)
-    dn = amp * (n * math.pi / L)
-    # outward normal derivative: -e'(0) at x=0, +e'(L) at x=L
-    nd = np.stack([-dn, dn * np.cos(n * math.pi)], axis=1)
+    pts, wts = _axis_panels((L,), n[:, None])[0]
     return SpectralDomain(
         kind="interval",
         lengths=(float(L),),
@@ -115,7 +172,6 @@ def build_interval(L: float, N: int) -> SpectralDomain:
         quad_weights=wts,
         boundary_points=np.array([0.0, L]),
         boundary_weights=np.array([1.0, 1.0]),
-        boundary_normal_deriv=nd,
     )
 
 
@@ -134,63 +190,34 @@ def build_rectangle(L1: float, L2: float, N: int) -> SpectralDomain:
         j = np.arange(1, K + 1)
         lj = (j * math.pi / L1) ** 2
         lk = (j * math.pi / L2) ** 2
-        lam = lj[:, None] + lk[None, :]
-        pairs = [(lam[a, b], a + 1, b + 1) for a in range(K) for b in range(K)]
-        pairs.sort()
+        lam = (lj[:, None] + lk[None, :]).ravel()
+        ia, ib = np.repeat(j, K), np.tile(j, K)
+        order = np.lexsort((ib, ia, lam))
         # the block is large enough once the N-th value cannot be beaten by
         # any eigenvalue involving an index beyond K
         cutoff = min((math.pi * (K + 1) / L1) ** 2 + (math.pi / L2) ** 2,
                      (math.pi / L1) ** 2 + (math.pi * (K + 1) / L2) ** 2)
-        if len(pairs) >= N and pairs[N - 1][0] < cutoff:
+        if order.size >= N and lam[order[N - 1]] < cutoff:
             break
         K *= 2
-    chosen = pairs[:N]
-    lam = np.array([p[0] for p in chosen])
-    idx = np.array([[p[1], p[2]] for p in chosen])
+    chosen = order[:N]
+    idx = np.stack([ia[chosen], ib[chosen]], axis=1)
 
-    jmax = int(idx[:, 0].max())
-    kmax = int(idx[:, 1].max())
-    px, wx = _gauss_panels(0.0, L1, max(4, jmax // 2 + 3))
-    py, wy = _gauss_panels(0.0, L2, max(4, kmax // 2 + 3))
+    (px, wx), (py, wy) = _axis_panels((L1, L2), idx)
     PX, PY = np.meshgrid(px, py, indexing="ij")
-    pts = np.stack([PX.ravel(), PY.ravel()], axis=1)
-    wts = np.outer(wx, wy).ravel()
-
-    amp = 2.0 / math.sqrt(L1 * L2)
-    # boundary: four edges, quadrature along each
-    bx, bwx = _gauss_panels(0.0, L1, max(4, jmax // 2 + 3))
-    by, bwy = _gauss_panels(0.0, L2, max(4, kmax // 2 + 3))
-    b_pts = []
-    b_wts = []
-    nd_cols = []
-    jj = idx[:, 0][:, None] * math.pi / L1
-    kk = idx[:, 1][:, None] * math.pi / L2
-    # x = 0 and x = L1 edges (normal along -x / +x)
-    for x0, sgn in ((0.0, -1.0), (L1, 1.0)):
-        cosj = np.cos(idx[:, 0][:, None] * math.pi * (x0 / L1))
-        nd = sgn * amp * jj * cosj * np.sin(kk * by[None, :])
-        nd_cols.append(nd)
-        b_pts.append(np.stack([np.full_like(by, x0), by], axis=1))
-        b_wts.append(bwy)
-    # y = 0 and y = L2 edges
-    for y0, sgn in ((0.0, -1.0), (L2, 1.0)):
-        cosk = np.cos(idx[:, 1][:, None] * math.pi * (y0 / L2))
-        nd = sgn * amp * kk * cosk * np.sin(jj * bx[None, :])
-        nd_cols.append(nd)
-        b_pts.append(np.stack([bx, np.full_like(bx, y0)], axis=1))
-        b_wts.append(bwx)
-
+    # boundary: four edges in the order x = 0, x = L1, y = 0, y = L2
+    b_pts = [np.stack([np.full_like(py, x0), py], axis=1) for x0 in (0.0, L1)]
+    b_pts += [np.stack([px, np.full_like(px, y0)], axis=1) for y0 in (0.0, L2)]
     return SpectralDomain(
         kind="rectangle",
         lengths=(float(L1), float(L2)),
         mode_count=N,
-        eigenvalues=lam,
+        eigenvalues=lam[chosen],
         mode_index=idx,
-        quad_points=pts,
-        quad_weights=wts,
+        quad_points=np.stack([PX.ravel(), PY.ravel()], axis=1),
+        quad_weights=np.outer(wx, wy).ravel(),
         boundary_points=np.concatenate(b_pts, axis=0),
-        boundary_weights=np.concatenate(b_wts),
-        boundary_normal_deriv=np.concatenate(nd_cols, axis=1),
+        boundary_weights=np.concatenate([wy, wy, wx, wx]),
     )
 
 
@@ -242,8 +269,7 @@ def synthesize(domain: SpectralDomain, coeffs, points) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     if c.shape[0] != domain.mode_count:
         raise ValueError("coefficient count must match the domain mode count")
-    E = eval_modes(domain, points)
-    return pairwise_sum(c[:, None] * E, axis=0)
+    return mode_sum(c[:, None], eval_modes(domain, points))[0]
 
 
 def frac_power_norm(domain: SpectralDomain, coeffs, theta: float) -> float:

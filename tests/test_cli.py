@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -101,3 +104,30 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+# Solves whose whole-array assembly used to dominate memory: a 305 MB
+# mode x time x point product on the interval, and a 400 MB boundary
+# normal-derivative matrix that no solve reads on the rectangle.
+MEMORY_SOLVES = [
+    ["--modes", "256", "--steps", "384", "--points", "385"],
+    ["--domain", "rectangle:1.0,1.5", "--modes", "16384", "--steps", "2", "--points", "3"],
+]
+MAX_RSS_MB = 250  # bounded solves peak near 100 MB, whole-array ones above 570 MB
+
+
+def test_solve_memory_is_bounded(tmp_path):
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "fracwave.cli", "solve", "--out-prefix",
+                          str(tmp_path / f"run{k}")] + opts,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for k, opts in enumerate(MEMORY_SOLVES)
+    ]
+    peaks = []
+    for proc in procs:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        with proc.stderr:
+            assert proc.returncode == 0, proc.stderr.read()
+        peaks.append(usage.ru_maxrss / 1024)  # kilobytes on Linux
+    assert max(peaks) < MAX_RSS_MB, f"solves peaked at {peaks} MB"

@@ -203,6 +203,29 @@ class TestCascade:
         assert ml(MLParams(alpha, beta), z).hex() == bits
         assert accepted == ([tier] if tier else [])
 
+    def test_largest_finite_positive_value_kept(self):
+        # m = 700: exp(m) still fits in a double
+        assert ml(MLParams(1.5, 1.0), 700.0**1.5).hex() == "0x1.3b83ea35098c6p+1009"
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0])
+    def test_value_kept_where_only_exp_overflows(self, beta):
+        # m = 712: exp(m) overflows, the lead exp(m) m**(1-beta) / alpha does not
+        z = 712.0**1.5
+        with mp.workdps(30):
+            ref = float(mp.exp(712) * mp.mpf(712) ** (1 - beta) / mp.mpf(1.5))
+        assert abs(ml(MLParams(1.5, beta), z) / ref - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("alpha,beta,z", [(1.25, 0.25, 5000.0), (1.5, 1.0, 720.0**1.5)])
+    def test_positive_overflow_raises(self, monkeypatch, alpha, beta, z):
+        def fallback(*args):
+            raise AssertionError("overflowing value sent to arbitrary precision")
+
+        monkeypatch.setattr(mlmod, "_mpmath_single", fallback)
+        with pytest.raises(ValueError, match=r"overflows double precision \(alpha=.*beta=.*z="):
+            ml(MLParams(alpha, beta), z)
+        with pytest.raises(ValueError, match="overflows double precision"):
+            ml(MLParams(alpha, beta), np.array([1.0, z, -z]))
+
     @pytest.mark.parametrize("alpha", [0.75, 1.25, 1.5, 1.9])
     def test_positive_regime_consistency(self, alpha):
         # series and exponential expansion both accept on m in [40, 60]

@@ -1,13 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fracwave.solver
+import fracwave.spectral
 from fracwave.fracops import SampledPath, TimeGrid, caputo_derivative
 from fracwave.params import FracOrder
-from fracwave.presets import poly_bump, single_mode
+from fracwave.presets import poly_bump, random_decay, single_mode
 from fracwave.solver import (
     ModePropagator,
     SolutionQuery,
@@ -20,7 +22,14 @@ from fracwave.solver import (
     write_manifest,
     write_snapshots_csv,
 )
-from fracwave.spectral import ModeCoefficients, build_interval, synthesize
+from fracwave.spectral import (
+    ModeCoefficients,
+    build_interval,
+    build_rectangle,
+    eval_modes,
+    pairwise_sum,
+    synthesize,
+)
 from oracles import ml_series_ref
 
 LAM1 = math.pi**2
@@ -188,6 +197,43 @@ class TestSolveField:
         cc = coefficient_evolution(qc)
         lam = self.domain.eigenvalues[:, None]
         assert np.max(np.abs(cc + lam * cv)) < 1e-12
+
+
+class TestBoundedAssembly:
+    def test_blocked_field_is_bit_identical(self, monkeypatch):
+        domain = build_interval(1.0, 33)
+        q = SolutionQuery(FracOrder(1.5), domain, random_decay(33, 1.5, 5), TimeGrid(1.0, 20))
+        x = np.linspace(0.0, 1.0, 17)
+        coeff = coefficient_evolution(q)
+        E = eval_modes(domain, x)
+        full = pairwise_sum(coeff[:, :, None] * E[:, None, :], axis=0)
+        # three time rows per block, then one row with points in blocks of 5
+        for budget in (16 * 33 * 17 * 3, 16 * 33 * 5):
+            monkeypatch.setattr(fracwave.spectral, "_MODE_SUM_BYTES", budget)
+            assert np.array_equal(solve_field(q, x), full)
+
+    def test_peak_memory_is_bounded(self):
+        N, M, P = 256, 256, 257
+        domain = build_interval(1.0, N)
+        q = SolutionQuery(FracOrder(1.5), domain, random_decay(N, 2.0, 3), TimeGrid(1.0, M))
+        full_product = N * (M + 1) * P * 8  # 135 MB
+        tracemalloc.start()
+        try:
+            field = solve_field(q, np.linspace(0.0, 1.0, P))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.shape == (M + 1, P)
+        assert peak < full_product / 3
+
+    def test_boundary_derivatives_built_on_first_use(self):
+        dom = build_rectangle(1.0, 1.5, 4096)
+        q = SolutionQuery(FracOrder(1.5), dom, random_decay(4096, 2.0, 1), TimeGrid(1.0, 2))
+        solve_field(q, np.array([[0.5, 0.75]]))
+        assert "boundary_normal_deriv" not in dom.__dict__
+        nd = dom.boundary_normal_deriv
+        assert nd.shape == (4096, dom.boundary_points.shape[0])
+        assert dom.boundary_normal_deriv is nd
 
 
 class TestEquationResidual:

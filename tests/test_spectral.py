@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import fracwave.spectral as spectral
 from fracwave.spectral import (
     ModeCoefficients,
     build_interval,
@@ -14,6 +15,7 @@ from fracwave.spectral import (
     domain_to_config,
     eval_modes,
     frac_power_norm,
+    mode_sum,
     pairwise_sum,
     project,
     synthesize,
@@ -66,6 +68,17 @@ class TestRectangle:
         assert abs(r.eigenvalues[2] - 5.0 * math.pi**2) < 1e-10
         assert tuple(r.mode_index[1]) == (1, 2)
         assert tuple(r.mode_index[2]) == (2, 1)
+
+    @pytest.mark.parametrize("L,N", [(1.0, 1), (1.0, 7), (1.0, 60), (1.0, 300), (2.0, 120)])
+    def test_order_matches_tuple_sort(self, L, N):
+        # square domains: degenerate eigenvalue ties are common
+        j = np.arange(1, N + 1)
+        lj = (j * math.pi / L) ** 2
+        lam = lj[:, None] + lj[None, :]
+        pairs = sorted((lam[a, b], a + 1, b + 1) for a in range(N) for b in range(N))[:N]
+        r = build_rectangle(L, L, N)
+        assert np.array_equal(r.eigenvalues, [p[0] for p in pairs])
+        assert np.array_equal(r.mode_index, [[p[1], p[2]] for p in pairs])
 
     def test_sorted_for_hundred_modes(self):
         r = build_rectangle(1.0, 2.0, 100)
@@ -210,6 +223,43 @@ class TestHelpers:
         mc = ModeCoefficients(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
         scaled = mc.scaled(3.0)
         assert np.array_equal(scaled.a, [3.0, 6.0])
+
+
+class TestModeSum:
+    N, R, P = 7, 10, 13
+    ROW = 16 * N * P  # budget bytes for one row of points
+
+    # (budget in bytes or None for the default, expected pairwise_sum calls)
+    @pytest.mark.parametrize("budget,calls", [
+        (None, 1),
+        (3 * ROW, 4),  # row blocks of 3, 3, 3, 1
+        (16 * N * 4, 40),  # one row per block, points in blocks of 4, 4, 4, 1
+        (8, 130),  # below one column: single elements
+    ])
+    def test_blocks_are_bit_identical(self, monkeypatch, budget, calls):
+        rng = np.random.default_rng(3)
+        coeff = rng.standard_normal((self.N, self.R)) * np.logspace(0, -9, self.N)[:, None]
+        basis = rng.standard_normal((self.N, self.P))
+        full = pairwise_sum(coeff[:, :, None] * basis[:, None, :], axis=0)
+        if budget is not None:
+            monkeypatch.setattr(spectral, "_MODE_SUM_BYTES", budget)
+        seen = []
+
+        def counted(arr, axis=0, orig=pairwise_sum):
+            seen.append(arr.shape)
+            return orig(arr, axis)
+
+        monkeypatch.setattr(spectral, "pairwise_sum", counted)
+        got = mode_sum(coeff, basis)
+        assert len(seen) == calls
+        assert np.array_equal(got, full)
+
+    def test_synthesize_is_a_one_row_mode_sum(self):
+        d = build_interval(1.0, 9)
+        c = np.random.default_rng(4).standard_normal(9)
+        x = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(synthesize(d, c, x),
+                              pairwise_sum(c[:, None] * eval_modes(d, x), axis=0))
 
 
 class TestSerialization:
