@@ -13,6 +13,7 @@ seminorms of sampled paths, and the forward/inverse norm-equivalence study.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ import scipy.fft
 import scipy.linalg
 
 from .mittag_leffler import gamma
+from .spectral import _write_csv
 
 __all__ = [
     "TimeGrid",
@@ -235,6 +237,22 @@ def _exterior_node_counts(M: int) -> np.ndarray:
     return far[:-1, :-1] + far[1:, :-1] + far[:-1, 1:] + far[1:, 1:]
 
 
+@functools.lru_cache(maxsize=4)
+def _seminorm_factors(grid: TimeGrid, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Data-independent factors of the exterior seminorm sum, read-only:
+    trapezoid weights (exterior node counts times h*h/4) and the kernel
+    ``|t - tau|**(-1 - 2 beta)`` (0 on the diagonal)."""
+    h = grid.spacing
+    t = grid.nodes
+    dt = np.abs(t[:, None] - t[None, :])
+    with np.errstate(divide="ignore"):
+        kern = np.where(dt > 0, dt ** (-1.0 - 2.0 * beta), 0.0)
+    pair_w = _exterior_node_counts(grid.steps) * (h * h / 4.0)
+    pair_w.setflags(write=False)
+    kern.setflags(write=False)
+    return pair_w, kern
+
+
 def gagliardo_seminorm(v: SampledPath, beta: float, weights=None) -> float:
     """Slobodeckij seminorm of order beta in (0,1) of a sampled path.
 
@@ -254,13 +272,9 @@ def gagliardo_seminorm(v: SampledPath, beta: float, weights=None) -> float:
     def sqnorm(diff):
         return np.sum(diff**2, axis=-1) if wts is None else diff**2 @ wts
 
-    t = grid.nodes
-    dt = np.abs(t[:, None] - t[None, :])
-    with np.errstate(divide="ignore"):
-        kern = np.where(dt > 0, dt ** (-1.0 - 2.0 * beta), 0.0)
+    pair_w, kern = _seminorm_factors(grid, beta)
     sq = sqnorm(vals[:, None, :] - vals[None, :, :])
-    cnt = _exterior_node_counts(M)
-    total = float(np.sum(cnt * (h * h / 4.0) * sq * kern))
+    total = float(np.sum(pair_w * sq * kern))
 
     c0 = 2.0 / ((2.0 - 2.0 * beta) * (3.0 - 2.0 * beta))
     c1 = (2.0 ** (3.0 - 2.0 * beta) - 2.0) / ((2.0 - 2.0 * beta) * (3.0 - 2.0 * beta))
@@ -311,11 +325,9 @@ def norm_equivalence_study(ensemble, beta: float, weights=None) -> EquivalenceSt
 
 def path_to_csv(path: SampledPath, filename: str) -> None:
     vals = path.components()
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"v{i}" for i in range(vals.shape[1])])
-        for t, row in zip(path.grid.nodes, vals):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
+    header = ["t"] + [f"v{i}" for i in range(vals.shape[1])]
+    table = np.column_stack((path.grid.nodes, vals))
+    _write_csv(filename, header, (row.tolist() for row in table))
 
 
 def path_from_csv(filename: str) -> SampledPath:

@@ -11,8 +11,8 @@ the values whose a-posteriori error estimate meets the target tolerance,
 so there is no hand-tuned switch radius.  Negative axis:
 
 1. plain Kahan-compensated Taylor series (``m <= 12``),
-2. the same series in double-double arithmetic with reciprocal-gamma term
-   ratios precomputed in extended precision (``m <= 46``),
+2. the same series in double-double arithmetic, its term ratios split from
+   the extended-precision coefficient table below (``m <= 46``),
 3. the large-argument expansion: optimally truncated algebraic series plus
    the conjugate saddle pair ``(2/alpha) Re[w**(1-beta) e**w]``,
    ``w = m e**(i pi/alpha)`` (present for ``alpha > 1``; for ``alpha`` near 2
@@ -25,13 +25,24 @@ Positive axis:
    optimally truncated algebraic series.  Past ``m`` of about 709 the value
    leaves the double range and ``ml`` raises ``ValueError``.
 
-Whatever every tier declines is summed in arbitrary precision.  ``alpha = 1``
-with ``beta`` in {1, 2} uses ``exp`` and ``expm1(z)/z`` on the negative axis.
+Whatever every tier declines is summed in arbitrary precision as
+``sum_k z**k c_k`` with an incrementally updated power.  The coefficients
+``c_k = 1/Gamma(alpha k + beta)`` come from one cached table per
+(alpha, beta), which also supplies the series tiers' term ratios
+``c_{k+1}/c_k``.  The table grows in length only to the terms a sum
+reaches, and in precision only when a batch of values needs more digits
+than it holds: once, to the most any of them needs, rounded up to a step
+of 32.  So the arbitrary-precision gamma runs once per coefficient rather
+than once per term of every value.  Each thread
+works in its own mpmath context, so concurrent calls never share a working
+precision.  ``alpha = 1`` with ``beta`` in {1, 2} uses ``exp`` and
+``expm1(z)/z`` on the negative axis.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -109,7 +120,55 @@ def gamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# series tables: T_{k+1} = T_k * z * R_k with R_k = G(ak+b)/G(a(k+1)+b)
+# reciprocal-gamma coefficients c_k = 1/Gamma(alpha k + beta), shared by the
+# series tables and the arbitrary-precision fallback
+
+_MP_LOCAL = threading.local()
+
+
+def _mp_context():
+    """This thread's mpmath context.  Working precision is a property of the
+    context, so concurrent calls must not share the global ``mpmath.mp``."""
+    ctx = getattr(_MP_LOCAL, "ctx", None)
+    if ctx is None:
+        ctx = _MP_LOCAL.ctx = mp.MPContext()
+    return ctx
+
+
+_COEFF_DPS_STEP = 32   # table precision is the requested dps rounded up to this
+_COEFF_CHUNK = 32      # the fallback extends a table by this many terms at a time
+_COEFF_CACHE: dict[tuple[float, float], tuple[int, tuple]] = {}
+
+
+def _rgamma_coeffs(alpha: float, beta: float, n: int, dps: int) -> tuple:
+    """At least ``n`` coefficients ``1/Gamma(alpha k + beta)`` held to at least
+    ``dps`` digits.
+
+    One table per (alpha, beta).  It is extended only to the length asked
+    for, and rebuilt only when a caller needs more digits than it holds, at
+    ``dps`` rounded up to ``_COEFF_DPS_STEP``.  A grown table replaces the
+    cache entry instead of mutating it, so concurrent callers each keep a
+    consistent tuple; two threads growing one table may both build it, and
+    whichever entry is stored last is as valid as the other.
+    """
+    key = (alpha, beta)
+    held, coeffs = _COEFF_CACHE.get(key, (0, ()))
+    if held >= dps and len(coeffs) >= n:
+        return coeffs
+    if held < dps:
+        held = -(-dps // _COEFF_DPS_STEP) * _COEFF_DPS_STEP
+        coeffs = ()
+    ctx = _mp_context()
+    with ctx.workdps(held):
+        a = ctx.mpf(alpha)
+        b = ctx.mpf(beta)
+        coeffs += tuple(1 / ctx.gamma(a * k + b) for k in range(len(coeffs), n))
+    _COEFF_CACHE[key] = (held, coeffs)
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# series tables: T_{k+1} = T_k * z * R_k with R_k = c_{k+1} / c_k
 
 _TABLE_CACHE: dict[tuple[float, float], tuple[np.ndarray, np.ndarray, float, float]] = {}
 
@@ -125,17 +184,14 @@ def _series_tables(alpha: float, beta: float):
     if cached is not None:
         return cached
     size = _series_length(alpha, _M_POS_SERIES)
+    c = _rgamma_coeffs(alpha, beta, size + 1, 50)
     rhi = np.empty(size)
     rlo = np.empty(size)
-    with mp.workdps(50):
-        a = mp.mpf(alpha)
-        b = mp.mpf(beta)
-        g_prev = mp.gamma(b)
+    ctx = _mp_context()
+    with ctx.workdps(50):
         for k in range(size):
-            g_next = mp.gamma(a * (k + 1) + b)
-            rhi[k], rlo[k] = dd_from_mpf(g_prev / g_next)
-            g_prev = g_next
-        t0h, t0l = dd_from_mpf(1 / mp.gamma(b))
+            rhi[k], rlo[k] = dd_from_mpf(ctx.fdiv(c[k + 1], c[k]))
+        t0h, t0l = dd_from_mpf(ctx.mpf(c[0]))
     entry = (rhi, rlo, t0h, t0l)
     _TABLE_CACHE[key] = entry
     return entry
@@ -215,14 +271,16 @@ def _algebraic(alpha, beta, z):
             t = p * rg
             mag = np.abs(t)
             stop = active & (mag >= prev)
-            est[stop] = mag[stop]
-            active[stop] = False
-            s[active] += t[active]
-            s_abs[active] += mag[active]
-            prev[active] = mag[active]
+            np.copyto(est, mag, where=stop)
+            active &= ~stop
+            if not active.any():
+                break
+            np.add(s, t, out=s, where=active)
+            np.add(s_abs, mag, out=s_abs, where=active)
+            np.copyto(prev, mag, where=active)
         p = p * invz
     # ran out of terms while still decreasing: last kept term is the estimate
-    est[active] = np.where(np.isfinite(prev[active]), prev[active], 0.0)
+    np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
     return s, s_abs, est
 
 
@@ -270,33 +328,44 @@ def _asym_pos(alpha, beta, z, tol):
     return val, est <= 0.1 * tol * np.abs(val)
 
 
-def _mpmath_single(alpha: float, beta: float, z: float) -> float:
+def _fallback_dps(alpha: float, z: float) -> int:
+    """Working digits of the arbitrary-precision sum at ``z``."""
     m = abs(z) ** (1.0 / alpha)
     # for alpha <= 1 the value itself can be exponentially small, doubling
     # the number of digits lost to cancellation
-    dps = 30 + int(0.45 * m) if alpha > 1.0 else 30 + int(0.92 * m)
+    return 30 + int(0.45 * m) if alpha > 1.0 else 30 + int(0.92 * m)
+
+
+def _mpmath_single(alpha: float, beta: float, z: float) -> float:
+    dps = _fallback_dps(alpha, z)
     if dps > _MP_MAX_DPS:
         raise ValueError(
             "argument needs more than the supported working precision "
             f"(alpha={alpha}, z={z}); see module docstring for the envelope"
         )
-    with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        b = mp.mpf(beta)
-        zz = mp.mpf(z)
-        s = mp.mpf(0)
-        term_max = mp.mpf(0)
-        eps = mp.mpf(10) ** (-dps - 5)
-        t = 1 / mp.gamma(b)
+    c = _rgamma_coeffs(alpha, beta, _COEFF_CHUNK, dps)
+    ctx = _mp_context()
+    with ctx.workdps(dps):
+        zz = ctx.mpf(z)
+        s = ctx.mpf(0)
+        term_max = ctx.mpf(0)
+        eps = ctx.mpf(10) ** (-dps - 5)
+        tiny = ctx.mpf(1e-300)
+        power = ctx.mpf(1)
+        t = ctx.mpf(c[0])
+        at = abs(t)
         k = 0
         while True:
             s += t
-            at = abs(t)
             if at > term_max:
                 term_max = at
             k += 1
-            t = zz**k / mp.gamma(a * k + b)
-            if k > 5 and abs(t) < eps * max(term_max, abs(s), mp.mpf(1e-300)):
+            if k == len(c):
+                c = _rgamma_coeffs(alpha, beta, k + _COEFF_CHUNK, dps)
+            power *= zz
+            t = power * c[k]
+            at = abs(t)
+            if k > 5 and at < eps * max(term_max, abs(s), tiny):
                 break
             if k > 60000:
                 raise ValueError("series did not converge in the fallback")
@@ -326,9 +395,15 @@ def _cascade(alpha, beta, z, tiers):
             idx = np.flatnonzero(sel)[ok]
             out[idx] = val[ok]
             pending[idx] = False
+    rest = [float(v) for v in z[pending]]
+    # the coefficient table takes the batch's highest in-cap precision at
+    # once instead of being rebuilt each time a later value needs more digits
+    dps = [d for d in (_fallback_dps(alpha, v) for v in rest) if d <= _MP_MAX_DPS]
+    if dps:
+        _rgamma_coeffs(alpha, beta, 1, max(dps))
     # looked up at call time so the fallback can be wrapped from outside
-    for i in np.flatnonzero(pending):
-        out[i] = _mpmath_single(alpha, beta, float(z[i]))
+    for i, v in zip(np.flatnonzero(pending), rest):
+        out[i] = _mpmath_single(alpha, beta, v)
     return out
 
 

@@ -18,7 +18,6 @@ the mode sum.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 from .fracops import TimeGrid
 from .mittag_leffler import MLParams, ml, verify_decay_bound
 from .params import FracOrder, as_alpha
-from .spectral import ModeCoefficients, SpectralDomain, eval_modes, mode_sum
+from .spectral import ModeCoefficients, SpectralDomain, _write_csv, eval_modes, mode_sum
 
 __all__ = [
     "SolutionQuery",
@@ -251,15 +250,12 @@ def truncation_tail(query: SolutionQuery, theta: float, t: float) -> float:
 
 def write_snapshots_csv(query: SolutionQuery, points, fields: np.ndarray, filename: str) -> None:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if pts.ndim == 1:
-            header = ["t"] + [f"x={repr(float(x))}" for x in pts]
-        else:
-            header = ["t"] + [f"x={repr(float(p[0]))};y={repr(float(p[1]))}" for p in pts]
-        writer.writerow(header)
-        for t, row in zip(query.tgrid.nodes, fields):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in np.atleast_1d(row)])
+    if pts.ndim == 1:
+        header = ["t"] + [f"x={repr(float(x))}" for x in pts]
+    else:
+        header = ["t"] + [f"x={repr(float(p[0]))};y={repr(float(p[1]))}" for p in pts]
+    table = np.column_stack((query.tgrid.nodes, fields))
+    _write_csv(filename, header, (row.tolist() for row in table))
 
 
 def write_manifest(query: SolutionQuery, filename: str, theta: float = 0.0, extra: dict | None = None) -> None:

@@ -320,12 +320,18 @@ def domain_from_config(cfg: dict) -> SpectralDomain:
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def coeffs_to_csv(coeffs: ModeCoefficients, filename: str) -> None:
+def _write_csv(filename: str, header: list[str], rows) -> None:
+    """Write ``header``, then each row (a sequence of Python numbers) as the
+    ``repr`` of its entries: the shortest round-trip form of a float."""
     with open(filename, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "a", "b"])
-        for i, (a, b) in enumerate(zip(coeffs.a, coeffs.b), start=1):
-            writer.writerow([i, repr(float(a)), repr(float(b))])
+        writer.writerow(header)
+        writer.writerows(map(repr, row) for row in rows)
+
+
+def coeffs_to_csv(coeffs: ModeCoefficients, filename: str) -> None:
+    index = range(1, len(coeffs.a) + 1)
+    _write_csv(filename, ["n", "a", "b"], zip(index, coeffs.a.tolist(), coeffs.b.tolist()))
 
 
 def coeffs_from_csv(filename: str) -> ModeCoefficients:

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -244,6 +246,142 @@ class TestCascade:
         table = _series_tables(alpha, beta)
         ml(p, np.array([-(40.0**alpha), 55.0**alpha]))
         assert _series_tables(alpha, beta) is table
+
+
+@pytest.fixture
+def empty_coeff_cache(monkeypatch):
+    """Fresh coefficient and series-table caches, restored afterwards."""
+    monkeypatch.setattr(mlmod, "_COEFF_CACHE", {})
+    monkeypatch.setattr(mlmod, "_TABLE_CACHE", {})
+    return mlmod._COEFF_CACHE
+
+
+@pytest.fixture
+def gamma_calls(monkeypatch):
+    """List that grows by one entry per gamma call of this thread's mpmath context."""
+    calls = []
+    ctx = mlmod._mp_context()
+
+    def counting(x, orig=ctx.gamma):
+        calls.append(x)
+        return orig(x)
+
+    monkeypatch.setattr(ctx, "gamma", counting)
+    return calls
+
+
+class TestCoefficientTable:
+    # (alpha, beta, z, float.hex of the fallback value): the bits of the
+    # textbook series with a fresh mp.gamma per term at the same working
+    # precision, 44 to 194 digits, including alpha <= 1 (about twice the
+    # digits per unit of m)
+    FALLBACK = [
+        (1.05, 1.05, -40.0, "-0x1.2b3cfbc35b91fp-15"),
+        (0.3, 0.5, -3.25, "0x1.1eb19e18aae0ap-4"),
+        (0.9, 0.9, -25.0, "0x1.6e5792f124181p-13"),
+        (1.0539344662916632, 1.0539344662916632, -39.904412505965276, "-0x1.44f2ade78df18p-15"),
+        (1.2872677996249964, 1.0, -122.58712507113859, "-0x1.e836db13b4ed3p-10"),
+        (1.2539344662916632, 1.2539344662916632, -162.66330594451733, "-0x1.5099c1b64fd81p-17"),
+        (1.8539344662916633, 1.0, -3587.5330675233577, "-0x1.4cdb92561a2abp-25"),
+        (1.9206011329583297, 1.0, -24953.07542083895, "-0x1.1807be7f0fc03p-28"),
+        (1.9539344662916631, 1.0, -102015.01353125887, "0x1.d9d8785e8c559p-31"),
+    ]
+
+    @pytest.mark.parametrize("alpha,beta,z,bits", FALLBACK)
+    def test_fallback_bits_frozen(self, alpha, beta, z, bits):
+        assert mlmod._mpmath_single(alpha, beta, z).hex() == bits
+
+    def test_fallback_bits_independent_of_table_state(self, empty_coeff_cache):
+        # a table already grown to higher precision gives the same bits
+        alpha, beta, z, bits = self.FALLBACK[0]
+        mlmod._rgamma_coeffs(alpha, beta, 8, 300)
+        assert mlmod._mpmath_single(alpha, beta, z).hex() == bits
+
+    def test_one_table_shared_and_reused(self, monkeypatch, empty_coeff_cache, gamma_calls):
+        alpha, beta, z, bits = self.FALLBACK[0]
+        in_fallback = []
+
+        def fallback(a, b, zz, orig=mlmod._mpmath_single):
+            before = len(gamma_calls)
+            val = orig(a, b, zz)
+            in_fallback.append(len(gamma_calls) - before)
+            return val
+
+        monkeypatch.setattr(mlmod, "_mpmath_single", fallback)
+        p = MLParams(alpha, beta)
+        assert ml(p, z).hex() == bits
+        # the series tiers built the table; the fallback summed from it
+        assert in_fallback == [0]
+        assert list(empty_coeff_cache) == [(alpha, beta)]
+        held, coeffs = empty_coeff_cache[(alpha, beta)]
+        assert len(gamma_calls) == len(coeffs) == mlmod._series_length(alpha, mlmod._M_POS_SERIES) + 1
+        gamma_calls.clear()
+        assert ml(p, z).hex() == bits
+        assert ml(p, np.array([z, -5.0, -300.0])).size == 3
+        assert gamma_calls == []
+
+    @pytest.mark.parametrize("alpha,beta,dps", [(1.37, 0.61, 50), (0.45, 2.3, 64), (1.93, 1.0, 200)])
+    def test_entries_match_independent_gamma(self, empty_coeff_cache, alpha, beta, dps):
+        coeffs = mlmod._rgamma_coeffs(alpha, beta, 90, dps)
+        assert len(coeffs) >= 90
+        with mp.workdps(dps):
+            a, b = mp.mpf(alpha), mp.mpf(beta)
+            for k, c in enumerate(coeffs):
+                ref = 1 / mp.gamma(a * k + b)
+                assert abs(c - ref) <= mp.mpf(10) ** (1 - dps) * abs(ref)
+
+    def test_growth_replaces_never_mutates(self, empty_coeff_cache, gamma_calls):
+        short = mlmod._rgamma_coeffs(1.41, 1.0, 10, 40)
+        assert len(gamma_calls) == 10 and len(short) == 10
+        assert empty_coeff_cache[(1.41, 1.0)][0] == 64  # rounded up to the step
+        longer = mlmod._rgamma_coeffs(1.41, 1.0, 30, 64)
+        assert len(gamma_calls) == 30  # only the new terms
+        assert len(short) == 10 and longer[:10] == short
+        assert mlmod._rgamma_coeffs(1.41, 1.0, 5, 60) is longer
+        # more digits: rebuilt, only as long as asked for
+        sharper = mlmod._rgamma_coeffs(1.41, 1.0, 5, 65)
+        assert len(sharper) == 5 and empty_coeff_cache[(1.41, 1.0)][0] == 96
+        assert len(longer) == 30
+
+    def test_batch_sets_precision_once(self, empty_coeff_cache, gamma_calls):
+        # no tiers: every value goes to the fallback, needing 32 to 123 digits
+        z = -np.array([10.0, 100.0, 1000.0, 3000.0])
+        vals = mlmod._cascade(1.5, 1.0, z, ())
+        held, coeffs = empty_coeff_cache[(1.5, 1.0)]
+        assert held == 128
+        assert len(gamma_calls) == len(coeffs)  # no coefficient built twice
+        assert vals.tolist() == [mlmod._mpmath_single(1.5, 1.0, v) for v in z]
+
+    def test_concurrent_calls_match_serial(self, empty_coeff_cache):
+        # each thread works at its own precision; a shared global precision
+        # lets one thread's working digits leak into another's sum
+        cases = [row[:3] for row in self.FALLBACK[:8]]
+        want = [row[3] for row in self.FALLBACK[:8]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda c: mlmod._mpmath_single(*c).hex(), cases * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 4
+
+    def test_over_cap_element_raises_before_building(self, monkeypatch, empty_coeff_cache):
+        alpha, beta, z, bits = self.FALLBACK[0]
+        far = -1.0e6  # m of about 5e5 needs over 2e5 digits
+        message = ("argument needs more than the supported working precision "
+                   f"(alpha={alpha}, z={far}); see module docstring for the envelope")
+
+        def guarded(a, b, n, dps, orig=mlmod._rgamma_coeffs):
+            assert dps <= mlmod._MP_MAX_DPS, "table requested past the precision cap"
+            return orig(a, b, n, dps)
+
+        monkeypatch.setattr(mlmod, "_rgamma_coeffs", guarded)
+        with pytest.raises(ValueError) as info:
+            ml(MLParams(alpha, beta), np.array([z, far]))
+        assert str(info.value) == message
+        # only the in-cap element's precision was ever built
+        assert empty_coeff_cache[(alpha, beta)][0] == 64
 
 
 class TestDecayBound:

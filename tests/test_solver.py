@@ -299,3 +299,17 @@ class TestExports:
         assert manifest["alpha"] == 1.5
         assert manifest["modes_summed"] == 4
         assert manifest["tail_estimate"]["at_t_end"] > 0.0
+
+    def test_snapshot_bytes_are_shortest_reprs(self, tmp_path):
+        domain = build_interval(1.0, 4)
+        q = SolutionQuery(FracOrder(1.5), domain, poly_bump(domain), TimeGrid(0.3, 2))
+        x = np.array([0.0, 0.1])
+        fields = np.array([[-0.0, 5e-324], [1.0 / 3.0, -1e300], [2.0, 0.1 + 0.2]])
+        csv_file = tmp_path / "snap.csv"
+        write_snapshots_csv(q, x, fields, str(csv_file))
+        assert csv_file.read_bytes() == (
+            b"t,x=0.0,x=0.1\r\n"
+            b"0.0,-0.0,5e-324\r\n"
+            b"0.15,0.3333333333333333,-1e+300\r\n"
+            b"0.3,2.0,0.30000000000000004\r\n"
+        )
