@@ -10,7 +10,6 @@ to the interval by construction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,8 @@ from .fracops import (
 from .params import as_alpha, identity_overlap_range
 from .regularity import NormReport
 from .solver import ModePropagator, mode_second_derivative_samples
-from .spectral import ModeCoefficients, SpectralDomain, _gauss_panels, mode_sum, pairwise_sum, tail_stabilizes
+from .spectral import (ModeCoefficients, SpectralDomain, _gauss_panels, _write_csv, mode_sum,
+                       pairwise_sum, tail_stabilizes)
 
 __all__ = [
     "MultiplierField",
@@ -79,12 +79,9 @@ class TraceSeries:
 
 
 def trace_to_csv(trace: TraceSeries, filename: str) -> None:
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "boundary_point", "value"])
-        for i, t in enumerate(trace.grid.nodes):
-            for b in range(trace.values.shape[1]):
-                writer.writerow([repr(float(t)), b, repr(float(trace.values[i, b]))])
+    rows = ((t, b, v) for t, vals in zip(trace.grid.nodes.tolist(), trace.values.tolist())
+            for b, v in enumerate(vals))
+    _write_csv(filename, ["t", "boundary_point", "value"], rows)
 
 
 def _trace_tail_check(domain: SpectralDomain, data: ModeCoefficients, t_end: float) -> None:

@@ -32,8 +32,8 @@ from .regularity import (
     uniform_bound_report,
     velocity_blowup_rate,
 )
-from .solver import SolutionQuery, solve_field, write_manifest, write_snapshots_csv
-from .spectral import build_interval, build_rectangle
+from .solver import SolutionQuery, solve_grid, write_manifest, write_snapshots_csv
+from .spectral import build_interval, build_rectangle, uniform_grid
 from .verify import _random_trig_paths, report_lines, run_all
 
 
@@ -151,14 +151,8 @@ def _cmd_solve(args) -> int:
     data = build_preset(args.preset, domain, mode=args.mode_k, p=args.decay_p, seed=args.seed)
     grid = TimeGrid(args.t_end, args.steps)
     query = SolutionQuery(FracOrder(args.alpha), domain, data, grid, args.which)
-    if domain.is_interval:
-        points = np.linspace(0.0, domain.lengths[0], args.points)
-    else:
-        px = np.linspace(0.0, domain.lengths[0], args.points)
-        py = np.linspace(0.0, domain.lengths[1], args.points)
-        PX, PY = np.meshgrid(px, py, indexing="ij")
-        points = np.stack([PX.ravel(), PY.ravel()], axis=1)
-    fields = solve_field(query, points)
+    points = uniform_grid(domain, args.points)
+    fields = solve_grid(query, args.points)
     prefix = args.out_prefix
     write_snapshots_csv(query, points, fields, f"{prefix}_snapshots.csv")
     write_manifest(query, f"{prefix}_manifest.json", theta=args.theta,

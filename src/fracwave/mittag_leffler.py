@@ -33,7 +33,9 @@ Whatever every tier declines is summed in arbitrary precision as
 reaches, and in precision only when a batch of values needs more digits
 than it holds: once, to the most any of them needs, rounded up to a step
 of 32.  So the arbitrary-precision gamma runs once per coefficient rather
-than once per term of every value.  Each thread
+than once per term of every value.  The coefficient and series-table caches
+are least-recently-used maps bounded in bytes, so a process that scans
+many orders does not grow without limit.  Each thread
 works in its own mpmath context, so concurrent calls never share a working
 precision.  ``alpha = 1`` with ``beta`` in {1, 2} uses ``exp`` and
 ``expm1(z)/z`` on the negative axis.
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -135,9 +138,59 @@ def _mp_context():
     return ctx
 
 
+class _ByteLRU:
+    """Least-recently-used map whose entries' sizes, as ``nbytes(value)``
+    estimates them, sum to at most ``budget`` bytes.
+
+    Storing an entry evicts the least recently used ones until the total
+    fits, the new entry too if it alone is over budget.  Values are replaced,
+    never mutated, so a caller holding an evicted value still has a valid
+    one; a lock keeps the order and the byte count consistent under
+    concurrent calls.
+    """
+
+    def __init__(self, nbytes, budget: int):
+        self.nbytes = nbytes
+        self.budget = budget
+        self.total = 0
+        self._items: OrderedDict = OrderedDict()  # key -> (value, size)
+        self._lock = threading.Lock()
+
+    def get(self, key, default=None):
+        with self._lock:
+            item = self._items.get(key)
+            if item is None:
+                return default
+            self._items.move_to_end(key)
+            return item[0]
+
+    def __setitem__(self, key, value) -> None:
+        size = self.nbytes(value)
+        with self._lock:
+            old = self._items.pop(key, None)
+            self.total += size - (old[1] if old else 0)
+            self._items[key] = (value, size)
+            while self.total > self.budget:
+                self.total -= self._items.popitem(last=False)[1][1]
+
+
+# Per-cache byte budget.  One 30-alpha sweep holds about 0.2 MB of series
+# tables and 3 MB of coefficients, so only long scans over many orders evict.
+_CACHE_BYTES = 32 * 2**20
+
 _COEFF_DPS_STEP = 32   # table precision is the requested dps rounded up to this
 _COEFF_CHUNK = 32      # the fallback extends a table by this many terms at a time
-_COEFF_CACHE: dict[tuple[float, float], tuple[int, tuple]] = {}
+
+
+def _coeff_bytes(entry) -> int:
+    # an mpf of d digits takes about 250 + d/2 bytes with mpmath's
+    # pure-Python integers
+    held, coeffs = entry
+    return len(coeffs) * (256 + held // 2)
+
+
+# (alpha, beta) -> (held dps, coefficients)
+_COEFF_CACHE = _ByteLRU(_coeff_bytes, _CACHE_BYTES)
 
 
 def _rgamma_coeffs(alpha: float, beta: float, n: int, dps: int) -> tuple:
@@ -170,7 +223,13 @@ def _rgamma_coeffs(alpha: float, beta: float, n: int, dps: int) -> tuple:
 # ---------------------------------------------------------------------------
 # series tables: T_{k+1} = T_k * z * R_k with R_k = c_{k+1} / c_k
 
-_TABLE_CACHE: dict[tuple[float, float], tuple[np.ndarray, np.ndarray, float, float]] = {}
+
+def _table_bytes(entry) -> int:
+    return 2 * entry[0].nbytes + 256
+
+
+# (alpha, beta) -> (ratio hi, ratio lo, c_0 hi, c_0 lo)
+_TABLE_CACHE = _ByteLRU(_table_bytes, _CACHE_BYTES)
 
 
 def _series_length(alpha: float, m_max: float) -> int:
@@ -249,7 +308,10 @@ def _algebraic(alpha, beta, z):
     """Optimally truncated ``sum_{k>=1} z**-k / Gamma(beta - alpha k)``.
 
     Returns ``(sum, abs_sum, truncation_estimate)``: the sum stops before
-    the first term that fails to decrease, which then bounds the error.
+    the first term that fails to decrease, which then bounds the error.  For
+    integer ``alpha`` the arguments step by integers, so once one is exactly
+    a pole every later one is too: the series has ended, and what was kept
+    is exact (estimate 0) wherever it had not already stopped.
     """
     invz = 1.0 / z
     p = invz.copy()
@@ -264,6 +326,8 @@ def _algebraic(alpha, beta, z):
         # gamma poles: the coefficient is (essentially) zero and must not
         # feed the term-growth stopping rule
         if arg < 0.5 and abs(arg - round(arg)) < 1e-6:
+            if alpha == round(alpha) and arg == round(arg):
+                return s, s_abs, est
             p = p * invz
             continue
         rg = sp.rgamma(arg)

@@ -80,18 +80,6 @@ class FracOrder:
         """Gamma(2 - alpha), the kernel normalization of the time derivative."""
         return gamma(2.0 - self.alpha)
 
-    @property
-    def velocity_dual(self) -> ThetaRange:
-        return velocity_dual_range(self.alpha)
-
-    @property
-    def gradient(self) -> ThetaRange:
-        return gradient_range(self.alpha)
-
-    @property
-    def caputo_dual(self) -> ThetaRange:
-        return caputo_dual_range(self.alpha)
-
 
 def as_alpha(value) -> float:
     """Accept either a float or a FracOrder and return the validated float."""

@@ -11,9 +11,12 @@ with ``a`` the fractional order and ``l_n`` the eigenvalue; ``ModePropagator``
 holds these kernels for a set of modes on one time set.  Fields are
 pairwise-summed over modes in ascending order, so results are bitwise
 reproducible; ``spectral.mode_sum`` sums in bounded-memory blocks with the
-same bits, so no solve holds the whole mode x time x point product.  Every
-solve can report an upper estimate of the norm it is missing by truncating
-the mode sum.
+same bits, so no solve holds the whole mode x time x point product.
+``solve_field`` serves arbitrary points that way; ``solve_grid`` serves the
+equispaced grids of ``spectral.uniform_grid`` by type-I sine transform
+(``spectral.grid_sum``), which agrees with the pairwise sum to roundoff and
+gives exact zeros on the boundary.  Every solve can report an upper
+estimate of the norm it is missing by truncating the mode sum.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .fracops import TimeGrid
 from .mittag_leffler import MLParams, ml, verify_decay_bound
 from .params import FracOrder, as_alpha
-from .spectral import ModeCoefficients, SpectralDomain, _write_csv, eval_modes, mode_sum
+from .spectral import ModeCoefficients, SpectralDomain, _write_csv, eval_modes, grid_sum, mode_sum
 
 __all__ = [
     "SolutionQuery",
@@ -39,6 +42,7 @@ __all__ = [
     "mode_second_derivative_samples",
     "coefficient_evolution",
     "solve_field",
+    "solve_grid",
     "truncation_tail",
     "write_snapshots_csv",
     "write_manifest",
@@ -209,6 +213,13 @@ def solve_field(query: SolutionQuery, points) -> np.ndarray:
     coeff = coefficient_evolution(query)
     # fixed ascending-mode pairwise reduction for reproducibility
     return mode_sum(coeff, eval_modes(query.domain, points)[: query.active_modes])
+
+
+def solve_grid(query: SolutionQuery, P: int) -> np.ndarray:
+    """Field snapshots on ``uniform_grid(query.domain, P)``, shape (M+1, P)
+    on the interval and (M+1, P*P) on the rectangle: ``solve_field`` on
+    those points, synthesized by sine transform."""
+    return grid_sum(coefficient_evolution(query), query.domain, P)
 
 
 _DECAY_CACHE: dict[tuple[float, float], float] = {}

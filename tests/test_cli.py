@@ -3,9 +3,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fracwave.cli import main
+from fracwave.fracops import TimeGrid
+from fracwave.params import FracOrder
+from fracwave.presets import build_preset
+from fracwave.solver import SolutionQuery, solve_field
+from fracwave.spectral import build_interval, build_rectangle
 
 
 def test_ml_evaluation(capsys, tmp_path):
@@ -40,6 +46,45 @@ def test_solve_outputs(tmp_path):
     assert manifest["alpha"] == 1.5
     lines = (tmp_path / "run_snapshots.csv").read_text().strip().splitlines()
     assert len(lines) == 18
+
+
+@pytest.mark.parametrize("domain,opts", [
+    (build_interval(1.0, 40), ["--modes", "40", "--points", "9"]),
+    (build_rectangle(1.0, 1.5, 120), ["--domain", "rectangle:1.0,1.5", "--modes", "120",
+                                      "--points", "7"]),
+])
+def test_solve_csv_matches_solve_field(tmp_path, domain, opts):
+    prefix = str(tmp_path / "run")
+    assert main(["solve", "--alpha", "1.3", "--preset", "random-decay", "--seed", "4",
+                 "--steps", "6", "--which", "velocity", "--out-prefix", prefix] + opts) == 0
+    with open(f"{prefix}_snapshots.csv") as fh:
+        header = fh.readline().strip().split(",")[1:]
+    table = np.loadtxt(f"{prefix}_snapshots.csv", delimiter=",", skiprows=1)
+    # the header names the points: x=<x> or x=<x>;y=<y>
+    points = np.array([[float(c.split("=")[1]) for c in h.split(";")] for h in header])
+    data = build_preset("random-decay", domain, seed=4)
+    query = SolutionQuery(FracOrder(1.3), domain, data, TimeGrid(1.0, 6), "velocity")
+    ref = solve_field(query, points[:, 0] if domain.is_interval else points)
+    assert np.array_equal(table[:, 0], query.tgrid.nodes)
+    assert np.max(np.abs(table[:, 1:] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("points", ["0", "1", "-4"])
+def test_solve_rejects_degenerate_grid(tmp_path, capsys, points):
+    prefix = tmp_path / "run"
+    assert main(["solve", "--modes", "8", "--points", points, "--out-prefix", str(prefix)]) == 2
+    assert "at least 2 points" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("opts,columns", [([], 3), (["--domain", "rectangle:1.0,1.5"], 5)])
+def test_solve_two_points_is_boundary_only(tmp_path, opts, columns):
+    prefix = str(tmp_path / "run")
+    assert main(["solve", "--modes", "8", "--steps", "4", "--points", "2",
+                 "--out-prefix", prefix] + opts) == 0
+    table = np.loadtxt(f"{prefix}_snapshots.csv", delimiter=",", skiprows=1)
+    assert table.shape == (5, columns)
+    assert np.all(table[:, 1:] == 0.0)
 
 
 def test_regularity_tasks(tmp_path):

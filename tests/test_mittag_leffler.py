@@ -384,6 +384,76 @@ class TestCoefficientTable:
         assert empty_coeff_cache[(alpha, beta)][0] == 64
 
 
+@pytest.fixture
+def no_fallback(monkeypatch):
+    def refuse(alpha, beta, z):
+        raise AssertionError(f"E_{{{alpha},{beta}}}({z}) went to arbitrary precision")
+
+    monkeypatch.setattr(mlmod, "_mpmath_single", refuse)
+
+
+class TestTerminatingAlgebraicSeries:
+    # for integer alpha the algebraic series ends at gamma poles, so what it
+    # keeps is exact and must not be charged its last term as truncation error
+
+    def test_alpha_two_beta_three(self, no_fallback):
+        # E_{2,3}(-x) = (1 - cos sqrt x) / x: one algebraic term plus the
+        # saddle pair; x from m = 47, past the series tiers, up to Z_MAX.  Near
+        # the zeros of 1 - cos the saddle pair's roundoff is rightly refused,
+        # so those points are left out
+        x = np.geomspace(47.0**2, Z_MAX, 600)
+        x = x[1.0 - np.cos(np.sqrt(x)) > 0.5]
+        ref = (1.0 - np.cos(np.sqrt(x))) / x
+        got = ml(MLParams(2.0, 3.0), -x)
+        assert np.max(np.abs(got - ref) / ref) < 1e-11
+
+    def test_alpha_one_beta_three(self, no_fallback):
+        # E_{1,3}(-x) = (x - 1 + e^-x) / x^2: two algebraic terms, then poles
+        x = np.geomspace(47.0, 1e5, 300)
+        ref = (x - 1.0 + np.exp(-x)) / x**2
+        got = ml(MLParams(1.0, 3.0), -x)
+        assert np.max(np.abs(got - ref) / ref) < 1e-13
+
+
+class TestCacheBudget:
+    # the orders of the frozen fallback values at their fallback arguments
+    # (eight of the nine go to arbitrary precision through ml) and at two
+    # smaller ones, and one order across the tiers
+    CASES = [(a, b, np.array([-0.5, z / 2, z])) for a, b, z, _ in TestCoefficientTable.FALLBACK]
+    CASES.append((1.5, 1.0, -np.array([0.5, 30.0, 700.0, 2.0e4])))
+
+    def test_tiny_budget_bounds_caches_and_keeps_bits(self, monkeypatch, empty_coeff_cache):
+        unbounded = [ml(MLParams(a, b), z).tolist() for a, b, z in self.CASES]
+        # coefficient tables take 46 to 253 kB here, series tables 5 to 13 kB
+        coeffs = mlmod._ByteLRU(mlmod._coeff_bytes, 300_000)
+        tables = mlmod._ByteLRU(mlmod._table_bytes, 20_000)
+        monkeypatch.setattr(mlmod, "_COEFF_CACHE", coeffs)
+        monkeypatch.setattr(mlmod, "_TABLE_CACHE", tables)
+        for (a, b, z), want in zip(self.CASES, unbounded):
+            assert ml(MLParams(a, b), z).tolist() == want
+            assert coeffs.total <= coeffs.budget and tables.total <= tables.budget
+            assert coeffs.total == sum(size for _, size in coeffs._items.values())
+        assert all(0 < len(c._items) < len(self.CASES) for c in (coeffs, tables))
+
+    def test_concurrent_eviction_keeps_values_and_count(self, monkeypatch):
+        # threads growing, replacing and evicting the entries of one cache
+        # that holds two of these four tables (46 to 65 kB) at a time
+        coeffs = mlmod._ByteLRU(mlmod._coeff_bytes, 120_000)
+        monkeypatch.setattr(mlmod, "_COEFF_CACHE", coeffs)
+        rows = [TestCoefficientTable.FALLBACK[i] for i in (0, 2, 3, 4)]
+        cases = [row[:3] for row in rows]
+        want = [row[3] for row in rows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda c: mlmod._mpmath_single(*c).hex(), cases * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 4
+        assert coeffs.total == sum(size for _, size in coeffs._items.values()) <= coeffs.budget
+
+
 class TestDecayBound:
     SAMPLES = [-(2.0**k) for k in range(21)]
 

@@ -18,6 +18,7 @@ from fracwave.solver import (
     mode_second_derivative_samples,
     mode_solution,
     solve_field,
+    solve_grid,
     truncation_tail,
     write_manifest,
     write_snapshots_csv,
@@ -29,6 +30,7 @@ from fracwave.spectral import (
     eval_modes,
     pairwise_sum,
     synthesize,
+    uniform_grid,
 )
 from oracles import ml_series_ref
 
@@ -197,6 +199,27 @@ class TestSolveField:
         cc = coefficient_evolution(qc)
         lam = self.domain.eigenvalues[:, None]
         assert np.max(np.abs(cc + lam * cv)) < 1e-12
+
+
+class TestSolveGrid:
+    @pytest.mark.parametrize("which", ["value", "velocity", "caputo"])
+    @pytest.mark.parametrize("domain,P,n_sum", [
+        (build_interval(1.0, 48), 17, None),
+        (build_interval(1.0, 48), 17, 20),
+        (build_interval(2.0, 40), 9, None),  # modes alias onto the grid
+        (build_rectangle(1.0, 1.5, 300), 9, None),
+        (build_rectangle(1.0, 1.5, 300), 9, 77),
+    ])
+    def test_matches_solve_field(self, which, domain, P, n_sum):
+        data = random_decay(domain.mode_count, 1.5, 2)
+        q = SolutionQuery(FracOrder(1.4), domain, data, TimeGrid(1.0, 12), which, n_sum)
+        pts = uniform_grid(domain, P)
+        ref = solve_field(q, pts)
+        got = solve_grid(q, P)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ends = (pts == 0.0) | (pts == np.asarray(domain.lengths))
+        assert np.all(got[:, ends if domain.is_interval else ends.any(axis=1)] == 0.0)
 
 
 class TestBoundedAssembly:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -15,11 +17,13 @@ from fracwave.spectral import (
     domain_to_config,
     eval_modes,
     frac_power_norm,
+    grid_sum,
     mode_sum,
     pairwise_sum,
     project,
     synthesize,
     tail_stabilizes,
+    uniform_grid,
 )
 
 
@@ -262,6 +266,78 @@ class TestModeSum:
                               pairwise_sum(c[:, None] * eval_modes(d, x), axis=0))
 
 
+# (domain, P): intervals with N > P - 1 and modes at multiples of P - 1
+# (vanishing on the grid) and rectangles whose modes alias along both axes
+GRID_CASES = (
+    [(build_interval(1.3, N), P) for N in (1, 8, 64, 300) for P in (2, 3, 9, 65)]
+    + [(build_rectangle(1.0, 1.5, N), P) for N in (1, 64, 2000) for P in (2, 3, 9, 17)]
+)
+
+
+class TestUniformGrid:
+    def test_interval_is_linspace(self):
+        assert np.array_equal(uniform_grid(build_interval(1.3, 4), 7), np.linspace(0.0, 1.3, 7))
+
+    def test_rectangle_is_x_major_tensor_grid(self):
+        pts = uniform_grid(build_rectangle(1.0, 1.5, 4), 3)
+        x, y = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.5, 3)
+        assert np.array_equal(pts, [[a, b] for a in x for b in y])
+
+    @pytest.mark.parametrize("P", [1, 0, -3])
+    def test_fewer_than_two_points_rejected(self, P):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            uniform_grid(build_interval(1.0, 4), P)
+        with pytest.raises(ValueError, match="at least 2 points"):
+            grid_sum(np.ones((4, 1)), build_interval(1.0, 4), P)
+
+
+class TestGridSum:
+    @pytest.mark.parametrize("domain,P", GRID_CASES,
+                             ids=[f"{d.kind}-N{d.mode_count}-P{P}" for d, P in GRID_CASES])
+    def test_matches_mode_sum(self, domain, P):
+        rng = np.random.default_rng(domain.mode_count + P)
+        N = domain.mode_count
+        pts = uniform_grid(domain, P)
+        basis = eval_modes(domain, pts)
+        ends = (pts == 0.0) | (pts == np.asarray(domain.lengths))
+        on_boundary = ends if domain.is_interval else ends.any(axis=1)
+        for n in sorted({N, max(1, N // 3)}):  # all modes, and the first n only
+            coeff = rng.standard_normal((n, 4))
+            ref = mode_sum(coeff, basis[:n])
+            got = grid_sum(coeff, domain, P)
+            assert got.shape == ref.shape == (4, len(pts))
+            # the reference holds sin(n pi)-sized roundoff on the boundary,
+            # where the transform gives exact zeros; inside, eval_modes rounds
+            # n pi x / L, so the reference carries roundoff of a few eps
+            # times the mode count, which sets the tolerance
+            assert np.all(got[:, on_boundary] == 0.0)
+            inner = ~on_boundary
+            assert np.max(np.abs(got[:, inner] - ref[:, inner]), initial=0.0) \
+                <= 1e-13 * np.max(np.abs(ref[:, inner]), initial=0.0)
+
+    def test_aliases_fold_onto_the_grid(self):
+        # on 5 nodes (K = 4) mode 7 is minus mode 1, modes 4 and 8 vanish
+        d = build_interval(1.0, 8)
+        coeff = np.zeros((8, 1))
+        coeff[[0, 3, 6, 7], 0] = [2.0, 5.0, 3.0, 7.0]
+        got = grid_sum(coeff, d, 5)[0]
+        assert np.allclose(got, math.sqrt(2.0) * (2.0 - 3.0) * np.sin(np.pi * np.arange(5) / 4),
+                           rtol=0, atol=1e-15)
+
+    def test_blocks_are_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        for domain, P in ((build_interval(1.0, 40), 9), (build_rectangle(1.0, 1.5, 200), 9)):
+            coeff = rng.standard_normal((domain.mode_count, 11))
+            full = grid_sum(coeff, domain, P)
+            monkeypatch.setattr(spectral, "_MODE_SUM_BYTES", 1)  # one time row per block
+            assert np.array_equal(grid_sum(coeff, domain, P), full)
+            monkeypatch.undo()
+
+    def test_too_many_rows_rejected(self):
+        with pytest.raises(ValueError):
+            grid_sum(np.ones((5, 2)), build_interval(1.0, 4), 9)
+
+
 class TestSerialization:
     def test_domain_config_roundtrip(self):
         d = build_rectangle(1.0, 2.0, 12)
@@ -277,3 +353,15 @@ class TestSerialization:
         back = coeffs_from_csv(fname)
         assert np.array_equal(back.a, mc.a)
         assert np.array_equal(back.b, mc.b)
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        header = ["t", "x=0.0;y=0.25", "x=1e-07;y=1.5", "n"]
+        rows = [[0.0, -0.0, 5e-324, 3], [1e308, -1.7976931348623157e308, 1.0 / 3.0, -12],
+                [2.5e-300, 0.1 + 0.2, 123456789.0, 0]]
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(map(repr, row) for row in rows)
+        fname = tmp_path / "rows.csv"
+        spectral._write_csv(str(fname), header, iter(rows))
+        assert fname.read_bytes() == buf.getvalue().encode()
