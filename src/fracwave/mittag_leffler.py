@@ -16,7 +16,12 @@ so there is no hand-tuned switch radius.  Negative axis:
 3. the large-argument expansion: optimally truncated algebraic series plus
    the conjugate saddle pair ``(2/alpha) Re[w**(1-beta) e**w]``,
    ``w = m e**(i pi/alpha)`` (present for ``alpha > 1``; for ``alpha`` near 2
-   the damped oscillation dominates and is essential).
+   the damped oscillation dominates and is essential),
+4. the Bromwich integral of ``e**s s**(alpha-beta) / (s**alpha - z)`` on a
+   parabolic contour, summed by the trapezoid rule on 69 fixed nodes at a
+   cost flat in ``m``.  The poles ``s**alpha = z`` are the saddle pair of
+   tier 3 and enter as its residues.  It covers the band where the series
+   have run out of digits and the expansion is not yet accurate.
 
 Positive axis:
 
@@ -25,20 +30,28 @@ Positive axis:
    optimally truncated algebraic series.  Past ``m`` of about 709 the value
    leaves the double range and ``ml`` raises ``ValueError``.
 
-Whatever every tier declines is summed in arbitrary precision as
-``sum_k z**k c_k`` with an incrementally updated power.  The coefficients
-``c_k = 1/Gamma(alpha k + beta)`` come from one cached table per
-(alpha, beta), which also supplies the series tiers' term ratios
-``c_{k+1}/c_k``.  The table grows in length only to the terms a sum
-reaches, and in precision only when a batch of values needs more digits
-than it holds: once, to the most any of them needs, rounded up to a step
-of 32.  So the arbitrary-precision gamma runs once per coefficient rather
-than once per term of every value.  The coefficient and series-table caches
-are least-recently-used maps bounded in bytes, so a process that scans
-many orders does not grow without limit.  Each thread
-works in its own mpmath context, so concurrent calls never share a working
-precision.  ``alpha = 1`` with ``beta`` in {1, 2} uses ``exp`` and
-``expm1(z)/z`` on the negative axis.
+Whatever every tier declines goes to arbitrary precision.  On the negative
+axis above ``m = 100`` that is the contour sum again, with its step halved
+until it converges and its working precision raised until the rounding of
+its terms lies 20 digits below the value; its cost does not grow with
+``m``.  Everything else is summed as ``sum_k z**k c_k`` with an
+incrementally updated power, at ``30 + 0.45 m`` digits (twice that per unit
+of ``m`` for ``alpha <= 1``).  The coefficients ``c_k = 1/Gamma(alpha k +
+beta)`` come from one cached table per (alpha, beta), which also supplies
+the series tiers' term ratios ``c_{k+1}/c_k``.  The table grows in length
+only to the terms a sum reaches, and in precision only when a batch of
+values needs more digits than it holds: once, to the most any of them
+needs, rounded up to a step of 32.  So the arbitrary-precision gamma runs
+once per coefficient rather than once per term of every value.  The
+coefficient and series-table caches are least-recently-used maps bounded
+in bytes, so a process that scans many orders does not grow without limit.
+``_MP_MAX_DPS`` (800 digits) caps both arbitrary-precision sums: the power
+series can reach it only on the positive axis, where the expansion accepts
+long before, and the contour only where the value lies hundreds of digits
+below its terms, at a zero of the function.  Each thread works in its own
+mpmath context, so concurrent calls never share a working precision.
+``alpha = 1`` with ``beta`` in {1, 2} uses ``exp`` and ``expm1(z)/z`` on the
+negative axis.
 """
 
 from __future__ import annotations
@@ -79,6 +92,9 @@ _M_POS_SERIES = 60.0
 _ASYM_KMAX = 40
 _SERIES_KMAX = 1400
 _MP_MAX_DPS = 800
+# negative-axis values every tier declines are summed as a power series up to
+# this m, and on the contour above it
+_M_MP_SERIES = 100.0
 
 
 @dataclass(frozen=True)
@@ -348,23 +364,35 @@ def _algebraic(alpha, beta, z):
     return s, s_abs, est
 
 
+def _saddle_pair(alpha, beta, m):
+    """The conjugate pole pair ``(2/alpha) Re[w**(1-beta) e**w]``,
+    ``w = m e**(i pi/alpha)``, and its amplitude; for ``alpha > 1``.
+
+    Its phase ``m sin(pi/alpha)`` carries a rounding error of order
+    ``m eps``, which near a zero of the cosine is large against the pair
+    itself but not against its amplitude.
+    """
+    phi = math.pi / alpha
+    with np.errstate(under="ignore"):
+        amp = (2.0 / alpha) * m ** (1.0 - beta) * np.exp(m * math.cos(phi))
+        return amp * np.cos(m * math.sin(phi) + (1.0 - beta) * phi), amp
+
+
 def _asym_neg(alpha, beta, z, tol):
     """Algebraic expansion plus saddle pair for z < 0; returns (value, accept)."""
     s, s_abs, est = _algebraic(alpha, beta, z)
     val = -s
-    m = np.abs(z) ** (1.0 / alpha)
+    # each algebraic term is a few roundings from a double; only the saddle
+    # pair's phase error grows with m.  It is charged against the pair as
+    # evaluated, and the 0.1 tol gate leaves room for where the cosine is near
+    # a zero (at alpha = beta = 1.954, z = -1.99e5 this estimate reads 1e-10
+    # relative against a true 5e-10)
+    est = est + (2.0 * _ASYM_KMAX + 30.0) * _EPS * s_abs
     if alpha > 1.0:
-        phi = math.pi / alpha
-        with np.errstate(under="ignore"):
-            osc = (
-                (2.0 / alpha)
-                * m ** (1.0 - beta)
-                * np.exp(m * math.cos(phi))
-                * np.cos(m * math.sin(phi) + (1.0 - beta) * phi)
-            )
+        m = np.abs(z) ** (1.0 / alpha)
+        osc, amp = _saddle_pair(alpha, beta, m)
         val = val + osc
-        s_abs = s_abs + np.abs(osc)
-    est = est + (3.0 * m + 30.0) * _EPS * s_abs
+        est = est + (3.0 * m + 30.0) * _EPS * np.abs(osc)
     ok = est <= 0.1 * tol * np.abs(val)
     # fully degenerate expansion (all coefficients at gamma poles): the value
     # is exponentially small; 0.0 is the correctly rounded double only when
@@ -378,18 +406,114 @@ def _asym_pos(alpha, beta, z, tol):
     """Exponential lead minus the algebraic expansion for z > 0; returns
     (value, accept)."""
     s, s_abs, est = _algebraic(alpha, beta, z)
-    m = z ** (1.0 / alpha)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = z ** (1.0 / alpha)
         lead = (1.0 / alpha) * m ** (1.0 - beta) * np.exp(m)
         # for beta > 1, exp(m) overflows while the lead still fits
         big = np.isinf(lead)
         lead[big] = np.exp(m[big] + (1.0 - beta) * np.log(m[big]) - math.log(alpha))
     val = lead - s
-    if np.any(np.isinf(val)):  # an infinite estimate would pass the accept test
+    # an infinite estimate would pass the accept test; m itself overflows
+    # (giving inf * 0 = nan) only for alpha far below 1
+    over = ~np.isfinite(val)
+    if np.any(over):
         raise ValueError(f"E_{{alpha,beta}}(z) overflows double precision (alpha={alpha}, "
-                         f"beta={beta}, z={float(z[np.isinf(val)][0])!r})")
+                         f"beta={beta}, z={float(z[over][0])!r})")
     est = est + (3.0 * m + 30.0) * _EPS * (s_abs + lead)
     return val, est <= 0.1 * tol * np.abs(val)
+
+
+# ---------------------------------------------------------------------------
+# Bromwich integral on a parabolic contour (Weideman & Trefethen, Math. Comp.
+# 76, 2007; Garrappa, SIAM J. Numer. Anal. 53, 2015)
+#
+#   E_{a,b}(-x) = (1/2 pi i) int e**s s**(a-b) / (s**a + x) ds
+#               = (1/Gamma(b-a) - J) / x,
+#   J = (1/2 pi i) int e**s s**(2a-b) / (s**a + x) ds
+#
+# on s = mu (1 + iu)**2, u real; Hankel's integral gives the first term.
+# Where the value is small against the first integrand (for beta = alpha,
+# E ~ x**-2 against an integrand of size 1/x), J is not, so its sum does not
+# cancel.  The integrand is conjugate-symmetric in u, so the trapezoid rule
+# with step h sums Re g(kh) over k >= 0 only.  Its error falls geometrically
+# in 1/h at a rate set by the nearest singularity in the u-plane: the branch
+# point s = 0 at u = i, and for alpha > 1 the poles s**a = -x, which are the
+# saddle pair of the large-argument expansion.  Poles right of the contour,
+# at Im u < 0, enter as that pair's residues.  No step depends on m, so the
+# cost is flat in m.
+
+_CONTOUR_H = 0.1
+# u up to 6.8: exp(mu (1 - u**2)) is below 1e-19 of the integrand's scale for
+# every mu the scale rule below picks
+_CONTOUR_NODES = 69
+_CONTOUR_MU = (1.0, 4.0)
+# (values x nodes) complex temporaries are summed in row blocks of this size
+_CONTOUR_BLOCK_BYTES = 4 * 2**20
+
+
+def _bromwich_terms(a, b, x, mu, w, exp):
+    """Integrand of ``J`` at ``s = mu w**2``, ``w = 1 + iu``, times
+    ``ds/du / (2 pi i)`` and divided by ``mu**(1+2a-b) / pi``.
+
+    Written once for NumPy (``x``, ``mu`` columns against a row of nodes
+    ``w``) and for mpmath scalars; ``exp`` is the matching exponential.
+    """
+    return exp(mu * (w * w)) * w ** (2 * (2 * a - b) + 1) / (mu**a * w ** (2 * a) + x)
+
+
+def _contour_scale(alpha, m):
+    """Per-value contour scale ``mu`` and whether the pole pair lies inside
+    (right of) the contour.
+
+    The pole ``m e**(i pi/alpha)`` sits at ``Im u = 1 - sqrt(q/mu)`` with
+    ``q = m cos(pi/(2 alpha))**2``.  The small scale keeps the integrand's
+    size ``e**mu``, and so its rounding, low; the large one is taken where
+    the small one would leave the pole within 1/3 of the real u-axis, and
+    puts it at least 1/3 above it.
+    """
+    lo, hi = _CONTOUR_MU
+    mu = np.full(m.shape, lo)
+    if alpha <= 1.0:  # no pole on the principal sheet
+        return mu, np.zeros(m.shape, dtype=bool)
+    q = m * math.cos(0.5 * math.pi / alpha) ** 2
+    mu[np.abs(1.0 - np.sqrt(q / lo)) < 1.0 / 3.0] = hi
+    return mu, q > mu
+
+
+def _contour_neg(alpha, beta, z, tol):
+    """Trapezoid sum on the parabolic contour for z < 0; returns (value, accept).
+
+    The estimate is the rounding of the terms plus the change from the sum
+    at twice the step, which bounds the error of the finer sum many times
+    over.
+    """
+    x = -z
+    with np.errstate(over="ignore"):
+        m = x ** (1.0 / alpha)
+    mu, inside = _contour_scale(alpha, m)
+    w = 1.0 + 1j * (_CONTOUR_H * np.arange(_CONTOUR_NODES))
+    fine = np.empty_like(x)
+    coarse = np.empty_like(x)
+    size = np.empty_like(x)
+    # about four complex temporaries of a block are alive at once
+    rows = max(1, _CONTOUR_BLOCK_BYTES // (64 * w.size))
+    for lo in range(0, x.size, rows):
+        blk = slice(lo, lo + rows)
+        g = np.ascontiguousarray(
+            _bromwich_terms(alpha, beta, x[blk, None], mu[blk, None], w, np.exp).real)
+        g[:, 0] *= 0.5
+        fine[blk] = g.sum(axis=1)
+        coarse[blk] = 2.0 * g[:, ::2].sum(axis=1)
+        size[blk] = np.abs(g).sum(axis=1)
+    scale = (2.0 * _CONTOUR_H / math.pi) * mu ** (1.0 + 2.0 * alpha - beta)
+    lead = sp.rgamma(beta - alpha)
+    val = (lead - scale * fine) / x
+    est = (10.0 * _EPS * (abs(lead) + scale * size) + scale * np.abs(fine - coarse)) / x
+    if np.any(inside):
+        osc, amp = _saddle_pair(alpha, beta, m[inside])
+        val[inside] += osc
+        est[inside] += (3.0 * m[inside] + 30.0) * _EPS * amp
+    return val, est <= tol * np.abs(val)
 
 
 def _fallback_dps(alpha: float, z: float) -> int:
@@ -400,13 +524,17 @@ def _fallback_dps(alpha: float, z: float) -> int:
     return 30 + int(0.45 * m) if alpha > 1.0 else 30 + int(0.92 * m)
 
 
+def _over_precision_cap(alpha: float, z: float) -> ValueError:
+    return ValueError(
+        "argument needs more than the supported working precision "
+        f"(alpha={alpha}, z={z}); see module docstring for the envelope"
+    )
+
+
 def _mpmath_single(alpha: float, beta: float, z: float) -> float:
     dps = _fallback_dps(alpha, z)
     if dps > _MP_MAX_DPS:
-        raise ValueError(
-            "argument needs more than the supported working precision "
-            f"(alpha={alpha}, z={z}); see module docstring for the envelope"
-        )
+        raise _over_precision_cap(alpha, z)
     c = _rgamma_coeffs(alpha, beta, _COEFF_CHUNK, dps)
     ctx = _mp_context()
     with ctx.workdps(dps):
@@ -436,20 +564,95 @@ def _mpmath_single(alpha: float, beta: float, z: float) -> float:
         return float(s)
 
 
+# relative digits to which the arbitrary-precision contour sum is converged
+_CONTOUR_MP_DIGITS = 20
+
+
+def _contour_sum_mp(ctx, alpha, beta, z, mu, inside):
+    """Contour sum at the context's working precision, the step halved until
+    two successive sums agree to ``_CONTOUR_MP_DIGITS`` digits.
+
+    Returns the value, its change at the last halving and the sum of the
+    magnitudes it was added from.
+    """
+    a, b, x, mu = ctx.mpf(alpha), ctx.mpf(beta), -ctx.mpf(z), ctx.mpf(mu)
+    pair = ctx.mpf(0)
+    if inside:
+        pole = ctx.power(x, 1 / a) * ctx.expj(ctx.pi / a)
+        pair = 2 / a * ctx.re(pole ** (1 - b) * ctx.exp(pole))
+
+    def term(u):
+        return ctx.re(_bromwich_terms(a, b, x, mu, ctx.mpc(1, u), ctx.exp))
+
+    h = ctx.mpf(1) / 4
+    terms = [term(0) / 2]
+    size = abs(terms[0])
+    # out to where the terms, falling like exp(-mu u**2), pass below the
+    # working precision
+    while len(terms) * h <= 2 or abs(terms[-1]) > ctx.eps * size:
+        terms.append(term(len(terms) * h))
+        size += abs(terms[-1])
+    n = len(terms) - 1
+    total = ctx.fsum(terms)
+    factor = 2 * mu ** (1 + 2 * a - b) / ctx.pi
+    lead = ctx.rgamma(b - a)
+    val = (lead - h * factor * total) / x + pair
+    for _ in range(6):
+        h /= 2
+        odd = [term((2 * k + 1) * h) for k in range(n)]
+        n *= 2
+        total += ctx.fsum(odd)
+        size += ctx.fsum(odd, absolute=True)
+        prev, val = val, (lead - h * factor * total) / x + pair
+        if abs(val - prev) <= ctx.mpf(10) ** -_CONTOUR_MP_DIGITS * abs(val):
+            break
+    return val, abs(val - prev), (abs(lead) + h * factor * size) / x + abs(pair)
+
+
+def _contour_mp(alpha: float, beta: float, z: float) -> float:
+    """``E_{alpha,beta}(z)`` for ``z < 0`` from the contour sum in arbitrary
+    precision, at a cost that does not grow with ``m``.
+
+    Starts at ``_CONTOUR_MP_DIGITS + 15`` digits and raises the precision
+    until the rounding of the terms lies ``_CONTOUR_MP_DIGITS`` digits below
+    the value: near a zero of the function the value is far smaller than its
+    terms.
+    """
+    with np.errstate(over="ignore"):
+        mu, inside = _contour_scale(alpha, np.abs([z]) ** (1.0 / alpha))
+    ctx = _mp_context()
+    dps = _CONTOUR_MP_DIGITS + 15
+    while dps <= _MP_MAX_DPS:
+        with ctx.workdps(dps):
+            val, spread, size = _contour_sum_mp(ctx, alpha, beta, z, mu[0], inside[0])
+            target = ctx.mpf(10) ** -_CONTOUR_MP_DIGITS * abs(val)
+            noise = 10 * ctx.eps * size
+            if noise <= target:
+                if spread > target:
+                    raise ValueError(f"contour sum did not converge (alpha={alpha}, "
+                                     f"beta={beta}, z={z})")
+                return float(val)
+            dps += 10 + (int(ctx.log10(noise / target)) if target else dps)
+    raise _over_precision_cap(alpha, z)
+
+
 # (m limit, tier) in the order tried on each half-axis
-_NEG_TIERS = ((_M_DOUBLE, _series_double), (_M_DD, _series_dd), (math.inf, _asym_neg))
+_NEG_TIERS = ((_M_DOUBLE, _series_double), (_M_DD, _series_dd), (math.inf, _asym_neg),
+              (math.inf, _contour_neg))
 _POS_TIERS = ((_M_POS_SERIES, _series_double), (math.inf, _asym_pos))
 
 
-def _cascade(alpha, beta, z, tiers):
+def _cascade(alpha, beta, z, tiers, m_contour=math.inf):
     """Evaluate at nonzero ``z`` of one sign.
 
     Each tier sees the still-pending arguments with ``m <= limit`` and
     keeps the values whose error estimate meets the tolerance; whatever
-    every tier declines goes to arbitrary precision.
+    every tier declines goes to arbitrary precision: the contour sum where
+    ``m > m_contour``, the power series otherwise.
     """
     out = np.empty_like(z)
-    m = np.abs(z) ** (1.0 / alpha)
+    with np.errstate(over="ignore"):  # m = inf for alpha far below 1
+        m = np.abs(z) ** (1.0 / alpha)
     tol = np.where(np.abs(z) <= _NEAR_LIMIT, _TOL_NEAR, _TOL_FAR)
     pending = np.ones(z.shape, dtype=bool)
     for limit, tier in tiers:
@@ -459,14 +662,20 @@ def _cascade(alpha, beta, z, tiers):
             idx = np.flatnonzero(sel)[ok]
             out[idx] = val[ok]
             pending[idx] = False
-    rest = [float(v) for v in z[pending]]
+    rest = np.flatnonzero(pending)
+    contour = m[rest] > m_contour
+    # both fallbacks are looked up at call time so they can be wrapped from
+    # outside
+    for i in rest[contour]:
+        out[i] = _contour_mp(alpha, beta, float(z[i]))
+    rest = rest[~contour]
+    values = [float(v) for v in z[rest]]
     # the coefficient table takes the batch's highest in-cap precision at
     # once instead of being rebuilt each time a later value needs more digits
-    dps = [d for d in (_fallback_dps(alpha, v) for v in rest) if d <= _MP_MAX_DPS]
+    dps = [d for d in (_fallback_dps(alpha, v) for v in values) if d <= _MP_MAX_DPS]
     if dps:
         _rgamma_coeffs(alpha, beta, 1, max(dps))
-    # looked up at call time so the fallback can be wrapped from outside
-    for i, v in zip(np.flatnonzero(pending), rest):
+    for i, v in zip(rest, values):
         out[i] = _mpmath_single(alpha, beta, v)
     return out
 
@@ -497,7 +706,7 @@ def ml(params: MLParams, z):
         elif alpha == 1.0 and beta == 2.0:
             out[neg] = np.expm1(zn) / zn
         else:
-            out[neg] = _cascade(alpha, beta, zn, _NEG_TIERS)
+            out[neg] = _cascade(alpha, beta, zn, _NEG_TIERS, _M_MP_SERIES)
 
     if scalar:
         return float(out[0])

@@ -15,6 +15,7 @@ from fracwave.mittag_leffler import (
     MLParams,
     _asym_neg,
     _asym_pos,
+    _contour_neg,
     _series_dd,
     _series_double,
     _series_tables,
@@ -164,6 +165,36 @@ class TestRecurrence:
                 assert np.max(agree) < tol
 
 
+class TestContract:
+    # the whole stated contract, alpha in (0, 2], beta in (0, 3] and
+    # |z| <= Z_MAX on both half-axes, under the derandomized profile of
+    # conftest.py; alpha stops at 0.01, below which a single positive value
+    # near z = 1 takes the power series seconds
+    @given(
+        alpha=st.floats(0.01, 2.0),
+        beta=st.floats(0.0, 3.0, exclude_min=True),
+        log_z=st.floats(-6.0, math.log10(Z_MAX)),
+        negative=st.booleans(),
+    )
+    def test_values_recurrence_and_oracle(self, alpha, beta, log_z, negative):
+        z = (-1.0 if negative else 1.0) * 10.0**log_z
+        try:
+            lhs = ml(MLParams(alpha, beta), z)
+        except ValueError as exc:
+            # the one documented failure: the value leaves the double range
+            assert z > 0.0 and "overflows double precision" in str(exc)
+            return
+        assert math.isfinite(lhs)
+        mid = z * ml(MLParams(alpha, alpha + beta), z)
+        lead = float(mp.rgamma(beta))
+        assert abs(lhs - (mid + lead)) <= 1e-9 * max(abs(lhs), abs(mid), lead)
+        # the oracle's term budget of about 4 m / alpha holds for alpha >= 0.5
+        if alpha >= 0.5 and math.log(abs(z)) / alpha <= math.log(min(200.0, 100.0 * alpha)):
+            ref = ml_series_ref(alpha, beta, z)
+            tol = 3e-11 if abs(z) <= 64.0 else 1e-9
+            assert abs(lhs - ref) <= tol * abs(ref)
+
+
 class TestCascade:
     # (alpha, beta, z, float.hex of the value, tier that produces it)
     PINNED = [
@@ -172,7 +203,10 @@ class TestCascade:
         (1.5, 1.5, -5000.0, "-0x1.22c7d7f90dfb5p-26", "_asym_neg"),
         (1.75, 0.75, -1e6, "0x1.1835bb20d934dp-40", "_asym_neg"),
         (0.5, 1.0, -40.0, "0x1.ce0a30f4a2d8fp-7", "_asym_neg"),
-        (1.05, 1.05, -40.0, "-0x1.2b3cfbc35b91fp-15", "_mpmath_single"),
+        (1.153934466291663, 1.153934466291663, -60.67957098593296, "-0x1.87876f356ef68p-15",
+         "_mpmath_single"),
+        (1.05, 1.05, -40.0, "-0x1.2b3cfbc35b906p-15", "_contour_neg"),
+        (2.0, 3.0, -15792.111111111113, "0x1.311deb5447fb6p-32", "_contour_mp"),
         (1.0, 1.0, -3.0, "0x1.97db0ccceb0afp-5", None),
         (1.0, 2.0, -3.0, "0x1.4456df777634ep-2", None),
         (1.5, 2.0, 0.0, "0x1.0000000000000p+0", None),
@@ -194,14 +228,17 @@ class TestCascade:
                 return val, ok
             return wrapped
 
-        def fallback(a, b, zz, orig=mlmod._mpmath_single):
-            accepted.append("_mpmath_single")
-            return orig(a, b, zz)
+        def fallback(name):
+            def wrapped(a, b, zz, orig=getattr(mlmod, name)):
+                accepted.append(name)
+                return orig(a, b, zz)
+            return wrapped
 
         for name in ("_NEG_TIERS", "_POS_TIERS"):
             tiers = getattr(mlmod, name)
             monkeypatch.setattr(mlmod, name, tuple((lim, record(fn)) for lim, fn in tiers))
-        monkeypatch.setattr(mlmod, "_mpmath_single", fallback)
+        for name in ("_mpmath_single", "_contour_mp"):
+            monkeypatch.setattr(mlmod, name, fallback(name))
         assert ml(MLParams(alpha, beta), z).hex() == bits
         assert accepted == ([tier] if tier else [])
 
@@ -246,6 +283,73 @@ class TestCascade:
         table = _series_tables(alpha, beta)
         ml(p, np.array([-(40.0**alpha), 55.0**alpha]))
         assert _series_tables(alpha, beta) is table
+
+
+class TestContourTier:
+    # the trapezoid sum on the parabolic contour against the tiers on either
+    # side of it, the oracle, and itself
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.9])
+    def test_agrees_with_double_double_series(self, alpha):
+        # where the pole pair dominates, its phase m sin(pi/alpha) is rounded
+        # at about m eps, so near a zero of the value the two are compared on
+        # the scale of the pair's amplitude
+        m = np.geomspace(33.0, 46.0, 15)
+        z = -(m**alpha)
+        tol = np.where(-z <= 64.0, 3e-11, 1e-9)
+        compared = 0
+        for beta in (1.0, 2.0, alpha):
+            s_val, s_ok = _series_dd(alpha, beta, z, tol)
+            c_val, c_ok = _contour_neg(alpha, beta, z, tol)
+            both = s_ok & c_ok
+            compared += np.count_nonzero(both)
+            scale = np.abs(s_val) + mlmod._saddle_pair(alpha, beta, m)[1]
+            assert np.all((np.abs(s_val - c_val) / scale)[both] < 1e-12)
+        assert compared >= 15
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.9])
+    def test_agrees_with_asymptotic_expansion(self, alpha):
+        z = -np.geomspace(60.0, 200.0, 15) ** alpha
+        tol = np.full(z.shape, 1e-9)
+        for beta in (1.0, 2.0, alpha):
+            a_val, a_ok = _asym_neg(alpha, beta, z, tol)
+            c_val, c_ok = _contour_neg(alpha, beta, z, tol)
+            both = a_ok & c_ok
+            assert np.any(both)
+            assert np.max(np.abs(a_val[both] - c_val[both]) / np.abs(a_val[both])) < 1e-12
+
+    @pytest.mark.parametrize("alpha,beta", [(1.01, 1.0), (1.01, 1.01), (1.99, 0.5), (1.99, 1.99),
+                                            (1.0, 0.5), (1.0, 2.5), (0.9, 0.9), (0.5, 2.0)])
+    def test_order_edges_against_oracle(self, alpha, beta):
+        # poles next to the branch cut (alpha -> 1), next to the imaginary
+        # axis (alpha -> 2), and none on the principal sheet (alpha <= 1)
+        z = -np.array([20.0, 46.0, 120.0]) ** alpha
+        tol = np.where(-z <= 64.0, 3e-11, 1e-9)
+        val, ok = _contour_neg(alpha, beta, z, tol)
+        assert np.all(ok)
+        ref = np.array([ml_series_ref(alpha, beta, float(v)) for v in z])
+        assert np.all(np.abs(val - ref) <= tol * np.abs(ref))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_blocked_sum_is_bit_identical(self, monkeypatch, rows):
+        z = -np.geomspace(20.0, 400.0, 101) ** 1.37
+        tol = np.full(z.shape, 1e-9)
+        whole = _contour_neg(1.37, 0.8, z, tol)
+        monkeypatch.setattr(mlmod, "_CONTOUR_BLOCK_BYTES", rows * 64 * mlmod._CONTOUR_NODES)
+        blocked = _contour_neg(1.37, 0.8, z, tol)
+        assert whole[0].tobytes() == blocked[0].tobytes()
+        assert np.array_equal(whole[1], blocked[1])
+
+    def test_near_zero_of_the_saddle_pair(self):
+        # _asym_neg charges the pair's phase rounding against the pair itself,
+        # which near a zero of the cosine understates it (1e-10 against a true
+        # 5e-10 here); the 0.1 tol gate keeps the accepted value within tol.
+        # The contour sum's bits equal those of the series oracle at 530 digits
+        alpha = 1.9539344662916631
+        z = -199456.8666800397
+        val, ok = _asym_neg(alpha, alpha, np.array([z]), np.array([1e-9]))
+        ref = mlmod._contour_mp(alpha, alpha, z)
+        assert ok[0] and abs(val[0] - ref) <= 1e-9 * abs(ref)
 
 
 @pytest.fixture
@@ -308,6 +412,9 @@ class TestCoefficientTable:
             return val
 
         monkeypatch.setattr(mlmod, "_mpmath_single", fallback)
+        # the contour tier accepts this input; without it the input reaches
+        # the power-series fallback
+        monkeypatch.setattr(mlmod, "_NEG_TIERS", mlmod._NEG_TIERS[:-1])
         p = MLParams(alpha, beta)
         assert ml(p, z).hex() == bits
         # the series tiers built the table; the fallback summed from it
@@ -366,6 +473,23 @@ class TestCoefficientTable:
             sys.setswitchinterval(interval)
         assert got == want * 4
 
+    @pytest.mark.parametrize("alpha,beta,z,bits", FALLBACK)
+    def test_contour_reproduces_fallback_bits(self, alpha, beta, z, bits):
+        # the arbitrary-precision contour sum rounds to the same doubles
+        assert mlmod._contour_mp(alpha, beta, z).hex() == bits
+
+    def test_concurrent_contour_calls_match_serial(self):
+        cases = [row[:3] for row in self.FALLBACK]
+        want = [row[3] for row in self.FALLBACK]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda c: mlmod._contour_mp(*c).hex(), cases * 2, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 2
+
     def test_over_cap_element_raises_before_building(self, monkeypatch, empty_coeff_cache):
         alpha, beta, z, bits = self.FALLBACK[0]
         far = -1.0e6  # m of about 5e5 needs over 2e5 digits
@@ -377,6 +501,10 @@ class TestCoefficientTable:
             return orig(a, b, n, dps)
 
         monkeypatch.setattr(mlmod, "_rgamma_coeffs", guarded)
+        # with the series tiers alone and no arbitrary-precision contour both
+        # elements reach the power-series fallback
+        monkeypatch.setattr(mlmod, "_NEG_TIERS", mlmod._NEG_TIERS[:2])
+        monkeypatch.setattr(mlmod, "_M_MP_SERIES", math.inf)
         with pytest.raises(ValueError) as info:
             ml(MLParams(alpha, beta), np.array([z, far]))
         assert str(info.value) == message
@@ -406,6 +534,16 @@ class TestTerminatingAlgebraicSeries:
         ref = (1.0 - np.cos(np.sqrt(x))) / x
         got = ml(MLParams(2.0, 3.0), -x)
         assert np.max(np.abs(got - ref) / ref) < 1e-11
+
+    def test_alpha_two_beta_three_pointwise(self):
+        # one point at a time over the whole range, the zeros of 1 - cos
+        # included: past m = 1,700 these once raised the precision-cap error
+        for x in np.geomspace(1e-6, 1e8, 400):
+            got = ml(MLParams(2.0, 3.0), -x)
+            with mp.workdps(50):
+                ref = float((1 - mp.cos(mp.sqrt(mp.mpf(x)))) / x)
+            tol = 3e-11 if x <= 64.0 else 1e-9
+            assert abs(got - ref) <= tol * abs(ref), x
 
     def test_alpha_one_beta_three(self, no_fallback):
         # E_{1,3}(-x) = (x - 1 + e^-x) / x^2: two algebraic terms, then poles

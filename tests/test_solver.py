@@ -201,6 +201,28 @@ class TestSolveField:
         assert np.max(np.abs(cc + lam * cv)) < 1e-12
 
 
+class TestLowOrder:
+    def test_alpha_near_one_with_256_modes(self):
+        # mode arguments up to 2.6e5 at alpha = 1.05 once raised the ML
+        # evaluator's precision-cap error
+        domain = build_interval(1.0, 256)
+        grid = TimeGrid(1.0, 32)
+        data = random_decay(256, 2.0, 7)
+        x = np.linspace(0.0, 1.0, 65)
+        for which in ("value", "velocity", "caputo"):
+            field = solve_field(SolutionQuery(FracOrder(1.05), domain, data, grid, which), x)
+            assert np.all(np.isfinite(field))
+        # kernels against the oracle between the series tiers' reach and the
+        # asymptotic regime
+        prop = ModePropagator(domain.eigenvalues, 1.05, grid.nodes)
+        m = np.abs(prop.z) ** (1.0 / 1.05)
+        picks = np.flatnonzero((m > 46.0) & (m < 120.0))
+        for i in picks[:: max(1, picks.size // 6)]:
+            for beta, kernel in ((1.0, prop.e1), (1.05, prop.ea)):
+                ref = ml_series_ref(1.05, beta, prop.z.flat[i])
+                assert abs(kernel.flat[i] - ref) <= 1e-9 * abs(ref)
+
+
 class TestSolveGrid:
     @pytest.mark.parametrize("which", ["value", "velocity", "caputo"])
     @pytest.mark.parametrize("domain,P,n_sum", [
