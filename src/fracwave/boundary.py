@@ -135,6 +135,11 @@ def hidden_inequality_ratio(
     """Trace energy over data energy, per draw, with the shared mode dynamics
     evaluated once for the whole ensemble."""
     prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
+    return _ratio_study(domain, prop, ensemble, tgrid)
+
+
+def _ratio_study(domain: SpectralDomain, prop: ModePropagator, ensemble,
+                 tgrid: TimeGrid) -> RatioStudy:
     lam = domain.eigenvalues
     ratios = []
     table = []
@@ -327,6 +332,11 @@ def trace_seminorm_bound(
     evaluated once for the whole ensemble.
     """
     prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
+    return _trace_bound_reports(domain, prop, ensemble, beta, tgrid)
+
+
+def _trace_bound_reports(domain: SpectralDomain, prop: ModePropagator, ensemble,
+                         beta: float, tgrid: TimeGrid) -> list[TraceBoundReport]:
     al = prop.alpha
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")

@@ -91,6 +91,9 @@ _M_DD = 46.0       # double-double series attempted below this m
 _M_POS_SERIES = 60.0
 _ASYM_KMAX = 40
 _SERIES_KMAX = 1400
+# largest term factor |z R_k| the series tiers take: the double-double split
+# scales it by 2**27 + 1
+_FACTOR_MAX = 2.0**995
 _MP_MAX_DPS = 800
 # negative-axis values every tier declines are summed as a power series up to
 # this m, and on the contour above it
@@ -272,10 +275,30 @@ def _series_tables(alpha: float, beta: float):
     return entry
 
 
+def _series_prefix(alpha, beta, z):
+    """The tables and the term count a series tier needs for ``z``, or None
+    (the tier declines every value) where a term factor ``z R_k`` could
+    overflow the double-double split.  Only ``R_0 ~ 1/(beta Gamma(alpha))``
+    gets that large, for beta near the bottom of the double range; for
+    subnormal beta it is infinite."""
+    tables = _series_tables(alpha, beta)
+    zmax = float(np.max(np.abs(z)))
+    n = min(_series_length(alpha, zmax ** (1.0 / alpha)), tables[0].size)
+    if not np.max(np.abs(tables[0][:n])) < _FACTOR_MAX / zmax:
+        return None
+    return tables, n
+
+
+def _declined(z):
+    return np.zeros_like(z), np.zeros(z.shape, dtype=bool)
+
+
 def _series_double(alpha, beta, z, tol):
     """Kahan series; returns (value, accept mask)."""
-    rhi, _, t0h, _ = _series_tables(alpha, beta)
-    n = min(_series_length(alpha, float(np.max(np.abs(z))) ** (1.0 / alpha)), rhi.size)
+    prefix = _series_prefix(alpha, beta, z)
+    if prefix is None:
+        return _declined(z)
+    (rhi, _, t0h, _), n = prefix
     t = np.full(z.shape, t0h)
     s = t.copy()
     comp = np.zeros_like(s)
@@ -296,8 +319,10 @@ def _series_double(alpha, beta, z, tol):
 
 def _series_dd(alpha, beta, z, tol):
     """Double-double series; returns (value, accept mask)."""
-    rhi, rlo, t0h, t0l = _series_tables(alpha, beta)
-    n = min(_series_length(alpha, float(np.max(np.abs(z))) ** (1.0 / alpha)), rhi.size)
+    prefix = _series_prefix(alpha, beta, z)
+    if prefix is None:
+        return _declined(z)
+    (rhi, rlo, t0h, t0l), n = prefix
     th = np.full(z.shape, t0h)
     tl = np.full(z.shape, t0l)
     sh, sl = th.copy(), tl.copy()

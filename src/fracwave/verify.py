@@ -3,21 +3,32 @@
 Each check returns a CheckResult with the numbers it computed, so the CLI
 can print one line per criterion and serialize a deterministic report.
 Randomized checks derive all draws from the single seed passed in.
+
+``run_all`` (``fracwave verify all``) runs the checks in one forked worker
+process per usable CPU, longest first.  It runs them serially in the
+calling process where only one CPU is usable, the ``fork`` start method is
+missing or another thread is running.  Each check draws only from its seed
+and ML values do not depend on cache state, so the results, and the report
+bytes, are identical either way.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundary import (
+    _ratio_study,
+    _trace_bound_reports,
     fractional_identity_check,
     hidden_inequality_ratio,
     interval_multiplier,
     multiplier_identity_check,
-    trace_seminorm_bound,
     trig_test_function,
 )
 from .fracops import (
@@ -317,18 +328,21 @@ def check_trace_energy_bound(seed: int = 7) -> CheckResult:
     details = {}
     passed = True
     for alpha in _ALPHAS:
+        # the three 64-mode studies share one propagator, so its kernels are
+        # evaluated once per alpha
         dom64 = build_interval(1.0, 64)
+        prop64 = ModePropagator(dom64.eigenvalues, alpha, grid.nodes)
         draws = [random_decay(64, 2.0, seed + i) for i in range(100)]
-        study = hidden_inequality_ratio(dom64, draws, alpha, grid)
+        study = _ratio_study(dom64, prop64, draws, grid)
 
         draws_re = [random_decay(64, 2.0, seed + 1000 + i) for i in range(100)]
-        study_re = hidden_inequality_ratio(dom64, draws_re, alpha, grid)
+        study_re = _ratio_study(dom64, prop64, draws_re, grid)
 
         dom128 = build_interval(1.0, 128)
         draws128 = [random_decay(128, 2.0, seed + i) for i in range(100)]
         study128 = hidden_inequality_ratio(dom128, draws128, alpha, grid)
 
-        reps = trace_seminorm_bound(dom64, draws[::4], alpha, beta, grid)
+        reps = _trace_bound_reports(dom64, prop64, draws[::4], beta, grid)
         cross = np.asarray([rep.cross_ratio for rep in reps])
         bracket = float(np.max(cross) / np.min(cross))
 
@@ -379,8 +393,37 @@ ALL_CHECKS = (
 )
 
 
+# Pool dispatch order: the three longest checks first, then the rest in
+# ALL_CHECKS order, so the short checks fill in around the long ones.
+_LONGEST_FIRST = (check_trace_energy_bound, check_ml_identities, check_norm_equivalence)
+
+
+def _run_check(index: int, seed: int) -> CheckResult:
+    return ALL_CHECKS[index](seed)
+
+
+def _pool_size() -> int:
+    """Workers for ``run_all``: one per usable CPU.  1 (serial) without
+    ``fork``, or while another thread runs: a forked child would inherit
+    any lock that thread holds, the ML caches' among them."""
+    if ("fork" not in mp.get_all_start_methods() or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(ALL_CHECKS))
+
+
 def run_all(seed: int = 7) -> list[CheckResult]:
-    return [fn(seed) for fn in ALL_CHECKS]
+    """Every check at ``seed``, in ALL_CHECKS order (see the module
+    docstring for where they run).  A check that raises in a worker
+    re-raises here."""
+    workers = _pool_size()
+    if workers <= 1:
+        return [fn(seed) for fn in ALL_CHECKS]
+    rank = {fn: i for i, fn in enumerate(_LONGEST_FIRST)}
+    order = sorted(range(len(ALL_CHECKS)), key=lambda i: rank.get(ALL_CHECKS[i], len(rank)))
+    with mp.get_context("fork").Pool(workers) as pool:
+        done = dict(zip(order, pool.starmap(_run_check, [(i, seed) for i in order], chunksize=1)))
+    return [done[i] for i in range(len(ALL_CHECKS))]
 
 
 def report_lines(results) -> list[str]:

@@ -20,7 +20,7 @@ def ml_series_ref(alpha: float, beta: float, z: float) -> float:
     """
     m = abs(z) ** (1.0 / alpha)
     dps = max(60, 35 + int(0.95 * m))
-    max_terms = max(300, int(4.0 * m / alpha) + 120)
+    max_terms = _terms_to_stop(alpha, beta, z, dps) + 20
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         b = mp.mpf(beta)
@@ -39,6 +39,28 @@ def ml_series_ref(alpha: float, beta: float, z: float) -> float:
             if k > 8 and abs(term) < mp.mpf(10) ** (-dps - 5) * max(biggest, abs(total), mp.mpf(1e-300)):
                 break
         return float(total)
+
+
+def _terms_to_stop(alpha: float, beta: float, z: float, dps: int) -> int:
+    """The latest term at which the stopping rule of ``ml_series_ref`` fires,
+    estimated in floats.
+
+    The log-terms ``k log|z| - lgamma(alpha k + beta)`` are concave in k, and
+    the rule compares each term with at least the largest one, so the first
+    term past the largest that lies ``dps + 5`` digits below it ends the sum.
+    """
+    if z == 0.0:
+        return 9
+    log_z = math.log(abs(z))
+    drop = (dps + 5) * math.log(10.0)
+    top = -math.inf
+    k = 0
+    while True:
+        log_term = k * log_z - math.lgamma(alpha * k + beta)
+        top = max(top, log_term)
+        if k > 8 and log_term < top - drop:
+            return k
+        k += 1
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
