@@ -140,12 +140,11 @@ def hidden_inequality_ratio(
 
 def _ratio_study(domain: SpectralDomain, prop: ModePropagator, ensemble,
                  tgrid: TimeGrid) -> RatioStudy:
-    lam = domain.eigenvalues
     ratios = []
     table = []
     skipped = 0
     for i, data in enumerate(ensemble):
-        energy = float(np.sum(lam * data.a**2) + np.sum(data.b**2))
+        energy = data.energy(domain.eigenvalues)
         if energy == 0.0:
             skipped += 1
             continue
@@ -238,12 +237,6 @@ class IdentityCheck:
         return abs(self.lhs - self.rhs) / scale if scale > 0 else 0.0
 
 
-def _interval_identity_ingredients(domain, data, alpha, beta, tgrid):
-    coeff = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes).value(data.a, data.b)
-    icoeff = frac_integral(SampledPath(tgrid, coeff.T), beta).values.T
-    return icoeff, mode_sum(icoeff, domain.boundary_normal_deriv)
-
-
 def _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid):
     """I^beta of the discrete fractional time derivative, per mode.
 
@@ -263,6 +256,18 @@ def _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid):
         second[n] = mode_second_derivative_samples(lam[n], al, a, b, tgrid)
     cap = frac_integral(SampledPath(tgrid, second.T), 2.0 - al).values
     return frac_integral(SampledPath(tgrid, cap), beta).values.T
+
+
+def _identity_terms(domain, data, alpha, beta, tgrid):
+    """Ingredients of both identity checks on the interval: the order-beta
+    integrated mode coefficients and boundary trace, the integrated discrete
+    derivative coefficients, and the multiplier's product matrix."""
+    coeff = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes).value(data.a, data.b)
+    icoeff = frac_integral(SampledPath(tgrid, coeff.T), beta).values.T
+    itrace = mode_sum(icoeff, domain.boundary_normal_deriv)
+    icap = _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid)
+    G = _product_matrix(domain, interval_multiplier(domain.lengths[0]))
+    return icoeff, itrace, icap, G
 
 
 def fractional_identity_check(
@@ -293,14 +298,11 @@ def fractional_identity_check(
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     (L,) = domain.lengths
-    hfield = interval_multiplier(L)
     lam = domain.eigenvalues
-    icoeff, itrace = _interval_identity_ingredients(domain, data, alpha, beta, tgrid)
-    icap = _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid)
+    icoeff, itrace, icap, G = _identity_terms(domain, data, alpha, beta, tgrid)
     tt = tgrid.nodes
 
     lhs = float(np.trapezoid(itrace**2 @ domain.boundary_weights, tt))
-    G = _product_matrix(domain, hfield)
     duality = np.einsum("nt,nm,mt->t", icap, G, icoeff)
     volume = (2.0 / L) * pairwise_sum(lam[:, None] * icoeff**2, axis=0)
     duality_term = 2.0 * float(np.trapezoid(duality, tt))
@@ -343,7 +345,7 @@ def _trace_bound_reports(domain: SpectralDomain, prop: ModePropagator, ensemble,
     wts = domain.boundary_weights
     reports = []
     for data in ensemble:
-        energy = float(np.sum(domain.eigenvalues * data.a**2) + np.sum(data.b**2))
+        energy = data.energy(domain.eigenvalues)
         if energy == 0.0:
             reports.append(TraceBoundReport(
                 NormReport("integrated-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
@@ -384,10 +386,7 @@ def two_time_identity_check(
         raise ValueError("two-time identity is interval-only")
     (L,) = domain.lengths
     lam = domain.eigenvalues
-    hfield = interval_multiplier(L)
-    icoeff, itrace = _interval_identity_ingredients(domain, data, alpha, beta, tgrid)
-    icap = _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid)
-    G = _product_matrix(domain, hfield)
+    icoeff, itrace, icap, G = _identity_terms(domain, data, alpha, beta, tgrid)
     worst = 0.0
     for i, j in node_pairs:
         d = icoeff[:, i] - icoeff[:, j]

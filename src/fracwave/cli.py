@@ -1,9 +1,11 @@
 """Config-driven experiment runner.
 
-Subcommands: ml, frac, solve, regularity, hidden, verify.  A JSON config
-file can preload any flag's value; explicit flags win.  All outputs embed
-the resolved parameters, and reruns with the same config and seed are
-bit-identical.  Exit codes: 0 success, 1 check failure, 2 usage error.
+Subcommands: ml, frac, solve, regularity, hidden, verify (whose scope
+``all`` is optional).  A JSON config file holding an object can preload any
+flag's value; config values are parsed and checked exactly like flags, and
+explicit flags win.  All outputs embed the resolved parameters, and reruns
+with the same config and seed are bit-identical.  Exit codes: 0 success,
+1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .fracops import (
     semigroup_check,
     young_bound_check,
 )
-from .mittag_leffler import MLParams, ml, verify_decay_bound
+from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
 from .params import FracOrder
-from .presets import PRESET_NAMES, build_preset
+from .presets import PRESET_NAMES, build_preset, random_decay
 from .regularity import (
     initial_convergence,
     l2_time_norms,
@@ -32,15 +34,9 @@ from .regularity import (
     uniform_bound_report,
     velocity_blowup_rate,
 )
-from .solver import SolutionQuery, solve_grid, write_manifest, write_snapshots_csv
-from .spectral import build_interval, build_rectangle, uniform_grid
+from .solver import _WHICH, SolutionQuery, solve_grid, write_manifest, write_snapshots_csv
+from .spectral import _write_json, build_interval, build_rectangle, uniform_grid
 from .verify import _random_trig_paths, report_lines, run_all
-
-
-def _json_dump(obj, filename: str) -> None:
-    with open(filename, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _build_domain(descriptor: str, modes: int):
@@ -48,8 +44,8 @@ def _build_domain(descriptor: str, modes: int):
     if kind == "interval":
         return build_interval(float(dims or "1.0"), modes)
     if kind == "rectangle":
-        parts = (dims or "1.0,1.0").split(",")
-        return build_rectangle(float(parts[0]), float(parts[1]), modes)
+        L1, L2 = (float(v) for v in (dims or "1.0,1.0").split(","))
+        return build_rectangle(L1, L2, modes)
     raise ValueError(f"unknown domain {descriptor!r}; use interval:L or rectangle:L1,L2")
 
 
@@ -74,15 +70,6 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-def _resolve(args: argparse.Namespace, config: dict) -> argparse.Namespace:
-    """Merge precedence: explicit flags > config file > built-in defaults."""
-    merged = dict(_DEFAULTS[args.command])
-    merged.update({k: v for k, v in config.items() if k in merged})
-    merged.update({k: v for k, v in vars(args).items() if k not in ("command", "config")})
-    merged["command"] = args.command
-    return argparse.Namespace(**merged)
-
-
 def _cmd_ml(args) -> int:
     params = MLParams(args.alpha, args.beta)
     if args.z is not None:
@@ -94,8 +81,7 @@ def _cmd_ml(args) -> int:
     rows = {"alpha": args.alpha, "beta": args.beta,
             "z": [float(v) for v in z], "E": [float(v) for v in values]}
     if args.decay_check:
-        samples = [-(2.0**k) for k in range(21)]
-        fit = verify_decay_bound(params, samples)
+        fit = verify_decay_bound(params, DECAY_SAMPLES)
         rows["decay_check"] = {
             "mu": fit.mu, "c_empirical": fit.c_empirical,
             "sample_count": fit.sample_count, "max_violation": fit.max_violation,
@@ -113,7 +99,7 @@ def _cmd_ml(args) -> int:
 
 def _maybe_write(obj: dict, out: str | None) -> None:
     if out:
-        _json_dump(obj, out)
+        _write_json(out, obj)
 
 
 def _cmd_frac(args) -> int:
@@ -196,8 +182,6 @@ def _cmd_regularity(args) -> int:
 def _cmd_hidden(args) -> int:
     domain = build_interval(args.length, args.modes)
     grid = TimeGrid(args.t_end, args.steps)
-    from .presets import random_decay
-
     draws = [random_decay(args.modes, args.decay_p, args.seed + i) for i in range(args.draws)]
     study = hidden_inequality_ratio(domain, draws, args.alpha, grid)
     out = {
@@ -225,108 +209,101 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    sup = argparse.SUPPRESS  # absent flags fall through to config, then defaults
-    p = argparse.ArgumentParser(prog="fracwave", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--config", default=None, help="JSON file preloading flag values (flags win)")
-    sub = p.add_subparsers(dest="command", required=True)
+# The per-flag extras; a flag's type follows from its default.
+_CHOICES = {
+    "check": ("young", "semigroup", "equivalence"),
+    "preset": PRESET_NAMES,
+    "which": _WHICH,
+    "task": ("initial", "uniform", "l2norms", "smooth", "blowup"),
+    "scope": ("all",),
+}
+_HELP = {
+    "config": "JSON file preloading flag values (flags win)",
+    "z": "comma-separated arguments (use --z=-1,-2)",
+    "z_range": "lo:hi:count",
+    "domain": "interval:L or rectangle:L1,L2",
+}
+_POSITIONAL = ("scope",)
 
-    ml_p = sub.add_parser("ml", help="evaluate the Mittag-Leffler function")
-    ml_p.add_argument("--alpha", type=float, default=sup)
-    ml_p.add_argument("--beta", type=float, default=sup)
-    ml_p.add_argument("--z", default=sup, help="comma-separated arguments (use --z=-1,-2)")
-    ml_p.add_argument("--z-range", default=sup, help="lo:hi:count")
-    ml_p.add_argument("--decay-check", action="store_true", default=sup)
-    ml_p.add_argument("--out", default=sup)
-
-    fr = sub.add_parser("frac", help="fractional-integral checks")
-    fr.add_argument("--check", choices=("young", "semigroup", "equivalence"), default=sup)
-    fr.add_argument("--beta", type=float, default=sup)
-    fr.add_argument("--gamma", type=float, default=sup)
-    fr.add_argument("--t-end", type=float, default=sup)
-    fr.add_argument("--steps", type=int, default=sup)
-    fr.add_argument("--seed", type=int, default=sup)
-    fr.add_argument("--draws", type=int, default=sup)
-    fr.add_argument("--out", default=sup)
-
-    so = sub.add_parser("solve", help="series solution snapshots")
-    so.add_argument("--alpha", type=float, default=sup)
-    so.add_argument("--domain", default=sup, help="interval:L or rectangle:L1,L2")
-    so.add_argument("--modes", type=int, default=sup)
-    so.add_argument("--preset", choices=PRESET_NAMES, default=sup)
-    so.add_argument("--mode-k", type=int, default=sup)
-    so.add_argument("--decay-p", type=float, default=sup)
-    so.add_argument("--seed", type=int, default=sup)
-    so.add_argument("--t-end", type=float, default=sup)
-    so.add_argument("--steps", type=int, default=sup)
-    so.add_argument("--points", type=int, default=sup)
-    so.add_argument("--which", choices=("value", "velocity", "caputo"), default=sup)
-    so.add_argument("--theta", type=float, default=sup)
-    so.add_argument("--out-prefix", default=sup)
-
-    re = sub.add_parser("regularity", help="regularity estimate checks")
-    re.add_argument("--task", choices=("initial", "uniform", "l2norms", "smooth", "blowup"),
-                    default=sup)
-    re.add_argument("--alpha", type=float, default=sup)
-    re.add_argument("--theta", type=float, default=sup)
-    re.add_argument("--theta-grad", type=float, default=sup)
-    re.add_argument("--theta-cap", type=float, default=sup)
-    re.add_argument("--epsilon", type=float, default=sup)
-    re.add_argument("--length", type=float, default=sup)
-    re.add_argument("--modes", type=int, default=sup)
-    re.add_argument("--preset", choices=PRESET_NAMES, default=sup)
-    re.add_argument("--mode-k", type=int, default=sup)
-    re.add_argument("--decay-p", type=float, default=sup)
-    re.add_argument("--delta", type=float, default=sup)
-    re.add_argument("--seed", type=int, default=sup)
-    re.add_argument("--t-end", type=float, default=sup)
-    re.add_argument("--out", default=sup)
-
-    hi = sub.add_parser("hidden", help="boundary trace-energy study")
-    hi.add_argument("--alpha", type=float, default=sup)
-    hi.add_argument("--draws", type=int, default=sup)
-    hi.add_argument("--seed", type=int, default=sup)
-    hi.add_argument("--modes", type=int, default=sup)
-    hi.add_argument("--length", type=float, default=sup)
-    hi.add_argument("--t-end", type=float, default=sup)
-    hi.add_argument("--steps", type=int, default=sup)
-    hi.add_argument("--decay-p", type=float, default=sup)
-    hi.add_argument("--trace-out", default=sup)
-    hi.add_argument("--out", default=sup)
-
-    ve = sub.add_parser("verify", help="run the acceptance criteria")
-    ve.add_argument("scope", nargs="?", default=sup, choices=("all",))
-    ve.add_argument("--seed", type=int, default=sup)
-    ve.add_argument("--out", default=sup)
-
-    return p
-
-
-_DISPATCH = {
-    "ml": _cmd_ml,
-    "frac": _cmd_frac,
-    "solve": _cmd_solve,
-    "regularity": _cmd_regularity,
-    "hidden": _cmd_hidden,
-    "verify": _cmd_verify,
+_COMMANDS = {
+    "ml": (_cmd_ml, "evaluate the Mittag-Leffler function"),
+    "frac": (_cmd_frac, "fractional-integral checks"),
+    "solve": (_cmd_solve, "series solution snapshots"),
+    "regularity": (_cmd_regularity, "regularity estimate checks"),
+    "hidden": (_cmd_hidden, "boundary trace-energy study"),
+    "verify": (_cmd_verify, "run the acceptance criteria"),
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-    args = _resolve(args, config)
+def _flag(key: str) -> str:
+    return key if key in _POSITIONAL else "--" + key.replace("_", "-")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``_DEFAULTS`` entry and one argument per key."""
+    p = argparse.ArgumentParser(prog="fracwave", description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--config", default=None, help=_HELP["config"])
+    sub = p.add_subparsers(dest="command", required=True)
+    for command, table in _DEFAULTS.items():
+        sp = sub.add_parser(command, help=_COMMANDS[command][1])
+        for key, default in table.items():
+            # absent flags fall through to the config, then to the table
+            kw = {"default": argparse.SUPPRESS, "help": _HELP.get(key)}
+            if isinstance(default, bool):
+                kw["action"] = "store_true"
+            else:
+                kw["type"] = str if default is None else type(default)
+            if key in _CHOICES:
+                kw["choices"] = _CHOICES[key]
+            if key in _POSITIONAL:
+                kw.update(nargs="?", default=default)
+            sp.add_argument(_flag(key), **kw)
+    return p
+
+
+def _read_config(filename: str) -> dict:
     try:
-        return _DISPATCH[args.command](args)
+        with open(filename) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"cannot read config: {filename} must hold a JSON object")
+    return config
+
+
+def _config_tokens(command: str, config: dict) -> list[str]:
+    """The config values ``command`` knows, as the tokens of their flags:
+    ``true`` is the bare flag, ``null`` and ``false`` are left out."""
+    tokens = []
+    for key, value in config.items():
+        if key not in _DEFAULTS[command] or value is None or value is False:
+            continue
+        if value is True:
+            tokens.append(_flag(key))
+        elif key in _POSITIONAL:
+            tokens.append(str(value))
+        else:
+            tokens.append(f"{_flag(key)}={value}")
+    return tokens
+
+
+def _resolve(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``; explicit flags > config file > table defaults."""
+    args = parser.parse_args(argv)
+    settings = dict(_DEFAULTS[args.command])
+    if args.config:
+        tokens = _config_tokens(args.command, _read_config(args.config))
+        settings.update(vars(parser.parse_args([args.command] + tokens)))
+    settings.update(vars(args))
+    return argparse.Namespace(**settings)
+
+
+def main(argv=None) -> int:
+    try:
+        args = _resolve(build_parser(), argv)
+        return _COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

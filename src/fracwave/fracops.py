@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -89,7 +89,6 @@ class SampledPath:
 
     grid: TimeGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -146,7 +145,7 @@ def frac_integral(f: SampledPath, beta: float) -> SampledPath:
     out[0] = 0.0
     if not f.is_vector:
         out = out[:, 0]
-    return SampledPath(grid, out, meta={"operation": f"frac_integral({beta})", **f.meta})
+    return SampledPath(grid, out)
 
 
 def frac_integral_inverse(g: SampledPath, beta: float, f0: float | np.ndarray = 0.0) -> SampledPath:
@@ -169,25 +168,21 @@ def frac_integral_inverse(g: SampledPath, beta: float, f0: float | np.ndarray = 
     out = np.vstack([first[None, :], sol])
     if not g.is_vector:
         out = out[:, 0]
-    return SampledPath(grid, out, meta={"operation": f"frac_integral_inverse({beta})"})
+    return SampledPath(grid, out)
 
 
 def caputo_derivative(f_second: SampledPath, alpha: float) -> SampledPath:
     """Caputo derivative of order alpha in (1, 2) from second-derivative samples."""
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    out = frac_integral(f_second, 2.0 - alpha)
-    out.meta = {"operation": f"caputo({alpha})", **f_second.meta}
-    return out
+    return frac_integral(f_second, 2.0 - alpha)
 
 
 def caputo_first_order(f_prime: SampledPath, alpha: float) -> SampledPath:
     """Caputo derivative of order alpha in (0, 1) from first-derivative samples."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    out = frac_integral(f_prime, 1.0 - alpha)
-    out.meta = {"operation": f"caputo({alpha})", **f_prime.meta}
-    return out
+    return frac_integral(f_prime, 1.0 - alpha)
 
 
 def _node_weights(grid: TimeGrid) -> np.ndarray:

@@ -73,6 +73,7 @@ __all__ = [
     "BoundFit",
     "gamma",
     "ml",
+    "DECAY_SAMPLES",
     "verify_decay_bound",
     "max_ratio",
 ]
@@ -740,6 +741,9 @@ def ml(params: MLParams, z):
 
 # ---------------------------------------------------------------------------
 # decay envelope on the negative axis
+
+# the dyadic samples z = -2**k, k = 0..20, every envelope fit runs on
+DECAY_SAMPLES = tuple(-(2.0**k) for k in range(21))
 
 
 def _dyadic_levels(az: np.ndarray) -> np.ndarray:

@@ -81,11 +81,11 @@ PRESET_NAMES = ("single-mode", "poly-bump", "random-decay", "h1-saturating")
 
 
 def build_preset(name: str, domain: SpectralDomain, *, mode: int = 1, p: float = 2.0,
-                 seed: int = 0, delta: float = 0.05, on: str = "u0") -> ModeCoefficients:
+                 seed: int = 0, delta: float = 0.05) -> ModeCoefficients:
     """Construct a named preset sized for the given domain."""
     N = domain.mode_count
     if name == "single-mode":
-        return single_mode(N, k=mode, on=on)
+        return single_mode(N, k=mode)
     if name == "poly-bump":
         return poly_bump(domain)
     if name == "random-decay":

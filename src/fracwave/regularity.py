@@ -10,7 +10,6 @@ boundedness, exact scaling invariance and fitted rate exponents.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from .params import (
     velocity_dual_range,
 )
 from .solver import ModePropagator
-from .spectral import ModeCoefficients, SpectralDomain, pairwise_sum, tail_stabilizes
+from .spectral import ModeCoefficients, SpectralDomain, _write_json, pairwise_sum, tail_stabilizes
 
 __all__ = [
     "NormReport",
@@ -65,9 +64,7 @@ def reports_to_csv(reports, filename: str) -> None:
 
 
 def reports_to_json(reports, filename: str) -> None:
-    with open(filename, "w") as fh:
-        json.dump([r.as_dict() for r in reports], fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(filename, [r.as_dict() for r in reports])
 
 
 def fit_loglog_slope(t, err) -> float:
@@ -131,7 +128,7 @@ def uniform_bound_report(
     prop = ModePropagator(lam, al, times)
     reports: list[NormReport] = []
     for i, data in enumerate(ensemble):
-        data_norm = math.sqrt(float(np.sum(lam * data.a**2))) + math.sqrt(float(np.sum(data.b**2)))
+        data_norm = data.energy_norm(lam)
         if data_norm == 0.0:
             continue
         y = prop.value(data.a, data.b)
@@ -189,7 +186,7 @@ def l2_time_norms(
     cap_integrand = pairwise_sum(lam[:, None] ** (2.0 - 2.0 * theta_cap) * y**2, axis=0)
     grad_sq = _graded_integral(times, grad_integrand)
     cap_sq = _graded_integral(times, cap_integrand)
-    data_norm = math.sqrt(float(np.sum(lam * data.a**2))) + math.sqrt(float(np.sum(data.b**2)))
+    data_norm = data.energy_norm(lam)
     mk = lambda name, theta, val: NormReport(
         quantity=name,
         params={"alpha": al, "theta": theta, "t_end": t_end, "steps": steps},

@@ -21,7 +21,6 @@ estimate of the norm it is missing by truncating the mode sum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,9 +28,10 @@ from functools import cached_property
 import numpy as np
 
 from .fracops import TimeGrid
-from .mittag_leffler import MLParams, ml, verify_decay_bound
+from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
 from .params import FracOrder, as_alpha
-from .spectral import ModeCoefficients, SpectralDomain, _write_csv, eval_modes, grid_sum, mode_sum
+from .spectral import (ModeCoefficients, SpectralDomain, _write_csv, _write_json, domain_to_config,
+                       eval_modes, grid_sum, mode_sum)
 
 __all__ = [
     "SolutionQuery",
@@ -228,8 +228,7 @@ _DECAY_CACHE: dict[tuple[float, float], float] = {}
 def _decay_constant(alpha: float, beta: float) -> float:
     key = (alpha, beta)
     if key not in _DECAY_CACHE:
-        samples = [-(2.0**k) for k in range(21)]
-        _DECAY_CACHE[key] = verify_decay_bound(MLParams(alpha, beta), samples).c_empirical
+        _DECAY_CACHE[key] = verify_decay_bound(MLParams(alpha, beta), DECAY_SAMPLES).c_empirical
     return _DECAY_CACHE[key]
 
 
@@ -275,17 +274,11 @@ def write_manifest(query: SolutionQuery, filename: str, theta: float = 0.0, extr
     manifest = {
         "alpha": query.alpha.alpha,
         "which": query.which,
-        "domain": {
-            "kind": query.domain.kind,
-            "lengths": list(query.domain.lengths),
-            "mode_count": query.domain.mode_count,
-        },
+        "domain": domain_to_config(query.domain),
         "modes_summed": query.active_modes,
         "time_grid": {"t_end": query.tgrid.t_end, "steps": query.tgrid.steps},
         "tail_estimate": {"theta": theta, "at_t_end": tail_end, "at_zero": tail_zero},
     }
     if extra:
         manifest.update(extra)
-    with open(filename, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(filename, manifest)

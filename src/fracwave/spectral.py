@@ -17,6 +17,7 @@ exactly 0.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -370,6 +371,14 @@ class ModeCoefficients:
     def scaled(self, factor: float) -> "ModeCoefficients":
         return ModeCoefficients(self.a * factor, self.b * factor)
 
+    def energy(self, lam) -> float:
+        """Data energy sum(lam a^2) + sum(b^2) for eigenvalues ``lam``."""
+        return float(np.sum(lam * self.a**2) + np.sum(self.b**2))
+
+    def energy_norm(self, lam) -> float:
+        """Data norm sqrt(sum(lam a^2)) + sqrt(sum(b^2)), ||u0||_H1 + ||u1||_L2."""
+        return math.sqrt(float(np.sum(lam * self.a**2))) + math.sqrt(float(np.sum(self.b**2)))
+
 
 def domain_to_config(domain: SpectralDomain) -> dict:
     return {"kind": domain.kind, "lengths": list(domain.lengths), "mode_count": domain.mode_count}
@@ -393,6 +402,13 @@ def _write_csv(filename: str, header: list[str], rows) -> None:
     with open(filename, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
+def _write_json(filename: str, obj) -> None:
+    """Write ``obj`` as sorted, two-space-indented JSON ending in a newline."""
+    with open(filename, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def coeffs_to_csv(coeffs: ModeCoefficients, filename: str) -> None:

@@ -39,7 +39,8 @@ from .fracops import (
     norm_equivalence_study,
     semigroup_check,
 )
-from .mittag_leffler import MLParams, _mpmath_single, gamma, max_ratio, ml, verify_decay_bound
+from .mittag_leffler import (DECAY_SAMPLES, MLParams, _mpmath_single, gamma, max_ratio, ml,
+                             verify_decay_bound)
 from .presets import h1_saturating, random_decay, single_mode
 from .regularity import fit_loglog_slope, initial_convergence, velocity_blowup_rate
 from .solver import ModePropagator, mode_second_derivative_samples
@@ -120,11 +121,10 @@ def check_ml_identities(seed: int = 0) -> CheckResult:
 
 def check_decay_envelope(seed: int = 0) -> CheckResult:
     """The weighted envelope |E|(1+|z|) saturates across dyadic samples."""
-    samples = [-(2.0**k) for k in range(21)]
     rows = {}
     passed = True
     for alpha in _ALPHAS:
-        fit = verify_decay_bound(MLParams(alpha, 1.0), samples)
+        fit = verify_decay_bound(MLParams(alpha, 1.0), DECAY_SAMPLES)
         rows[str(alpha)] = {"c_empirical": fit.c_empirical, "max_violation": fit.max_violation}
         passed &= (fit.max_violation == 0.0) and math.isfinite(fit.c_empirical)
     return CheckResult("decay-envelope", passed, {"per_alpha": rows, "growth_threshold": 1.1})

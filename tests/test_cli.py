@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,12 +7,14 @@ import sys
 import numpy as np
 import pytest
 
+from fracwave import cli
 from fracwave.cli import main
 from fracwave.fracops import TimeGrid
 from fracwave.params import FracOrder
 from fracwave.presets import build_preset
 from fracwave.solver import SolutionQuery, solve_field
 from fracwave.spectral import build_interval, build_rectangle
+from fracwave.verify import CheckResult
 
 
 def test_ml_evaluation(capsys, tmp_path):
@@ -74,6 +77,14 @@ def test_solve_rejects_degenerate_grid(tmp_path, capsys, points):
     prefix = tmp_path / "run"
     assert main(["solve", "--modes", "8", "--points", points, "--out-prefix", str(prefix)]) == 2
     assert "at least 2 points" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("domain", ["rectangle:1.0", "rectangle:1.0,1.5,2.0", "interval:x"])
+def test_solve_rejects_malformed_domain(tmp_path, capsys, domain):
+    prefix = tmp_path / "run"
+    assert main(["solve", "--domain", domain, "--modes", "8", "--out-prefix", str(prefix)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.iterdir())
 
 
@@ -143,6 +154,110 @@ def test_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert main(["--config", str(cfg), "ml", "--z=-1"]) == 2
+
+
+def _config(tmp_path, obj):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command,config,flag", [
+    ("frac", {"check": "bogus"}, "--check"),
+    ("regularity", {"task": "nope"}, "--task"),
+    ("frac", {"steps": "x"}, "--steps"),
+    ("ml", {"decay_check": "yes"}, "--decay-check"),
+])
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, command, config, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", _config(tmp_path, config), command])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_config_value_is_parsed_like_its_flag(tmp_path):
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert main(["frac", "--steps", "16", "--out", str(by_flag)]) == 0
+    assert main(["--config", _config(tmp_path, {"steps": "16", "out": str(by_config)}),
+                 "frac"]) == 0
+    assert json.loads(by_config.read_text())["steps"] == 16
+    assert by_config.read_bytes() == by_flag.read_bytes()
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    assert main(["--config", _config(tmp_path, [1, 2]), "ml", "--z=-1"]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_true_sets_a_switch_and_false_leaves_it(tmp_path):
+    out = tmp_path / "ml.json"
+    cfg = {"decay_check": True, "alpha": 1.25, "out": str(out), "check": "ignored-by-ml"}
+    assert main(["--config", _config(tmp_path, cfg), "ml", "--z=-1"]) == 0
+    assert json.loads(out.read_text())["decay_check"]["max_violation"] == 0.0
+    cfg.update(decay_check=False, z=None)
+    assert main(["--config", _config(tmp_path, cfg), "ml", "--z=-1"]) == 0
+    assert "decay_check" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("argv", [["verify", "--seed", "5"], ["verify", "all", "--seed", "5"]])
+def test_verify_scope_is_optional(tmp_path, monkeypatch, argv):
+    seeds = []
+
+    def fake_run_all(seed):
+        seeds.append(seed)
+        return [CheckResult("stub", True)]
+
+    monkeypatch.setattr(cli, "run_all", fake_run_all)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert seeds == [5]
+    assert json.loads(out.read_text())["seed"] == 5
+
+
+# Every subcommand's flags as (flag, default, choices); a flag's parsed type
+# is its default's type (str where the default is None).
+PRESETS = ("single-mode", "poly-bump", "random-decay", "h1-saturating")
+CLI_SURFACE = {
+    "ml": [("--alpha", 1.5, None), ("--beta", 1.0, None), ("--z", None, None),
+           ("--z-range", "-10:0:11", None), ("--decay-check", False, None), ("--out", None, None)],
+    "frac": [("--check", "young", ("young", "semigroup", "equivalence")), ("--beta", 0.5, None),
+             ("--gamma", 0.5, None), ("--t-end", 1.0, None), ("--steps", 512, None),
+             ("--seed", 7, None), ("--draws", 50, None), ("--out", None, None)],
+    "solve": [("--alpha", 1.5, None), ("--domain", "interval:1.0", None), ("--modes", 64, None),
+              ("--preset", "single-mode", PRESETS), ("--mode-k", 1, None),
+              ("--decay-p", 2.0, None), ("--seed", 7, None), ("--t-end", 1.0, None),
+              ("--steps", 128, None), ("--points", 65, None),
+              ("--which", "value", ("value", "velocity", "caputo")), ("--theta", 0.0, None),
+              ("--out-prefix", "fracwave_run", None)],
+    "regularity": [("--task", "initial", ("initial", "uniform", "l2norms", "smooth", "blowup")),
+                   ("--alpha", 1.5, None), ("--theta", 0.4, None), ("--theta-grad", 0.2, None),
+                   ("--theta-cap", 0.3, None), ("--epsilon", 0.3, None), ("--length", 1.0, None),
+                   ("--modes", 256, None), ("--preset", "single-mode", PRESETS),
+                   ("--mode-k", 1, None), ("--decay-p", 2.0, None), ("--delta", 0.05, None),
+                   ("--seed", 7, None), ("--t-end", 1.0, None), ("--out", None, None)],
+    "hidden": [("--alpha", 1.5, None), ("--draws", 100, None), ("--seed", 7, None),
+               ("--modes", 64, None), ("--length", 1.0, None), ("--t-end", 1.0, None),
+               ("--steps", 192, None), ("--decay-p", 2.0, None), ("--trace-out", None, None),
+               ("--out", None, None)],
+    "verify": [("scope", "all", ("all",)), ("--seed", 7, None), ("--out", None, None)],
+}
+
+
+def test_cli_surface_is_frozen():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(CLI_SURFACE)
+    for command, expected in CLI_SURFACE.items():
+        defaults = vars(cli._resolve(parser, [command]))
+        actual = [
+            (a.option_strings[0] if a.option_strings else a.dest, defaults[a.dest],
+             tuple(a.choices) if a.choices else None,
+             "bool" if a.const is True else a.type.__name__)
+            for a in subparsers.choices[command]._actions if a.dest != "help"
+        ]
+        typed = [(flag, default, choices, type(default).__name__ if default is not None else "str")
+                 for flag, default, choices in expected]
+        assert actual == typed, command
 
 
 def test_usage_error_exit_code():
