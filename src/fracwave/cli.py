@@ -39,14 +39,36 @@ from .spectral import _write_json, build_interval, build_rectangle, uniform_grid
 from .verify import _random_trig_paths, report_lines, run_all
 
 
-def _build_domain(descriptor: str, modes: int):
+def _parse_flag(key: str, text: str, parse):
+    """``parse(text)``; a value it cannot read is a usage error naming the
+    flag and the form its help text gives."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{_flag(key)}: expected {_HELP[key]}, got {text!r}") from None
+
+
+# domain kind -> (builder, number of lengths, each 1.0 when none are given)
+_SHAPES = {"interval": (build_interval, 1), "rectangle": (build_rectangle, 2)}
+
+
+def _domain_shape(descriptor: str):
     kind, _, dims = descriptor.partition(":")
-    if kind == "interval":
-        return build_interval(float(dims or "1.0"), modes)
-    if kind == "rectangle":
-        L1, L2 = (float(v) for v in (dims or "1.0,1.0").split(","))
-        return build_rectangle(L1, L2, modes)
-    raise ValueError(f"unknown domain {descriptor!r}; use interval:L or rectangle:L1,L2")
+    build, count = _SHAPES.get(kind, (None, 0))
+    lengths = [float(v) for v in dims.split(",")] if dims else [1.0] * count
+    if build is None or len(lengths) != count:
+        raise ValueError(descriptor)
+    return build, lengths
+
+
+def _build_domain(descriptor: str, modes: int):
+    build, lengths = _parse_flag("domain", descriptor, _domain_shape)
+    return build(*lengths, modes)
+
+
+def _z_range(text: str) -> np.ndarray:
+    lo, hi, n = text.split(":")
+    return np.linspace(float(lo), float(hi), int(n))
 
 
 _DEFAULTS: dict[str, dict] = {
@@ -73,10 +95,9 @@ _DEFAULTS: dict[str, dict] = {
 def _cmd_ml(args) -> int:
     params = MLParams(args.alpha, args.beta)
     if args.z is not None:
-        z = np.array([float(v) for v in args.z.split(",")])
+        z = _parse_flag("z", args.z, lambda text: np.array([float(v) for v in text.split(",")]))
     else:
-        lo, hi, n = args.z_range.split(":")
-        z = np.linspace(float(lo), float(hi), int(n))
+        z = _parse_flag("z_range", args.z_range, _z_range)
     values = ml(params, z)
     rows = {"alpha": args.alpha, "beta": args.beta,
             "z": [float(v) for v in z], "E": [float(v) for v in values]}

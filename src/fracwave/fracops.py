@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .mittag_leffler import gamma
 from .spectral import _write_csv
@@ -129,6 +127,20 @@ def _conv_weights(beta: float, steps: int, h: float):
     return w, vfull
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer ``2**a 3**b 5**c >= n``: a length the real
+    FFT factors into radix-2, -3 and -5 passes."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5  # 3**b 5**c, times the least power of two that reaches n
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
+
+
 def frac_integral(f: SampledPath, beta: float) -> SampledPath:
     """Fractional integral of order beta in (0, 1] by product trapezoid."""
     if not 0.0 < beta <= 1.0:
@@ -138,9 +150,9 @@ def frac_integral(f: SampledPath, beta: float) -> SampledPath:
     w, v = _conv_weights(beta, grid.steps, grid.spacing)
     # linear convolution by real FFT; padding to the full length 2M+1 keeps
     # wrap-around out of the first M+1 outputs
-    size = [scipy.fft.next_fast_len(2 * grid.steps + 1, True)]
-    spec = scipy.fft.rfftn(vals, size, axes=[0]) * scipy.fft.rfftn(w[:, None], size, axes=[0])
-    out = scipy.fft.irfftn(spec, size, axes=[0])[: grid.steps + 1]
+    size = _fast_len(2 * grid.steps + 1)
+    spec = np.fft.rfft(vals, size, axis=0) * np.fft.rfft(w[:, None], size, axis=0)
+    out = np.fft.irfft(spec, size, axis=0)[: grid.steps + 1]
     out -= v[1 : grid.steps + 2, None] * vals[0][None, :]
     out[0] = 0.0
     if not f.is_vector:
@@ -154,6 +166,9 @@ def frac_integral_inverse(g: SampledPath, beta: float, f0: float | np.ndarray = 
     The node-0 value of the preimage is not determined by the data
     (the integral vanishes there for every input) and must be supplied.
     """
+    # scipy is imported by this diagnostic alone, so no CLI run pays its import
+    import scipy.linalg
+
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     grid = g.grid

@@ -43,8 +43,10 @@ only to the terms a sum reaches, and in precision only when a batch of
 values needs more digits than it holds: once, to the most any of them
 needs, rounded up to a step of 32.  So the arbitrary-precision gamma runs
 once per coefficient rather than once per term of every value.  The
-coefficient and series-table caches are least-recently-used maps bounded
-in bytes, so a process that scans many orders does not grow without limit.
+expansions' coefficients ``1/Gamma(beta - alpha k)`` are rounded to double
+from arbitrary precision once per (alpha, beta) too.  These three caches
+are least-recently-used maps bounded in bytes, so a process that scans
+many orders does not grow without limit.
 ``_MP_MAX_DPS`` (800 digits) caps both arbitrary-precision sums: the power
 series can reach it only on the positive axis, where the expansion accepts
 long before, and the contour only where the value lies hundreds of digits
@@ -57,13 +59,13 @@ negative axis.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-import scipy.special as sp
 
 from ._ddouble import DD_EPS, dd_add, dd_from_mpf, dd_mul, dd_mul_double
 
@@ -241,6 +243,42 @@ def _rgamma_coeffs(alpha: float, beta: float, n: int, dps: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# reciprocal gammas 1/Gamma(beta - alpha k) of the large-argument expansions,
+# rounded to double
+
+
+def _rgamma_double(ctx, x: float) -> float:
+    """``1/Gamma(x)`` from the context's precision, rounded to double; 0.0 at
+    the poles and where ``Gamma(x)`` overflows the double range (``x`` above
+    about 171.62)."""
+    r = float(ctx.rgamma(x))
+    return r if abs(r) * sys.float_info.max >= 1.0 else 0.0
+
+
+# (alpha, beta) -> 1/Gamma(beta - alpha k) for k = 1.._ASYM_KMAX
+_ASYM_CACHE = _ByteLRU(lambda coeffs: coeffs.nbytes + 256, _CACHE_BYTES)
+
+
+def _asym_coeffs(alpha: float, beta: float) -> np.ndarray:
+    """``1/Gamma(beta - alpha k)``, k = 1.._ASYM_KMAX, each at the argument
+    as rounded to double: the coefficients of the algebraic series, the
+    first also the contour's lead term.
+
+    Rounded from 20 digits, they are the correctly rounded doubles unless a
+    value lies within about 1e-20 (relative) of a halfway point between two.
+    """
+    key = (alpha, beta)
+    coeffs = _ASYM_CACHE.get(key)
+    if coeffs is None:
+        ctx = _mp_context()
+        with ctx.workdps(20):
+            coeffs = np.array([_rgamma_double(ctx, beta - alpha * k)
+                               for k in range(1, _ASYM_KMAX + 1)])
+        _ASYM_CACHE[key] = coeffs
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
 # series tables: T_{k+1} = T_k * z * R_k with R_k = c_{k+1} / c_k
 
 
@@ -355,6 +393,7 @@ def _algebraic(alpha, beta, z):
     a pole every later one is too: the series has ended, and what was kept
     is exact (estimate 0) wherever it had not already stopped.
     """
+    coeffs = _asym_coeffs(alpha, beta)
     invz = 1.0 / z
     p = invz.copy()
     s = np.zeros_like(z)
@@ -372,7 +411,7 @@ def _algebraic(alpha, beta, z):
                 return s, s_abs, est
             p = p * invz
             continue
-        rg = sp.rgamma(arg)
+        rg = coeffs[k - 1]
         if rg != 0.0:
             t = p * rg
             mag = np.abs(t)
@@ -532,7 +571,7 @@ def _contour_neg(alpha, beta, z, tol):
         coarse[blk] = 2.0 * g[:, ::2].sum(axis=1)
         size[blk] = np.abs(g).sum(axis=1)
     scale = (2.0 * _CONTOUR_H / math.pi) * mu ** (1.0 + 2.0 * alpha - beta)
-    lead = sp.rgamma(beta - alpha)
+    lead = _asym_coeffs(alpha, beta)[0]
     val = (lead - scale * fine) / x
     est = (10.0 * _EPS * (abs(lead) + scale * size) + scale * np.abs(fine - coarse)) / x
     if np.any(inside):

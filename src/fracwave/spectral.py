@@ -9,9 +9,11 @@ a basis go through ``mode_sum``, which forms the mode x row x point product
 in bounded-memory blocks without changing a bit of the pairwise reduction.
 On the equispaced grids of ``uniform_grid`` the same sums are type-I
 discrete sine transforms: ``grid_sum`` folds every mode onto the grid's
-interior nodes by aliasing and applies ``scipy.fft.dstn``: O(R G log G)
+interior nodes by aliasing and applies a DST-I along each axis, run on
+``numpy.fft`` as pocketfft runs it inside ``scipy.fft.dstn``: O(R G log G)
 instead of O(N R G) for R rows on G grid points, with boundary nodes
-exactly 0.
+exactly 0.  No module of the package imports scipy at load time; only the
+diagnostic ``fracops.frac_integral_inverse`` loads ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "SpectralDomain",
@@ -299,6 +300,21 @@ def uniform_grid(domain: SpectralDomain, P: int) -> np.ndarray:
     return np.stack([PX.ravel(), PY.ravel()], axis=1)
 
 
+def _dst1(x: np.ndarray, axes) -> np.ndarray:
+    """Unnormalized type-I sine transform along each of ``axes`` in turn,
+    ``y_k = 2 sum_j x_j sin(pi (j+1)(k+1) / (n+1))``: minus the imaginary part
+    of the real FFT of the odd extension ``[0, x, 0, -x[::-1]]``, as pocketfft
+    computes ``scipy.fft.dstn(x, type=1)``, bit for bit."""
+    for ax in axes:
+        x = np.moveaxis(x, ax, -1)
+        n = x.shape[-1]
+        ext = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+        ext[..., 1 : n + 1] = x
+        ext[..., n + 2 :] = -x[..., ::-1]
+        x = np.moveaxis(-np.fft.rfft(ext).imag[..., 1 : n + 1], -1, ax)
+    return x
+
+
 def grid_sum(coeff, domain: SpectralDomain, P: int) -> np.ndarray:
     """``mode_sum(coeff, eval_modes(domain, uniform_grid(domain, P)))`` by
     type-I sine transform, shape (R, P) or (R, P*P); ``coeff`` (n, R) holds
@@ -331,12 +347,13 @@ def grid_sum(coeff, domain: SpectralDomain, P: int) -> np.ndarray:
     scale = math.prod(math.sqrt(0.5 / L) for L in domain.lengths)
     interior = (slice(None),) + (slice(1, -1),) * dims
     axes = tuple(range(1, dims + 1))
-    # per time row: the signed coefficients, the scattered block, its transform
-    rows = max(1, _MODE_SUM_BYTES // (32 * max(n, (K - 1) ** dims)))
+    # per time row: the signed coefficients, the scattered block, and the
+    # transform's odd extension, spectrum and result (about 6 block sizes)
+    rows = max(1, _MODE_SUM_BYTES // (64 * max(n, (K - 1) ** dims)))
     for r in range(0, R, rows):
         blk = np.zeros((min(rows, R - r),) + (K - 1,) * dims)
         np.add.at(blk, (slice(None),) + nodes, (c[live, r : r + rows] * sign).T)
-        out[r : r + rows][interior] = scipy.fft.dstn(blk, type=1, axes=axes) * scale
+        out[r : r + rows][interior] = _dst1(blk, axes) * scale
     return out.reshape(R, -1)
 
 

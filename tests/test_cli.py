@@ -88,6 +88,60 @@ def test_solve_rejects_malformed_domain(tmp_path, capsys, domain):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["ml", "--z-range=1:2"], "--z-range: expected lo:hi:count, got '1:2'"),
+    (["ml", "--z-range=1:2:x"], "--z-range: expected lo:hi:count, got '1:2:x'"),
+    (["ml", "--z=abc"], "--z: expected comma-separated arguments (use --z=-1,-2), got 'abc'"),
+    (["ml", "--z=-1,,2"], "--z: expected comma-separated arguments (use --z=-1,-2), got '-1,,2'"),
+    (["solve", "--domain", "rectangle:1.0,x"],
+     "--domain: expected interval:L or rectangle:L1,L2, got 'rectangle:1.0,x'"),
+    (["solve", "--domain", "interval:1.0,2.0"],
+     "--domain: expected interval:L or rectangle:L1,L2, got 'interval:1.0,2.0'"),
+    (["solve", "--domain", "disk:1.0"],
+     "--domain: expected interval:L or rectangle:L1,L2, got 'disk:1.0'"),
+])
+def test_unreadable_value_names_its_flag(tmp_path, capsys, argv, message):
+    if argv[0] == "solve":
+        argv = argv + ["--modes", "8", "--out-prefix", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+# Every subcommand but verify (whose module the CLI imports), solve_field, and
+# the ML tiers that use reciprocal gammas (the expansion on both axes and the
+# contour): none of them may load scipy.
+NO_SCIPY = """
+import sys
+from fracwave import MLParams, SolutionQuery, TimeGrid, FracOrder, build_interval, ml, solve_field
+from fracwave.cli import main
+from fracwave.presets import build_preset
+ml(MLParams(1.5, 1.5), -5000.0)
+ml(MLParams(1.5, 1.0), 1000.0)
+ml(MLParams(1.05, 1.05), -40.0)
+prefix = sys.argv[1]
+assert main(["ml", "--z=-1,-5000", "--decay-check"]) == 0
+assert main(["frac", "--check", "semigroup", "--steps", "64"]) == 0
+assert main(["solve", "--modes", "8", "--steps", "4", "--points", "5", "--out-prefix", prefix]) == 0
+assert main(["solve", "--domain", "rectangle:1.0,1.5", "--modes", "20", "--steps", "4",
+             "--points", "5", "--out-prefix", prefix]) == 0
+assert main(["hidden", "--draws", "2", "--modes", "8", "--steps", "16"]) == 0
+assert main(["regularity", "--task", "blowup", "--modes", "16"]) == 0
+domain = build_interval(1.0, 16)
+query = SolutionQuery(FracOrder(1.3), domain, build_preset("random-decay", domain, seed=3),
+                      TimeGrid(1.0, 8), "velocity")
+solve_field(query, [0.25, 0.5])
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_cli_and_solve_paths_never_import_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path / "run")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("opts,columns", [([], 3), (["--domain", "rectangle:1.0,1.5"], 5)])
 def test_solve_two_points_is_boundary_only(tmp_path, opts, columns):
     prefix = str(tmp_path / "run")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fracwave.fracops import (
     KernelPhi,
     _exterior_node_counts,
+    _fast_len,
     SampledPath,
     TimeGrid,
     caputo_derivative,
@@ -131,6 +132,34 @@ class TestFracIntegral:
         ref -= v[1 : GRID.steps + 2, None] * vals[0][None, :]
         ref[0] = 0.0
         assert np.array_equal(frac_integral(SampledPath(GRID, vals), beta).values, ref)
+
+    @pytest.mark.parametrize("steps", [2, 3, 7, 64, 512, 999, 2048])
+    def test_matches_scipy_fft_route(self, steps):
+        # numpy.fft runs the pocketfft of scipy.fft: same bits as the real-FFT
+        # convolution through scipy.fft.rfftn/irfftn, scalar and vector paths
+        import scipy.fft
+
+        from fracwave.fracops import _conv_weights
+
+        grid = TimeGrid(1.0, steps)
+        beta = 0.35
+        w, v = _conv_weights(beta, steps, grid.spacing)
+        vals = np.stack([trig_path(grid, s).values for s in (4, 5, 6)], axis=1)
+        size = [scipy.fft.next_fast_len(2 * steps + 1, True)]
+        spec = scipy.fft.rfftn(vals, size, axes=[0]) * scipy.fft.rfftn(w[:, None], size, axes=[0])
+        ref = scipy.fft.irfftn(spec, size, axes=[0])[: steps + 1]
+        ref -= v[1 : steps + 2, None] * vals[0][None, :]
+        ref[0] = 0.0
+        assert np.array_equal(frac_integral(SampledPath(grid, vals), beta).values, ref)
+        for j in range(3):
+            scalar = frac_integral(SampledPath(grid, vals[:, j]), beta).values
+            assert np.array_equal(scalar, ref[:, j])
+
+    def test_fast_len_matches_scipy(self):
+        import scipy.fft
+
+        got = [_fast_len(n) for n in range(1, 5001)]
+        assert got == [scipy.fft.next_fast_len(n, True) for n in range(1, 5001)]
 
     def test_vector_valued(self):
         f = trig_path(GRID, 3)

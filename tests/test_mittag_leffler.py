@@ -607,6 +607,97 @@ class TestCacheBudget:
         assert coeffs.total == sum(size for _, size in coeffs._items.values()) <= coeffs.budget
 
 
+class TestAsymCoefficients:
+    # 1/Gamma(beta - alpha k) of the large-argument expansions, rounded to
+    # double from arbitrary precision once per (alpha, beta)
+    ALPHAS = [0.1, 0.37, 0.5, 0.75, 1.0, 1.153934466291663, 1.25, 1.5, 1.75, 1.9539344662916631, 2.0]
+    BETAS = [0.05, 0.5, 0.75, 1.0, 1.5, 1.75, 2.0, 2.5, 3.0]
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        cache = mlmod._ByteLRU(mlmod._ASYM_CACHE.nbytes, mlmod._CACHE_BYTES)
+        monkeypatch.setattr(mlmod, "_ASYM_CACHE", cache)
+        return cache
+
+    def test_grid_is_correctly_rounded(self, fresh):
+        for alpha in self.ALPHAS:
+            for beta in self.BETAS:
+                coeffs = mlmod._asym_coeffs(alpha, beta)
+                assert coeffs.shape == (mlmod._ASYM_KMAX,)
+                with mp.workdps(50):
+                    ref = [float(mp.rgamma(beta - alpha * k)) for k in range(1, mlmod._ASYM_KMAX + 1)]
+                assert coeffs.tolist() == ref, (alpha, beta)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -17.0, -79.0])
+    def test_poles_give_zero(self, x):
+        ctx = mlmod._mp_context()
+        with ctx.workdps(30):
+            assert mlmod._rgamma_double(ctx, x) == 0.0
+
+    def test_pole_coefficients_are_zero(self, fresh):
+        # beta - alpha k = 1 - k for alpha = beta = 1; for alpha = 0.5 every
+        # second argument is a pole
+        assert not mlmod._asym_coeffs(1.0, 1.0).any()
+        half = mlmod._asym_coeffs(0.5, 1.0)
+        assert not half[1::2].any() and half[0::2].all()
+        # beta = alpha: the contour's lead 1/Gamma(0)
+        assert mlmod._asym_coeffs(1.5, 1.5)[0] == 0.0
+
+    @pytest.mark.parametrize("x,zero", [(171.0, False), (171.62, False), (171.63, True),
+                                        (171.7, True), (200.0, True), (1.0e4, True)])
+    def test_zero_where_gamma_overflows(self, x, zero):
+        ctx = mlmod._mp_context()
+        with ctx.workdps(30):
+            got = mlmod._rgamma_double(ctx, x)
+        assert (got == 0.0) == zero
+        if not zero:
+            with mp.workdps(50):
+                assert got == float(mp.rgamma(x))
+
+    def test_large_beta_coefficients_underflow_to_zero(self, fresh):
+        coeffs = mlmod._asym_coeffs(0.5, 200.0)  # arguments 199.5 down to 180
+        assert not coeffs.any()
+
+    def test_concurrent_builds_match_serial(self, monkeypatch, fresh):
+        # every build is fresh (a zero budget keeps nothing) while other
+        # threads run contour sums at their own working precisions; a shared
+        # precision would show in the contour bits
+        orders = [(a, b) for a in self.ALPHAS[::2] for b in self.BETAS[::3]]
+        serial = [mlmod._asym_coeffs(a, b).tobytes() for a, b in orders]
+        monkeypatch.setattr(mlmod, "_ASYM_CACHE", mlmod._ByteLRU(fresh.nbytes, 0))
+        fallback = TestCoefficientTable.FALLBACK[:4]
+
+        def task(i):
+            if i % 2:
+                alpha, beta, z, _ = fallback[(i // 2) % len(fallback)]
+                return mlmod._contour_mp(alpha, beta, z).hex()
+            return mlmod._asym_coeffs(*orders[(i // 2) % len(orders)]).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(task, range(4 * len(orders)), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0::2] == serial * 2
+        assert got[1::2] == [fallback[j % len(fallback)][3] for j in range(2 * len(orders))]
+
+    def test_cache_is_bounded_and_keeps_bits(self, monkeypatch, fresh):
+        assert mlmod._ASYM_CACHE.budget == mlmod._CACHE_BYTES
+        # asymptotic-tier arguments on both axes for 12 orders
+        orders = [(a, b) for a in (1.25, 1.5, 1.75) for b in (0.5, 1.0, 1.5, 2.0)]
+        z = np.array([-5.0e3, -1.0e6, 1.0e3])
+        unbounded = [ml(MLParams(a, b), z).tolist() for a, b in orders]
+        entry = fresh.nbytes(mlmod._asym_coeffs(1.5, 1.0))
+        small = mlmod._ByteLRU(fresh.nbytes, 5 * entry)
+        monkeypatch.setattr(mlmod, "_ASYM_CACHE", small)
+        for (a, b), want in zip(orders, unbounded):
+            assert ml(MLParams(a, b), z).tolist() == want
+            assert small.total <= small.budget
+        assert len(small._items) == 5
+
+
 class TestDecayBound:
     SAMPLES = [-(2.0**k) for k in range(21)]
 

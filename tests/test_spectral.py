@@ -338,6 +338,27 @@ class TestGridSum:
             grid_sum(np.ones((5, 2)), build_interval(1.0, 4), 9)
 
 
+class TestDst1:
+    # the numpy DST-I gives the bits of scipy's pocketfft transform, on the
+    # block shapes grid_sum forms: (rows, K - 1) and (rows, K - 1, K - 1)
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 63, 64, 100, 511])
+    def test_equals_scipy_1d(self, rows, n):
+        import scipy.fft
+
+        blk = np.random.default_rng(n + rows).standard_normal((rows, n))
+        assert np.array_equal(spectral._dst1(blk, (1,)), scipy.fft.dstn(blk, type=1, axes=(1,)))
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 16, 31])
+    def test_equals_scipy_2d(self, rows, n):
+        import scipy.fft
+
+        blk = np.random.default_rng(10 * n + rows).standard_normal((rows, n, n))
+        got = spectral._dst1(blk, (1, 2))
+        assert np.array_equal(got, scipy.fft.dstn(blk, type=1, axes=(1, 2)))
+
+
 class TestSerialization:
     def test_domain_config_roundtrip(self):
         d = build_rectangle(1.0, 2.0, 12)
