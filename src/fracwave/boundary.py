@@ -246,14 +246,11 @@ def _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid):
     like t^(alpha-2)), then the order-beta integral.
     """
     al = as_alpha(alpha)
-    lam = domain.eigenvalues
-    second = np.empty((domain.mode_count, tgrid.steps + 1))
-    for n in range(domain.mode_count):
-        a, b = data.a[n], data.b[n]
-        if a == 0.0 and b == 0.0:
-            second[n] = 0.0
-            continue
-        second[n] = mode_second_derivative_samples(lam[n], al, a, b, tgrid)
+    second = np.zeros((domain.mode_count, tgrid.steps + 1))
+    live = (data.a != 0.0) | (data.b != 0.0)
+    if np.any(live):
+        second[live] = mode_second_derivative_samples(domain.eigenvalues[live], al,
+                                                      data.a[live], data.b[live], tgrid)
     cap = frac_integral(SampledPath(tgrid, second.T), 2.0 - al).values
     return frac_integral(SampledPath(tgrid, cap), beta).values.T
 

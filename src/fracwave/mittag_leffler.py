@@ -6,22 +6,23 @@ The evaluator targets the arguments produced by the spectral mode dynamics,
 
 Each half-axis runs one estimate-gated cascade of tiers, ordered by the
 cancellation scale ``m = |z|**(1/alpha)``.  A tier sees the arguments no
-earlier tier accepted and whose ``m`` lies below its limit; it keeps only
+earlier tier accepted and whose ``m`` lies in its band; it keeps only
 the values whose a-posteriori error estimate meets the target tolerance,
 so there is no hand-tuned switch radius.  Negative axis:
 
 1. plain Kahan-compensated Taylor series (``m <= 12``),
-2. the same series in double-double arithmetic, its term ratios split from
-   the extended-precision coefficient table below (``m <= 46``),
+2. the Bromwich integral of ``e**s s**(alpha-beta) / (s**alpha - z)`` on a
+   parabolic contour (``m <= 46``), summed by the trapezoid rule on 69
+   fixed nodes at a cost flat in ``m``.  The poles ``s**alpha = z`` are the
+   saddle pair of tier 3 and enter as its residues.  Where a pole lies near
+   the contour and the sum's change from twice the step alone declines a
+   value, the step is halved for that value, at most twice,
 3. the large-argument expansion: optimally truncated algebraic series plus
    the conjugate saddle pair ``(2/alpha) Re[w**(1-beta) e**w]``,
    ``w = m e**(i pi/alpha)`` (present for ``alpha > 1``; for ``alpha`` near 2
    the damped oscillation dominates and is essential),
-4. the Bromwich integral of ``e**s s**(alpha-beta) / (s**alpha - z)`` on a
-   parabolic contour, summed by the trapezoid rule on 69 fixed nodes at a
-   cost flat in ``m``.  The poles ``s**alpha = z`` are the saddle pair of
-   tier 3 and enter as its residues.  It covers the band where the series
-   have run out of digits and the expansion is not yet accurate.
+4. the contour sum again, for ``m > 46``, where the expansion is not yet
+   accurate.
 
 Positive axis:
 
@@ -30,23 +31,27 @@ Positive axis:
    optimally truncated algebraic series.  Past ``m`` of about 709 the value
    leaves the double range and ``ml`` raises ``ValueError``.
 
+The series' term ratios ``c_{k+1}/c_k`` of ``c_k = 1/Gamma(alpha k +
+beta)`` and the expansions' coefficients ``1/Gamma(beta - alpha k)`` are
+doubles rounded from 20-digit reciprocal gammas, built once per (alpha,
+beta).  The series table reaches only as far as the calling half-axis
+needs; the longer positive-axis table is built once a positive argument
+arrives, which the solver never sends.
+
 Whatever every tier declines goes to arbitrary precision.  On the negative
 axis above ``m = 100`` that is the contour sum again, with its step halved
 until it converges and its working precision raised until the rounding of
 its terms lies 20 digits below the value; its cost does not grow with
 ``m``.  Everything else is summed as ``sum_k z**k c_k`` with an
 incrementally updated power, at ``30 + 0.45 m`` digits (twice that per unit
-of ``m`` for ``alpha <= 1``).  The coefficients ``c_k = 1/Gamma(alpha k +
-beta)`` come from one cached table per (alpha, beta), which also supplies
-the series tiers' term ratios ``c_{k+1}/c_k``.  The table grows in length
-only to the terms a sum reaches, and in precision only when a batch of
-values needs more digits than it holds: once, to the most any of them
-needs, rounded up to a step of 32.  So the arbitrary-precision gamma runs
-once per coefficient rather than once per term of every value.  The
-expansions' coefficients ``1/Gamma(beta - alpha k)`` are rounded to double
-from arbitrary precision once per (alpha, beta) too.  These three caches
-are least-recently-used maps bounded in bytes, so a process that scans
-many orders does not grow without limit.
+of ``m`` for ``alpha <= 1``).  The coefficients come from one cached table
+per (alpha, beta), which grows in length only to the terms a sum reaches,
+and in precision only when a batch of values needs more digits than it
+holds: once, to the most any of them needs, rounded up to a step of 32.  So
+the arbitrary-precision gamma runs once per coefficient rather than once
+per term of every value.  These three caches are least-recently-used maps
+bounded in bytes, so a process that scans many orders does not grow
+without limit.
 ``_MP_MAX_DPS`` (800 digits) caps both arbitrary-precision sums: the power
 series can reach it only on the positive axis, where the expansion accepts
 long before, and the contour only where the value lies hundreds of digits
@@ -66,8 +71,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-
-from ._ddouble import DD_EPS, dd_add, dd_from_mpf, dd_mul, dd_mul_double
+from mpmath import libmp
 
 __all__ = [
     "Z_MAX",
@@ -90,12 +94,13 @@ _TOL_FAR = 1.0e-9
 _NEAR_LIMIT = 64.0
 
 _M_DOUBLE = 12.0   # Kahan double series attempted below this m
-_M_DD = 46.0       # double-double series attempted below this m
+_M_CONTOUR = 46.0  # contour sum attempted ahead of the expansion below this m
 _M_POS_SERIES = 60.0
 _ASYM_KMAX = 40
 _SERIES_KMAX = 1400
-# largest term factor |z R_k| the series tiers take: the double-double split
-# scales it by 2**27 + 1
+# largest term factor |z R_k| the series tier takes.  Only R_0 ~ 1/(beta
+# Gamma(alpha)) comes near it, for beta so small that c_0 ~ beta sits at the
+# bottom of the double range, where it has lost digits (or R_0 is infinite)
 _FACTOR_MAX = 2.0**995
 _MP_MAX_DPS = 800
 # negative-axis values every tier declines are summed as a power series up to
@@ -145,8 +150,8 @@ def gamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reciprocal-gamma coefficients c_k = 1/Gamma(alpha k + beta), shared by the
-# series tables and the arbitrary-precision fallback
+# arbitrary-precision reciprocal-gamma coefficients c_k = 1/Gamma(alpha k +
+# beta) of the power-series fallback
 
 _MP_LOCAL = threading.local()
 
@@ -243,15 +248,26 @@ def _rgamma_coeffs(alpha: float, beta: float, n: int, dps: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# reciprocal gammas 1/Gamma(beta - alpha k) of the large-argument expansions,
-# rounded to double
+# double tables rounded from reciprocal gammas at _TABLE_DPS digits: the
+# expansions' coefficients 1/Gamma(beta - alpha k) and the series tier's term
+# ratios c_{k+1}/c_k.  Both call mpmath's raw routine at the context's
+# precision, which skips the context's argument conversion on every call.
+
+_TABLE_DPS = 20
+_NEAREST = libmp.round_nearest
+
+
+def _rgamma_raw(ctx, x):
+    """``1/Gamma`` of the raw mpmath value ``x`` at the context's precision;
+    zero at the poles."""
+    return libmp.mpf_rgamma(x, ctx.prec, _NEAREST)
 
 
 def _rgamma_double(ctx, x: float) -> float:
     """``1/Gamma(x)`` from the context's precision, rounded to double; 0.0 at
     the poles and where ``Gamma(x)`` overflows the double range (``x`` above
     about 171.62)."""
-    r = float(ctx.rgamma(x))
+    r = libmp.to_float(_rgamma_raw(ctx, libmp.from_float(x)), rnd=_NEAREST)
     return r if abs(r) * sys.float_info.max >= 1.0 else 0.0
 
 
@@ -271,22 +287,18 @@ def _asym_coeffs(alpha: float, beta: float) -> np.ndarray:
     coeffs = _ASYM_CACHE.get(key)
     if coeffs is None:
         ctx = _mp_context()
-        with ctx.workdps(20):
+        with ctx.workdps(_TABLE_DPS):
             coeffs = np.array([_rgamma_double(ctx, beta - alpha * k)
                                for k in range(1, _ASYM_KMAX + 1)])
         _ASYM_CACHE[key] = coeffs
     return coeffs
 
 
-# ---------------------------------------------------------------------------
-# series tables: T_{k+1} = T_k * z * R_k with R_k = c_{k+1} / c_k
-
-
 def _table_bytes(entry) -> int:
-    return 2 * entry[0].nbytes + 256
+    return entry[0].nbytes + 256
 
 
-# (alpha, beta) -> (ratio hi, ratio lo, c_0 hi, c_0 lo)
+# (alpha, beta) -> (ratios R_k = c_{k+1}/c_k, c_0), the longest built so far
 _TABLE_CACHE = _ByteLRU(_table_bytes, _CACHE_BYTES)
 
 
@@ -294,38 +306,28 @@ def _series_length(alpha: float, m_max: float) -> int:
     return min(_SERIES_KMAX, int(3.8 * max(m_max, 1.0) / alpha) + 48)
 
 
-def _series_tables(alpha: float, beta: float):
-    """Term-ratio table as long as any series tier can ask for (m <= _M_POS_SERIES)."""
-    key = (alpha, beta)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    size = _series_length(alpha, _M_POS_SERIES)
-    c = _rgamma_coeffs(alpha, beta, size + 1, 50)
-    rhi = np.empty(size)
-    rlo = np.empty(size)
+def _series_table(alpha: float, beta: float, m_max: float):
+    """Term ratios ``R_k = c_{k+1}/c_k`` and ``c_0``, rounded to double, as
+    far as a series out to ``m_max`` needs.
+
+    The coefficients ``c_k = 1/Gamma(alpha k + beta)``, at arguments formed
+    exactly, and their ratios are taken at ``_TABLE_DPS`` digits.  One table
+    per (alpha, beta); a longer request replaces it with a longer one.
+    """
+    size = _series_length(alpha, m_max)
+    entry = _TABLE_CACHE.get((alpha, beta))
+    if entry is not None and entry[0].size >= size:
+        return entry
     ctx = _mp_context()
-    with ctx.workdps(50):
-        for k in range(size):
-            rhi[k], rlo[k] = dd_from_mpf(ctx.fdiv(c[k + 1], c[k]))
-        t0h, t0l = dd_from_mpf(ctx.mpf(c[0]))
-    entry = (rhi, rlo, t0h, t0l)
-    _TABLE_CACHE[key] = entry
+    a, b = libmp.from_float(alpha), libmp.from_float(beta)
+    with ctx.workdps(_TABLE_DPS):
+        c = [_rgamma_raw(ctx, libmp.mpf_add(libmp.mpf_mul(a, libmp.from_int(k)), b))
+             for k in range(size + 1)]
+        ratios = np.array([libmp.to_float(libmp.mpf_div(c[k + 1], c[k], ctx.prec, _NEAREST),
+                                          rnd=_NEAREST) for k in range(size)])
+    entry = (ratios, libmp.to_float(c[0], rnd=_NEAREST))
+    _TABLE_CACHE[(alpha, beta)] = entry
     return entry
-
-
-def _series_prefix(alpha, beta, z):
-    """The tables and the term count a series tier needs for ``z``, or None
-    (the tier declines every value) where a term factor ``z R_k`` could
-    overflow the double-double split.  Only ``R_0 ~ 1/(beta Gamma(alpha))``
-    gets that large, for beta near the bottom of the double range; for
-    subnormal beta it is infinite."""
-    tables = _series_tables(alpha, beta)
-    zmax = float(np.max(np.abs(z)))
-    n = min(_series_length(alpha, zmax ** (1.0 / alpha)), tables[0].size)
-    if not np.max(np.abs(tables[0][:n])) < _FACTOR_MAX / zmax:
-        return None
-    return tables, n
 
 
 def _declined(z):
@@ -333,17 +335,25 @@ def _declined(z):
 
 
 def _series_double(alpha, beta, z, tol):
-    """Kahan series; returns (value, accept mask)."""
-    prefix = _series_prefix(alpha, beta, z)
-    if prefix is None:
+    """Kahan-compensated Taylor series at ``z`` of one sign; returns (value,
+    accept mask).
+
+    Its table reaches ``m = _M_DOUBLE`` for negative ``z`` and
+    ``_M_POS_SERIES`` for positive ``z``, so the longer table is built only
+    once a positive argument arrives.  Every value is declined where a term
+    factor ``z R_k`` could exceed ``_FACTOR_MAX``.
+    """
+    zmax = float(np.max(np.abs(z)))
+    ratios, c0 = _series_table(alpha, beta, _M_POS_SERIES if z[0] > 0.0 else _M_DOUBLE)
+    n = min(_series_length(alpha, zmax ** (1.0 / alpha)), ratios.size)
+    if not np.max(np.abs(ratios[:n])) < _FACTOR_MAX / zmax:
         return _declined(z)
-    (rhi, _, t0h, _), n = prefix
-    t = np.full(z.shape, t0h)
+    t = np.full(z.shape, c0)
     s = t.copy()
     comp = np.zeros_like(s)
     acc = np.abs(t)
     for k in range(n - 1):
-        t = t * (z * rhi[k])
+        t = t * (z * ratios[k])
         y = t - comp
         tmp = s + y
         comp = (tmp - s) - y
@@ -354,30 +364,6 @@ def _series_double(alpha, beta, z, tol):
     est = 4.0 * _EPS * acc + np.abs(t)
     ok = est <= tol * np.abs(s)
     return s, ok
-
-
-def _series_dd(alpha, beta, z, tol):
-    """Double-double series; returns (value, accept mask)."""
-    prefix = _series_prefix(alpha, beta, z)
-    if prefix is None:
-        return _declined(z)
-    (rhi, rlo, t0h, t0l), n = prefix
-    th = np.full(z.shape, t0h)
-    tl = np.full(z.shape, t0l)
-    sh, sl = th.copy(), tl.copy()
-    acc = np.abs(th)
-    used = n
-    for k in range(n - 1):
-        fh, fl = dd_mul_double(rhi[k], rlo[k], z)
-        th, tl = dd_mul(th, tl, fh, fl)
-        sh, sl = dd_add(sh, sl, th, tl)
-        acc += np.abs(th)
-        if k > 4 and np.all(np.abs(th) <= 1e-36 * acc):
-            used = k + 2
-            break
-    est = DD_EPS * (used + 8.0) * acc + np.abs(th)
-    ok = est <= tol * np.abs(sh)
-    return sh, ok
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +434,16 @@ def _asym_neg(alpha, beta, z, tol):
     s, s_abs, est = _algebraic(alpha, beta, z)
     val = -s
     # each algebraic term is a few roundings from a double; only the saddle
-    # pair's phase error grows with m.  It is charged against the pair as
-    # evaluated, and the 0.1 tol gate leaves room for where the cosine is near
-    # a zero (at alpha = beta = 1.954, z = -1.99e5 this estimate reads 1e-10
-    # relative against a true 5e-10)
+    # pair's phase error grows with m.  It is charged against the pair's
+    # amplitude, not the pair as evaluated, which near a zero of the cosine
+    # understates it (at alpha = beta = 1.954, z = -1.99e5, 1e-10 relative
+    # against a true 5.3e-10)
     est = est + (2.0 * _ASYM_KMAX + 30.0) * _EPS * s_abs
     if alpha > 1.0:
         m = np.abs(z) ** (1.0 / alpha)
         osc, amp = _saddle_pair(alpha, beta, m)
         val = val + osc
-        est = est + (3.0 * m + 30.0) * _EPS * np.abs(osc)
+        est = est + (3.0 * m + 30.0) * _EPS * amp
     ok = est <= 0.1 * tol * np.abs(val)
     # fully degenerate expansion (all coefficients at gamma poles): the value
     # is exponentially small; 0.0 is the correctly rounded double only when
@@ -512,18 +498,37 @@ _CONTOUR_H = 0.1
 # every mu the scale rule below picks
 _CONTOUR_NODES = 69
 _CONTOUR_MU = (1.0, 4.0)
+# a value whose sum changed too much at the last halving of the step gets at
+# most this many more halvings
+_CONTOUR_HALVINGS = 2
 # (values x nodes) complex temporaries are summed in row blocks of this size
-_CONTOUR_BLOCK_BYTES = 4 * 2**20
+_CONTOUR_BLOCK_BYTES = 2**20
 
 
-def _bromwich_terms(a, b, x, mu, w, exp):
-    """Integrand of ``J`` at ``s = mu w**2``, ``w = 1 + iu``, times
-    ``ds/du / (2 pi i)`` and divided by ``mu**(1+2a-b) / pi``.
+def _bromwich_parts(a, b, mu, w, exp):
+    """The integrand of ``J`` at ``s = mu w**2``, ``w = 1 + iu``, times
+    ``ds/du / (2 pi i)`` and divided by ``mu**(1+2a-b) / pi``, is
+    ``num / (den + x)``; returns ``(num, den)``, neither of which depends on
+    ``x``.
 
-    Written once for NumPy (``x``, ``mu`` columns against a row of nodes
-    ``w``) and for mpmath scalars; ``exp`` is the matching exponential.
+    Written once for NumPy (a column of ``mu`` against a row of nodes ``w``)
+    and for mpmath scalars; ``exp`` is the matching exponential.
     """
-    return exp(mu * (w * w)) * w ** (2 * (2 * a - b) + 1) / (mu**a * w ** (2 * a) + x)
+    return exp(mu * (w * w)) * w ** (2 * (2 * a - b) + 1), mu**a * w ** (2 * a)
+
+
+def _contour_blocks(alpha, beta, x, mu, u):
+    """``Re`` of the integrand at the nodes ``u``, as (row slice, block) pairs
+    of a (values x nodes) array.  ``num`` and ``den`` are formed once per
+    distinct ``mu``, not once per value."""
+    levels, which = np.unique(mu, return_inverse=True)
+    num, den = _bromwich_parts(alpha, beta, levels[:, None], 1.0 + 1j * u, np.exp)
+    # about four complex temporaries of a block are alive at once
+    rows = max(1, _CONTOUR_BLOCK_BYTES // (64 * u.size))
+    for lo in range(0, x.size, rows):
+        blk = slice(lo, lo + rows)
+        i = which[blk]
+        yield blk, np.ascontiguousarray((num[i] / (den[i] + x[blk, None])).real)
 
 
 def _contour_scale(alpha, m):
@@ -550,34 +555,52 @@ def _contour_neg(alpha, beta, z, tol):
 
     The estimate is the rounding of the terms plus the change from the sum
     at twice the step, which bounds the error of the finer sum many times
-    over.
+    over.  Where that change alone fails the tolerance (a pole near the
+    real u-axis), the step is halved for that value, up to
+    ``_CONTOUR_HALVINGS`` times: each halving adds the odd nodes to the sum
+    it has.
     """
     x = -z
     with np.errstate(over="ignore"):
         m = x ** (1.0 / alpha)
     mu, inside = _contour_scale(alpha, m)
-    w = 1.0 + 1j * (_CONTOUR_H * np.arange(_CONTOUR_NODES))
+    # sums in units of the first step
     fine = np.empty_like(x)
     coarse = np.empty_like(x)
     size = np.empty_like(x)
-    # about four complex temporaries of a block are alive at once
-    rows = max(1, _CONTOUR_BLOCK_BYTES // (64 * w.size))
-    for lo in range(0, x.size, rows):
-        blk = slice(lo, lo + rows)
-        g = np.ascontiguousarray(
-            _bromwich_terms(alpha, beta, x[blk, None], mu[blk, None], w, np.exp).real)
+    for blk, g in _contour_blocks(alpha, beta, x, mu, _CONTOUR_H * np.arange(_CONTOUR_NODES)):
         g[:, 0] *= 0.5
         fine[blk] = g.sum(axis=1)
         coarse[blk] = 2.0 * g[:, ::2].sum(axis=1)
         size[blk] = np.abs(g).sum(axis=1)
     scale = (2.0 * _CONTOUR_H / math.pi) * mu ** (1.0 + 2.0 * alpha - beta)
     lead = _asym_coeffs(alpha, beta)[0]
-    val = (lead - scale * fine) / x
-    est = (10.0 * _EPS * (abs(lead) + scale * size) + scale * np.abs(fine - coarse)) / x
+    pair = np.zeros_like(x)
+    pair_err = np.zeros_like(x)
     if np.any(inside):
-        osc, amp = _saddle_pair(alpha, beta, m[inside])
-        val[inside] += osc
-        est[inside] += (3.0 * m[inside] + 30.0) * _EPS * amp
+        pair[inside], amp = _saddle_pair(alpha, beta, m[inside])
+        pair_err[inside] = (3.0 * m[inside] + 30.0) * _EPS * amp
+
+    def finish(i):
+        rounding = 10.0 * _EPS * (abs(lead) + scale[i] * size[i])
+        step = scale[i] * np.abs(fine[i] - coarse[i])
+        return ((lead - scale[i] * fine[i]) / x[i] + pair[i],
+                rounding / x[i] + pair_err[i], (rounding + step) / x[i] + pair_err[i])
+
+    val, noise, est = finish(slice(None))
+    redo = np.flatnonzero((est > tol * np.abs(val)) & (noise <= tol * np.abs(val)))
+    for halving in range(1, _CONTOUR_HALVINGS + 1):
+        if redo.size == 0:
+            break
+        odd = 2.0 * np.arange((_CONTOUR_NODES - 1) * 2 ** (halving - 1)) + 1.0
+        weight = 0.5**halving
+        for blk, g in _contour_blocks(alpha, beta, x[redo], mu[redo], weight * _CONTOUR_H * odd):
+            i = redo[blk]
+            coarse[i] = fine[i]
+            fine[i] = 0.5 * fine[i] + weight * g.sum(axis=1)
+            size[i] = 0.5 * size[i] + weight * np.abs(g).sum(axis=1)
+        val[redo], _, est[redo] = finish(redo)
+        redo = redo[est[redo] > tol[redo] * np.abs(val[redo])]
     return val, est <= tol * np.abs(val)
 
 
@@ -647,7 +670,8 @@ def _contour_sum_mp(ctx, alpha, beta, z, mu, inside):
         pair = 2 / a * ctx.re(pole ** (1 - b) * ctx.exp(pole))
 
     def term(u):
-        return ctx.re(_bromwich_terms(a, b, x, mu, ctx.mpc(1, u), ctx.exp))
+        num, den = _bromwich_parts(a, b, mu, ctx.mpc(1, u), ctx.exp)
+        return ctx.re(num / (den + x))
 
     h = ctx.mpf(1) / 4
     terms = [term(0) / 2]
@@ -701,16 +725,20 @@ def _contour_mp(alpha: float, beta: float, z: float) -> float:
     raise _over_precision_cap(alpha, z)
 
 
-# (m limit, tier) in the order tried on each half-axis
-_NEG_TIERS = ((_M_DOUBLE, _series_double), (_M_DD, _series_dd), (math.inf, _asym_neg),
-              (math.inf, _contour_neg))
-_POS_TIERS = ((_M_POS_SERIES, _series_double), (math.inf, _asym_pos))
+# ((m_lo, m_hi), tier) in the order tried on each half-axis: a tier sees the
+# pending values with m_lo < m <= m_hi.  The contour sum takes the band
+# between the series and the expansion first, and what the expansion leaves
+# beyond it
+_ANY = -math.inf
+_NEG_TIERS = (((_ANY, _M_DOUBLE), _series_double), ((_ANY, _M_CONTOUR), _contour_neg),
+              ((_ANY, math.inf), _asym_neg), ((_M_CONTOUR, math.inf), _contour_neg))
+_POS_TIERS = (((_ANY, _M_POS_SERIES), _series_double), ((_ANY, math.inf), _asym_pos))
 
 
 def _cascade(alpha, beta, z, tiers, m_contour=math.inf):
     """Evaluate at nonzero ``z`` of one sign.
 
-    Each tier sees the still-pending arguments with ``m <= limit`` and
+    Each tier sees the still-pending arguments in its band of ``m`` and
     keeps the values whose error estimate meets the tolerance; whatever
     every tier declines goes to arbitrary precision: the contour sum where
     ``m > m_contour``, the power series otherwise.
@@ -720,8 +748,8 @@ def _cascade(alpha, beta, z, tiers, m_contour=math.inf):
         m = np.abs(z) ** (1.0 / alpha)
     tol = np.where(np.abs(z) <= _NEAR_LIMIT, _TOL_NEAR, _TOL_FAR)
     pending = np.ones(z.shape, dtype=bool)
-    for limit, tier in tiers:
-        sel = pending & (m <= limit)
+    for (lo, hi), tier in tiers:
+        sel = pending & (m > lo) & (m <= hi)
         if np.any(sel):
             val, ok = tier(alpha, beta, z[sel], tol[sel])
             idx = np.flatnonzero(sel)[ok]

@@ -179,7 +179,7 @@ def mode_second_derivative(lam: float, alpha, a: float, b: float, t) -> np.ndarr
     return _scalar_or_row(ModePropagator(lam, alpha, t).second_derivative(a, b), t)
 
 
-def mode_second_derivative_samples(lam: float, alpha, a: float, b: float, tgrid: TimeGrid) -> np.ndarray:
+def mode_second_derivative_samples(lam, alpha, a, b, tgrid: TimeGrid) -> np.ndarray:
     """Second-derivative node samples tuned for the product-trapezoid rule.
 
     Near the origin y'' blows up like t^(alpha-2) and plain samples make the
@@ -189,16 +189,20 @@ def mode_second_derivative_samples(lam: float, alpha, a: float, b: float, tgrid:
     value at the junction); beyond that the samples are exact.  Quadrature
     error norms away from the origin then converge at roughly first order
     instead of alpha - 1.
+
+    ``lam``, ``a`` and ``b`` may be arrays over modes, evaluated in one
+    ``ml`` call per kernel: the samples then have shape (N, M+1), and
+    (M+1,) for a scalar ``lam``.
     """
     t = tgrid.nodes
     M = tgrid.steps
     J = min(M // 2, max(4, math.isqrt(M)))
-    v = np.empty(M + 1)
-    v[J:] = ModePropagator(lam, alpha, t[J:]).second_derivative(a, b)[0]
-    means = np.diff(ModePropagator(lam, alpha, t[: J + 1]).velocity(a, b)[0]) / tgrid.spacing
+    v = np.empty((np.size(lam), M + 1))
+    v[:, J:] = ModePropagator(lam, alpha, t[J:]).second_derivative(a, b)
+    means = np.diff(ModePropagator(lam, alpha, t[: J + 1]).velocity(a, b), axis=1) / tgrid.spacing
     for j in range(J - 1, -1, -1):
-        v[j] = 2.0 * means[j] - v[j + 1]
-    return v
+        v[:, j] = 2.0 * means[:, j] - v[:, j + 1]
+    return v if np.ndim(lam) else v[0]
 
 
 def coefficient_evolution(query: SolutionQuery) -> np.ndarray:

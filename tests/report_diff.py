@@ -1,0 +1,100 @@
+"""Largest relative change of every numeric field between two reports of
+``fracwave verify all --out``.
+
+    python tests/report_diff.py OLD.json NEW.json
+
+A field is the path of keys from a criterion's name down to a number, with
+list positions left out, so that a list of numbers is one field, reported
+by the largest change of any of its entries.  The relative change of an
+entry is ``|new - old| / |old|`` (``inf`` where only ``old`` is zero).  One
+line per field, in the order of the old report, then a line for the
+largest change overall.  Fields present in only one report, and
+non-numeric values that differ (``passed`` flags, names), are named on
+lines of their own.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+
+
+def leaves(node, field="", at=()):
+    """``(field, position, value)`` for every leaf below ``node``.
+
+    ``position`` is the tuple of list indices along the way, so that a leaf
+    is identified by ``(field, position)``.  The top-level ``criteria`` list
+    is replaced by its entries, keyed by each criterion's name.
+    """
+    if isinstance(node, dict):
+        if field == "" and "criteria" in node:
+            rest = {k: v for k, v in node.items() if k != "criteria"}
+            node = {**{c["name"]: c for c in node["criteria"]}, **rest}
+        for key, value in node.items():
+            yield from leaves(value, f"{field}.{key}" if field else str(key), at)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, field, at + (i,))
+    else:
+        yield field, at, node
+
+
+def _numeric(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def relative_change(old: float, new: float) -> float:
+    if old == new:
+        return 0.0
+    if old == 0.0:
+        return math.inf
+    return abs(new - old) / abs(old)
+
+
+def diff(old: dict, new: dict) -> tuple[dict[str, float], list[str]]:
+    """Largest relative change per numeric field, and a note for every
+    leaf that has no numeric counterpart in the other report."""
+    new_leaves = {(f, at): v for f, at, v in leaves(new)}
+    changes: dict[str, float] = {}
+    notes = []
+    seen = set()
+    for field, at, a in leaves(old):
+        seen.add((field, at))
+        where = field + "".join(f"[{i}]" for i in at)
+        if (field, at) not in new_leaves:
+            notes.append(f"only in old: {where}")
+            continue
+        b = new_leaves[(field, at)]
+        if _numeric(a) and _numeric(b):
+            changes[field] = max(changes.get(field, 0.0), relative_change(a, b))
+        elif a != b:
+            notes.append(f"changed: {where}: {a!r} -> {b!r}")
+    for (field, at) in new_leaves.keys() - seen:
+        notes.append("only in new: " + field + "".join(f"[{i}]" for i in at))
+    return changes, notes
+
+
+def report_lines(old: dict, new: dict) -> list[str]:
+    changes, notes = diff(old, new)
+    lines = [f"{change:.3g}  {field}" for field, change in changes.items()]
+    lines += sorted(notes)
+    if changes:
+        field = max(changes, key=changes.get)
+        lines.append(f"largest: {changes[field]:.3g}  {field}")
+    return lines
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    with open(args[0]) as fh_old, open(args[1]) as fh_new:
+        old, new = json.load(fh_old), json.load(fh_new)
+    print("\n".join(report_lines(old, new)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,9 +17,8 @@ from fracwave.mittag_leffler import (
     _asym_neg,
     _asym_pos,
     _contour_neg,
-    _series_dd,
     _series_double,
-    _series_tables,
+    _series_table,
     _tail_growth_violation,
     gamma,
     max_ratio,
@@ -150,19 +149,19 @@ class TestRecurrence:
         assert abs(lhs - rhs) <= 1e-9 * scale
 
     def test_regime_consistency(self):
-        # both the extended-precision series tier and the large-argument
-        # expansion claim 1e-8 accuracy on an overlap band; they must agree
-        # there (production uses tighter gates and bridges any gap through
-        # the arbitrary-precision fallback)
+        # both the contour sum, which takes the band between the series and
+        # the expansion, and the large-argument expansion claim 1e-8 accuracy
+        # on an overlap band; they must agree there (production uses tighter
+        # gates and bridges any gap through the arbitrary-precision fallback)
         tol = 1e-8
         for alpha in (1.3, 1.6, 1.9):
             for beta in (1.0, 2.0, alpha):
                 z = -np.geomspace(33.0**alpha, 40.0**alpha, 7)
-                s_val, s_ok = _series_dd(alpha, beta, z, np.full(z.shape, tol))
+                c_val, c_ok = _contour_neg(alpha, beta, z, np.full(z.shape, tol))
                 a_val, a_ok = _asym_neg(alpha, beta, z, np.full(z.shape, 10.0 * tol))
-                both = s_ok & a_ok
+                both = c_ok & a_ok
                 assert np.any(both)
-                agree = np.abs(s_val[both] - a_val[both]) / np.abs(s_val[both])
+                agree = np.abs(c_val[both] - a_val[both]) / np.abs(c_val[both])
                 assert np.max(agree) < tol
 
 
@@ -214,12 +213,12 @@ class TestCascade:
     # (alpha, beta, z, float.hex of the value, tier that produces it)
     PINNED = [
         (1.5, 1.0, -5.0, "-0x1.3348b5829067dp-2", "_series_double"),
-        (1.5, 1.0, -200.0, "-0x1.71a1202036158p-10", "_series_dd"),
+        (1.5, 1.0, -200.0, "-0x1.71a1202036157p-10", "_contour_neg"),
         (1.5, 1.5, -5000.0, "-0x1.22c7d7f90dfb5p-26", "_asym_neg"),
         (1.75, 0.75, -1e6, "0x1.1835bb20d934dp-40", "_asym_neg"),
         (0.5, 1.0, -40.0, "0x1.ce0a30f4a2d8fp-7", "_asym_neg"),
-        (1.153934466291663, 1.153934466291663, -60.67957098593296, "-0x1.87876f356ef68p-15",
-         "_mpmath_single"),
+        (1.153934466291663, 1.153934466291663, -60.67957098593296, "-0x1.87876f356ed78p-15",
+         "_contour_neg"),
         (1.05, 1.05, -40.0, "-0x1.2b3cfbc35b906p-15", "_contour_neg"),
         (2.0, 3.0, -15792.111111111113, "0x1.311deb5447fb6p-32", "_contour_mp"),
         (1.0, 1.0, -3.0, "0x1.97db0ccceb0afp-5", None),
@@ -291,36 +290,64 @@ class TestCascade:
             assert np.all(s_ok) and np.all(a_ok)
             assert np.max(np.abs(s_val - a_val) / s_val) < 1e-12
 
-    def test_series_table_built_once(self):
+    def test_series_table_built_once(self, empty_coeff_cache):
+        # negative arguments build the table out to m = 12 only; the first
+        # positive one replaces it, once, with the table out to m = 60
         alpha, beta = 1.37, 1.11
         p = MLParams(alpha, beta)
         ml(p, -1.0)
-        table = _series_tables(alpha, beta)
+        short = _series_table(alpha, beta, mlmod._M_DOUBLE)
+        assert short[0].size == mlmod._series_length(alpha, mlmod._M_DOUBLE)
+        ml(p, np.array([-(11.0**alpha), -(40.0**alpha)]))
+        assert _series_table(alpha, beta, mlmod._M_DOUBLE) is short
         ml(p, np.array([-(40.0**alpha), 55.0**alpha]))
-        assert _series_tables(alpha, beta) is table
+        long = _series_table(alpha, beta, mlmod._M_POS_SERIES)
+        assert long[0].size == mlmod._series_length(alpha, mlmod._M_POS_SERIES)
+        assert long[0][: short[0].size].tolist() == short[0].tolist() and long[1] == short[1]
+        ml(p, np.array([-1.0, 3.0]))
+        assert _series_table(alpha, beta, mlmod._M_DOUBLE) is long
 
 
 class TestContourTier:
     # the trapezoid sum on the parabolic contour against the tiers on either
     # side of it, the oracle, and itself
 
-    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.9])
-    def test_agrees_with_double_double_series(self, alpha):
-        # where the pole pair dominates, its phase m sin(pi/alpha) is rounded
-        # at about m eps, so near a zero of the value the two are compared on
-        # the scale of the pair's amplitude
-        m = np.geomspace(33.0, 46.0, 15)
+    @pytest.mark.parametrize("alpha", [1.05, 1.1539, 1.3, 1.6, 1.9])
+    def test_mid_band_against_oracle(self, alpha):
+        # the band between the series and the expansion, where the contour
+        # sum is tried first; alpha = 1.1539 puts the pole pair near the
+        # real u-axis, where the step must be halved
+        m = np.geomspace(12.5, 46.0, 9)
         z = -(m**alpha)
         tol = np.where(-z <= 64.0, 3e-11, 1e-9)
-        compared = 0
         for beta in (1.0, 2.0, alpha):
-            s_val, s_ok = _series_dd(alpha, beta, z, tol)
-            c_val, c_ok = _contour_neg(alpha, beta, z, tol)
-            both = s_ok & c_ok
-            compared += np.count_nonzero(both)
-            scale = np.abs(s_val) + mlmod._saddle_pair(alpha, beta, m)[1]
-            assert np.all((np.abs(s_val - c_val) / scale)[both] < 1e-12)
-        assert compared >= 15
+            val, ok = _contour_neg(alpha, beta, z, tol)
+            ref = np.array([ml_series_ref(alpha, beta, float(v)) for v in z])
+            assert np.all(ok)
+            assert np.all(np.abs(val - ref) <= tol * np.abs(ref))
+
+    def test_step_halved_only_where_the_step_change_declines(self, monkeypatch):
+        # at alpha = beta = 1.1539 and m of 32 to 37 the pole pair sits 0.39
+        # above the real u-axis at mu = 4, and the sum at twice the step
+        # differs by about 1e-10 relative: that change alone declines these
+        # values at the first step.  At z = -20 and -25 it does not
+        alpha = 1.153934466291663
+        z = -np.concatenate([[20.0, 25.0], np.geomspace(55.0, 64.0, 6)])
+        tol = np.full(z.shape, 3e-11)
+        ref = np.array([ml_series_ref(alpha, alpha, float(v)) for v in z])
+        blocks = []
+
+        def spy(a, b, x, mu, u, orig=mlmod._contour_blocks):
+            blocks.append((x.size, u.size))
+            return orig(a, b, x, mu, u)
+
+        monkeypatch.setattr(mlmod, "_contour_blocks", spy)
+        val, ok = _contour_neg(alpha, alpha, z, tol)
+        assert np.all(ok) and np.all(np.abs(val - ref) <= tol * np.abs(ref))
+        # one halving, on the six declined values: the odd nodes only
+        assert blocks == [(8, mlmod._CONTOUR_NODES), (6, mlmod._CONTOUR_NODES - 1)]
+        monkeypatch.setattr(mlmod, "_CONTOUR_HALVINGS", 0)
+        assert _contour_neg(alpha, alpha, z, tol)[1].tolist() == [True] * 2 + [False] * 6
 
     @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.9])
     def test_agrees_with_asymptotic_expansion(self, alpha):
@@ -356,15 +383,26 @@ class TestContourTier:
         assert np.array_equal(whole[1], blocked[1])
 
     def test_near_zero_of_the_saddle_pair(self):
-        # _asym_neg charges the pair's phase rounding against the pair itself,
-        # which near a zero of the cosine understates it (1e-10 against a true
-        # 5e-10 here); the 0.1 tol gate keeps the accepted value within tol.
-        # The contour sum's bits equal those of the series oracle at 530 digits
+        # near a zero of the saddle pair's cosine its phase rounding is large
+        # against the pair as evaluated (a true 5.3e-10 relative here, where
+        # charging it against the pair read 1e-10), so the double tiers
+        # charge it against the pair's amplitude.  The cascade's value must
+        # meet the tolerance against the arbitrary-precision contour sum,
+        # whose bits equal those of the series oracle at 530 digits
         alpha = 1.9539344662916631
         z = -199456.8666800397
-        val, ok = _asym_neg(alpha, alpha, np.array([z]), np.array([1e-9]))
         ref = mlmod._contour_mp(alpha, alpha, z)
-        assert ok[0] and abs(val[0] - ref) <= 1e-9 * abs(ref)
+        assert abs(ml(MLParams(alpha, alpha), z) - ref) <= 1e-9 * abs(ref)
+
+    def test_expansion_declines_near_a_zero_of_the_value(self):
+        # an alpha-sweep argument where the pair's amplitude is 1.1e5 times
+        # the value: charged against the pair as evaluated, the phase rounding
+        # let the expansion's value through at a true error of 1.4e-8
+        # relative, 14 times the tolerance
+        alpha, z = 1.9872677996249966, -64109.04010678201
+        assert not _asym_neg(alpha, 1.0, np.array([z]), np.array([1e-9]))[1][0]
+        ref = mlmod._contour_mp(alpha, 1.0, z)
+        assert abs(ml(MLParams(alpha, 1.0), z) - ref) <= 1e-9 * abs(ref)
 
 
 @pytest.fixture
@@ -429,16 +467,18 @@ class TestCoefficientTable:
         monkeypatch.setattr(mlmod, "_mpmath_single", fallback)
         # the contour tier accepts this input; without it the input reaches
         # the power-series fallback
-        monkeypatch.setattr(mlmod, "_NEG_TIERS", mlmod._NEG_TIERS[:-1])
+        without_contour(monkeypatch)
         p = MLParams(alpha, beta)
         assert ml(p, z).hex() == bits
-        # the series tiers built the table; the fallback summed from it
-        assert in_fallback == [0]
+        # the fallback built the table, each coefficient once
+        assert len(in_fallback) == 1
         assert list(empty_coeff_cache) == [(alpha, beta)]
         held, coeffs = empty_coeff_cache[(alpha, beta)]
-        assert len(gamma_calls) == len(coeffs) == mlmod._series_length(alpha, mlmod._M_POS_SERIES) + 1
+        assert len(gamma_calls) == len(coeffs)
         gamma_calls.clear()
         assert ml(p, z).hex() == bits
+        # the series tier's double table (at z = -5) takes no gamma call of
+        # this context either
         assert ml(p, np.array([z, -5.0, -300.0])).size == 3
         assert gamma_calls == []
 
@@ -516,15 +556,22 @@ class TestCoefficientTable:
             return orig(a, b, n, dps)
 
         monkeypatch.setattr(mlmod, "_rgamma_coeffs", guarded)
-        # with the series tiers alone and no arbitrary-precision contour both
+        # with the series tier alone and no arbitrary-precision contour both
         # elements reach the power-series fallback
-        monkeypatch.setattr(mlmod, "_NEG_TIERS", mlmod._NEG_TIERS[:2])
+        monkeypatch.setattr(mlmod, "_NEG_TIERS", mlmod._NEG_TIERS[:1])
         monkeypatch.setattr(mlmod, "_M_MP_SERIES", math.inf)
         with pytest.raises(ValueError) as info:
             ml(MLParams(alpha, beta), np.array([z, far]))
         assert str(info.value) == message
         # only the in-cap element's precision was ever built
         assert empty_coeff_cache[(alpha, beta)][0] == 64
+
+
+def without_contour(monkeypatch):
+    """Take the contour sum out of the negative-axis tiers, so that the
+    values it alone would accept reach the power-series fallback."""
+    tiers = tuple(t for t in mlmod._NEG_TIERS if t[1] is not mlmod._contour_neg)
+    monkeypatch.setattr(mlmod, "_NEG_TIERS", tiers)
 
 
 @pytest.fixture
@@ -570,16 +617,18 @@ class TestTerminatingAlgebraicSeries:
 
 class TestCacheBudget:
     # the orders of the frozen fallback values at their fallback arguments
-    # (eight of the nine go to arbitrary precision through ml) and at two
-    # smaller ones, and one order across the tiers
+    # and at two smaller ones, and one order across the tiers
     CASES = [(a, b, np.array([-0.5, z / 2, z])) for a, b, z, _ in TestCoefficientTable.FALLBACK]
     CASES.append((1.5, 1.0, -np.array([0.5, 30.0, 700.0, 2.0e4])))
 
     def test_tiny_budget_bounds_caches_and_keeps_bits(self, monkeypatch, empty_coeff_cache):
+        # without the contour sum, seven of the ten orders reach arbitrary
+        # precision through ml
+        without_contour(monkeypatch)
         unbounded = [ml(MLParams(a, b), z).tolist() for a, b, z in self.CASES]
-        # coefficient tables take 46 to 253 kB here, series tables 5 to 13 kB
+        # coefficient tables take 18 to 253 kB here, series tables 0.8 to 1.9 kB
         coeffs = mlmod._ByteLRU(mlmod._coeff_bytes, 300_000)
-        tables = mlmod._ByteLRU(mlmod._table_bytes, 20_000)
+        tables = mlmod._ByteLRU(mlmod._table_bytes, 3_000)
         monkeypatch.setattr(mlmod, "_COEFF_CACHE", coeffs)
         monkeypatch.setattr(mlmod, "_TABLE_CACHE", tables)
         for (a, b, z), want in zip(self.CASES, unbounded):

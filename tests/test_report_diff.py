@@ -1,0 +1,76 @@
+import json
+import math
+
+from report_diff import main, relative_change, report_lines
+
+OLD = {
+    "criteria": [
+        {"name": "ml-identities", "passed": True,
+         "details": {"worst": {"near": 2.0e-13, "oracle": 1.0e-13}, "tol_near": 1e-10}},
+        {"name": "frac-integral-suite", "passed": True,
+         "details": {"semigroup": {"discrepancies": [4.0e-4, 1.0e-4]}, "caputo_linear_max": 0.0}},
+    ],
+    "seed": 7,
+}
+
+
+def _new():
+    new = json.loads(json.dumps(OLD))
+    ml, frac = new["criteria"]
+    ml["details"]["worst"]["near"] = 3.0e-13
+    frac["details"]["semigroup"]["discrepancies"] = [4.0e-4, 1.5e-4]
+    frac["details"]["caputo_linear_max"] = 1e-17
+    frac["passed"] = False
+    return new
+
+
+def test_relative_change():
+    assert relative_change(2.0, 2.0) == 0.0
+    assert relative_change(0.0, 0.0) == 0.0
+    assert relative_change(4.0, 5.0) == 0.25
+    assert relative_change(-4.0, -3.0) == 0.25
+    assert math.isinf(relative_change(0.0, 1e-300))
+
+
+def test_identical_reports_change_nothing():
+    lines = report_lines(OLD, OLD)
+    assert lines[:-1] == [
+        "0  ml-identities.details.worst.near",
+        "0  ml-identities.details.worst.oracle",
+        "0  ml-identities.details.tol_near",
+        "0  frac-integral-suite.details.semigroup.discrepancies",
+        "0  frac-integral-suite.details.caputo_linear_max",
+        "0  seed",
+    ]
+    assert lines[-1].startswith("largest: 0  ")
+
+
+def test_one_line_per_field_lists_by_their_largest_entry(tmp_path, capsys):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(OLD))
+    new.write_text(json.dumps(_new()))
+    assert main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0.5  ml-identities.details.worst.near",
+        "0  ml-identities.details.worst.oracle",
+        "0  ml-identities.details.tol_near",
+        "0.5  frac-integral-suite.details.semigroup.discrepancies",
+        "inf  frac-integral-suite.details.caputo_linear_max",
+        "0  seed",
+        "changed: frac-integral-suite.passed: True -> False",
+        "largest: inf  frac-integral-suite.details.caputo_linear_max",
+    ]
+
+
+def test_fields_in_one_report_only_are_named():
+    new = _new()
+    new["criteria"][0]["details"]["worst"]["far"] = 1e-12
+    del new["criteria"][1]["details"]["semigroup"]["discrepancies"][1]
+    lines = report_lines(OLD, new)
+    assert "only in new: ml-identities.details.worst.far" in lines
+    assert "only in old: frac-integral-suite.details.semigroup.discrepancies[1]" in lines
+
+
+def test_usage(capsys):
+    assert main(["one.json"]) == 2
+    assert "report_diff.py OLD.json NEW.json" in capsys.readouterr().err

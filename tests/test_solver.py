@@ -106,6 +106,19 @@ class TestSecondDerivative:
         lin_means = 0.5 * (v[1:] + v[:-1])
         assert np.max(np.abs(lin_means[:8] - means[:8])) < 1e-9 * np.max(np.abs(means[:8]))
 
+    @pytest.mark.parametrize("alpha", [1.25, 1.75])
+    def test_samples_of_many_modes_at_once(self, alpha):
+        # one ml call per kernel for all modes; the series' term count is set
+        # by the batch's largest argument, so the last bits may differ
+        g = TimeGrid(1.0, 256)
+        lam = (np.arange(1, 33) * np.pi) ** 2
+        a, b = np.linspace(1.0, 0.1, 32), np.linspace(0.5, -0.3, 32)
+        batch = mode_second_derivative_samples(lam, alpha, a, b, g)
+        single = np.array([mode_second_derivative_samples(lam_n, alpha, a_n, b_n, g)
+                           for lam_n, a_n, b_n in zip(lam, a, b)])
+        assert batch.shape == single.shape == (32, 257)
+        assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+
 
 class TestModePropagator:
     def setup_method(self):
