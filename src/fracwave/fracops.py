@@ -166,9 +166,6 @@ def frac_integral_inverse(g: SampledPath, beta: float, f0: float | np.ndarray = 
     The node-0 value of the preimage is not determined by the data
     (the integral vanishes there for every input) and must be supplied.
     """
-    # scipy is imported by this diagnostic alone, so no CLI run pays its import
-    import scipy.linalg
-
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     grid = g.grid
@@ -178,8 +175,10 @@ def frac_integral_inverse(g: SampledPath, beta: float, f0: float | np.ndarray = 
     first = np.broadcast_to(np.atleast_1d(np.asarray(f0, dtype=float)), gv.shape[1:]).astype(float)
     # rows n = 1..M:  g_n - (w_n - v_{n+1}) f_0 = sum_{k=1..n} w_{n-k} f_k
     rhs = gv[1:] - (w[1:] - v[2 : M + 2])[:, None] * first[None, :]
-    T = scipy.linalg.toeplitz(w[:M], np.zeros(M))
-    sol = scipy.linalg.solve_triangular(T, rhs, lower=True)
+    # the lower-triangular Toeplitz system, by forward substitution
+    sol = np.empty_like(rhs)
+    for n in range(M):
+        sol[n] = (rhs[n] - w[n:0:-1] @ sol[:n]) / w[0]
     out = np.vstack([first[None, :], sol])
     if not g.is_vector:
         out = out[:, 0]

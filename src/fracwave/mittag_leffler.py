@@ -44,14 +44,11 @@ until it converges and its working precision raised until the rounding of
 its terms lies 20 digits below the value; its cost does not grow with
 ``m``.  Everything else is summed as ``sum_k z**k c_k`` with an
 incrementally updated power, at ``30 + 0.45 m`` digits (twice that per unit
-of ``m`` for ``alpha <= 1``).  The coefficients come from one cached table
-per (alpha, beta), which grows in length only to the terms a sum reaches,
-and in precision only when a batch of values needs more digits than it
-holds: once, to the most any of them needs, rounded up to a step of 32.  So
-the arbitrary-precision gamma runs once per coefficient rather than once
-per term of every value.  These three caches are least-recently-used maps
-bounded in bytes, so a process that scans many orders does not grow
-without limit.
+of ``m`` for ``alpha <= 1``).  Each coefficient ``c_k`` is taken at that
+precision when the sum reaches it, so the fallback keeps no state between
+calls.  The two tables of doubles above are the module's only caches:
+least-recently-used maps bounded in bytes, so a process that scans many
+orders does not grow without limit.
 ``_MP_MAX_DPS`` (800 digits) caps both arbitrary-precision sums: the power
 series can reach it only on the positive axis, where the expansion accepts
 long before, and the contour only where the value lies hundreds of digits
@@ -63,6 +60,7 @@ negative axis.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -150,8 +148,7 @@ def gamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# arbitrary-precision reciprocal-gamma coefficients c_k = 1/Gamma(alpha k +
-# beta) of the power-series fallback
+# per-thread mpmath contexts and byte-bounded caches
 
 _MP_LOCAL = threading.local()
 
@@ -201,66 +198,34 @@ class _ByteLRU:
                 self.total -= self._items.popitem(last=False)[1][1]
 
 
-# Per-cache byte budget.  One 30-alpha sweep holds about 0.2 MB of series
-# tables and 3 MB of coefficients, so only long scans over many orders evict.
+# Per-cache byte budget.  One 30-alpha sweep holds about 90 kB of series
+# tables and expansion coefficients, so only long scans over many orders evict.
 _CACHE_BYTES = 32 * 2**20
-
-_COEFF_DPS_STEP = 32   # table precision is the requested dps rounded up to this
-_COEFF_CHUNK = 32      # the fallback extends a table by this many terms at a time
-
-
-def _coeff_bytes(entry) -> int:
-    # an mpf of d digits takes about 250 + d/2 bytes with mpmath's
-    # pure-Python integers
-    held, coeffs = entry
-    return len(coeffs) * (256 + held // 2)
-
-
-# (alpha, beta) -> (held dps, coefficients)
-_COEFF_CACHE = _ByteLRU(_coeff_bytes, _CACHE_BYTES)
-
-
-def _rgamma_coeffs(alpha: float, beta: float, n: int, dps: int) -> tuple:
-    """At least ``n`` coefficients ``1/Gamma(alpha k + beta)`` held to at least
-    ``dps`` digits.
-
-    One table per (alpha, beta).  It is extended only to the length asked
-    for, and rebuilt only when a caller needs more digits than it holds, at
-    ``dps`` rounded up to ``_COEFF_DPS_STEP``.  A grown table replaces the
-    cache entry instead of mutating it, so concurrent callers each keep a
-    consistent tuple; two threads growing one table may both build it, and
-    whichever entry is stored last is as valid as the other.
-    """
-    key = (alpha, beta)
-    held, coeffs = _COEFF_CACHE.get(key, (0, ()))
-    if held >= dps and len(coeffs) >= n:
-        return coeffs
-    if held < dps:
-        held = -(-dps // _COEFF_DPS_STEP) * _COEFF_DPS_STEP
-        coeffs = ()
-    ctx = _mp_context()
-    with ctx.workdps(held):
-        a = ctx.mpf(alpha)
-        b = ctx.mpf(beta)
-        coeffs += tuple(1 / ctx.gamma(a * k + b) for k in range(len(coeffs), n))
-    _COEFF_CACHE[key] = (held, coeffs)
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
-# double tables rounded from reciprocal gammas at _TABLE_DPS digits: the
-# expansions' coefficients 1/Gamma(beta - alpha k) and the series tier's term
-# ratios c_{k+1}/c_k.  Both call mpmath's raw routine at the context's
-# precision, which skips the context's argument conversion on every call.
+# reciprocal gammas.  Every one the module takes comes from mpmath's raw
+# routine at the context's precision, which skips the context's argument
+# conversion on every call: the double tables rounded from _TABLE_DPS digits
+# (the expansions' coefficients 1/Gamma(beta - alpha k) and the series tier's
+# term ratios c_{k+1}/c_k), the arbitrary-precision power series' c_k and the
+# contour sum's lead 1/Gamma(beta - alpha).
 
 _TABLE_DPS = 20
 _NEAREST = libmp.round_nearest
+_MPF_ORDER = functools.cmp_to_key(libmp.mpf_cmp)
 
 
 def _rgamma_raw(ctx, x):
     """``1/Gamma`` of the raw mpmath value ``x`` at the context's precision;
     zero at the poles."""
     return libmp.mpf_rgamma(x, ctx.prec, _NEAREST)
+
+
+def _series_coeff(ctx, a, b, k: int):
+    """``c_k = 1/Gamma(alpha k + beta)`` at the context's precision, from the
+    raw ``a`` = alpha and ``b`` = beta, at the argument formed exactly."""
+    return _rgamma_raw(ctx, libmp.mpf_add(libmp.mpf_mul(a, libmp.from_int(k)), b))
 
 
 def _rgamma_double(ctx, x: float) -> float:
@@ -321,8 +286,7 @@ def _series_table(alpha: float, beta: float, m_max: float):
     ctx = _mp_context()
     a, b = libmp.from_float(alpha), libmp.from_float(beta)
     with ctx.workdps(_TABLE_DPS):
-        c = [_rgamma_raw(ctx, libmp.mpf_add(libmp.mpf_mul(a, libmp.from_int(k)), b))
-             for k in range(size + 1)]
+        c = [_series_coeff(ctx, a, b, k) for k in range(size + 1)]
         ratios = np.array([libmp.to_float(libmp.mpf_div(c[k + 1], c[k], ctx.prec, _NEAREST),
                                           rnd=_NEAREST) for k in range(size)])
     entry = (ratios, libmp.to_float(c[0], rnd=_NEAREST))
@@ -620,36 +584,40 @@ def _over_precision_cap(alpha: float, z: float) -> ValueError:
 
 
 def _mpmath_single(alpha: float, beta: float, z: float) -> float:
+    """``sum_k z**k c_k`` at ``_fallback_dps`` digits, each coefficient
+    ``c_k = 1/Gamma(alpha k + beta)`` taken at that precision as the sum
+    reaches it."""
     dps = _fallback_dps(alpha, z)
     if dps > _MP_MAX_DPS:
         raise _over_precision_cap(alpha, z)
-    c = _rgamma_coeffs(alpha, beta, _COEFF_CHUNK, dps)
+    # raw mpmath values and operations: the roundings of the context's
+    # arithmetic at its precision, without its number objects
+    a, b, zz = libmp.from_float(alpha), libmp.from_float(beta), libmp.from_float(z)
+    tiny = libmp.from_float(1e-300)
+    mul, add, gt = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_gt
     ctx = _mp_context()
     with ctx.workdps(dps):
-        zz = ctx.mpf(z)
-        s = ctx.mpf(0)
-        term_max = ctx.mpf(0)
-        eps = ctx.mpf(10) ** (-dps - 5)
-        tiny = ctx.mpf(1e-300)
-        power = ctx.mpf(1)
-        t = ctx.mpf(c[0])
-        at = abs(t)
+        prec = ctx.prec
+        eps = (ctx.mpf(10) ** (-dps - 5))._mpf_
+        s = term_max = libmp.fzero
+        power = libmp.fone
+        t = _series_coeff(ctx, a, b, 0)
         k = 0
         while True:
-            s += t
-            if at > term_max:
+            s = add(s, t, prec, _NEAREST)
+            at = libmp.mpf_abs(t)
+            if gt(at, term_max):
                 term_max = at
             k += 1
-            if k == len(c):
-                c = _rgamma_coeffs(alpha, beta, k + _COEFF_CHUNK, dps)
-            power *= zz
-            t = power * c[k]
-            at = abs(t)
-            if k > 5 and at < eps * max(term_max, abs(s), tiny):
-                break
+            power = mul(power, zz, prec, _NEAREST)
+            t = mul(power, _series_coeff(ctx, a, b, k), prec, _NEAREST)
+            if k > 5:
+                scale = max(term_max, libmp.mpf_abs(s), tiny, key=_MPF_ORDER)
+                if gt(mul(eps, scale, prec, _NEAREST), libmp.mpf_abs(t)):
+                    break
             if k > 60000:
                 raise ValueError("series did not converge in the fallback")
-        return float(s)
+    return libmp.to_float(s, rnd=_NEAREST)
 
 
 # relative digits to which the arbitrary-precision contour sum is converged
@@ -684,7 +652,8 @@ def _contour_sum_mp(ctx, alpha, beta, z, mu, inside):
     n = len(terms) - 1
     total = ctx.fsum(terms)
     factor = 2 * mu ** (1 + 2 * a - b) / ctx.pi
-    lead = ctx.rgamma(b - a)
+    lead = ctx.make_mpf(_rgamma_raw(ctx, libmp.mpf_sub(libmp.from_float(beta),
+                                                       libmp.from_float(alpha))))
     val = (lead - h * factor * total) / x + pair
     for _ in range(6):
         h /= 2
@@ -735,13 +704,13 @@ _NEG_TIERS = (((_ANY, _M_DOUBLE), _series_double), ((_ANY, _M_CONTOUR), _contour
 _POS_TIERS = (((_ANY, _M_POS_SERIES), _series_double), ((_ANY, math.inf), _asym_pos))
 
 
-def _cascade(alpha, beta, z, tiers, m_contour=math.inf):
+def _cascade(alpha, beta, z, tiers):
     """Evaluate at nonzero ``z`` of one sign.
 
     Each tier sees the still-pending arguments in its band of ``m`` and
     keeps the values whose error estimate meets the tolerance; whatever
     every tier declines goes to arbitrary precision: the contour sum where
-    ``m > m_contour``, the power series otherwise.
+    ``z < 0`` and ``m > _M_MP_SERIES``, the power series otherwise.
     """
     out = np.empty_like(z)
     with np.errstate(over="ignore"):  # m = inf for alpha far below 1
@@ -755,21 +724,14 @@ def _cascade(alpha, beta, z, tiers, m_contour=math.inf):
             idx = np.flatnonzero(sel)[ok]
             out[idx] = val[ok]
             pending[idx] = False
-    rest = np.flatnonzero(pending)
-    contour = m[rest] > m_contour
-    # both fallbacks are looked up at call time so they can be wrapped from
-    # outside
-    for i in rest[contour]:
-        out[i] = _contour_mp(alpha, beta, float(z[i]))
-    rest = rest[~contour]
-    values = [float(v) for v in z[rest]]
-    # the coefficient table takes the batch's highest in-cap precision at
-    # once instead of being rebuilt each time a later value needs more digits
-    dps = [d for d in (_fallback_dps(alpha, v) for v in values) if d <= _MP_MAX_DPS]
-    if dps:
-        _rgamma_coeffs(alpha, beta, 1, max(dps))
-    for i, v in zip(rest, values):
-        out[i] = _mpmath_single(alpha, beta, v)
+    # both fallbacks and the band edge between them are looked up at call
+    # time, so they can be wrapped or moved from outside
+    for i in np.flatnonzero(pending):
+        v = float(z[i])
+        if v < 0.0 and m[i] > _M_MP_SERIES:
+            out[i] = _contour_mp(alpha, beta, v)
+        else:
+            out[i] = _mpmath_single(alpha, beta, v)
     return out
 
 
@@ -799,7 +761,7 @@ def ml(params: MLParams, z):
         elif alpha == 1.0 and beta == 2.0:
             out[neg] = np.expm1(zn) / zn
         else:
-            out[neg] = _cascade(alpha, beta, zn, _NEG_TIERS, _M_MP_SERIES)
+            out[neg] = _cascade(alpha, beta, zn, _NEG_TIERS)
 
     if scalar:
         return float(out[0])

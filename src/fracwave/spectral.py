@@ -12,8 +12,8 @@ discrete sine transforms: ``grid_sum`` folds every mode onto the grid's
 interior nodes by aliasing and applies a DST-I along each axis, run on
 ``numpy.fft`` as pocketfft runs it inside ``scipy.fft.dstn``: O(R G log G)
 instead of O(N R G) for R rows on G grid points, with boundary nodes
-exactly 0.  No module of the package imports scipy at load time; only the
-diagnostic ``fracops.frac_integral_inverse`` loads ``scipy.linalg``.
+exactly 0.  No module of the package imports scipy; the test suite checks
+these bits against ``scipy.fft``.
 """
 
 from __future__ import annotations

@@ -108,12 +108,14 @@ def test_unreadable_value_names_its_flag(tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
-# Every subcommand but verify (whose module the CLI imports), solve_field, and
-# the ML tiers that use reciprocal gammas (the expansion on both axes and the
-# contour): none of them may load scipy.
+# Every subcommand but verify (whose module the CLI imports), solve_field, the
+# ML tiers that use reciprocal gammas (the expansion on both axes and the
+# contour) and the diagnostic frac_integral_inverse: none of them may load
+# scipy.
 NO_SCIPY = """
 import sys
 from fracwave import MLParams, SolutionQuery, TimeGrid, FracOrder, build_interval, ml, solve_field
+from fracwave.fracops import SampledPath, frac_integral, frac_integral_inverse
 from fracwave.cli import main
 from fracwave.presets import build_preset
 ml(MLParams(1.5, 1.5), -5000.0)
@@ -131,6 +133,8 @@ domain = build_interval(1.0, 16)
 query = SolutionQuery(FracOrder(1.3), domain, build_preset("random-decay", domain, seed=3),
                       TimeGrid(1.0, 8), "velocity")
 solve_field(query, [0.25, 0.5])
+path = SampledPath(TimeGrid(1.0, 16), TimeGrid(1.0, 16).nodes ** 2)
+frac_integral_inverse(frac_integral(path, 0.5), 0.5)
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 

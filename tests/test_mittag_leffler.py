@@ -407,24 +407,28 @@ class TestContourTier:
 
 @pytest.fixture
 def empty_coeff_cache(monkeypatch):
-    """Fresh coefficient and series-table caches, restored afterwards."""
-    monkeypatch.setattr(mlmod, "_COEFF_CACHE", {})
+    """A fresh series-table cache, restored afterwards."""
     monkeypatch.setattr(mlmod, "_TABLE_CACHE", {})
-    return mlmod._COEFF_CACHE
+    return mlmod._TABLE_CACHE
 
 
 @pytest.fixture
 def gamma_calls(monkeypatch):
-    """List that grows by one entry per gamma call of this thread's mpmath context."""
+    """List that grows by one entry, the working precision in bits, per
+    reciprocal gamma the module takes."""
     calls = []
-    ctx = mlmod._mp_context()
 
-    def counting(x, orig=ctx.gamma):
-        calls.append(x)
-        return orig(x)
+    def counting(ctx, x, orig=mlmod._rgamma_raw):
+        calls.append(ctx.prec)
+        return orig(ctx, x)
 
-    monkeypatch.setattr(ctx, "gamma", counting)
+    monkeypatch.setattr(mlmod, "_rgamma_raw", counting)
     return calls
+
+
+def byte_caches():
+    """Name -> cache of every byte-bounded cache of the module."""
+    return {name: obj for name, obj in vars(mlmod).items() if isinstance(obj, mlmod._ByteLRU)}
 
 
 class TestCoefficientTable:
@@ -448,71 +452,32 @@ class TestCoefficientTable:
     def test_fallback_bits_frozen(self, alpha, beta, z, bits):
         assert mlmod._mpmath_single(alpha, beta, z).hex() == bits
 
-    def test_fallback_bits_independent_of_table_state(self, empty_coeff_cache):
-        # a table already grown to higher precision gives the same bits
-        alpha, beta, z, bits = self.FALLBACK[0]
-        mlmod._rgamma_coeffs(alpha, beta, 8, 300)
-        assert mlmod._mpmath_single(alpha, beta, z).hex() == bits
-
-    def test_one_table_shared_and_reused(self, monkeypatch, empty_coeff_cache, gamma_calls):
-        alpha, beta, z, bits = self.FALLBACK[0]
-        in_fallback = []
-
-        def fallback(a, b, zz, orig=mlmod._mpmath_single):
-            before = len(gamma_calls)
-            val = orig(a, b, zz)
-            in_fallback.append(len(gamma_calls) - before)
-            return val
-
-        monkeypatch.setattr(mlmod, "_mpmath_single", fallback)
-        # the contour tier accepts this input; without it the input reaches
-        # the power-series fallback
-        without_contour(monkeypatch)
-        p = MLParams(alpha, beta)
-        assert ml(p, z).hex() == bits
-        # the fallback built the table, each coefficient once
-        assert len(in_fallback) == 1
-        assert list(empty_coeff_cache) == [(alpha, beta)]
-        held, coeffs = empty_coeff_cache[(alpha, beta)]
-        assert len(gamma_calls) == len(coeffs)
-        gamma_calls.clear()
-        assert ml(p, z).hex() == bits
-        # the series tier's double table (at z = -5) takes no gamma call of
-        # this context either
-        assert ml(p, np.array([z, -5.0, -300.0])).size == 3
-        assert gamma_calls == []
-
-    @pytest.mark.parametrize("alpha,beta,dps", [(1.37, 0.61, 50), (0.45, 2.3, 64), (1.93, 1.0, 200)])
-    def test_entries_match_independent_gamma(self, empty_coeff_cache, alpha, beta, dps):
-        coeffs = mlmod._rgamma_coeffs(alpha, beta, 90, dps)
-        assert len(coeffs) >= 90
-        with mp.workdps(dps):
-            a, b = mp.mpf(alpha), mp.mpf(beta)
-            for k, c in enumerate(coeffs):
-                ref = 1 / mp.gamma(a * k + b)
-                assert abs(c - ref) <= mp.mpf(10) ** (1 - dps) * abs(ref)
-
-    def test_growth_replaces_never_mutates(self, empty_coeff_cache, gamma_calls):
-        short = mlmod._rgamma_coeffs(1.41, 1.0, 10, 40)
-        assert len(gamma_calls) == 10 and len(short) == 10
-        assert empty_coeff_cache[(1.41, 1.0)][0] == 64  # rounded up to the step
-        longer = mlmod._rgamma_coeffs(1.41, 1.0, 30, 64)
-        assert len(gamma_calls) == 30  # only the new terms
-        assert len(short) == 10 and longer[:10] == short
-        assert mlmod._rgamma_coeffs(1.41, 1.0, 5, 60) is longer
-        # more digits: rebuilt, only as long as asked for
-        sharper = mlmod._rgamma_coeffs(1.41, 1.0, 5, 65)
-        assert len(sharper) == 5 and empty_coeff_cache[(1.41, 1.0)][0] == 96
-        assert len(longer) == 30
+    def test_fallback_keeps_nothing_in_the_caches(self, monkeypatch):
+        # the power series takes its coefficients as it reaches them: no
+        # cache of the module gains a byte
+        caches = byte_caches()
+        assert set(caches) == {"_TABLE_CACHE", "_ASYM_CACHE"}
+        for name, cache in caches.items():
+            monkeypatch.setattr(mlmod, name, mlmod._ByteLRU(cache.nbytes, cache.budget))
+        for alpha, beta, z, bits in self.FALLBACK:
+            assert mlmod._mpmath_single(alpha, beta, z).hex() == bits
+        assert {name: cache.total for name, cache in byte_caches().items()} == dict.fromkeys(caches, 0)
 
     def test_batch_sets_precision_once(self, empty_coeff_cache, gamma_calls):
-        # no tiers: every value goes to the fallback, needing 32 to 123 digits
+        # no tiers: every value goes to arbitrary precision, the power series
+        # up to m = _M_MP_SERIES and the contour sum above it (z = -3000,
+        # m = 208).  Each series sets its own precision once and takes all
+        # its coefficients at it
+        alpha, beta = 1.5, 1.0
         z = -np.array([10.0, 100.0, 1000.0, 3000.0])
-        vals = mlmod._cascade(1.5, 1.0, z, ())
-        held, coeffs = empty_coeff_cache[(1.5, 1.0)]
-        assert held == 128
-        assert len(gamma_calls) == len(coeffs)  # no coefficient built twice
-        assert vals.tolist() == [mlmod._mpmath_single(1.5, 1.0, v) for v in z]
+        series = (np.abs(z) ** (1.0 / alpha) <= mlmod._M_MP_SERIES).tolist()
+        assert series[:2] == [True, True] and not series[-1]
+        vals = mlmod._cascade(alpha, beta, z, ())
+        runs = [prec for i, prec in enumerate(gamma_calls) if i == 0 or gamma_calls[i - 1] != prec]
+        assert runs[:2] == [mp.libmp.dps_to_prec(mlmod._fallback_dps(alpha, v)) for v in z[:2]]
+        assert vals.tolist() == [(mlmod._mpmath_single if s else mlmod._contour_mp)(alpha, beta, v)
+                                 for s, v in zip(series, z)]
+        assert not empty_coeff_cache
 
     def test_concurrent_calls_match_serial(self, empty_coeff_cache):
         # each thread works at its own precision; a shared global precision
@@ -550,12 +515,15 @@ class TestCoefficientTable:
         far = -1.0e6  # m of about 5e5 needs over 2e5 digits
         message = ("argument needs more than the supported working precision "
                    f"(alpha={alpha}, z={far}); see module docstring for the envelope")
+        cap = mp.libmp.dps_to_prec(mlmod._MP_MAX_DPS)
+        precs = []
 
-        def guarded(a, b, n, dps, orig=mlmod._rgamma_coeffs):
-            assert dps <= mlmod._MP_MAX_DPS, "table requested past the precision cap"
-            return orig(a, b, n, dps)
+        def guarded(ctx, x, orig=mlmod._rgamma_raw):
+            assert ctx.prec <= cap, "gamma taken past the precision cap"
+            precs.append(ctx.prec)
+            return orig(ctx, x)
 
-        monkeypatch.setattr(mlmod, "_rgamma_coeffs", guarded)
+        monkeypatch.setattr(mlmod, "_rgamma_raw", guarded)
         # with the series tier alone and no arbitrary-precision contour both
         # elements reach the power-series fallback
         monkeypatch.setattr(mlmod, "_NEG_TIERS", mlmod._NEG_TIERS[:1])
@@ -563,15 +531,9 @@ class TestCoefficientTable:
         with pytest.raises(ValueError) as info:
             ml(MLParams(alpha, beta), np.array([z, far]))
         assert str(info.value) == message
-        # only the in-cap element's precision was ever built
-        assert empty_coeff_cache[(alpha, beta)][0] == 64
-
-
-def without_contour(monkeypatch):
-    """Take the contour sum out of the negative-axis tiers, so that the
-    values it alone would accept reach the power-series fallback."""
-    tiers = tuple(t for t in mlmod._NEG_TIERS if t[1] is not mlmod._contour_neg)
-    monkeypatch.setattr(mlmod, "_NEG_TIERS", tiers)
+        # the in-cap element took its gammas at its own precision, the most
+        # any gamma was taken at
+        assert max(precs) == mp.libmp.dps_to_prec(mlmod._fallback_dps(alpha, z))
 
 
 @pytest.fixture
@@ -622,38 +584,42 @@ class TestCacheBudget:
     CASES.append((1.5, 1.0, -np.array([0.5, 30.0, 700.0, 2.0e4])))
 
     def test_tiny_budget_bounds_caches_and_keeps_bits(self, monkeypatch, empty_coeff_cache):
-        # without the contour sum, seven of the ten orders reach arbitrary
-        # precision through ml
-        without_contour(monkeypatch)
         unbounded = [ml(MLParams(a, b), z).tolist() for a, b, z in self.CASES]
-        # coefficient tables take 18 to 253 kB here, series tables 0.8 to 1.9 kB
-        coeffs = mlmod._ByteLRU(mlmod._coeff_bytes, 300_000)
+        # series tables take 0.8 to 1.9 kB here, expansion coefficients 576 bytes
         tables = mlmod._ByteLRU(mlmod._table_bytes, 3_000)
-        monkeypatch.setattr(mlmod, "_COEFF_CACHE", coeffs)
+        coeffs = mlmod._ByteLRU(mlmod._ASYM_CACHE.nbytes, 2_000)
         monkeypatch.setattr(mlmod, "_TABLE_CACHE", tables)
+        monkeypatch.setattr(mlmod, "_ASYM_CACHE", coeffs)
         for (a, b, z), want in zip(self.CASES, unbounded):
             assert ml(MLParams(a, b), z).tolist() == want
-            assert coeffs.total <= coeffs.budget and tables.total <= tables.budget
-            assert coeffs.total == sum(size for _, size in coeffs._items.values())
+            for c in (tables, coeffs):
+                assert c.total <= c.budget
+                assert c.total == sum(size for _, size in c._items.values())
         assert all(0 < len(c._items) < len(self.CASES) for c in (coeffs, tables))
 
     def test_concurrent_eviction_keeps_values_and_count(self, monkeypatch):
-        # threads growing, replacing and evicting the entries of one cache
-        # that holds two of these four tables (46 to 65 kB) at a time
-        coeffs = mlmod._ByteLRU(mlmod._coeff_bytes, 120_000)
-        monkeypatch.setattr(mlmod, "_COEFF_CACHE", coeffs)
+        # threads building, replacing (the positive argument needs the longer
+        # series table) and evicting the entries of two caches too small for
+        # these four orders (series tables of 0.8 to 2.7 kB, expansion
+        # coefficients of 576 bytes)
+        tables = mlmod._ByteLRU(mlmod._table_bytes, 6_000)
+        coeffs = mlmod._ByteLRU(mlmod._ASYM_CACHE.nbytes, 1_200)
         rows = [TestCoefficientTable.FALLBACK[i] for i in (0, 2, 3, 4)]
-        cases = [row[:3] for row in rows]
-        want = [row[3] for row in rows]
+        cases = [(MLParams(a, b), np.array([-0.5, z / 2, z, 5.0])) for a, b, z, _ in rows]
+        want = [ml(p, z).tobytes() for p, z in cases]
+        monkeypatch.setattr(mlmod, "_TABLE_CACHE", tables)
+        monkeypatch.setattr(mlmod, "_ASYM_CACHE", coeffs)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(lambda c: mlmod._mpmath_single(*c).hex(), cases * 4, timeout=120))
+                got = list(pool.map(lambda c: ml(*c).tobytes(), cases * 4, timeout=120))
         finally:
             sys.setswitchinterval(interval)
         assert got == want * 4
-        assert coeffs.total == sum(size for _, size in coeffs._items.values()) <= coeffs.budget
+        for c in (tables, coeffs):
+            assert c.total == sum(size for _, size in c._items.values()) <= c.budget
+            assert 0 < len(c._items) < len(rows)
 
 
 class TestAsymCoefficients:
