@@ -262,6 +262,31 @@ def _seminorm_factors(grid: TimeGrid, beta: float) -> tuple[np.ndarray, np.ndarr
     return pair_w, kern
 
 
+def _pair_sqnorms(vals: np.ndarray, wts) -> np.ndarray:
+    """``sqnorm(vals[:, None, :] - vals[None, :, :])`` of ``gagliardo_seminorm``,
+    bit for bit, in a working set of one or two (n, n) arrays where it can.
+
+    Unweighted with d < 8, NumPy's reduce over the short last axis adds the
+    squared components left to right, so they are summed one component at a
+    time.  From d = 8 that reduce is pairwise, and the weighted form goes
+    through BLAS, which rounds otherwise than an elementwise sum: both keep
+    the C-contiguous (n, n, d) tensor, squared in place.
+    """
+    n, d = vals.shape
+    if wts is None and d < 8:
+        sq = np.subtract.outer(vals[:, 0], vals[:, 0])
+        sq *= sq
+        buf = np.empty_like(sq) if d > 1 else None
+        for k in range(1, d):
+            np.subtract.outer(vals[:, k], vals[:, k], out=buf)
+            buf *= buf
+            sq += buf
+        return sq
+    diff = np.subtract(vals[:, None, :], vals[None, :, :])
+    diff *= diff
+    return np.sum(diff, axis=-1) if wts is None else diff @ wts
+
+
 def gagliardo_seminorm(v: SampledPath, beta: float, weights=None) -> float:
     """Slobodeckij seminorm of order beta in (0,1) of a sampled path.
 
@@ -282,8 +307,10 @@ def gagliardo_seminorm(v: SampledPath, beta: float, weights=None) -> float:
         return np.sum(diff**2, axis=-1) if wts is None else diff**2 @ wts
 
     pair_w, kern = _seminorm_factors(grid, beta)
-    sq = sqnorm(vals[:, None, :] - vals[None, :, :])
-    total = float(np.sum(pair_w * sq * kern))
+    sq = _pair_sqnorms(vals, wts)
+    sq *= pair_w
+    sq *= kern
+    total = float(np.sum(sq))
 
     c0 = 2.0 / ((2.0 - 2.0 * beta) * (3.0 - 2.0 * beta))
     c1 = (2.0 ** (3.0 - 2.0 * beta) - 2.0) / ((2.0 - 2.0 * beta) * (3.0 - 2.0 * beta))

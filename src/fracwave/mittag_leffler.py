@@ -31,6 +31,10 @@ Positive axis:
    optimally truncated algebraic series.  Past ``m`` of about 709 the value
    leaves the double range and ``ml`` raises ``ValueError``.
 
+Both expansions are elementwise and run over blocks of
+``_EXPANSION_BLOCK`` values, so their temporaries stay in cache; the
+block size does not move a bit.
+
 The series' term ratios ``c_{k+1}/c_k`` of ``c_k = 1/Gamma(alpha k +
 beta)`` and the expansions' coefficients ``1/Gamma(beta - alpha k)`` are
 doubles rounded from 20-digit reciprocal gammas, built once per (alpha,
@@ -393,6 +397,29 @@ def _saddle_pair(alpha, beta, m):
         return amp * np.cos(m * math.sin(phi) + (1.0 - beta) * phi), amp
 
 
+# the expansion tiers run over blocks of this many values, so the dozen
+# (values,) temporaries of their 40-term loop stay in cache
+_EXPANSION_BLOCK = 8192
+
+
+def _in_blocks(tier):
+    """Run an elementwise tier ``_EXPANSION_BLOCK`` values at a time.  No
+    value or accept flag depends on another value, so the bits do not
+    depend on the block size."""
+    @functools.wraps(tier)
+    def blocked(alpha, beta, z, tol):
+        if z.size <= _EXPANSION_BLOCK:  # one block: no copy into a result array
+            return tier(alpha, beta, z, tol)
+        val = np.empty_like(z)
+        ok = np.empty(z.shape, dtype=bool)
+        for lo in range(0, z.size, _EXPANSION_BLOCK):
+            blk = slice(lo, lo + _EXPANSION_BLOCK)
+            val[blk], ok[blk] = tier(alpha, beta, z[blk], tol[blk])
+        return val, ok
+    return blocked
+
+
+@_in_blocks
 def _asym_neg(alpha, beta, z, tol):
     """Algebraic expansion plus saddle pair for z < 0; returns (value, accept)."""
     s, s_abs, est = _algebraic(alpha, beta, z)
@@ -417,6 +444,7 @@ def _asym_neg(alpha, beta, z, tol):
     return val, ok
 
 
+@_in_blocks
 def _asym_pos(alpha, beta, z, tol):
     """Exponential lead minus the algebraic expansion for z > 0; returns
     (value, accept)."""

@@ -11,7 +11,8 @@ with ``a`` the fractional order and ``l_n`` the eigenvalue; ``ModePropagator``
 holds these kernels for a set of modes on one time set.  Fields are
 pairwise-summed over modes in ascending order, so results are bitwise
 reproducible; ``spectral.mode_sum`` sums in bounded-memory blocks with the
-same bits, so no solve holds the whole mode x time x point product.
+same bits whatever the block size or layout, so no solve holds the whole
+mode x time x point product.
 ``solve_field`` serves arbitrary points that way; ``solve_grid`` serves the
 equispaced grids of ``spectral.uniform_grid`` by type-I sine transform
 (``spectral.grid_sum``), which agrees with the pairwise sum to roundoff and

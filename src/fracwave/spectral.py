@@ -6,7 +6,8 @@ composite Gauss-Legendre quadrature sized to resolve products of the highest
 retained modes, plus boundary quadrature; the outward-normal derivatives of
 every mode at the boundary nodes are built on first use.  Mode sums against
 a basis go through ``mode_sum``, which forms the mode x row x point product
-in bounded-memory blocks without changing a bit of the pairwise reduction.
+in bounded-memory blocks, the longer of the row and point axes innermost,
+without changing a bit of the pairwise reduction.
 On the equispaced grids of ``uniform_grid`` the same sums are type-I
 discrete sine transforms: ``grid_sum`` folds every mode onto the grid's
 interior nodes by aliasing and applies a DST-I along each axis, run on
@@ -62,7 +63,10 @@ def pairwise_sum(arr: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 # bytes one ``mode_sum`` block may occupy: the product block plus the
-# pairwise halvings of it (together at most twice the block)
+# pairwise halvings of it (together at most twice the block).  The longer of
+# the row and point axes is the block's innermost axis, so NumPy runs long
+# inner loops (boundary traces have only P = 2 points against thousands of
+# time rows)
 _MODE_SUM_BYTES = 32 * 2**20
 
 
@@ -72,18 +76,23 @@ def mode_sum(coeff, basis) -> np.ndarray:
     Bit for bit ``pairwise_sum(coeff[:, :, None] * basis[:, None, :])``: the
     pairwise tree depends only on N, so forming the product one block of rows
     (and, when one row is over budget, of points) at a time changes nothing.
+    When P < R the blocks are ``basis[:, p, None] * coeff[:, None, r]``,
+    written back transposed: the product is commutative, so neither the
+    block size nor the layout moves a bit.
     """
     c = np.asarray(coeff, dtype=float)
     e = np.asarray(basis, dtype=float)
     (N, R), P = c.shape, e.shape[1]
-    elems = _MODE_SUM_BYTES // 16  # 8-byte floats, twice over for the halvings
-    cols = max(1, min(P, elems // N))
-    rows = max(1, elems // (N * cols))
     out = np.empty((R, P))
-    for r in range(0, R, rows):
-        for p in range(0, P, cols):
-            out[r : r + rows, p : p + cols] = pairwise_sum(
-                c[:, r : r + rows, None] * e[:, None, p : p + cols], axis=0)
+    # (outer, inner) operands, and the output seen in their (outer, inner) order
+    a, b, view = (c, e, out) if P >= R else (e, c, out.T)
+    elems = _MODE_SUM_BYTES // 16  # 8-byte floats, twice over for the halvings
+    cols = max(1, min(b.shape[1], elems // N))
+    rows = max(1, elems // (N * cols))
+    for i in range(0, a.shape[1], rows):
+        for j in range(0, b.shape[1], cols):
+            view[i : i + rows, j : j + cols] = pairwise_sum(
+                a[:, i : i + rows, None] * b[:, None, j : j + cols], axis=0)
     return out
 
 

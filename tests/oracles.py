@@ -2,7 +2,8 @@
 
 Nothing here imports evaluation code from the package: the series oracle is
 a direct extended-precision summation, integrals go through mpmath
-quadrature, and the peak search is a plain golden-section loop.
+quadrature, the peak search is a plain golden-section loop, and the
+seminorm reference forms the whole difference tensor.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 
 
 def ml_series_ref(alpha: float, beta: float, z: float) -> float:
@@ -107,3 +109,50 @@ def gagliardo_linear_ref(beta: float, t_end: float) -> float:
     2 T^(3-2b) / ((2-2b)(3-2b)).
     """
     return math.sqrt(2.0 * t_end ** (3.0 - 2.0 * beta) / ((2.0 - 2.0 * beta) * (3.0 - 2.0 * beta)))
+
+
+def _sqnorm_ref(diff, wts):
+    return np.sum(diff**2, axis=-1) if wts is None else diff**2 @ wts
+
+
+def pair_sqnorms_ref(vals, weights=None):
+    """``|v_i - v_j|**2`` (weighted) of every node pair of (n, d) samples,
+    from the full (n, n, d) difference tensor."""
+    wts = None if weights is None else np.asarray(weights, dtype=float)
+    return _sqnorm_ref(vals[:, None, :] - vals[None, :, :], wts)
+
+
+def gagliardo_tensor_ref(values, t_end: float, beta: float, weights=None) -> float:
+    """Slobodeckij seminorm of node samples on a uniform grid of (0, t_end)
+    from the full (M+1) x (M+1) x d difference tensor: the exterior cells by
+    the tensor trapezoid, the cells touching the diagonal by the exact
+    moments of local linear slopes.
+
+    The same floating-point operations in the same order as the package's
+    evaluation, so the two agree bit for bit.
+    """
+    vals = np.asarray(values, dtype=float)
+    vals = vals[:, None] if vals.ndim == 1 else vals
+    M = vals.shape[0] - 1
+    h = t_end / M
+    wts = None if weights is None else np.asarray(weights, dtype=float)
+    t = np.linspace(0.0, t_end, M + 1)
+    dt = np.abs(t[:, None] - t[None, :])
+    with np.errstate(divide="ignore"):
+        kern = np.where(dt > 0, dt ** (-1.0 - 2.0 * beta), 0.0)
+    cells = np.arange(M)
+    far = np.zeros((M + 2, M + 2))
+    far[1:-1, 1:-1] = np.abs(cells[:, None] - cells[None, :]) >= 2
+    counts = far[:-1, :-1] + far[1:, :-1] + far[:-1, 1:] + far[1:, 1:]
+    pair_w = counts * (h * h / 4.0)
+    sq = pair_sqnorms_ref(vals, wts)
+    total = float(np.sum(pair_w * sq * kern))
+
+    c0 = 2.0 / ((2.0 - 2.0 * beta) * (3.0 - 2.0 * beta))
+    c1 = (2.0 ** (3.0 - 2.0 * beta) - 2.0) / ((2.0 - 2.0 * beta) * (3.0 - 2.0 * beta))
+    slopes = (vals[1:] - vals[:-1]) / h
+    total += c0 * h ** (3.0 - 2.0 * beta) * float(np.sum(_sqnorm_ref(slopes, wts)))
+    if M >= 2:
+        mid = (vals[2:] - vals[:-2]) / (2.0 * h)
+        total += 2.0 * c1 * h ** (3.0 - 2.0 * beta) * float(np.sum(_sqnorm_ref(mid, wts)))
+    return math.sqrt(total)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fracwave.fracops import (
     KernelPhi,
     _exterior_node_counts,
     _fast_len,
+    _pair_sqnorms,
     SampledPath,
     TimeGrid,
     caputo_derivative,
@@ -25,7 +27,7 @@ from fracwave.fracops import (
     young_bound_check,
 )
 from fracwave.mittag_leffler import gamma
-from oracles import gagliardo_linear_ref
+from oracles import gagliardo_linear_ref, gagliardo_tensor_ref, pair_sqnorms_ref
 
 # reference value of the half-order integral of sin(2 pi t) at t = 0.75
 # (oracles.frac_integral_ref, adaptive quadrature; cross-checked by series)
@@ -300,6 +302,37 @@ class TestGagliardo:
         stacked = SampledPath(GRID, np.stack([v.values, np.zeros_like(v.values)], axis=1))
         w = gagliardo_seminorm(stacked, 0.3, weights=np.array([4.0, 1.0]))
         assert abs(w - 2.0 * gagliardo_seminorm(v, 0.3)) < 1e-10
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("M", [2, 3, 64, 193])  # TimeGrid needs M >= 2
+    def test_bits_of_the_difference_tensor(self, M, d, weighted):
+        rng = np.random.default_rng(100 * M + d)
+        # components of very different sizes, so the order of their sum shows
+        vals = rng.standard_normal((M + 1, d)) * np.logspace(0, 4, d)
+        weights = rng.uniform(0.1, 2.0, d) if weighted else None
+        v = SampledPath(TimeGrid(1.3, M), vals[:, 0] if d == 1 else vals)
+        # the total can round alike where single pairs do not
+        assert np.array_equal(_pair_sqnorms(vals, weights), pair_sqnorms_ref(vals, weights))
+        assert gagliardo_seminorm(v, 0.3, weights) == gagliardo_tensor_ref(
+            v.values, 1.3, 0.3, weights)
+
+    # (weights, components, peak allowed in (M+1)**2 doubles)
+    @pytest.mark.parametrize("weighted,d,limit", [(False, 1, 1.5), (True, 2, 3.5)])
+    def test_peak_memory(self, weighted, d, limit):
+        M = 1024
+        grid = TimeGrid(1.0, M)
+        vals = np.random.default_rng(d).standard_normal((M + 1, d))
+        v = SampledPath(grid, vals[:, 0] if d == 1 else vals)
+        weights = np.ones(d) if weighted else None
+        gagliardo_seminorm(v, 0.3, weights)  # builds the cached kernel and weights
+        tracemalloc.start()
+        try:
+            gagliardo_seminorm(v, 0.3, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * 8 * (M + 1) ** 2
 
     @pytest.mark.parametrize("M", range(2, 10))
     def test_exterior_node_counts_enumerated(self, M):

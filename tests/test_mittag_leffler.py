@@ -290,6 +290,22 @@ class TestCascade:
             assert np.all(s_ok) and np.all(a_ok)
             assert np.max(np.abs(s_val - a_val) / s_val) < 1e-12
 
+    @pytest.mark.parametrize("tier,sign,m_max", [(_asym_neg, -1.0, 5000.0),
+                                                 (_asym_pos, 1.0, 700.0)])
+    def test_expansion_blocks_keep_the_bits(self, tier, sign, m_max):
+        # 20,000 values run in blocks whose edges fall mid-array; each
+        # 1,000-value slice fits in one block
+        alpha, beta = 1.37, 1.11
+        z = sign * np.random.default_rng(5).uniform(2.0, m_max, 20_000) ** alpha
+        tol = np.where(np.abs(z) <= 64.0, 3e-11, 1e-9)
+        assert 1_000 < mlmod._EXPANSION_BLOCK < z.size / 2
+        val, ok = tier(alpha, beta, z, tol)
+        parts = [tier(alpha, beta, z[i : i + 1_000], tol[i : i + 1_000])
+                 for i in range(0, z.size, 1_000)]
+        assert np.array_equal(val, np.concatenate([v for v, _ in parts]))
+        assert np.array_equal(ok, np.concatenate([k for _, k in parts]))
+        assert ok.any() and not ok.all()
+
     def test_series_table_built_once(self, empty_coeff_cache):
         # negative arguments build the table out to m = 12 only; the first
         # positive one replaces it, once, with the table out to m = 60

@@ -258,6 +258,20 @@ class TestModeSum:
         assert len(seen) == calls
         assert np.array_equal(got, full)
 
+    # fewer points than rows: the rows are the blocks' inner axis
+    @pytest.mark.parametrize("budget", [None, 16 * N * 4, 8])
+    @pytest.mark.parametrize("P,R", [(1, 2), (1, 193), (2, 3), (2, 193)])
+    def test_rows_inner_are_bit_identical(self, monkeypatch, budget, P, R):
+        rng = np.random.default_rng(R + P)
+        coeff = rng.standard_normal((self.N, R)) * np.logspace(0, -9, self.N)[:, None]
+        basis = rng.standard_normal((self.N, P))
+        full = pairwise_sum(coeff[:, :, None] * basis[:, None, :], axis=0)
+        if budget is not None:
+            monkeypatch.setattr(spectral, "_MODE_SUM_BYTES", budget)
+        got = mode_sum(coeff, basis)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, full)
+
     def test_synthesize_is_a_one_row_mode_sum(self):
         d = build_interval(1.0, 9)
         c = np.random.default_rng(4).standard_normal(9)
