@@ -25,8 +25,8 @@ from .fracops import (
 from .params import as_alpha, identity_overlap_range
 from .regularity import NormReport
 from .solver import ModePropagator, mode_second_derivative_samples
-from .spectral import (ModeCoefficients, SpectralDomain, _gauss_panels, _write_csv, mode_sum,
-                       pairwise_sum, tail_stabilizes)
+from .spectral import (ModeCoefficients, SpectralDomain, _gauss_panels, _write_csv, eval_modes,
+                       mode_sum, pairwise_sum, tail_stabilizes)
 
 __all__ = [
     "MultiplierField",
@@ -217,11 +217,9 @@ def _product_matrix(domain: SpectralDomain, hfield: MultiplierField) -> np.ndarr
     """G[n, m] = int e_n h e_m' dx by enriched composite Gauss quadrature."""
     (L,) = domain.lengths
     pts, wts = _gauss_panels(0.0, L, domain.mode_count + 4)
-    n = domain.mode_index
-    amp = math.sqrt(2.0 / L)
-    E = amp * np.sin(np.outer(n * math.pi / L, pts))
-    dE = amp * (n * math.pi / L)[:, None] * np.cos(np.outer(n * math.pi / L, pts))
-    return (E * (wts * hfield.h(pts))) @ dE.T
+    k = domain.wavenumbers
+    dE = math.sqrt(2.0 / L) * k * np.cos(np.outer(k, pts))
+    return (eval_modes(domain, pts) * (wts * hfield.h(pts))) @ dE.T
 
 
 @dataclass

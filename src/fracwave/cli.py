@@ -35,7 +35,7 @@ from .regularity import (
     velocity_blowup_rate,
 )
 from .solver import _WHICH, SolutionQuery, solve_grid, write_manifest, write_snapshots_csv
-from .spectral import _write_json, build_interval, build_rectangle, uniform_grid
+from .spectral import _BUILDERS, _write_json, build_interval, uniform_grid
 from .verify import _random_trig_paths, report_lines, run_all
 
 
@@ -48,13 +48,11 @@ def _parse_flag(key: str, text: str, parse):
         raise ValueError(f"{_flag(key)}: expected {_HELP[key]}, got {text!r}") from None
 
 
-# domain kind -> (builder, number of lengths, each 1.0 when none are given)
-_SHAPES = {"interval": (build_interval, 1), "rectangle": (build_rectangle, 2)}
-
-
 def _domain_shape(descriptor: str):
+    """Builder and lengths of ``kind[:L1,...]``; each length is 1.0 when none
+    are given."""
     kind, _, dims = descriptor.partition(":")
-    build, count = _SHAPES.get(kind, (None, 0))
+    build, count = _BUILDERS.get(kind, (None, 0))
     lengths = [float(v) for v in dims.split(",")] if dims else [1.0] * count
     if build is None or len(lengths) != count:
         raise ValueError(descriptor)

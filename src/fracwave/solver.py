@@ -22,6 +22,7 @@ estimate of the norm it is missing by truncating the mode sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,14 +228,9 @@ def solve_grid(query: SolutionQuery, P: int) -> np.ndarray:
     return grid_sum(coefficient_evolution(query), query.domain, P)
 
 
-_DECAY_CACHE: dict[tuple[float, float], float] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _decay_constant(alpha: float, beta: float) -> float:
-    key = (alpha, beta)
-    if key not in _DECAY_CACHE:
-        _DECAY_CACHE[key] = verify_decay_bound(MLParams(alpha, beta), DECAY_SAMPLES).c_empirical
-    return _DECAY_CACHE[key]
+    return verify_decay_bound(MLParams(alpha, beta), DECAY_SAMPLES).c_empirical
 
 
 def truncation_tail(query: SolutionQuery, theta: float, t: float) -> float:

@@ -1,10 +1,11 @@
 """Dirichlet Laplacian eigenstructure on an interval and a rectangle.
 
-Eigenpairs are analytic (sine basis / tensor sines), so every downstream
-estimate check is free of eigensolver error.  The domain object carries a
-composite Gauss-Legendre quadrature sized to resolve products of the highest
-retained modes, plus boundary quadrature; the outward-normal derivatives of
-every mode at the boundary nodes are built on first use.  Mode sums against
+The interval is the one-axis case of one tensor-sine box, so eigenpairs are
+analytic (no eigensolver error) and each formula (eigenvalues, modes,
+boundary faces, normal derivatives) is written once for any number of axes;
+only the builders differ, in mode selection.  A domain stores its lengths and
+mode indices; its composite Gauss-Legendre quadrature and boundary data are
+built on first use, so a grid solve builds none.  Mode sums against
 a basis go through ``mode_sum``, which forms the mode x row x point product
 in bounded-memory blocks, the longer of the row and point axes innermost,
 without changing a bit of the pairwise reduction.
@@ -20,6 +21,7 @@ these bits against ``scipy.fft``.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -115,83 +117,125 @@ def _gauss_panels(a: float, b: float, panels: int, order: int = 10):
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    pts = (mid[:, None] + half * x[None, :]).ravel()
-    wts = np.tile(half * w, panels)
-    return pts, wts
+    return (mid[:, None] + half * x[None, :]).ravel(), np.tile(half * w, panels)
+
+
+def _tensor_nodes(axes) -> np.ndarray:
+    """(Q, k) tensor grid of k one-axis node arrays, first axis slowest; one node for k = 0."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1) if grids else np.empty((1, 0))
+
+
+def _tensor_weights(axes) -> np.ndarray:
+    """Products of one-axis weights in the node order of ``_tensor_nodes``."""
+    return functools.reduce(np.multiply.outer, axes, np.ones(())).ravel()
+
+
+def _as_points(nodes: np.ndarray) -> np.ndarray:
+    """(Q, d) nodes as the package passes points: plain positions for d = 1."""
+    return nodes.reshape(-1) if nodes.shape[1] == 1 else nodes
+
+
+def _sine_tensor(scale, wavenumbers: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``scale * prod_a sin(k_a x_a)``, (N, P), of (N, d) wavenumbers at (P, d) nodes."""
+    for k, x in zip(wavenumbers.T, nodes.T):
+        scale = scale * np.sin(np.outer(k, x))
+    return scale
 
 
 @dataclass(frozen=True)
 class SpectralDomain:
-    """Analytic Dirichlet eigenstructure plus quadrature data."""
+    """The box (0, L_1) x ... x (0, L_d), d = 1 or 2: mode n with index row
+    ``j`` is ``prod_a sqrt(2 / L_a) sin(j_a pi x_a / L_a)``, with eigenvalue
+    ``sum_a (j_a pi / L_a)^2``.  Quadrature and boundary data are built on
+    first use."""
 
-    kind: str
     lengths: tuple[float, ...]
-    mode_count: int
-    eigenvalues: np.ndarray
     mode_index: np.ndarray  # (N,) for interval, (N, 2) for rectangle
-    quad_points: np.ndarray  # (Q,) or (Q, 2)
-    quad_weights: np.ndarray  # (Q,)
-    boundary_points: np.ndarray  # (B,) interval positions or (B, 2)
-    boundary_weights: np.ndarray  # (B,)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lengths", tuple(map(float, self.lengths)))
+        if not all(0.0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"domain lengths must be finite and positive, got {self.lengths}")
+        with np.errstate(over="ignore"):  # no axis term may underflow, no sum overflow
+            if not (np.all(self.wavenumbers**2 > 0.0) and np.all(np.isfinite(self.eigenvalues))):
+                raise ValueError(f"domain lengths {self.lengths} put eigenvalues out of "
+                                 "floating-point range")
+
+    @property
+    def kind(self) -> str:
+        return next(kind for kind, (_, axes) in _BUILDERS.items() if axes == len(self.lengths))
 
     @property
     def is_interval(self) -> bool:
-        return self.kind == "interval"
+        return len(self.lengths) == 1
+
+    @property
+    def mode_count(self) -> int:
+        return len(self.mode_index)
+
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """``j_a pi / L_a`` per mode and axis, shape (N, d)."""
+        return self.mode_index.reshape(self.mode_count, -1) * math.pi / np.array(self.lengths)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return functools.reduce(np.add, (self.wavenumbers**2).T)
+
+    @property
+    def _amplitude(self) -> float:
+        return math.prod(math.sqrt(2.0 / L) for L in self.lengths)
+
+    @cached_property
+    def _panels(self):
+        """Composite Gauss rules along each axis, sized to resolve products of
+        the highest mode index retained in that direction."""
+        top = self.mode_index.reshape(self.mode_count, -1).max(axis=0)
+        return [_gauss_panels(0.0, L, max(4, int(t) // 2 + 3)) for L, t in zip(self.lengths, top)]
+
+    @cached_property
+    def quad_points(self) -> np.ndarray:
+        return _as_points(_tensor_nodes([x for x, _ in self._panels]))
+
+    @cached_property
+    def quad_weights(self) -> np.ndarray:
+        return _tensor_weights([w for _, w in self._panels])
+
+    def _faces(self):
+        """``(axis, end, outward sign, nodes, weights)`` per boundary face: for
+        each axis its ends at 0 and L, each the tensor of the other axes'
+        Gauss rules (one node of weight 1 on the interval)."""
+        for a, L in enumerate(self.lengths):
+            rules = self._panels[:a] + self._panels[a + 1 :]
+            nodes, wts = _tensor_nodes([x for x, _ in rules]), _tensor_weights([w for _, w in rules])
+            for end, sgn in ((0.0, -1.0), (L, 1.0)):
+                yield a, end, sgn, np.insert(nodes, a, end, axis=1), wts
+
+    @cached_property
+    def boundary_points(self) -> np.ndarray:
+        return _as_points(np.concatenate([f[3] for f in self._faces()]))
+
+    @cached_property
+    def boundary_weights(self) -> np.ndarray:
+        return np.concatenate([f[4] for f in self._faces()])
 
     @cached_property
     def boundary_normal_deriv(self) -> np.ndarray:
-        """Outward normal derivative of every mode at every boundary node,
-        shape (N, B); built on first use (only trace studies read it)."""
-        if self.is_interval:
-            (L,) = self.lengths
-            n = self.mode_index
-            dn = math.sqrt(2.0 / L) * (n * math.pi / L)
-            # outward normal derivative: -e'(0) at x=0, +e'(L) at x=L
-            return np.stack([-dn, dn * np.cos(n * math.pi)], axis=1)
-        L1, L2 = self.lengths
-        idx = self.mode_index
-        amp = 2.0 / math.sqrt(L1 * L2)
-        panels = _axis_panels(self.lengths, idx)
-        w = [idx[:, [a]] * math.pi / L for a, L in enumerate(self.lengths)]
-        out = np.empty((len(idx), self.boundary_points.shape[0]))
-        col = 0
-        # edges in boundary-node order: x = 0, x = L1, y = 0, y = L2
-        for a, L in enumerate(self.lengths):
-            nodes = panels[1 - a][0]
-            for x0, sgn in ((0.0, -1.0), (L, 1.0)):  # outward normal along -/+ axis a
-                cos = np.cos(idx[:, [a]] * math.pi * (x0 / L))
-                out[:, col : col + nodes.size] = sgn * amp * w[a] * cos * np.sin(w[1 - a] * nodes)
-                col += nodes.size
-        return out
-
-
-def _axis_panels(lengths, mode_index):
-    """Composite Gauss nodes and weights along each axis, sized to the
-    highest mode index retained in that direction."""
-    return [_gauss_panels(0.0, L, max(4, int(top) // 2 + 3))
-            for L, top in zip(lengths, mode_index.max(axis=0))]
+        """Outward normal derivative of every mode at every boundary node, (N, B)."""
+        idx, k = self.mode_index.reshape(self.mode_count, -1), self.wavenumbers
+        faces = []
+        for a, end, sgn, nodes, _ in self._faces():
+            slope = sgn * self._amplitude * k[:, [a]] * np.cos(idx[:, [a]] * math.pi * (end / self.lengths[a]))
+            faces.append(_sine_tensor(slope, np.delete(k, a, axis=1), np.delete(nodes, a, axis=1)))
+        return np.concatenate(faces, axis=1)
 
 
 def build_interval(L: float, N: int) -> SpectralDomain:
-    """Sine eigenbasis on (0, L): lambda_n = (n pi / L)^2."""
-    if L <= 0:
-        raise ValueError("L must be positive")
+    """Sine eigenbasis on (0, L): modes 1..N, lambda_n = (n pi / L)^2."""
     if N < 1:
         raise ValueError("need at least one mode")
-    n = np.arange(1, N + 1)
-    lam = (n * math.pi / L) ** 2
-    pts, wts = _axis_panels((L,), n[:, None])[0]
-    return SpectralDomain(
-        kind="interval",
-        lengths=(float(L),),
-        mode_count=N,
-        eigenvalues=lam.astype(float),
-        mode_index=n,
-        quad_points=pts,
-        quad_weights=wts,
-        boundary_points=np.array([0.0, L]),
-        boundary_weights=np.array([1.0, 1.0]),
-    )
+    return SpectralDomain((L,), np.arange(1, N + 1))
 
 
 def build_rectangle(L1: float, L2: float, N: int) -> SpectralDomain:
@@ -200,79 +244,38 @@ def build_rectangle(L1: float, L2: float, N: int) -> SpectralDomain:
     Ties are broken lexicographically by the index pair so runs are
     reproducible under degeneracy.
     """
-    if L1 <= 0 or L2 <= 0:
-        raise ValueError("edge lengths must be positive")
     if N < 1:
         raise ValueError("need at least one mode")
     K = max(2, int(math.isqrt(N)) + 2)
     while True:
         j = np.arange(1, K + 1)
-        lj = (j * math.pi / L1) ** 2
-        lk = (j * math.pi / L2) ** 2
-        lam = (lj[:, None] + lk[None, :]).ravel()
-        ia, ib = np.repeat(j, K), np.tile(j, K)
-        order = np.lexsort((ib, ia, lam))
+        block = SpectralDomain((L1, L2), np.stack([np.repeat(j, K), np.tile(j, K)], axis=1))
+        order = np.lexsort((block.mode_index[:, 1], block.mode_index[:, 0], block.eigenvalues))
         # the block is large enough once the N-th value cannot be beaten by
         # any eigenvalue involving an index beyond K
-        cutoff = min((math.pi * (K + 1) / L1) ** 2 + (math.pi / L2) ** 2,
-                     (math.pi / L1) ** 2 + (math.pi * (K + 1) / L2) ** 2)
-        if order.size >= N and lam[order[N - 1]] < cutoff:
-            break
+        cutoff = SpectralDomain((L1, L2), np.array([[K + 1, 1], [1, K + 1]])).eigenvalues.min()
+        if order.size >= N and block.eigenvalues[order[N - 1]] < cutoff:
+            return SpectralDomain((L1, L2), block.mode_index[order[:N]])
         K *= 2
-    chosen = order[:N]
-    idx = np.stack([ia[chosen], ib[chosen]], axis=1)
-
-    (px, wx), (py, wy) = _axis_panels((L1, L2), idx)
-    PX, PY = np.meshgrid(px, py, indexing="ij")
-    # boundary: four edges in the order x = 0, x = L1, y = 0, y = L2
-    b_pts = [np.stack([np.full_like(py, x0), py], axis=1) for x0 in (0.0, L1)]
-    b_pts += [np.stack([px, np.full_like(px, y0)], axis=1) for y0 in (0.0, L2)]
-    return SpectralDomain(
-        kind="rectangle",
-        lengths=(float(L1), float(L2)),
-        mode_count=N,
-        eigenvalues=lam[chosen],
-        mode_index=idx,
-        quad_points=np.stack([PX.ravel(), PY.ravel()], axis=1),
-        quad_weights=np.outer(wx, wy).ravel(),
-        boundary_points=np.concatenate(b_pts, axis=0),
-        boundary_weights=np.concatenate([wy, wy, wx, wx]),
-    )
 
 
 def eval_modes(domain: SpectralDomain, points) -> np.ndarray:
     """Matrix e_n(x_p) of shape (N, P)."""
-    pts = np.asarray(points, dtype=float)
-    if domain.is_interval:
-        (L,) = domain.lengths
-        x = np.atleast_1d(pts)
-        if np.any((x < -1e-12) | (x > L + 1e-12)):
-            raise ValueError("points must lie in the closed domain")
-        n = domain.mode_index
-        return math.sqrt(2.0 / L) * np.sin(np.outer(n * math.pi / L, x))
-    L1, L2 = domain.lengths
-    xy = np.atleast_2d(pts)
-    if np.any((xy[:, 0] < -1e-12) | (xy[:, 0] > L1 + 1e-12) | (xy[:, 1] < -1e-12) | (xy[:, 1] > L2 + 1e-12)):
+    x = np.asarray(points, dtype=float).reshape(-1, len(domain.lengths))
+    if np.any((x < -1e-12) | (x > np.array(domain.lengths) + 1e-12)):
         raise ValueError("points must lie in the closed domain")
-    amp = 2.0 / math.sqrt(L1 * L2)
-    j = domain.mode_index[:, 0][:, None]
-    k = domain.mode_index[:, 1][:, None]
-    x = xy[:, 0][None, :]
-    y = xy[:, 1][None, :]
-    return amp * np.sin(j * math.pi * x / L1) * np.sin(k * math.pi * y / L2)
+    return _sine_tensor(domain._amplitude, domain.wavenumbers, x)
 
 
 def project(domain: SpectralDomain, f) -> np.ndarray:
     """Coefficients <f, e_n> by the domain quadrature.
 
-    ``f`` may be a callable on points or an array of samples at
-    ``domain.quad_points``.
+    ``f`` may be a callable taking one coordinate array per axis, or an
+    array of samples at ``domain.quad_points``.
     """
     if callable(f):
-        if domain.is_interval:
-            samples = np.asarray(f(domain.quad_points), dtype=float)
-        else:
-            samples = np.asarray(f(domain.quad_points[:, 0], domain.quad_points[:, 1]), dtype=float)
+        nodes = domain.quad_points.reshape(domain.quad_weights.size, -1)
+        samples = np.asarray(f(*nodes.T), dtype=float)
     else:
         samples = np.asarray(f, dtype=float)
         if samples.shape != domain.quad_points.shape[:1]:
@@ -302,11 +305,7 @@ def uniform_grid(domain: SpectralDomain, P: int) -> np.ndarray:
     on the interval; on the rectangle the tensor grid flattened x-major,
     shape (P*P, 2)."""
     P = _grid_size(P)
-    axes = [np.linspace(0.0, L, P) for L in domain.lengths]
-    if domain.is_interval:
-        return axes[0]
-    PX, PY = np.meshgrid(*axes, indexing="ij")
-    return np.stack([PX.ravel(), PY.ravel()], axis=1)
+    return _as_points(_tensor_nodes([np.linspace(0.0, L, P) for L in domain.lengths]))
 
 
 def _dst1(x: np.ndarray, axes) -> np.ndarray:
@@ -410,13 +409,15 @@ def domain_to_config(domain: SpectralDomain) -> dict:
     return {"kind": domain.kind, "lengths": list(domain.lengths), "mode_count": domain.mode_count}
 
 
+# domain kind -> (builder taking that many lengths and the mode count, number of axes)
+_BUILDERS = {"interval": (build_interval, 1), "rectangle": (build_rectangle, 2)}
+
+
 def domain_from_config(cfg: dict) -> SpectralDomain:
-    kind = cfg["kind"]
-    if kind == "interval":
-        return build_interval(cfg["lengths"][0], cfg["mode_count"])
-    if kind == "rectangle":
-        return build_rectangle(cfg["lengths"][0], cfg["lengths"][1], cfg["mode_count"])
-    raise ValueError(f"unknown domain kind {kind!r}")
+    if cfg["kind"] not in _BUILDERS:
+        raise ValueError(f"unknown domain kind {cfg['kind']!r}")
+    build, axes = _BUILDERS[cfg["kind"]]
+    return build(*cfg["lengths"][:axes], cfg["mode_count"])
 
 
 def _write_csv(filename: str, header: list[str], rows) -> None:

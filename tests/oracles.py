@@ -2,8 +2,9 @@
 
 Nothing here imports evaluation code from the package: the series oracle is
 a direct extended-precision summation, integrals go through mpmath
-quadrature, the peak search is a plain golden-section loop, and the
-seminorm reference forms the whole difference tensor.
+quadrature, the peak search is a plain golden-section loop, the
+seminorm reference forms the whole difference tensor, and the interval and
+rectangle references write out each domain's sine basis by hand.
 """
 
 from __future__ import annotations
@@ -156,3 +157,83 @@ def gagliardo_tensor_ref(values, t_end: float, beta: float, weights=None) -> flo
         mid = (vals[2:] - vals[:-2]) / (2.0 * h)
         total += 2.0 * c1 * h ** (3.0 - 2.0 * beta) * float(np.sum(_sqnorm_ref(mid, wts)))
     return math.sqrt(total)
+
+
+def _gauss_panels_ref(a: float, b: float, panels: int, order: int = 10):
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    return (mid[:, None] + half * x[None, :]).ravel(), np.tile(half * w, panels)
+
+
+def _panel_count_ref(top) -> int:
+    return max(4, int(top) // 2 + 3)
+
+
+def interval_ref(L: float, N: int) -> dict:
+    """Eigenvalues, mode indices, quadrature and boundary data of the sine
+    basis on (0, L), written out for one axis."""
+    n = np.arange(1, N + 1)
+    pts, wts = _gauss_panels_ref(0.0, L, _panel_count_ref(N))
+    return {"eigenvalues": (n * math.pi / L) ** 2, "mode_index": n,
+            "quad_points": pts, "quad_weights": wts,
+            "boundary_points": np.array([0.0, L]), "boundary_weights": np.array([1.0, 1.0])}
+
+
+def rectangle_ref(L1: float, L2: float, N: int) -> dict:
+    """The same data for the tensor sine basis on (0, L1) x (0, L2): the N
+    lowest index pairs sorted by eigenvalue, ties by the pair, boundary edges
+    in the order x = 0, x = L1, y = 0, y = L2."""
+    K = max(2, int(math.isqrt(N)) + 2)
+    while True:
+        j = np.arange(1, K + 1)
+        lam = ((j * math.pi / L1) ** 2)[:, None] + ((j * math.pi / L2) ** 2)[None, :]
+        lam = lam.ravel()
+        ia, ib = np.repeat(j, K), np.tile(j, K)
+        order = np.lexsort((ib, ia, lam))
+        cutoff = min((math.pi * (K + 1) / L1) ** 2 + (math.pi / L2) ** 2,
+                     (math.pi / L1) ** 2 + (math.pi * (K + 1) / L2) ** 2)
+        if order.size >= N and lam[order[N - 1]] < cutoff:
+            break
+        K *= 2
+    chosen = order[:N]
+    idx = np.stack([ia[chosen], ib[chosen]], axis=1)
+    px, wx = _gauss_panels_ref(0.0, L1, _panel_count_ref(idx[:, 0].max()))
+    py, wy = _gauss_panels_ref(0.0, L2, _panel_count_ref(idx[:, 1].max()))
+    PX, PY = np.meshgrid(px, py, indexing="ij")
+    b_pts = [np.stack([np.full_like(py, x0), py], axis=1) for x0 in (0.0, L1)]
+    b_pts += [np.stack([px, np.full_like(px, y0)], axis=1) for y0 in (0.0, L2)]
+    return {"eigenvalues": lam[chosen], "mode_index": idx,
+            "quad_points": np.stack([PX.ravel(), PY.ravel()], axis=1),
+            "quad_weights": np.outer(wx, wy).ravel(),
+            "boundary_points": np.concatenate(b_pts, axis=0),
+            "boundary_weights": np.concatenate([wy, wy, wx, wx])}
+
+
+def eval_modes_ref(lengths, mode_index, points) -> np.ndarray:
+    """e_n(x_p), (N, P), on the interval (one length) or the rectangle."""
+    if len(lengths) == 1:
+        (L,) = lengths
+        return math.sqrt(2.0 / L) * np.sin(np.outer(mode_index * math.pi / L, points))
+    L1, L2 = lengths
+    j, k = mode_index[:, [0]], mode_index[:, [1]]
+    x, y = points[None, :, 0], points[None, :, 1]
+    return 2.0 / math.sqrt(L1 * L2) * np.sin(j * math.pi * x / L1) * np.sin(k * math.pi * y / L2)
+
+
+def boundary_normal_deriv_ref(lengths, mode_index, boundary_points) -> np.ndarray:
+    """Outward normal derivative of every mode at the boundary nodes, (N, B)."""
+    if len(lengths) == 1:
+        (L,) = lengths
+        dn = math.sqrt(2.0 / L) * (mode_index * math.pi / L)
+        return np.stack([-dn, dn * np.cos(mode_index * math.pi)], axis=1)
+    amp = 2.0 / math.sqrt(lengths[0] * lengths[1])
+    w = [mode_index[:, [a]] * math.pi / L for a, L in enumerate(lengths)]
+    cols = []
+    for a, L in enumerate(lengths):
+        for x0, sgn in ((0.0, -1.0), (L, 1.0)):
+            nodes = boundary_points[boundary_points[:, a] == x0, 1 - a]
+            cos = np.cos(mode_index[:, [a]] * math.pi * (x0 / L))
+            cols.append(sgn * amp * w[a] * cos * np.sin(w[1 - a] * nodes))
+    return np.concatenate(cols, axis=1)

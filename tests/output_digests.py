@@ -22,7 +22,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (arguments of ``fracwave``, files the command writes): the acceptance
-# reports of three seeds and the two large solves of the benchmark
+# reports of three seeds, the two large solves of the benchmark and the
+# interval boundary trace of the trace-energy study
 COMMANDS = tuple(
     [(["verify", "all", "--seed", str(seed), "--out", f"verify_seed{seed}.json"],
       [f"verify_seed{seed}.json"]) for seed in (7, 11, 23)]
@@ -32,6 +33,8 @@ COMMANDS = tuple(
            ("interval", ["--modes", "512", "--steps", "512", "--points", "513"]),
            ("rectangle", ["--domain", "rectangle:1.0,1.5", "--modes", "16384",
                           "--steps", "16", "--points", "9"]))]
+    + [(["hidden", "--seed", "7", "--out", "hidden.json", "--trace-out", "trace.csv"],
+        ["hidden.json", "trace.csv"])]
 )
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -85,6 +86,26 @@ def test_solve_rejects_malformed_domain(tmp_path, capsys, domain):
     prefix = tmp_path / "run"
     assert main(["solve", "--domain", domain, "--modes", "8", "--out-prefix", str(prefix)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+def _limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("domain", ["rectangle:1.0,inf", "rectangle:1e308,1e308",
+                                    "rectangle:1.0,1e200", "interval:inf", "interval:1e-300"])
+def test_solve_rejects_lengths_out_of_range(tmp_path, domain):
+    # run apart, under a 1 GB address space and a timeout: a mode search that
+    # never ends fails this test instead of exhausting the machine
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "fracwave.cli", "solve", "--domain", domain,
+                           "--modes", "16", "--steps", "4", "--points", "3", "--out-prefix", "run"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limited_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: domain lengths ")
     assert not list(tmp_path.iterdir())
 
 

@@ -293,6 +293,12 @@ class TestBoundedAssembly:
         assert nd.shape == (4096, dom.boundary_points.shape[0])
         assert dom.boundary_normal_deriv is nd
 
+    def test_grid_solve_builds_no_quadrature(self):
+        dom = build_rectangle(1.0, 1.5, 4096)
+        q = SolutionQuery(FracOrder(1.5), dom, random_decay(4096, 2.0, 1), TimeGrid(1.0, 2))
+        solve_grid(q, 5)
+        assert "quad_points" not in dom.__dict__
+
 
 class TestEquationResidual:
     @pytest.mark.parametrize("alpha", [1.5])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 import fracwave.spectral as spectral
 from fracwave.spectral import (
     ModeCoefficients,
+    SpectralDomain,
     build_interval,
     build_rectangle,
     coeffs_from_csv,
@@ -25,6 +27,10 @@ from fracwave.spectral import (
     tail_stabilizes,
     uniform_grid,
 )
+from oracles import boundary_normal_deriv_ref, eval_modes_ref, interval_ref, rectangle_ref
+
+_DOMAIN_DATA = ("eigenvalues", "mode_index", "quad_points", "quad_weights", "boundary_points",
+                "boundary_weights")
 
 
 class TestInterval:
@@ -101,6 +107,78 @@ class TestRectangle:
         y = r.boundary_points[i, 1]
         expected = -2.0 * math.pi * math.sin(math.pi * y)
         assert abs(r.boundary_normal_deriv[0, i] - expected) < 1e-10
+
+
+class TestTensorDomain:
+    """The one tensor-sine domain against each domain's basis written out."""
+
+    @pytest.mark.parametrize("N", [1, 8, 64, 512, 2048])
+    def test_interval_bits(self, N):
+        d, ref = build_interval(1.3, N), interval_ref(1.3, N)
+        for name in _DOMAIN_DATA:
+            got = getattr(d, name)
+            assert got.shape == ref[name].shape and np.array_equal(got, ref[name]), name
+        pts = np.concatenate([uniform_grid(d, 9), d.quad_points[::7]])
+        assert np.array_equal(eval_modes(d, pts), eval_modes_ref(d.lengths, d.mode_index, pts))
+        assert np.array_equal(d.boundary_normal_deriv,
+                              boundary_normal_deriv_ref(d.lengths, d.mode_index, d.boundary_points))
+
+    @pytest.mark.parametrize("L1,L2,N", [(1.0, 1.0, 1), (1.0, 1.0, 7), (2.0, 2.0, 300),
+                                         (1.0, 1.5, 64), (1.5, 1.0, 399), (0.3, 1.7, 1000),
+                                         (1.0, 1.5, 16384)])
+    def test_rectangle_last_places(self, L1, L2, N):
+        d, ref = build_rectangle(L1, L2, N), rectangle_ref(L1, L2, N)
+        # the mode selection, quadrature and boundary data keep every bit
+        for name in _DOMAIN_DATA:
+            got = getattr(d, name)
+            assert got.shape == ref[name].shape and np.array_equal(got, ref[name]), name
+        # the modes take sqrt(2/L1) sqrt(2/L2) for 2/sqrt(L1 L2) and round
+        # (j pi / L) x for j pi x / L: last places only
+        pts = np.concatenate([uniform_grid(d, 9), d.quad_points[::97]])
+        E, E_ref = eval_modes(d, pts), eval_modes_ref(d.lengths, d.mode_index, pts)
+        assert np.max(np.abs(E - E_ref)) <= 1e-12 * np.max(np.abs(E_ref))
+        dn = boundary_normal_deriv_ref(d.lengths, d.mode_index, d.boundary_points)
+        assert np.max(np.abs(d.boundary_normal_deriv - dn)) <= 1e-15 * np.max(np.abs(dn))
+
+    def test_state_is_lengths_and_indices(self):
+        d = build_rectangle(1.0, 1.5, 12)
+        assert [f.name for f in dataclasses.fields(d)] == ["lengths", "mode_index"]
+        assert (d.kind, d.mode_count, build_interval(1.0, 3).kind) == ("rectangle", 12, "interval")
+
+    def test_quadrature_built_on_first_use(self):
+        d = build_rectangle(1.0, 1.5, 64)
+        lazy = {"quad_points", "quad_weights", "boundary_points", "boundary_weights",
+                "boundary_normal_deriv"}
+        assert not lazy & d.__dict__.keys()
+        assert d.quad_points is d.quad_points
+        assert "boundary_points" not in d.__dict__
+
+
+class TestDomainLengths:
+    @pytest.mark.parametrize("lengths", [(math.inf,), (math.nan,), (0.0,), (-1.0,),
+                                         (1.0, math.inf), (1.0, -2.0), (math.nan, 1.0)])
+    def test_finite_and_positive(self, lengths):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SpectralDomain(lengths, np.ones((1, len(lengths)), dtype=int))
+
+    @pytest.mark.parametrize("lengths", [(1e308,), (1e-300,), (1e308, 1e308), (1.0, 1e200),
+                                         (1e-300, 1.0)])
+    def test_eigenvalues_in_range(self, lengths):
+        # 1e308 underflows (j pi / L)^2 to 0, 1e-300 overflows it
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            SpectralDomain(lengths, np.ones((1, len(lengths)), dtype=int))
+
+    def test_builders_reject(self):
+        with pytest.raises(ValueError):
+            build_interval(math.inf, 4)
+        for L1, L2 in ((1.0, math.inf), (1e308, 1e308), (1.0, 1e200)):
+            with pytest.raises(ValueError):
+                build_rectangle(L1, L2, 16)
+
+    def test_extreme_lengths_in_range_accepted(self):
+        for L in (1e-150, 1e150):
+            assert np.all(np.isfinite(build_interval(L, 8).eigenvalues))
+            assert build_interval(L, 8).eigenvalues[0] > 0
 
 
 class TestProject:
@@ -380,6 +458,10 @@ class TestSerialization:
         back = domain_from_config(json.loads(json.dumps(cfg)))
         assert np.allclose(back.eigenvalues, d.eigenvalues)
         assert back.kind == d.kind
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown domain kind 'disk'"):
+            domain_from_config({"kind": "disk", "lengths": [1.0], "mode_count": 4})
 
     def test_coeffs_csv_roundtrip(self, tmp_path):
         mc = ModeCoefficients(np.array([0.5, -1.25, 3.0]), np.array([0.0, 2.0, -7.5]))
