@@ -31,9 +31,16 @@ Positive axis:
    optimally truncated algebraic series.  Past ``m`` of about 709 the value
    leaves the double range and ``ml`` raises ``ValueError``.
 
-Both expansions are elementwise and run over blocks of
-``_EXPANSION_BLOCK`` values, so their temporaries stay in cache; the
-block size does not move a bit.
+The series' term count and early stop follow the largest ``|z|`` of its
+batch, so it sees its whole band at once.  The contour sum and both
+expansions are elementwise: the cascade runs them over windows of
+``_CASCADE_CHUNK`` input positions and writes what they accept straight
+into the result, and the expansions run over blocks of
+``_EXPANSION_BLOCK`` values inside a window, so their temporaries stay in
+cache.  Neither size moves a bit.  ``ml`` reads its input in place, so its
+working set is the result, ``m``, a few masks, one window and the series'
+band.  On the solver's kernel grids, where few arguments lie in that band,
+that is at most four times the input's bytes from 2**18 values on.
 
 The series' term ratios ``c_{k+1}/c_k`` of ``c_k = 1/Gamma(alpha k +
 beta)`` and the expansions' coefficients ``1/Gamma(beta - alpha k)`` are
@@ -65,6 +72,7 @@ negative axis.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -732,26 +740,50 @@ _NEG_TIERS = (((_ANY, _M_DOUBLE), _series_double), ((_ANY, _M_CONTOUR), _contour
 _POS_TIERS = (((_ANY, _M_POS_SERIES), _series_double), ((_ANY, math.inf), _asym_pos))
 
 
-def _cascade(alpha, beta, z, tiers):
-    """Evaluate at nonzero ``z`` of one sign.
+# tiers whose value and accept flag at an argument do not depend on the rest
+# of their batch.  The cascade runs them over windows of _CASCADE_CHUNK
+# positions of its input, so their selections, tolerances and results stay
+# small; a window holds whole blocks of _EXPANSION_BLOCK values
+_ELEMENTWISE = frozenset({_contour_neg, _asym_neg, _asym_pos})
+_CASCADE_CHUNK = 2**15
+
+
+def _cascade(alpha, beta, z, tiers, pending=None, out=None):
+    """Evaluate at nonzero ``z`` of one sign: every entry, or those where
+    ``pending`` is set (it is cleared as they are evaluated).  Writes them
+    into ``out`` (a new array by default) and returns it.
 
     Each tier sees the still-pending arguments in its band of ``m`` and
     keeps the values whose error estimate meets the tolerance; whatever
     every tier declines goes to arbitrary precision: the contour sum where
-    ``z < 0`` and ``m > _M_MP_SERIES``, the power series otherwise.
+    ``z < 0`` and ``m > _M_MP_SERIES``, the power series otherwise.  The
+    series sees its whole band at once, in array order; the elementwise
+    tiers run window by window (see the module docstring).
     """
-    out = np.empty_like(z)
+    pending = np.ones(z.shape, dtype=bool) if pending is None else pending
+    out = np.empty_like(z) if out is None else out
+    # in place, with the bits of np.abs(z) ** (1/alpha): ``**=`` takes the
+    # same scalar fast paths as ``**`` (sqrt for alpha = 2)
+    m = np.abs(z)
     with np.errstate(over="ignore"):  # m = inf for alpha far below 1
-        m = np.abs(z) ** (1.0 / alpha)
-    tol = np.where(np.abs(z) <= _NEAR_LIMIT, _TOL_NEAR, _TOL_FAR)
-    pending = np.ones(z.shape, dtype=bool)
-    for (lo, hi), tier in tiers:
-        sel = pending & (m > lo) & (m <= hi)
-        if np.any(sel):
-            val, ok = tier(alpha, beta, z[sel], tol[sel])
-            idx = np.flatnonzero(sel)[ok]
-            out[idx] = val[ok]
-            pending[idx] = False
+        m **= 1.0 / alpha
+
+    # consecutive elementwise tiers go window by window, any other tier over
+    # the whole input at once
+    for windowed, group in itertools.groupby(tiers, lambda t: t[1] in _ELEMENTWISE):
+        group = tuple(group)
+        step = _CASCADE_CHUNK if windowed else max(1, z.size)
+        for start in range(0, z.size, step):
+            w = slice(start, start + step)
+            for (lo, hi), tier in group:
+                sel = pending[w] & (m[w] > lo) & (m[w] <= hi)
+                if np.any(sel):
+                    zs = z[w][sel]
+                    tol = np.where(np.abs(zs) <= _NEAR_LIMIT, _TOL_NEAR, _TOL_FAR)
+                    val, ok = tier(alpha, beta, zs, tol)
+                    idx = np.flatnonzero(sel)[ok]
+                    out[w][idx] = val[ok]
+                    pending[w][idx] = False
     # both fallbacks and the band edge between them are looked up at call
     # time, so they can be wrapped or moved from outside
     for i in np.flatnonzero(pending):
@@ -764,34 +796,37 @@ def _cascade(alpha, beta, z, tiers):
 
 
 def ml(params: MLParams, z):
-    """Evaluate E_{alpha,beta} at real ``z`` (scalar or array, |z| <= Z_MAX)."""
+    """Evaluate E_{alpha,beta} at real ``z`` (scalar or array, |z| <= Z_MAX).
+
+    The input is only read, and not copied when it is contiguous (see the
+    module docstring for the working set).
+    """
     alpha, beta = params.alpha, params.beta
     arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel().copy()
-    if not np.all(np.isfinite(flat)):
+    flat = arr.reshape(-1)
+    out = np.empty(flat.shape)
+    if flat.size == 0:
+        return out.reshape(arr.shape)
+    lo, hi = float(flat.min()), float(flat.max())  # nan if any entry is
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("z must be finite")
-    if np.any(np.abs(flat) > Z_MAX):
+    if max(-lo, hi) > Z_MAX:
         raise ValueError(f"|z| exceeds the supported range Z_MAX={Z_MAX:g}")
 
-    out = np.empty_like(flat)
     zero = flat == 0.0
     if np.any(zero):
         out[zero] = 1.0 / gamma(beta)
-    pos = flat > 0.0
-    if np.any(pos):
-        out[pos] = _cascade(alpha, beta, flat[pos], _POS_TIERS)
-    neg = flat < 0.0
-    if np.any(neg):
-        zn = flat[neg]
-        if alpha == 1.0 and beta == 1.0:
-            out[neg] = np.exp(zn)
-        elif alpha == 1.0 and beta == 2.0:
-            out[neg] = np.expm1(zn) / zn
+    if hi > 0.0:
+        _cascade(alpha, beta, flat, _POS_TIERS, flat > 0.0, out)
+    if lo < 0.0:
+        neg = flat < 0.0
+        if alpha == 1.0 and beta in (1.0, 2.0):
+            zn = flat[neg]
+            out[neg] = np.exp(zn) if beta == 1.0 else np.expm1(zn) / zn
         else:
-            out[neg] = _cascade(alpha, beta, zn, _NEG_TIERS)
+            _cascade(alpha, beta, flat, _NEG_TIERS, neg, out)
 
-    if scalar:
+    if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 

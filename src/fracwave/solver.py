@@ -115,7 +115,9 @@ class ModePropagator:
 
     @cached_property
     def te2(self) -> np.ndarray:
-        return self.times[None, :] * self._ml(2.0)
+        out = self._ml(2.0)
+        out *= self.times[None, :]
+        return out
 
     @cached_property
     def ea(self) -> np.ndarray:
@@ -136,24 +138,41 @@ class ModePropagator:
             raise ValueError("the second derivative needs t > 0")
         return self._ml(self.alpha - 1.0)
 
+    # Each combination builds its result in one array with at most one
+    # temporary of its size, in the operation order of the formula written
+    # out (products are commutative, so a factor may be applied last).
+
     def value(self, a, b) -> np.ndarray:
-        """y_n(t), shape (N, len(times))."""
-        return _col(a) * self.e1 + _col(b) * self.te2
+        """y_n(t) = a E_{a,1} + b t E_{a,2}, shape (N, len(times))."""
+        out = _col(a) * self.e1
+        out += _col(b) * self.te2
+        return out
 
     def velocity(self, a, b) -> np.ndarray:
-        """y_n'(t); finite at t = 0 for alpha > 1."""
-        return -self.lam[:, None] * _col(a) * self.tpow[None, :] * self.ea + _col(b) * self.e1
+        """y_n'(t) = -l_n a t^(alpha-1) E_{a,a} + b E_{a,1}; finite at t = 0 for alpha > 1."""
+        out = -self.lam[:, None] * _col(a) * self.tpow[None, :]
+        out *= self.ea
+        out += _col(b) * self.e1
+        return out
 
     def caputo(self, a, b) -> np.ndarray:
         """(D_t^a y)_n(t) = -l_n y_n(t)."""
-        return -self.lam[:, None] * self.value(a, b)
+        out = self.value(a, b)
+        out *= -self.lam[:, None]
+        return out
 
     def second_derivative(self, a, b) -> np.ndarray:
-        """y_n''(t); it blows up like t^(alpha-2) at the origin, so t > 0 only."""
+        """y_n''(t) = -l_n (a t^(alpha-2) E_{a,a-1} + b t^(alpha-1) E_{a,a}); it
+        blows up like t^(alpha-2) at the origin, so t > 0 only."""
         eam1 = self.eam1
         t2 = self.times ** (self.alpha - 2.0)
-        return -self.lam[:, None] * (_col(a) * t2[None, :] * eam1
-                                     + _col(b) * self.tpow[None, :] * self.ea)
+        out = _col(a) * t2[None, :]
+        out *= eam1
+        part = _col(b) * self.tpow[None, :]
+        part *= self.ea
+        out += part
+        out *= -self.lam[:, None]
+        return out
 
 
 def _col(coeffs) -> np.ndarray:

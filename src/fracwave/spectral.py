@@ -65,11 +65,13 @@ def pairwise_sum(arr: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 # bytes one ``mode_sum`` block may occupy: the product block plus the
-# pairwise halvings of it (together at most twice the block).  The longer of
-# the row and point axes is the block's innermost axis, so NumPy runs long
-# inner loops (boundary traces have only P = 2 points against thousands of
-# time rows)
-_MODE_SUM_BYTES = 32 * 2**20
+# pairwise halvings of it (together at most twice the block); ``grid_sum``
+# sizes its row blocks by the same budget.  4 MiB keeps a solve's working
+# set small next to its mode x time kernels, and no bit depends on it.  The
+# longer of the row and point axes is the block's innermost axis, so NumPy
+# runs long inner loops (boundary traces have only P = 2 points against
+# thousands of time rows)
+_MODE_SUM_BYTES = 4 * 2**20
 
 
 def mode_sum(coeff, basis) -> np.ndarray:
@@ -78,6 +80,8 @@ def mode_sum(coeff, basis) -> np.ndarray:
     Bit for bit ``pairwise_sum(coeff[:, :, None] * basis[:, None, :])``: the
     pairwise tree depends only on N, so forming the product one block of rows
     (and, when one row is over budget, of points) at a time changes nothing.
+    A block and its halvings take about ``_MODE_SUM_BYTES`` (4 MiB) beside
+    the (R, P) result, whatever R and P are.
     When P < R the blocks are ``basis[:, p, None] * coeff[:, None, r]``,
     written back transposed: the product is commutative, so neither the
     block size nor the layout moves a bit.
@@ -242,21 +246,49 @@ def build_rectangle(L1: float, L2: float, N: int) -> SpectralDomain:
     """Tensor sine eigenbasis on (0,L1)x(0,L2), sorted by eigenvalue.
 
     Ties are broken lexicographically by the index pair so runs are
-    reproducible under degeneracy.
+    reproducible under degeneracy.  The modes are searched in a block of
+    K_1 x K_2 index pairs, K_a in proportion to L_a and sized by Weyl's law
+    to hold about N modes (at most 3N pairs on every shape tried); it
+    doubles along each axis until no pair outside it can be among the N
+    lowest.  Lengths so far apart that one axis's term absorbs the other's
+    steps in rounding raise ``ValueError``.
     """
     if N < 1:
         raise ValueError("need at least one mode")
-    K = max(2, int(math.isqrt(N)) + 2)
+    lengths = (L1, L2)
+    SpectralDomain(lengths, np.ones((1, 2), dtype=int))  # lengths finite, positive, in range
+    # Weyl's law with its boundary term: about (pi/4) x_1 x_2 - (x_1 + x_2)/2
+    # modes lie below the eigenvalue (pi x_a / L_a)^2 of either axis, with
+    # x_a = s c_a and c_1 / c_2 = L_1 / L_2; s solves that count = N
+    c = math.sqrt(L1) / math.sqrt(L2)
+    half = 0.5 * (c + 1.0 / c)
+    s = (half + math.hypot(half, math.sqrt(math.pi * N))) / (0.5 * math.pi)
+    x = (s * c, s / c)
     while True:
-        j = np.arange(1, K + 1)
-        block = SpectralDomain((L1, L2), np.stack([np.repeat(j, K), np.tile(j, K)], axis=1))
-        order = np.lexsort((block.mode_index[:, 1], block.mode_index[:, 0], block.eigenvalues))
-        # the block is large enough once the N-th value cannot be beaten by
-        # any eigenvalue involving an index beyond K
-        cutoff = SpectralDomain((L1, L2), np.array([[K + 1, 1], [1, K + 1]])).eigenvalues.min()
-        if order.size >= N and block.eigenvalues[order[N - 1]] < cutoff:
-            return SpectralDomain((L1, L2), block.mode_index[order[:N]])
-        K *= 2
+        # an index past N on either axis is never taken: the N pairs of
+        # lower indices along that axis come first
+        K = [math.ceil(min(xa, N)) for xa in x]
+        # each axis's term (j pi / L_a)^2 for j = 1..K_a + 1, as the domain forms it
+        terms = [SpectralDomain((L,), np.arange(1, k + 2)).eigenvalues for L, k in zip(lengths, K)]
+        lam = np.add.outer(terms[0][:-1], terms[1][:-1])
+        # stable: ties stay in the block's (j_1, j_2) order
+        order = np.argsort(lam, axis=None, kind="stable")
+        # a pair beyond the block on an axis is at least the pair just past
+        # its edge there
+        edges = (terms[0][-1] + terms[1][0], terms[0][0] + terms[1][-1])
+        cutoff = min((e for e, k in zip(edges, K) if k < N), default=math.inf)
+        if order.size >= N and lam.flat[order[N - 1]] < cutoff:
+            break
+        x = (2.0 * x[0], 2.0 * x[1])
+    taken = np.zeros(lam.shape, dtype=bool)
+    taken.flat[order[:N]] = True
+    # mathematically the eigenvalue rises with either index; where rounding
+    # makes two taken neighbours along an axis equal, the lengths are out of range
+    for axis in (0, 1):
+        if np.any((np.diff(lam, axis=axis) <= 0.0) & np.delete(taken, 0, axis=axis)):
+            raise ValueError(f"domain lengths {lengths} are too far apart: eigenvalues of "
+                             "neighbouring modes round to the same value")
+    return SpectralDomain(lengths, np.stack(np.unravel_index(order[:N], lam.shape), axis=1) + 1)
 
 
 def eval_modes(domain: SpectralDomain, points) -> np.ndarray:
@@ -335,7 +367,8 @@ def grid_sum(coeff, domain: SpectralDomain, P: int) -> np.ndarray:
     with ``np.add.at`` in mode order, so aliased modes always add in the same
     order; one DST-I per axis then synthesizes the interior.  Boundary nodes
     are exactly 0.  Time rows go through in blocks under the ``mode_sum``
-    budget.
+    budget: a block's scatter, odd extension, spectrum and result take about
+    ``_MODE_SUM_BYTES`` (128 rows of the 512-mode, 513-point interval solve).
     """
     c = np.asarray(coeff, dtype=float)
     (n, R), P = c.shape, _grid_size(P)

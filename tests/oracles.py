@@ -211,6 +211,30 @@ def rectangle_ref(L1: float, L2: float, N: int) -> dict:
             "boundary_weights": np.concatenate([wy, wy, wx, wx])}
 
 
+def rectangle_strip_ref(L1: float, L2: float, N: int):
+    """Mode indices and eigenvalues of the N lowest modes on (0, L1) x
+    (0, L2), L1 >= L2, taken from the strip of index pairs i <= N, j <= J.
+
+    J is the last index with (pi/L1)^2 + (J pi/L2)^2 at most the eigenvalue
+    of the pair (N, 1).  No pair outside the strip can be among the N
+    lowest: past i = N the pairs (1..N, j) come first, and past J every
+    eigenvalue exceeds that of (N, 1).  On thin rectangles the strip holds
+    few rows where the square search of ``rectangle_ref`` does not fit in
+    memory.
+    """
+    i = np.arange(1, N + 1)
+    t1 = (i * math.pi / L1) ** 2
+    top = t1[-1] + (math.pi / L2) ** 2
+    J = 1
+    while t1[0] + ((J + 1) * math.pi / L2) ** 2 <= top:
+        J += 1
+    j = np.arange(1, J + 1)
+    lam = (t1[:, None] + ((j * math.pi / L2) ** 2)[None, :]).ravel()
+    ia, ib = np.repeat(i, J), np.tile(j, N)
+    order = np.lexsort((ib, ia, lam))[:N]
+    return np.stack([ia[order], ib[order]], axis=1), lam[order]
+
+
 def eval_modes_ref(lengths, mode_index, points) -> np.ndarray:
     """e_n(x_p), (N, P), on the interval (one length) or the rectangle."""
     if len(lengths) == 1:
@@ -237,3 +261,27 @@ def boundary_normal_deriv_ref(lengths, mode_index, boundary_points) -> np.ndarra
             cos = np.cos(mode_index[:, [a]] * math.pi * (x0 / L))
             cols.append(sgn * amp * w[a] * cos * np.sin(w[1 - a] * nodes))
     return np.concatenate(cols, axis=1)
+
+
+def mode_combinations_ref(lam, alpha: float, times, kernels, a, b) -> dict:
+    """Value, velocity, Caputo derivative and (where ``kernels`` holds
+    E_{alpha,alpha-1}) second derivative of the modes ``lam`` with data
+    ``(a, b)``, each written as one expression over the Mittag-Leffler
+    kernels ``kernels[beta]`` = E_{alpha,beta}(-lam t**alpha), shape (N, T).
+
+    Each expression rounds in the order the solver's combinations keep.
+    """
+    lam, t = np.asarray(lam, dtype=float), np.asarray(times, dtype=float)
+    a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
+    tpow = np.zeros_like(t)
+    tpow[t > 0.0] = t[t > 0.0] ** (alpha - 1.0)
+    te2 = t[None, :] * kernels[2.0]
+    value = a * kernels[1.0] + b * te2
+    out = {"value": value,
+           "velocity": -lam[:, None] * a * tpow[None, :] * kernels[alpha] + b * kernels[1.0],
+           "caputo": -lam[:, None] * value}
+    if alpha - 1.0 in kernels:
+        t2 = t ** (alpha - 2.0)
+        out["second_derivative"] = -lam[:, None] * (a * t2[None, :] * kernels[alpha - 1.0]
+                                                     + b * tpow[None, :] * kernels[alpha])
+    return out

@@ -94,7 +94,8 @@ def _limited_address_space():
 
 
 @pytest.mark.parametrize("domain", ["rectangle:1.0,inf", "rectangle:1e308,1e308",
-                                    "rectangle:1.0,1e200", "interval:inf", "interval:1e-300"])
+                                    "rectangle:1.0,1e200", "rectangle:1.0,1e-100", "interval:inf",
+                                    "interval:1e-300"])
 def test_solve_rejects_lengths_out_of_range(tmp_path, domain):
     # run apart, under a 1 GB address space and a timeout: a mode search that
     # never ends fails this test instead of exhausting the machine

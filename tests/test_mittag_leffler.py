@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -419,6 +420,100 @@ class TestContourTier:
         assert not _asym_neg(alpha, 1.0, np.array([z]), np.array([1e-9]))[1][0]
         ref = mlmod._contour_mp(alpha, 1.0, z)
         assert abs(ml(MLParams(alpha, 1.0), z) - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.153934466291663, 1.153934466291663),
+                                            (1.9539344662916631, 1.0)])
+    def test_elementwise_on_slices(self, alpha, beta):
+        # the cascade runs the contour sum window by window: a batch must give
+        # the bits and accept flags of its slices.  The first order halves the
+        # step for some values, the second declines a few near zeros
+        z = -np.random.default_rng(9).uniform(10.0, 150.0, 20_000) ** alpha
+        tol = np.where(np.abs(z) <= 64.0, 3e-11, 1e-9)
+        val, ok = _contour_neg(alpha, beta, z, tol)
+        parts = [_contour_neg(alpha, beta, z[i : i + 1_000], tol[i : i + 1_000])
+                 for i in range(0, z.size, 1_000)]
+        assert np.array_equal(val, np.concatenate([v for v, _ in parts]))
+        assert np.array_equal(ok, np.concatenate([k for _, k in parts]))
+        assert ok.any() and (alpha < 1.5 or not ok.all())
+
+
+def _solver_grid(N=512, M=512, alpha=1.5):
+    """``z = -lambda_n t_j**alpha`` of the interval solve of N modes on M steps."""
+    lam = (np.arange(1, N + 1) * math.pi) ** 2
+    return -np.outer(lam, np.linspace(0.0, 1.0, M + 1) ** alpha)
+
+
+class TestWindows:
+    # the elementwise tiers run over windows of _CASCADE_CHUNK positions;
+    # the series tier and the fallbacks see the whole input
+
+    def test_window_size_keeps_the_bits(self, monkeypatch):
+        alpha, beta = 1.2872677996249964, 1.0
+        rng = np.random.default_rng(11)
+        n = 3 * mlmod._CASCADE_CHUNK + 5_000
+        # every band of m on the negative axis, both positive bands, zeros
+        m = np.concatenate([rng.uniform(0.0, 12.0, n // 5), rng.uniform(12.0, 46.0, n // 5),
+                            rng.uniform(46.0, 100.0, n // 5),
+                            10.0 ** rng.uniform(2.0, 8.0 / alpha, n // 5)])
+        z = np.concatenate([-(m**alpha), rng.uniform(0.0, 700.0, n - m.size) ** alpha])
+        rng.shuffle(z)
+        z[::1001] = 0.0
+        fallbacks = []
+
+        def counting(a, b, v, orig=mlmod._mpmath_single):
+            fallbacks.append(v)
+            return orig(a, b, v)
+
+        monkeypatch.setattr(mlmod, "_mpmath_single", counting)
+        windowed = ml(MLParams(alpha, beta), z)
+        assert fallbacks
+        monkeypatch.setattr(mlmod, "_CASCADE_CHUNK", z.size + 1)
+        assert np.array_equal(ml(MLParams(alpha, beta), z), windowed)
+
+    @pytest.mark.parametrize("shape", [(512, 512), (1024, 1025)])
+    def test_peak_memory_is_a_small_multiple_of_the_input(self, shape):
+        z = _solver_grid(*shape)
+        assert z.size >= 2**18
+        ml(MLParams(1.5, 1.0), z[:, :2])  # the coefficient tables, built once
+        for beta in (1.0, 2.0):
+            tracemalloc.start()
+            try:
+                ml(MLParams(1.5, beta), z)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * z.nbytes
+
+    def test_empty_input(self):
+        for z in (np.array([]), np.empty((3, 0))):
+            out = ml(MLParams(1.5, 1.0), z)
+            assert out.shape == z.shape and out.dtype == np.float64
+
+    @pytest.mark.parametrize("bad,message", [
+        (math.nan, "z must be finite"), (math.inf, "z must be finite"),
+        (-math.inf, "z must be finite"), (-2.0 * Z_MAX, "exceeds the supported range"),
+        (1.5 * Z_MAX, "exceeds the supported range")])
+    def test_rejected_entries(self, bad, message):
+        z = np.array([-1.0, 0.0, 2.0, bad, -5.0])
+        for arg in (bad, z, z[::-1].reshape(5, 1)):
+            with pytest.raises(ValueError, match=message):
+                ml(MLParams(1.5, 1.0), arg)
+
+    def test_input_is_read_only(self):
+        z = _solver_grid(64, 63)
+        z[0, ::7] = 3.0
+        ref = ml(MLParams(1.5, 1.0), z.copy())
+        before = z.copy()
+        frozen = z.copy()
+        frozen.flags.writeable = False
+        for arg in (z, frozen, np.asfortranarray(z)):
+            out = ml(MLParams(1.5, 1.0), arg)
+            assert np.array_equal(out, ref) and not np.shares_memory(out, arg)
+        assert np.array_equal(z, before)
+        # strided views: every other column, a transpose
+        assert np.array_equal(ml(MLParams(1.5, 1.0), z[:, ::2]), ref[:, ::2])
+        assert np.array_equal(ml(MLParams(1.5, 1.0), frozen.T), ref.T)
+        assert np.array_equal(z, before)
 
 
 @pytest.fixture

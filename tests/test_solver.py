@@ -8,6 +8,7 @@ import pytest
 import fracwave.solver
 import fracwave.spectral
 from fracwave.fracops import SampledPath, TimeGrid, caputo_derivative
+from fracwave.mittag_leffler import MLParams, ml
 from fracwave.params import FracOrder
 from fracwave.presets import poly_bump, random_decay, single_mode
 from fracwave.solver import (
@@ -32,7 +33,7 @@ from fracwave.spectral import (
     synthesize,
     uniform_grid,
 )
-from oracles import ml_series_ref
+from oracles import ml_series_ref, mode_combinations_ref
 
 LAM1 = math.pi**2
 
@@ -146,6 +147,20 @@ class TestModePropagator:
         assert np.array_equal(prop.value(self.a, self.b)[:, 0], self.a)
         assert np.array_equal(prop.velocity(self.a, self.b)[:, 0], self.b)
         assert np.array_equal(prop.caputo(self.a, self.b), -self.lam[:, None] * prop.value(self.a, self.b))
+
+    @pytest.mark.parametrize("t0", [0.0, 0.01])
+    def test_combinations_keep_the_bits(self, t0):
+        # the in-place combinations against the formulas written out
+        lam = (np.arange(1, 41) * math.pi) ** 2
+        a, b = random_decay(40, 2.0, 4).a, random_decay(40, 2.0, 5).b
+        t = np.linspace(t0, 1.0, 33)
+        prop = ModePropagator(lam, 1.37, t)
+        betas = (1.0, 2.0, 1.37) + ((1.37 - 1.0,) if t0 > 0.0 else ())
+        kernels = {beta: ml(MLParams(1.37, beta), prop.z) for beta in betas}
+        ref = mode_combinations_ref(lam, 1.37, t, kernels, a, b)
+        assert len(ref) == len(betas)
+        for which, expected in ref.items():
+            assert np.array_equal(getattr(prop, which)(a, b), expected), which
 
     def test_rows_match_single_modes(self):
         t = np.linspace(0.0, 1.0, 9)
@@ -283,6 +298,20 @@ class TestBoundedAssembly:
             tracemalloc.stop()
         assert field.shape == (M + 1, P)
         assert peak < full_product / 3
+
+    def test_grid_solve_peak_memory(self):
+        # the interval solve of the benchmark: 512 modes, 513 times, 513
+        # points; the field is 2.1 MB, each ML kernel of the solve too
+        domain = build_interval(1.0, 512)
+        q = SolutionQuery(FracOrder(1.5), domain, random_decay(512, 2.0, 7), TimeGrid(1.0, 512))
+        solve_grid(q, 2)  # the coefficient tables, built once
+        tracemalloc.start()
+        try:
+            field = solve_grid(q, 513)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * field.nbytes
 
     def test_boundary_derivatives_built_on_first_use(self):
         dom = build_rectangle(1.0, 1.5, 4096)

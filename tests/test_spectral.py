@@ -3,6 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +32,8 @@ from fracwave.spectral import (
     tail_stabilizes,
     uniform_grid,
 )
-from oracles import boundary_normal_deriv_ref, eval_modes_ref, interval_ref, rectangle_ref
+from oracles import (boundary_normal_deriv_ref, eval_modes_ref, interval_ref, rectangle_ref,
+                     rectangle_strip_ref)
 
 _DOMAIN_DATA = ("eigenvalues", "mode_index", "quad_points", "quad_weights", "boundary_points",
                 "boundary_weights")
@@ -140,6 +146,58 @@ class TestTensorDomain:
         dn = boundary_normal_deriv_ref(d.lengths, d.mode_index, d.boundary_points)
         assert np.max(np.abs(d.boundary_normal_deriv - dn)) <= 1e-15 * np.max(np.abs(dn))
 
+    @pytest.mark.parametrize("L1,L2,N", [(1.0, 0.1, 16384), (0.1, 1.0, 5000), (1.0, 1e-2, 3000),
+                                         (1.0, 0.3, 17), (3.0, 1.0, 5), (1.0, 1.0, 2),
+                                         (1e-150, 1e-150, 50), (1e150, 1e150, 50)])
+    def test_mode_search_on_any_aspect_ratio(self, L1, L2, N):
+        # the block sized per axis selects what the square block selects
+        d, ref = build_rectangle(L1, L2, N), rectangle_ref(L1, L2, N)
+        assert np.array_equal(d.mode_index, ref["mode_index"])
+        assert np.array_equal(d.eigenvalues, ref["eigenvalues"])
+
+    def test_mode_search_memory_is_linear(self):
+        # the square block of the thin rectangle held 17 MB of index pairs
+        tracemalloc.start()
+        try:
+            d = build_rectangle(1.0, 0.1, 16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * d.mode_index.nbytes
+
+    def test_strip_oracle_agrees_with_the_square_one(self):
+        for L1, L2, N in ((1.0, 0.1, 3000), (1.0, 0.5, 700), (2.0, 2.0, 300)):
+            idx, lam = rectangle_strip_ref(L1, L2, N)
+            ref = rectangle_ref(L1, L2, N)
+            assert np.array_equal(idx, ref["mode_index"]) and np.array_equal(lam, ref["eigenvalues"])
+
+    def test_extreme_aspect_ratios(self):
+        # run apart, under a 1 GB address space and a timeout: a square block
+        # on (1, 1e-3) needs gigabytes, and on (1, 1e-100), where each
+        # eigenvalue's first term is lost next to the second, it never ends
+        script = """
+import numpy as np
+from fracwave.spectral import build_rectangle
+from oracles import rectangle_strip_ref
+d = build_rectangle(1.0, 1e-3, 16384)
+idx, lam = rectangle_strip_ref(1.0, 1e-3, 16384)
+assert np.array_equal(d.mode_index, idx) and np.array_equal(d.eigenvalues, lam)
+for L2 in (1e-100, 1e-10):
+    try:
+        build_rectangle(1.0, L2, 16)
+    except ValueError as exc:
+        assert str(exc).startswith("domain lengths (1.0, "), exc
+    else:
+        raise AssertionError(L2)
+print("ok")
+"""
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([os.path.join(here, os.pardir, "src"), here]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60, preexec_fn=_limited_address_space)
+        assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
     def test_state_is_lengths_and_indices(self):
         d = build_rectangle(1.0, 1.5, 12)
         assert [f.name for f in dataclasses.fields(d)] == ["lengths", "mode_index"]
@@ -152,6 +210,10 @@ class TestTensorDomain:
         assert not lazy & d.__dict__.keys()
         assert d.quad_points is d.quad_points
         assert "boundary_points" not in d.__dict__
+
+
+def _limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
 class TestDomainLengths:
