@@ -159,9 +159,10 @@ def _cmd_solve(args) -> int:
     points = uniform_grid(domain, args.points)
     fields = solve_grid(query, args.points)
     prefix = args.out_prefix
-    write_snapshots_csv(query, points, fields, f"{prefix}_snapshots.csv")
+    # the manifest first: it checks theta, and a bad one writes no file
     write_manifest(query, f"{prefix}_manifest.json", theta=args.theta,
                    extra={"preset": args.preset, "seed": args.seed})
+    write_snapshots_csv(query, points, fields, f"{prefix}_snapshots.csv")
     print(f"wrote {prefix}_snapshots.csv and {prefix}_manifest.json")
     return 0
 

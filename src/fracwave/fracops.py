@@ -362,8 +362,7 @@ def norm_equivalence_study(ensemble, beta: float, weights=None) -> EquivalenceSt
 def path_to_csv(path: SampledPath, filename: str) -> None:
     vals = path.components()
     header = ["t"] + [f"v{i}" for i in range(vals.shape[1])]
-    table = np.column_stack((path.grid.nodes, vals))
-    _write_csv(filename, header, (row.tolist() for row in table))
+    _write_csv(filename, header, np.column_stack((path.grid.nodes, vals)))
 
 
 def path_from_csv(filename: str) -> SampledPath:

@@ -18,6 +18,13 @@ equispaced grids of ``spectral.uniform_grid`` by type-I sine transform
 (``spectral.grid_sum``), which agrees with the pairwise sum to roundoff and
 gives exact zeros on the boundary.  Every solve can report an upper
 estimate of the norm it is missing by truncating the mode sum.
+
+``coefficient_evolution`` computes a solve's two ML kernels at once, one in
+a forked child, when the grid holds at least ``spectral._FORK_MIN_VALUES``
+values and ``spectral._fork_width`` allows it (``fork`` present, more than
+one usable CPU, no other thread, not a daemonic pool worker).  Each process
+runs one whole ``ml`` call, the serial one, so forked or not, the bits are
+the same; a failed child's kernel is computed in this process.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ import numpy as np
 from .fracops import TimeGrid
 from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
 from .params import FracOrder, as_alpha
-from .spectral import (ModeCoefficients, SpectralDomain, _write_csv, _write_json, domain_to_config,
-                       eval_modes, grid_sum, mode_sum)
+from .spectral import (_FORK_MIN_VALUES, ModeCoefficients, SpectralDomain, _fork_width, _forked,
+                       _write_csv, _write_json, domain_to_config, eval_modes, grid_sum, mode_sum)
 
 __all__ = [
     "SolutionQuery",
@@ -51,6 +58,8 @@ __all__ = [
 ]
 
 _WHICH = ("value", "velocity", "caputo")
+# the two kernels each quantity reads, in the order it reads them
+_KERNELS = {"value": ("e1", "te2"), "velocity": ("ea", "e1"), "caputo": ("e1", "te2")}
 
 
 @dataclass(frozen=True)
@@ -137,6 +146,27 @@ class ModePropagator:
         if np.any(self.times <= 0.0):
             raise ValueError("the second derivative needs t > 0")
         return self._ml(self.alpha - 1.0)
+
+    def prefetch(self, which: str) -> None:
+        """Compute the two kernels ``which`` reads at once, the first here and
+        the second in a forked child (returned as raw float64 bytes), where
+        the grid holds at least ``_FORK_MIN_VALUES`` values and
+        ``_fork_width`` allows it; otherwise they follow on first use."""
+        first, second = _KERNELS[which]
+        if (self.z.size < _FORK_MIN_VALUES or first in vars(self) or second in vars(self)
+                or _fork_width() < 2):
+            return
+
+        def job(fh):
+            fh.write(np.ascontiguousarray(getattr(self, second)).data)
+
+        with _forked([job]) as join:
+            getattr(self, first)
+            done = join(0)
+            if done is not None:
+                out = np.empty(self.z.shape)
+                if done.readinto(out) == out.nbytes:
+                    vars(self)[second] = out
 
     # Each combination builds its result in one array with at most one
     # temporary of its size, in the operation order of the formula written
@@ -230,6 +260,7 @@ def coefficient_evolution(query: SolutionQuery) -> np.ndarray:
     """Selected per-mode quantity on the time grid, shape (n_active, M+1)."""
     n = query.active_modes
     prop = ModePropagator(query.domain.eigenvalues[:n], query.alpha.alpha, query.tgrid.nodes)
+    prop.prefetch(query.which)
     return getattr(prop, query.which)(query.data.a[:n], query.data.b[:n])
 
 
@@ -257,8 +288,11 @@ def truncation_tail(query: SolutionQuery, theta: float, t: float) -> float:
 
     Modes beyond ``n_sum`` are bounded by the empirical decay envelope
     |E(z)| <= C/(1+|z|).  At t = 0 the envelope degenerates to |E(0)| = 1 and
-    the bound is the plain coefficient-tail norm.
+    the bound is the plain coefficient-tail norm.  A theta that is not
+    finite raises ``ValueError``.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     al = query.alpha.alpha
     n = query.active_modes
     lam = query.domain.eigenvalues[n:]
@@ -284,8 +318,7 @@ def write_snapshots_csv(query: SolutionQuery, points, fields: np.ndarray, filena
         header = ["t"] + [f"x={repr(float(x))}" for x in pts]
     else:
         header = ["t"] + [f"x={repr(float(p[0]))};y={repr(float(p[1]))}" for p in pts]
-    table = np.column_stack((query.tgrid.nodes, fields))
-    _write_csv(filename, header, (row.tolist() for row in table))
+    _write_csv(filename, header, np.column_stack((query.tgrid.nodes, fields)))
 
 
 def write_manifest(query: SolutionQuery, filename: str, theta: float = 0.0, extra: dict | None = None) -> None:

@@ -16,14 +16,28 @@ interior nodes by aliasing and applies a DST-I along each axis, run on
 instead of O(N R G) for R rows on G grid points, with boundary nodes
 exactly 0.  No module of the package imports scipy; the test suite checks
 these bits against ``scipy.fft``.
+
+``_write_csv`` formats a float table (solve snapshots, sampled paths) in
+contiguous row ranges, one per usable CPU; forked children format all but
+the first, appended in order.  ``_forked`` is the package's one fork-join
+helper and ``_fork_width`` its one fork rule, read by ``solver`` and
+``verify`` too.  Each job is the serial computation, so forked or not, the
+bytes are the same.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
+import os
+import shutil
+import sys
+import tempfile
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -453,22 +467,140 @@ def domain_from_config(cfg: dict) -> SpectralDomain:
     return build(*cfg["lengths"][:axes], cfg["mode_count"])
 
 
+# A job goes to a forked child only at this many values of work: a fork
+# round trip from an 80 MB NumPy process took 3.4-4.6 ms on a 2-core x86
+# host, against about 25 ms for an ``ml`` kernel of 2^16 values and 80 ms to
+# format 2^16 floats.  The alpha sweep's kernels (8,448 values) and
+# ``verify``'s largest (24,704) stay serial; the large solves' kernels
+# (262,656 and 278,528) and the interval solve's snapshot table (263,682) fork.
+_FORK_MIN_VALUES = 2**16
+
+
+def _fork_width() -> int:
+    """Processes one stage may run at once: the usable CPUs, or 1 (serial)
+    where ``fork`` is missing, another thread runs (a forked child would
+    inherit any lock it holds, the ML caches' among them) or this process
+    is a daemonic ``multiprocessing`` worker, which may have no children."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    # a pool worker has multiprocessing loaded already; never load it here
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _forked(jobs):
+    """Start each ``job(file)`` of ``jobs`` in a child forked now; yields
+    ``join(i)``, which waits for child ``i`` and returns its file at offset
+    0, or None if it failed (or its file or fork did): the caller then runs
+    that job itself.
+
+    A child gets its inputs by copy-on-write and writes to an anonymous
+    temporary file opened before the fork, so nothing is pickled and no pipe
+    fills up.  It ends in ``os._exit`` after flushing that file, running none
+    of the caller's ``finally`` blocks or ``atexit`` handlers and flushing no
+    inherited buffer.  Children not yet joined are killed and reaped on the
+    way out, on any exception too (a signal handler's, Ctrl-C).
+    """
+    children = []  # [pid, file] per job; pid None once reaped or never started
+    try:
+        for job in jobs:
+            child = [None, None]
+            children.append(child)
+            try:
+                child[1] = tempfile.TemporaryFile()
+                pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    job(child[1])
+                    child[1].flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            child[0] = pid
+
+        def join(i: int):
+            pid, fh = children[i]
+            if pid is None:
+                return None
+            _, status = os.waitpid(pid, 0)
+            children[i][0] = None
+            if status != 0:
+                return None
+            fh.seek(0)
+            return fh
+
+        yield join
+    finally:
+        for pid, fh in children:
+            if pid is not None:
+                import signal  # here only: ``import fracwave`` loads no module for this
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if fh is not None:
+                fh.close()
+
+
+def _csv_lines(rows):
+    """CSV lines of ``rows`` (sequences of Python numbers): the ``repr`` of
+    each entry, the shortest round-trip form of a float."""
+    return (",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
+def _table_lines(table: np.ndarray):
+    return _csv_lines(row.tolist() for row in table)
+
+
+def _format_into(table: np.ndarray, raw) -> None:
+    text = io.TextIOWrapper(raw, "ascii", newline="")
+    text.writelines(_table_lines(table))
+    text.detach()
+
+
 def _write_csv(filename: str, header: list[str], rows) -> None:
-    """Write ``header``, then each row (a sequence of Python numbers) as the
-    ``repr`` of its entries: the shortest round-trip form of a float.
+    """Write ``header``, then each row (a sequence of Python numbers, or a
+    row of a 2-D float array ``rows``) as the ``repr`` of its entries.
 
     Number reprs never need CSV quoting, so rows are joined directly; the
-    bytes are those of ``csv.writer`` (comma, ``\\r\\n`` line ends)."""
+    bytes are those of ``csv.writer`` (comma, ``\\r\\n`` line ends).  An
+    array is split into contiguous row ranges, at most one per process of
+    ``_fork_width`` and each of at least ``_FORK_MIN_VALUES`` values; this
+    process formats the first while forked children format the rest, which
+    are then copied in order, so no process holds a range as one string."""
     with open(filename, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        if not isinstance(rows, np.ndarray):
+            fh.writelines(_csv_lines(rows))
+            return
+        jobs = min(rows.size // _FORK_MIN_VALUES, len(rows))
+        first, *rest = np.array_split(rows, min(_fork_width(), jobs)) if jobs > 1 else [rows]
+        with _forked([functools.partial(_format_into, part) for part in rest]) as join:
+            fh.writelines(_table_lines(first))
+            for i, part in enumerate(rest):
+                done = join(i)
+                if done is None:
+                    fh.writelines(_table_lines(part))
+                else:
+                    fh.flush()
+                    shutil.copyfileobj(done, fh.buffer)
 
 
 def _write_json(filename: str, obj) -> None:
-    """Write ``obj`` as sorted, two-space-indented JSON ending in a newline."""
+    """Write ``obj`` as sorted, two-space-indented JSON ending in a newline.
+
+    The text is formed before the file is opened, and NaN or infinity,
+    which JSON (RFC 8259) cannot hold, raise ``ValueError``: no file is
+    written then."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(filename, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def coeffs_to_csv(coeffs: ModeCoefficients, filename: str) -> None:

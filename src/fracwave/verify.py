@@ -6,18 +6,16 @@ Randomized checks derive all draws from the single seed passed in.
 
 ``run_all`` (``fracwave verify all``) runs the checks in one forked worker
 process per usable CPU, longest first.  It runs them serially in the
-calling process where only one CPU is usable, the ``fork`` start method is
-missing or another thread is running.  Each check draws only from its seed
-and ML values do not depend on cache state, so the results, and the report
-bytes, are identical either way.
+calling process where the package's one fork rule (``spectral._fork_width``)
+says so: only one CPU is usable, ``fork`` is missing, another thread is
+running, or the caller is itself a daemonic pool worker.  Each check draws
+only from its seed and ML values do not depend on cache state, so the
+results, and the report bytes, are identical either way.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +42,7 @@ from .mittag_leffler import (DECAY_SAMPLES, MLParams, _mpmath_single, gamma, max
 from .presets import h1_saturating, random_decay, single_mode
 from .regularity import fit_loglog_slope, initial_convergence, velocity_blowup_rate
 from .solver import ModePropagator, mode_second_derivative_samples
-from .spectral import build_interval
+from .spectral import _fork_width, build_interval
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS", "report_lines"]
 
@@ -403,13 +401,9 @@ def _run_check(index: int, seed: int) -> CheckResult:
 
 
 def _pool_size() -> int:
-    """Workers for ``run_all``: one per usable CPU.  1 (serial) without
-    ``fork``, or while another thread runs: a forked child would inherit
-    any lock that thread holds, the ML caches' among them."""
-    if ("fork" not in mp.get_all_start_methods() or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), len(ALL_CHECKS))
+    """Workers for ``run_all``: one per process ``_fork_width`` allows, 1
+    (serial) where it allows no child."""
+    return min(_fork_width(), len(ALL_CHECKS))
 
 
 def run_all(seed: int = 7) -> list[CheckResult]:
@@ -419,6 +413,8 @@ def run_all(seed: int = 7) -> list[CheckResult]:
     workers = _pool_size()
     if workers <= 1:
         return [fn(seed) for fn in ALL_CHECKS]
+    import multiprocessing as mp  # only here: ``fracwave solve`` never loads it
+
     rank = {fn: i for i, fn in enumerate(_LONGEST_FIRST)}
     order = sorted(range(len(ALL_CHECKS)), key=lambda i: rank.get(ALL_CHECKS[i], len(rank)))
     with mp.get_context("fork").Pool(workers) as pool:

@@ -7,8 +7,8 @@ fresh process, inside ``WORKDIR`` (a new temporary directory when none is
 given, removed afterwards), on the package next to this file.  Prints
 ``<sha256>  <file>`` per output, as ``sha256sum`` does, so a change that
 claims to keep every output byte can show it by comparing this listing
-before and after.  Each command's peak resident set size, as ``wait4``
-reports it, goes to standard error.  Exits 1 if a command fails.
+before and after.  Each command's wall seconds and peak resident set size,
+as ``wait4`` reports it, go to standard error.  Exits 1 if a command fails.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -43,15 +44,17 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run(argv: list[str], **popen) -> float:
-    """Run ``argv`` to completion and return its peak resident set size in
-    MB; raises ``CalledProcessError`` if it fails."""
+def run(argv: list[str], **popen) -> tuple[float, float]:
+    """Run ``argv`` to completion and return its wall seconds and its peak
+    resident set size in MB; raises ``CalledProcessError`` if it fails."""
+    t0 = time.perf_counter()
     proc = subprocess.Popen(argv, **popen)
     _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, argv)
-    return usage.ru_maxrss / 1024.0
+    return wall, usage.ru_maxrss / 1024.0
 
 
 def digests(workdir: Path) -> list[tuple[str, str]]:
@@ -60,9 +63,10 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = []
     for args, files in COMMANDS:
-        rss = run([sys.executable, "-m", "fracwave.cli", *args], cwd=workdir, env=env,
-                  stdout=subprocess.DEVNULL)
-        print(f"peak RSS {rss:6.1f} MB  fracwave {' '.join(args)}", file=sys.stderr)
+        wall, rss = run([sys.executable, "-m", "fracwave.cli", *args], cwd=workdir, env=env,
+                        stdout=subprocess.DEVNULL)
+        print(f"wall {wall:6.2f} s  peak RSS {rss:6.1f} MB  fracwave {' '.join(args)}",
+              file=sys.stderr)
         out += [(sha256(workdir / name), name) for name in files]
     return out
 

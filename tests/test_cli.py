@@ -110,6 +110,15 @@ def test_solve_rejects_lengths_out_of_range(tmp_path, domain):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_solve_rejects_non_finite_theta(tmp_path, capsys, theta):
+    argv = ["solve", "--modes", "8", "--steps", "4", "--points", "5", f"--theta={theta}",
+            "--out-prefix", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: theta must be finite")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv,message", [
     (["ml", "--z-range=1:2"], "--z-range: expected lo:hi:count, got '1:2'"),
     (["ml", "--z-range=1:2:x"], "--z-range: expected lo:hi:count, got '1:2:x'"),

@@ -1,0 +1,241 @@
+"""Large solves fork: the kernels and snapshot rows computed by children
+give the serial bytes, the fork rule keeps small or threaded work serial,
+and no child outlives the call that started it."""
+
+import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from fracwave import solver, spectral, verify
+from fracwave.cli import main
+from fracwave.fracops import TimeGrid
+from fracwave.params import FracOrder
+from fracwave.presets import random_decay
+from fracwave.solver import ModePropagator, SolutionQuery, coefficient_evolution, solve_field
+from fracwave.spectral import _FORK_MIN_VALUES, _write_csv, build_interval
+from test_verify import _count_forks, _cpus, _fake_checks, _forbid_fork
+
+# (modes, steps, points): kernels of 65,792 values, just above the fork
+# threshold, and a snapshot table of 66,306 values that stays in one piece;
+# then a grid whose 132,096-value table splits in two
+GRIDS = [("256", "256", "257"), ("256", "511", "257")]
+
+
+def _solve(tmp_path, prefix, which, grid):
+    modes, steps, points = grid
+    argv = ["solve", "--preset", "random-decay", "--seed", "7", "--which", which,
+            "--modes", modes, "--steps", steps, "--points", points,
+            "--out-prefix", str(tmp_path / prefix)]
+    assert main(argv) == 0
+    return [(tmp_path / f"{prefix}_{name}").read_bytes()
+            for name in ("snapshots.csv", "manifest.json")]
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("which", ["value", "velocity"])
+def test_pinned_and_unpinned_solves_write_the_same_bytes(tmp_path, monkeypatch, which, grid):
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        with monkeypatch.context() as m:
+            _forbid_fork(m)
+            pinned = _solve(tmp_path, "pinned", which, grid)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    forks = _count_forks(monkeypatch)
+    assert _solve(tmp_path, "free", which, grid) == pinned
+    if len(cpus) > 1:
+        table = (int(grid[1]) + 1) * (int(grid[2]) + 1)
+        parts = max(1, min(len(cpus), table // _FORK_MIN_VALUES))
+        assert len(forks) == 1 + (parts - 1)  # the kernels, then each row range after the first
+    _no_children_left()
+
+
+def test_large_solve_forks_once_for_kernels_and_once_per_extra_cpu_for_rows(tmp_path, monkeypatch):
+    grid = ("512", "512", "513")
+    with monkeypatch.context() as m:
+        _cpus(m, 1)
+        _forbid_fork(m)
+        serial = _solve(tmp_path, "serial", "value", grid)
+    _cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    assert _solve(tmp_path, "forked", "value", grid) == serial
+    assert len(forks) == 1 + 2
+    _no_children_left()
+
+
+def _query(modes, steps, which="value"):
+    domain = build_interval(1.0, modes)
+    return SolutionQuery(FracOrder(1.5), domain, random_decay(modes, 2.0, 5),
+                         TimeGrid(1.0, steps), which)
+
+
+def test_sweep_sized_solves_never_fork(monkeypatch):
+    _cpus(monkeypatch, 2)
+    _forbid_fork(monkeypatch)
+    for which in ("value", "velocity", "caputo"):
+        field = solve_field(_query(256, 32, which), np.linspace(0.0, 1.0, 65))
+        assert field.shape == (33, 65)
+
+
+def test_other_thread_keeps_a_large_solve_serial(tmp_path, monkeypatch):
+    query = _query(256, 511)
+    _cpus(monkeypatch, 2)
+    _forbid_fork(monkeypatch)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30.0,))
+    other.start()
+    try:
+        coeff = coefficient_evolution(query)
+        _write_csv(str(tmp_path / "rows.csv"), ["c"] * coeff.shape[1], coeff)
+    finally:
+        stop.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()
+
+
+def _in_children(monkeypatch, module, name, act):
+    """Replace ``module.name`` by a wrapper that calls ``act()`` first in
+    any process but this one."""
+    original = getattr(module, name)
+    parent = os.getpid()
+
+    def wrapper(*args, **kwargs):
+        if os.getpid() != parent:
+            act()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _fail():
+    raise RuntimeError("a child that fails")
+
+
+@pytest.mark.parametrize("which", ["value", "velocity"])
+def test_child_kernel_is_read_back(monkeypatch, which):
+    nodes = TimeGrid(1.0, 256).nodes
+    lam = build_interval(1.0, 256).eigenvalues
+    serial = ModePropagator(lam, 1.5, nodes)
+    first, second = solver._KERNELS[which]
+    expected = (getattr(serial, first), getattr(serial, second))
+    _cpus(monkeypatch, 2)
+    parent, calls, original = os.getpid(), [], solver.ml
+
+    def counting_ml(params, z):
+        if os.getpid() == parent:
+            calls.append(params.beta)
+        return original(params, z)
+
+    monkeypatch.setattr(solver, "ml", counting_ml)
+    prop = ModePropagator(lam, 1.5, nodes)
+    prop.prefetch(which)
+    assert np.array_equal(getattr(prop, first), expected[0])
+    assert np.array_equal(getattr(prop, second), expected[1])
+    assert len(calls) == 1
+    _no_children_left()
+
+
+def test_fork_that_fails_runs_the_job_here(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    query = _query(256, 511)
+    with monkeypatch.context() as m:
+        _cpus(m, 1)
+        expected = coefficient_evolution(query)
+        _write_csv(str(tmp_path / "serial.csv"), ["c"] * 512, expected)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert np.array_equal(coefficient_evolution(query), expected)
+    _write_csv(str(tmp_path / "forked.csv"), ["c"] * 512, expected)
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("which", ["value", "velocity"])
+def test_failed_kernel_child_is_recomputed_here(monkeypatch, which):
+    nodes = TimeGrid(1.0, 256).nodes
+    lam = build_interval(1.0, 256).eigenvalues
+    serial = ModePropagator(lam, 1.5, nodes)
+    first, second = solver._KERNELS[which]
+    expected = (getattr(serial, first), getattr(serial, second))
+    _cpus(monkeypatch, 2)
+    _in_children(monkeypatch, solver, "ml", _fail)
+    forks = _count_forks(monkeypatch)
+    prop = ModePropagator(lam, 1.5, nodes)
+    prop.prefetch(which)
+    assert len(forks) == 1
+    assert np.array_equal(getattr(prop, first), expected[0])
+    assert np.array_equal(getattr(prop, second), expected[1])
+    _no_children_left()
+
+
+def test_failed_row_child_is_formatted_here(tmp_path, monkeypatch):
+    table = np.random.default_rng(3).standard_normal((300, 2 * _FORK_MIN_VALUES // 300 + 1))
+    with monkeypatch.context() as m:
+        _cpus(m, 1)
+        _write_csv(str(tmp_path / "serial.csv"), ["v"] * table.shape[1], table)
+    _cpus(monkeypatch, 2)
+    _in_children(monkeypatch, spectral, "_format_into", _fail)
+    forks = _count_forks(monkeypatch)
+    _write_csv(str(tmp_path / "forked.csv"), ["v"] * table.shape[1], table)
+    assert len(forks) == 1
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    _no_children_left()
+
+
+class Interrupted(BaseException):
+    pass
+
+
+def test_interrupted_wait_kills_and_reaps_the_child(monkeypatch):
+    _cpus(monkeypatch, 2)
+    _in_children(monkeypatch, solver, "ml", lambda: time.sleep(60.0))
+    prop = ModePropagator(build_interval(1.0, 256).eigenvalues, 1.5, TimeGrid(1.0, 256).nodes)
+
+    def expire(signum, frame):
+        raise Interrupted()
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(Interrupted):
+            prop.prefetch("value")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30.0
+    assert "e1" in vars(prop) and "te2" not in vars(prop)
+    _no_children_left()
+
+
+def test_run_all_in_a_pool_worker_runs_serially(monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", _fake_checks())
+    _cpus(monkeypatch, 2)
+    with mp.get_context("fork").Pool(1) as pool:
+        results = pool.apply(verify.run_all, (4,))
+    assert [r.name for r in results] == [f"fake-{i}" for i in range(len(verify.ALL_CHECKS))]
+    pids = {r.details["pid"] for r in results}
+    assert len(pids) == 1 and os.getpid() not in pids
+
+
+def test_import_loads_neither_multiprocessing_nor_signal():
+    code = ("import sys, fracwave.cli; "
+            "print(sorted({'multiprocessing', 'signal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -374,6 +374,15 @@ class TestTruncationTail:
         expected = math.sqrt(float(np.sum(data.a[16:] ** 2)))
         assert abs(truncation_tail(q, 0.0, 0.0) - expected) < 1e-14
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected_before_writing(self, tmp_path, theta):
+        q = SolutionQuery(FracOrder(1.5), self.domain, poly_bump(self.domain), self.grid, n_sum=16)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            truncation_tail(q, theta, 1.0)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            write_manifest(q, str(tmp_path / "manifest.json"), theta=theta)
+        assert not list(tmp_path.iterdir())
+
 
 class TestExports:
     def test_snapshots_and_manifest(self, tmp_path):

@@ -514,6 +514,16 @@ class TestDst1:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_without_nan_or_infinity(self, tmp_path, bad):
+        fname = tmp_path / "out.json"
+        fname.write_text("kept\n")
+        with pytest.raises(ValueError):
+            spectral._write_json(str(fname), {"a": [1.0, {"b": bad}]})
+        assert fname.read_text() == "kept\n"
+        spectral._write_json(str(fname), {"b": 2.5, "a": [1, None]})
+        assert fname.read_text() == '{\n  "a": [\n    1,\n    null\n  ],\n  "b": 2.5\n}\n'
+
     def test_domain_config_roundtrip(self):
         d = build_rectangle(1.0, 2.0, 12)
         cfg = domain_to_config(d)
