@@ -44,10 +44,18 @@ that is at most four times the input's bytes from 2**18 values on.
 
 The series' term ratios ``c_{k+1}/c_k`` of ``c_k = 1/Gamma(alpha k +
 beta)`` and the expansions' coefficients ``1/Gamma(beta - alpha k)`` are
-doubles rounded from 20-digit reciprocal gammas, built once per (alpha,
-beta).  The series table reaches only as far as the calling half-axis
-needs; the longer positive-axis table is built once a positive argument
-arrives, which the solver never sends.
+doubles rounded from 20-digit reciprocal gammas, one table of each per
+(alpha, beta).  Each grows only as far as it is read: the series extends
+its ratios ``_SERIES_CHUNK`` at a time when its loop reaches their end, the
+algebraic series its coefficients ``_ASYM_CHUNK`` at a time, and the
+contour sum reads the lead coefficient alone.  Every entry is the same
+20-digit computation whenever it is built, so a grown table has the bits of
+one built whole.  The algebraic series also stops early: after each
+``_ASYM_CHUNK`` terms it bounds every later term it could add, ``|1/Gamma(x)|``
+by 1.13 for ``x > 0`` and by ``Gamma(1 - x)/pi`` for ``x < 0``, and ``|z|**-k``
+by ``zmin**(1-k)/|z|`` over the smallest running ``|z|``.  It ends once every
+such term lies below ``2**-54`` times its value's ``|sum|``, under half an
+ulp of the sum, so adding it would leave the sum's bits unchanged.
 
 Whatever every tier declines goes to arbitrary precision.  On the negative
 axis above ``m = 100`` that is the contour sum again, with its step halved
@@ -210,8 +218,9 @@ class _ByteLRU:
                 self.total -= self._items.popitem(last=False)[1][1]
 
 
-# Per-cache byte budget.  One 30-alpha sweep holds about 90 kB of series
-# tables and expansion coefficients, so only long scans over many orders evict.
+# Per-cache byte budget.  The tables grow only as far as they are read: one
+# 30-alpha sweep holds about 40 kB of series tables and 25 kB of expansion
+# coefficients, so only long scans over many orders evict.
 _CACHE_BYTES = 32 * 2**20
 
 
@@ -248,26 +257,27 @@ def _rgamma_double(ctx, x: float) -> float:
     return r if abs(r) * sys.float_info.max >= 1.0 else 0.0
 
 
-# (alpha, beta) -> 1/Gamma(beta - alpha k) for k = 1.._ASYM_KMAX
+# (alpha, beta) -> 1/Gamma(beta - alpha k) for k = 1, 2, ..., as far as read
 _ASYM_CACHE = _ByteLRU(lambda coeffs: coeffs.nbytes + 256, _CACHE_BYTES)
 
 
-def _asym_coeffs(alpha: float, beta: float) -> np.ndarray:
-    """``1/Gamma(beta - alpha k)``, k = 1.._ASYM_KMAX, each at the argument
-    as rounded to double: the coefficients of the algebraic series, the
-    first also the contour's lead term.
+def _asym_coeffs(alpha: float, beta: float, size: int) -> np.ndarray:
+    """``1/Gamma(beta - alpha k)`` for k = 1..``size`` at least, each at the
+    argument as rounded to double: the coefficients of the algebraic series,
+    the first also the contour's lead term.
 
     Rounded from 20 digits, they are the correctly rounded doubles unless a
     value lies within about 1e-20 (relative) of a halfway point between two.
+    A shorter table is replaced by one extended to ``size`` entries.
     """
-    key = (alpha, beta)
-    coeffs = _ASYM_CACHE.get(key)
-    if coeffs is None:
+    coeffs = _ASYM_CACHE.get((alpha, beta))
+    built = 0 if coeffs is None else coeffs.size
+    if built < size:
         ctx = _mp_context()
         with ctx.workdps(_TABLE_DPS):
-            coeffs = np.array([_rgamma_double(ctx, beta - alpha * k)
-                               for k in range(1, _ASYM_KMAX + 1)])
-        _ASYM_CACHE[key] = coeffs
+            new = [_rgamma_double(ctx, beta - alpha * k) for k in range(built + 1, size + 1)]
+        coeffs = np.array(new) if coeffs is None else np.concatenate([coeffs, new])
+        _ASYM_CACHE[(alpha, beta)] = coeffs
     return coeffs
 
 
@@ -275,33 +285,44 @@ def _table_bytes(entry) -> int:
     return entry[0].nbytes + 256
 
 
-# (alpha, beta) -> (ratios R_k = c_{k+1}/c_k, c_0), the longest built so far
+# (alpha, beta) -> (ratios R_k = c_{k+1}/c_k, c_0, the raw c_k at the end of
+# the ratios), as far as read
 _TABLE_CACHE = _ByteLRU(_table_bytes, _CACHE_BYTES)
+# the series extends its table by this many ratios when its loop reaches
+# the end of what is built
+_SERIES_CHUNK = 24
 
 
 def _series_length(alpha: float, m_max: float) -> int:
     return min(_SERIES_KMAX, int(3.8 * max(m_max, 1.0) / alpha) + 48)
 
 
-def _series_table(alpha: float, beta: float, m_max: float):
-    """Term ratios ``R_k = c_{k+1}/c_k`` and ``c_0``, rounded to double, as
-    far as a series out to ``m_max`` needs.
+def _series_table(alpha: float, beta: float, size: int):
+    """Term ratios ``R_k = c_{k+1}/c_k``, ``size`` of them at least, and
+    ``c_0``, rounded to double.
 
     The coefficients ``c_k = 1/Gamma(alpha k + beta)``, at arguments formed
     exactly, and their ratios are taken at ``_TABLE_DPS`` digits.  One table
-    per (alpha, beta); a longer request replaces it with a longer one.
+    per (alpha, beta); a shorter one is replaced by one extended to ``size``
+    ratios, which starts from the coefficient the shorter one ends on.
     """
-    size = _series_length(alpha, m_max)
     entry = _TABLE_CACHE.get((alpha, beta))
     if entry is not None and entry[0].size >= size:
         return entry
     ctx = _mp_context()
     a, b = libmp.from_float(alpha), libmp.from_float(beta)
     with ctx.workdps(_TABLE_DPS):
-        c = [_series_coeff(ctx, a, b, k) for k in range(size + 1)]
-        ratios = np.array([libmp.to_float(libmp.mpf_div(c[k + 1], c[k], ctx.prec, _NEAREST),
-                                          rnd=_NEAREST) for k in range(size)])
-    entry = (ratios, libmp.to_float(c[0], rnd=_NEAREST))
+        if entry is None:
+            last = _series_coeff(ctx, a, b, 0)
+            ratios, c0 = np.empty(0), libmp.to_float(last, rnd=_NEAREST)
+        else:
+            ratios, c0, last = entry
+        new = []
+        for k in range(ratios.size + 1, size + 1):
+            c = _series_coeff(ctx, a, b, k)
+            new.append(libmp.to_float(libmp.mpf_div(c, last, ctx.prec, _NEAREST), rnd=_NEAREST))
+            last = c
+    entry = (np.concatenate([ratios, new]), c0, last)
     _TABLE_CACHE[(alpha, beta)] = entry
     return entry
 
@@ -310,40 +331,108 @@ def _declined(z):
     return np.zeros_like(z), np.zeros(z.shape, dtype=bool)
 
 
+# relative slack of the series' decline test: its ratios fall with k, so
+# the first decides the test unless it lies this close to the bound
+_DECLINE_SLACK = 2.0**-40
+
+
 def _series_double(alpha, beta, z, tol):
     """Kahan-compensated Taylor series at ``z`` of one sign; returns (value,
     accept mask).
 
-    Its table reaches ``m = _M_DOUBLE`` for negative ``z`` and
-    ``_M_POS_SERIES`` for positive ``z``, so the longer table is built only
-    once a positive argument arrives.  Every value is declined where a term
-    factor ``z R_k`` could exceed ``_FACTOR_MAX``.
+    It takes terms out to ``m = _M_DOUBLE`` for negative ``z`` and
+    ``_M_POS_SERIES`` for positive ``z``, and extends its table as its loop
+    reads it.  Every value is declined where a term factor ``z R_k`` could
+    exceed ``_FACTOR_MAX``.  ``R_k = Gamma(alpha k + beta)/Gamma(alpha k +
+    alpha + beta)`` falls as k grows, because the digamma function
+    increases on (0, inf), so that test reads ``R_0`` alone unless ``R_0``
+    lies within rounding slack of the bound.  The loop updates its arrays in
+    place, in the operation order of ``t = t * (z * R_k)`` and the Kahan
+    step, so it holds five of them besides ``z`` and ``tol``.
     """
     zmax = float(np.max(np.abs(z)))
-    ratios, c0 = _series_table(alpha, beta, _M_POS_SERIES if z[0] > 0.0 else _M_DOUBLE)
-    n = min(_series_length(alpha, zmax ** (1.0 / alpha)), ratios.size)
-    if not np.max(np.abs(ratios[:n])) < _FACTOR_MAX / zmax:
-        return _declined(z)
+    m_cap = _M_POS_SERIES if z[0] > 0.0 else _M_DOUBLE
+    n = min(_series_length(alpha, zmax ** (1.0 / alpha)), _series_length(alpha, m_cap))
+    ratios, c0, _ = _series_table(alpha, beta, _SERIES_CHUNK)
+    bound = _FACTOR_MAX / zmax
+    if not abs(ratios[0]) < bound * (1.0 - _DECLINE_SLACK):
+        ratios = _series_table(alpha, beta, n)[0]
+        if not np.max(np.abs(ratios[:n])) < bound:
+            return _declined(z)
     t = np.full(z.shape, c0)
     s = t.copy()
     comp = np.zeros_like(s)
     acc = np.abs(t)
+    w = np.empty_like(s)
+    blocks = range(0, z.size, _EXPANSION_BLOCK)
     for k in range(n - 1):
-        t = t * (z * ratios[k])
-        y = t - comp
-        tmp = s + y
-        comp = (tmp - s) - y
-        s = tmp
-        acc += np.abs(t)
-        if k > 4 and np.all(np.abs(t) <= 1e-20 * acc):
+        if k == ratios.size:
+            ratios = _series_table(alpha, beta, min(k + _SERIES_CHUNK, _SERIES_KMAX))[0]
+        t *= np.multiply(z, ratios[k], out=w)
+        # the Kahan step y = t - comp, tmp = s + y, comp = (tmp - s) - y,
+        # s = tmp, with y in comp and tmp in w
+        np.subtract(t, comp, out=comp)
+        np.add(s, comp, out=w)
+        np.subtract(w, s, out=s)
+        np.subtract(s, comp, out=comp)
+        s, w = w, s
+        acc += np.abs(t, out=w)
+        # all |t| <= 1e-20 acc, block by block
+        if k > 4 and all(np.all(w[i:i + _EXPANSION_BLOCK] <= 1e-20 * acc[i:i + _EXPANSION_BLOCK])
+                         for i in blocks):
             break
-    est = 4.0 * _EPS * acc + np.abs(t)
-    ok = est <= tol * np.abs(s)
-    return s, ok
+    # est = 4 eps acc + |t|, accepted where est <= tol |s|
+    acc *= 4.0 * _EPS
+    acc += np.abs(t, out=t)
+    return s, acc <= np.multiply(np.abs(s, out=w), tol, out=w)
 
 
 # ---------------------------------------------------------------------------
 # large-argument expansions
+
+
+# the algebraic series builds its coefficients this many at a time, and
+# checks at the end of each such run of terms whether it can stop
+_ASYM_CHUNK = 8
+# a term below this fraction of |s| lies under half an ulp of s: adding it
+# leaves s unchanged
+_NEGLIGIBLE = 2.0**-54
+
+
+def _pole_terms(alpha: float, beta: float):
+    """``(k, ends, skips)`` for k = 1.._ASYM_KMAX: whether the algebraic
+    series ends at term k, and whether it skips it.
+
+    Arguments ``beta - alpha k`` that are non-positive integers up to
+    rounding sit at gamma poles: the coefficient is (essentially) zero, so
+    the term is skipped and must not feed the term-growth stopping rule.  For
+    integer ``alpha`` the arguments step by integers, so once one is exactly
+    a pole every later one is too, and the series ends there.
+    """
+    for k in range(1, _ASYM_KMAX + 1):
+        arg = beta - alpha * k
+        near = arg < 0.5 and abs(arg - round(arg)) < 1e-6
+        yield k, near and alpha == round(alpha) and arg == round(arg), near
+
+
+def _log_coeff_bounds(alpha: float, beta: float) -> np.ndarray:
+    """Logarithm of a bound on ``|1/Gamma(beta - alpha k)|``, k =
+    1.._ASYM_KMAX, for every term the algebraic series can add or stop at;
+    -inf for the terms it skips and those past its end.
+
+    ``|1/Gamma(x)|`` is at most 1.13 for ``x > 0`` and, by the reflection
+    formula, ``Gamma(1 - x)/pi`` for ``x < 0``; the factor 1.01 covers the
+    rounding of the coefficients and of the powers of ``1/z``.
+    """
+    log_g = np.full(_ASYM_KMAX, -np.inf)
+    for k, ends, skips in _pole_terms(alpha, beta):
+        if ends:
+            break
+        if not skips:
+            x = beta - alpha * k
+            log_g[k - 1] = math.log(1.01 * 1.13) if x > 0.0 else (
+                math.lgamma(1.0 - x) - math.log(math.pi / 1.01))
+    return log_g
 
 
 def _algebraic(alpha, beta, z):
@@ -351,11 +440,24 @@ def _algebraic(alpha, beta, z):
 
     Returns ``(sum, abs_sum, truncation_estimate)``: the sum stops before
     the first term that fails to decrease, which then bounds the error.  For
-    integer ``alpha`` the arguments step by integers, so once one is exactly
-    a pole every later one is too: the series has ended, and what was kept
-    is exact (estimate 0) wherever it had not already stopped.
+    integer ``alpha`` the series ends at the first exact gamma pole, and
+    what was kept is exact (estimate 0) wherever it had not already stopped.
+
+    After every ``_ASYM_CHUNK`` terms the loop also ends if no later term
+    can change a running value's sums: each term it could still add or stop
+    at is bounded below ``_NEGLIGIBLE`` times that value's ``|sum|``.  So sum
+    and abs_sum keep the bits of the whole loop.  The values still running
+    take their bound as the estimate: at least the term the whole loop would
+    have charged, and above it by less than ``2**-54 |sum|``.  Coefficients
+    are built ``_ASYM_CHUNK`` at a time, as far as the loop reads them.
     """
-    coeffs = _asym_coeffs(alpha, beta)
+    log_g = _log_coeff_bounds(alpha, beta)
+    az = np.abs(z)
+    # powers of 1/z below the normal range carry an absolute rounding error
+    # of up to 2**-1075 per step, which the relative factor in log_g does
+    # not cover; in units of 1/|z| it is at most this
+    slack = _ASYM_KMAX * 2.0**-1074 * math.exp(min(np.max(log_g), 709.0)) * np.max(az)
+    coeffs = np.empty(0)
     invz = 1.0 / z
     p = invz.copy()
     s = np.zeros_like(z)
@@ -363,17 +465,12 @@ def _algebraic(alpha, beta, z):
     prev = np.full(z.shape, np.inf)
     active = np.ones(z.shape, dtype=bool)
     est = np.zeros_like(z)
-    for k in range(1, _ASYM_KMAX + 1):
-        arg = beta - alpha * k
-        # arguments that are non-positive integers up to rounding sit at
-        # gamma poles: the coefficient is (essentially) zero and must not
-        # feed the term-growth stopping rule
-        if arg < 0.5 and abs(arg - round(arg)) < 1e-6:
-            if alpha == round(alpha) and arg == round(arg):
-                return s, s_abs, est
-            p = p * invz
-            continue
-        rg = coeffs[k - 1]
+    for k, ends, skips in _pole_terms(alpha, beta):
+        if ends:
+            return s, s_abs, est
+        if not skips and k > coeffs.size:
+            coeffs = _asym_coeffs(alpha, beta, -(-k // _ASYM_CHUNK) * _ASYM_CHUNK)
+        rg = 0.0 if skips else coeffs[k - 1]
         if rg != 0.0:
             t = p * rg
             mag = np.abs(t)
@@ -385,6 +482,17 @@ def _algebraic(alpha, beta, z):
             np.add(s, t, out=s, where=active)
             np.add(s_abs, mag, out=s_abs, where=active)
             np.copyto(prev, mag, where=active)
+        if k % _ASYM_CHUNK == 0 and k < _ASYM_KMAX:
+            # a later term j of a running value is at most g_j |z|**-j <=
+            # g_j zmin**(1-j) / |z|, over the smallest running |z|; |sum z|
+            # is about the same for every value.  exp(709) is near the top
+            # of the double range, far above any |sum z|
+            top = np.max(log_g[k:] - np.arange(k, _ASYM_KMAX)
+                         * math.log(np.where(active, az, np.inf).min()))
+            bound = math.exp(min(top, 709.0)) + slack
+            if top > -np.inf and bound < _NEGLIGIBLE * np.where(active, np.abs(s) * az, np.inf).min():
+                np.copyto(est, bound / az, where=active)
+                return s, s_abs, est
         p = p * invz
     # ran out of terms while still decreasing: last kept term is the estimate
     np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
@@ -412,8 +520,10 @@ _EXPANSION_BLOCK = 8192
 
 def _in_blocks(tier):
     """Run an elementwise tier ``_EXPANSION_BLOCK`` values at a time.  No
-    value or accept flag depends on another value, so the bits do not
-    depend on the block size."""
+    value depends on another value, so the bits do not depend on the block
+    size.  An accept flag can, through the estimate the algebraic series
+    charges where it stops early, but only where its test sits within
+    ``2**-54 |sum|`` of its threshold."""
     @functools.wraps(tier)
     def blocked(alpha, beta, z, tol):
         if z.size <= _EXPANSION_BLOCK:  # one block: no copy into a result array
@@ -574,7 +684,7 @@ def _contour_neg(alpha, beta, z, tol):
         coarse[blk] = 2.0 * g[:, ::2].sum(axis=1)
         size[blk] = np.abs(g).sum(axis=1)
     scale = (2.0 * _CONTOUR_H / math.pi) * mu ** (1.0 + 2.0 * alpha - beta)
-    lead = _asym_coeffs(alpha, beta)[0]
+    lead = _asym_coeffs(alpha, beta, 1)[0]
     pair = np.zeros_like(x)
     pair_err = np.zeros_like(x)
     if np.any(inside):

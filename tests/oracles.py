@@ -1,8 +1,9 @@
 """Independent reference computations backing the expected-value tests.
 
 Nothing here imports evaluation code from the package: the series oracle is
-a direct extended-precision summation, integrals go through mpmath
-quadrature, the peak search is a plain golden-section loop, the
+a direct extended-precision summation, the Mittag-Leffler tier references
+are the whole-table, whole-loop forms of the series and expansion tiers,
+integrals go through mpmath quadrature, the peak search is a plain golden-section loop, the
 seminorm reference forms the whole difference tensor, and the interval and
 rectangle references write out each domain's sine basis by hand.
 """
@@ -10,6 +11,7 @@ rectangle references write out each domain's sine basis by hand.
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -64,6 +66,103 @@ def _terms_to_stop(alpha: float, beta: float, z: float, dps: int) -> int:
         if k > 8 and log_term < top - drop:
             return k
         k += 1
+
+
+# ---------------------------------------------------------------------------
+# the Mittag-Leffler tiers in their whole-table, whole-loop forms.  Each
+# takes the same floating-point and 20-digit mpmath operations in the same
+# order as the package, so the two agree bit for bit
+
+_TABLE_DPS = 20
+_EPS = 2.220446049250313e-16
+_FACTOR_MAX = 2.0**995
+_ASYM_KMAX = 40
+
+
+def series_table_ref(alpha: float, beta: float, size: int):
+    """``(R_k, k < size; c_0)``: the ratios ``c_{k+1}/c_k`` of ``c_k =
+    1/Gamma(alpha k + beta)`` and ``c_0``, all ``size + 1`` coefficients
+    taken at once at 20 digits, at exactly formed arguments, and rounded to
+    double."""
+    with mp.workdps(_TABLE_DPS):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        c = [mp.rgamma(mp.fadd(mp.fmul(a, k, exact=True), b, exact=True)) for k in range(size + 1)]
+        return np.array([float(c[k + 1] / c[k]) for k in range(size)]), float(c[0])
+
+
+def _series_length(alpha: float, m_max: float) -> int:
+    return min(1400, int(3.8 * max(m_max, 1.0) / alpha) + 48)
+
+
+def series_double_ref(alpha: float, beta: float, z, tol):
+    """The Kahan-compensated series tier as one expression per step, over a
+    table built whole for its half-axis (out to m = 12 for negative ``z``,
+    60 for positive), declining where any of its ``n`` ratios reaches
+    ``_FACTOR_MAX / max|z|``; returns (value, accept mask)."""
+    zmax = float(np.max(np.abs(z)))
+    ratios, c0 = series_table_ref(alpha, beta, _series_length(alpha, 60.0 if z[0] > 0.0 else 12.0))
+    n = min(_series_length(alpha, zmax ** (1.0 / alpha)), ratios.size)
+    if not np.max(np.abs(ratios[:n])) < _FACTOR_MAX / zmax:
+        return np.zeros_like(z), np.zeros(z.shape, dtype=bool)
+    t = np.full(z.shape, c0)
+    s = t.copy()
+    comp = np.zeros_like(s)
+    acc = np.abs(t)
+    for k in range(n - 1):
+        t = t * (z * ratios[k])
+        y = t - comp
+        tmp = s + y
+        comp = (tmp - s) - y
+        s = tmp
+        acc += np.abs(t)
+        if k > 4 and np.all(np.abs(t) <= 1e-20 * acc):
+            break
+    est = 4.0 * _EPS * acc + np.abs(t)
+    return s, est <= tol * np.abs(s)
+
+
+def asym_coeffs_ref(alpha: float, beta: float) -> np.ndarray:
+    """``1/Gamma(beta - alpha k)``, k = 1..40, at the arguments as rounded
+    to double, from 20 digits; 0.0 where the value leaves the double range."""
+    with mp.workdps(_TABLE_DPS):
+        out = [float(mp.rgamma(beta - alpha * k)) for k in range(1, _ASYM_KMAX + 1)]
+    return np.array([r if abs(r) * sys.float_info.max >= 1.0 else 0.0 for r in out])
+
+
+def algebraic_ref(alpha: float, beta: float, z, coeffs):
+    """The algebraic series of the large-argument expansions over all 40
+    terms: ``(sum, abs_sum, truncation_estimate)``, stopping each value
+    before its first term that fails to decrease; gamma poles up to 1e-6 are
+    skipped, and for integer ``alpha`` the first exact one ends the sum."""
+    invz = 1.0 / z
+    p = invz.copy()
+    s = np.zeros_like(z)
+    s_abs = np.zeros_like(z)
+    prev = np.full(z.shape, np.inf)
+    active = np.ones(z.shape, dtype=bool)
+    est = np.zeros_like(z)
+    for k in range(1, _ASYM_KMAX + 1):
+        arg = beta - alpha * k
+        if arg < 0.5 and abs(arg - round(arg)) < 1e-6:
+            if alpha == round(alpha) and arg == round(arg):
+                return s, s_abs, est
+            p = p * invz
+            continue
+        rg = coeffs[k - 1]
+        if rg != 0.0:
+            t = p * rg
+            mag = np.abs(t)
+            stop = active & (mag >= prev)
+            np.copyto(est, mag, where=stop)
+            active &= ~stop
+            if not active.any():
+                break
+            np.add(s, t, out=s, where=active)
+            np.add(s_abs, mag, out=s_abs, where=active)
+            np.copyto(prev, mag, where=active)
+        p = p * invz
+    np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
+    return s, s_abs, est
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):

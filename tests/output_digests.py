@@ -4,16 +4,19 @@
 
 Runs each command of ``COMMANDS`` as ``python -m fracwave.cli ...`` in a
 fresh process, inside ``WORKDIR`` (a new temporary directory when none is
-given, removed afterwards), on the package next to this file.  Prints
-``<sha256>  <file>`` per output, as ``sha256sum`` does, so a change that
-claims to keep every output byte can show it by comparing this listing
-before and after.  Each command's wall seconds and peak resident set size,
-as ``wait4`` reports it, go to standard error.  Exits 1 if a command fails.
+given, removed afterwards), on the package next to this file.  Then, in this
+process, writes the alpha-sweep fields of each seed of ``SWEEP_SEEDS`` (see
+``write_sweep``).  Prints ``<sha256>  <file>`` per output, as ``sha256sum``
+does, so a change that claims to keep every output byte can show it by
+comparing this listing before and after.  Each command's wall seconds and
+peak resident set size, as ``wait4`` reports it, and each sweep's wall
+seconds go to standard error.  Exits 1 if a command fails.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +43,40 @@ COMMANDS = tuple(
 )
 
 
+# the benchmark's alpha sweep: 30 alphas over (1, 2) on the golden-offset
+# grid, each one solve_field of the value, the velocity and the Caputo
+# derivative in turn, with the data that ``bench/worker.py sweep --seed S``
+# draws
+SWEEP_SEEDS = (7000,)
+SWEEP = {"modes": 256, "steps": 32, "points": 65, "per_bin": 3}
+
+
+def write_sweep(path: Path, seed: int) -> None:
+    """Write the ``SWEEP`` fields of ``seed``, one after another in alpha
+    order, as raw float64 bytes."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    import numpy as np
+
+    from fracwave import FracOrder, SolutionQuery, TimeGrid, build_interval
+    from fracwave.presets import random_decay
+    from fracwave.solver import solve_field
+
+    n, per_bin = SWEEP["modes"], SWEEP["per_bin"]
+    domain = build_interval(1.0, n)
+    points = np.linspace(0.0, 1.0, SWEEP["points"])
+    grid = TimeGrid(1.0, SWEEP["steps"])
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    alphas = 1.0 + (np.arange(10 * per_bin) + golden) / (10 * per_bin)
+    data_rng = np.random.default_rng([seed, 0])
+    with open(path, "wb") as fh:
+        for j, alpha in enumerate(alphas):
+            data = random_decay(n, 2.0, int(data_rng.integers(2**31)))
+            which = ("value", "velocity", "caputo")[j % 3]
+            query = SolutionQuery(FracOrder(float(alpha)), domain, data, grid, which)
+            fh.write(np.ascontiguousarray(solve_field(query, points), dtype=np.float64).tobytes())
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -58,7 +95,8 @@ def run(argv: list[str], **popen) -> tuple[float, float]:
 
 
 def digests(workdir: Path) -> list[tuple[str, str]]:
-    """``(sha256, file name)`` of every output of ``COMMANDS`` run in ``workdir``."""
+    """``(sha256, file name)`` of every output of ``COMMANDS`` and of the
+    sweeps, written in ``workdir``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = []
@@ -68,6 +106,12 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
         print(f"wall {wall:6.2f} s  peak RSS {rss:6.1f} MB  fracwave {' '.join(args)}",
               file=sys.stderr)
         out += [(sha256(workdir / name), name) for name in files]
+    for seed in SWEEP_SEEDS:
+        name = f"sweep_seed{seed}.f64"
+        t0 = time.perf_counter()
+        write_sweep(workdir / name, seed)
+        print(f"wall {time.perf_counter() - t0:6.2f} s  alpha sweep, seed {seed}", file=sys.stderr)
+        out.append((sha256(workdir / name), name))
     return out
 
 

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from fracwave.mittag_leffler import (
     ml,
     verify_decay_bound,
 )
-from oracles import golden_section_max, ml_series_ref
+from oracles import (algebraic_ref, asym_coeffs_ref, golden_section_max, ml_series_ref,
+                     series_double_ref, series_table_ref)
 
 # frozen extended-precision series values (see oracles.ml_series_ref)
 ML_1P5_1_M5 = -0.3000820504131309
@@ -308,21 +310,29 @@ class TestCascade:
         assert ok.any() and not ok.all()
 
     def test_series_table_built_once(self, empty_coeff_cache):
-        # negative arguments build the table out to m = 12 only; the first
-        # positive one replaces it, once, with the table out to m = 60
+        # the table grows _SERIES_CHUNK ratios at a time as far as the series
+        # reads it: a call that reads no further reuses it, one that reads
+        # further replaces it, once, with a longer table of the same leading
+        # bits, which a later negative argument reuses
         alpha, beta = 1.37, 1.11
+        chunk = mlmod._SERIES_CHUNK
         p = MLParams(alpha, beta)
         ml(p, -1.0)
-        short = _series_table(alpha, beta, mlmod._M_DOUBLE)
-        assert short[0].size == mlmod._series_length(alpha, mlmod._M_DOUBLE)
+        short = empty_coeff_cache[(alpha, beta)]
+        assert short[0].size == chunk < mlmod._series_length(alpha, mlmod._M_DOUBLE)
+        ml(p, np.array([-0.5, -2.0, -(40.0**alpha)]))
+        assert empty_coeff_cache[(alpha, beta)] is short
         ml(p, np.array([-(11.0**alpha), -(40.0**alpha)]))
-        assert _series_table(alpha, beta, mlmod._M_DOUBLE) is short
+        mid = empty_coeff_cache[(alpha, beta)]
+        assert chunk < mid[0].size <= mlmod._series_length(alpha, mlmod._M_DOUBLE) + chunk
         ml(p, np.array([-(40.0**alpha), 55.0**alpha]))
-        long = _series_table(alpha, beta, mlmod._M_POS_SERIES)
-        assert long[0].size == mlmod._series_length(alpha, mlmod._M_POS_SERIES)
+        long = empty_coeff_cache[(alpha, beta)]
+        assert mid[0].size < long[0].size <= mlmod._series_length(alpha, mlmod._M_POS_SERIES) + chunk
+        assert long[0].size % chunk == mid[0].size % chunk == 0
         assert long[0][: short[0].size].tolist() == short[0].tolist() and long[1] == short[1]
+        assert long[0].tolist() == series_table_ref(alpha, beta, long[0].size)[0].tolist()
         ml(p, np.array([-1.0, 3.0]))
-        assert _series_table(alpha, beta, mlmod._M_DOUBLE) is long
+        assert empty_coeff_cache[(alpha, beta)] is long
 
 
 class TestContourTier:
@@ -709,12 +719,12 @@ class TestCacheBudget:
         assert all(0 < len(c._items) < len(self.CASES) for c in (coeffs, tables))
 
     def test_concurrent_eviction_keeps_values_and_count(self, monkeypatch):
-        # threads building, replacing (the positive argument needs the longer
-        # series table) and evicting the entries of two caches too small for
-        # these four orders (series tables of 0.8 to 2.7 kB, expansion
-        # coefficients of 576 bytes)
-        tables = mlmod._ByteLRU(mlmod._table_bytes, 6_000)
-        coeffs = mlmod._ByteLRU(mlmod._ASYM_CACHE.nbytes, 1_200)
+        # threads building, extending (the positive argument reads further
+        # into the series table) and evicting the entries of two caches too
+        # small for these four orders: series tables of 448 bytes (one chunk)
+        # to 640 bytes, coefficient tables of 264 bytes (the contour's lead)
+        tables = mlmod._ByteLRU(mlmod._table_bytes, 1_500)
+        coeffs = mlmod._ByteLRU(mlmod._ASYM_CACHE.nbytes, 600)
         rows = [TestCoefficientTable.FALLBACK[i] for i in (0, 2, 3, 4)]
         cases = [(MLParams(a, b), np.array([-0.5, z / 2, z, 5.0])) for a, b, z, _ in rows]
         want = [ml(p, z).tobytes() for p, z in cases]
@@ -748,7 +758,7 @@ class TestAsymCoefficients:
     def test_grid_is_correctly_rounded(self, fresh):
         for alpha in self.ALPHAS:
             for beta in self.BETAS:
-                coeffs = mlmod._asym_coeffs(alpha, beta)
+                coeffs = mlmod._asym_coeffs(alpha, beta, mlmod._ASYM_KMAX)
                 assert coeffs.shape == (mlmod._ASYM_KMAX,)
                 with mp.workdps(50):
                     ref = [float(mp.rgamma(beta - alpha * k)) for k in range(1, mlmod._ASYM_KMAX + 1)]
@@ -763,11 +773,12 @@ class TestAsymCoefficients:
     def test_pole_coefficients_are_zero(self, fresh):
         # beta - alpha k = 1 - k for alpha = beta = 1; for alpha = 0.5 every
         # second argument is a pole
-        assert not mlmod._asym_coeffs(1.0, 1.0).any()
-        half = mlmod._asym_coeffs(0.5, 1.0)
+        kmax = mlmod._ASYM_KMAX
+        assert not mlmod._asym_coeffs(1.0, 1.0, kmax).any()
+        half = mlmod._asym_coeffs(0.5, 1.0, kmax)
         assert not half[1::2].any() and half[0::2].all()
         # beta = alpha: the contour's lead 1/Gamma(0)
-        assert mlmod._asym_coeffs(1.5, 1.5)[0] == 0.0
+        assert mlmod._asym_coeffs(1.5, 1.5, 1)[0] == 0.0
 
     @pytest.mark.parametrize("x,zero", [(171.0, False), (171.62, False), (171.63, True),
                                         (171.7, True), (200.0, True), (1.0e4, True)])
@@ -781,7 +792,7 @@ class TestAsymCoefficients:
                 assert got == float(mp.rgamma(x))
 
     def test_large_beta_coefficients_underflow_to_zero(self, fresh):
-        coeffs = mlmod._asym_coeffs(0.5, 200.0)  # arguments 199.5 down to 180
+        coeffs = mlmod._asym_coeffs(0.5, 200.0, mlmod._ASYM_KMAX)  # arguments 199.5 down to 180
         assert not coeffs.any()
 
     def test_concurrent_builds_match_serial(self, monkeypatch, fresh):
@@ -789,7 +800,7 @@ class TestAsymCoefficients:
         # threads run contour sums at their own working precisions; a shared
         # precision would show in the contour bits
         orders = [(a, b) for a in self.ALPHAS[::2] for b in self.BETAS[::3]]
-        serial = [mlmod._asym_coeffs(a, b).tobytes() for a, b in orders]
+        serial = [mlmod._asym_coeffs(a, b, mlmod._ASYM_KMAX).tobytes() for a, b in orders]
         monkeypatch.setattr(mlmod, "_ASYM_CACHE", mlmod._ByteLRU(fresh.nbytes, 0))
         fallback = TestCoefficientTable.FALLBACK[:4]
 
@@ -797,7 +808,7 @@ class TestAsymCoefficients:
             if i % 2:
                 alpha, beta, z, _ = fallback[(i // 2) % len(fallback)]
                 return mlmod._contour_mp(alpha, beta, z).hex()
-            return mlmod._asym_coeffs(*orders[(i // 2) % len(orders)]).tobytes()
+            return mlmod._asym_coeffs(*orders[(i // 2) % len(orders)], mlmod._ASYM_KMAX).tobytes()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -811,17 +822,194 @@ class TestAsymCoefficients:
 
     def test_cache_is_bounded_and_keeps_bits(self, monkeypatch, fresh):
         assert mlmod._ASYM_CACHE.budget == mlmod._CACHE_BYTES
-        # asymptotic-tier arguments on both axes for 12 orders
+        # asymptotic-tier arguments on both axes for 12 orders; each table
+        # holds as many coefficients as its expansion read, so a budget of
+        # five of the largest keeps at least five of them
         orders = [(a, b) for a in (1.25, 1.5, 1.75) for b in (0.5, 1.0, 1.5, 2.0)]
         z = np.array([-5.0e3, -1.0e6, 1.0e3])
         unbounded = [ml(MLParams(a, b), z).tolist() for a, b in orders]
-        entry = fresh.nbytes(mlmod._asym_coeffs(1.5, 1.0))
+        entry = max(fresh.nbytes(value) for value, _ in fresh._items.values())
         small = mlmod._ByteLRU(fresh.nbytes, 5 * entry)
         monkeypatch.setattr(mlmod, "_ASYM_CACHE", small)
         for (a, b), want in zip(orders, unbounded):
             assert ml(MLParams(a, b), z).tolist() == want
             assert small.total <= small.budget
-        assert len(small._items) == 5
+        assert 5 <= len(small._items) < len(orders)
+
+
+@contextmanager
+def fresh_caches():
+    """Empty series-table and coefficient caches of the module's budget,
+    restored on exit."""
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_TABLE_CACHE", "_ASYM_CACHE"):
+            cache = getattr(mlmod, name)
+            m.setattr(mlmod, name, mlmod._ByteLRU(cache.nbytes, cache.budget))
+        yield
+
+
+@pytest.fixture
+def fresh_tables():
+    with fresh_caches():
+        yield
+
+
+class TestOnDemandTables:
+    # both tables grow as their tier reads them; what is built equals, bit
+    # for bit, the whole table built at once (oracles.series_table_ref,
+    # oracles.asym_coeffs_ref)
+    ORDERS = dict(alpha=st.floats(0.0, 2.0, exclude_min=True),
+                  beta=st.floats(1e-8, 200.0))
+
+    @given(**ORDERS, steps=st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    def test_grown_series_table_equals_one_shot(self, alpha, beta, steps):
+        size = 0
+        with fresh_caches():
+            for step in steps:
+                size += step
+                ratios, c0, _ = _series_table(alpha, beta, size)
+        ref, ref_c0 = series_table_ref(alpha, beta, size)
+        assert ratios.size == size and c0 == ref_c0
+        assert ratios.tobytes() == ref.tobytes()
+
+    @given(**ORDERS, steps=st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    def test_grown_coefficients_equal_one_shot(self, alpha, beta, steps):
+        size = 0
+        with fresh_caches():
+            for step in steps:
+                size = min(size + step, mlmod._ASYM_KMAX)
+                coeffs = mlmod._asym_coeffs(alpha, beta, size)
+        assert coeffs.tobytes() == asym_coeffs_ref(alpha, beta)[:size].tobytes()
+
+    @given(**ORDERS)
+    def test_ratios_never_increase(self, alpha, beta):
+        # R_k = Gamma(alpha k + beta)/Gamma(alpha k + alpha + beta) falls as
+        # k grows (digamma increases on (0, inf)): R_0 decides the decline
+        with fresh_caches():
+            ratios = _series_table(alpha, beta, 200)[0]
+        assert np.all(ratios[1:] <= ratios[:-1]) and ratios[-1] > 0.0
+
+    @given(alpha=st.floats(0.01, 2.0), log_m=st.floats(-3.0, 0.0),
+           shift=st.sampled_from([-2.0**-20, -2.0**-45, 0.0, 2.0**-45, 2.0**-20]),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_decline_at_the_factor_edge_is_unchanged(self, alpha, log_m, shift, sign):
+        # tiny beta, set so that R_0 ~ 1/(beta Gamma(alpha)) meets the bound
+        # _FACTOR_MAX / max|z| at m = 12 * 10**log_m; max|z| is then moved
+        # off that edge, within and beyond the slack, to either side.  The
+        # decision is that of the test over all n ratios
+        beta = (12.0 * 10.0**log_m) ** alpha / (mlmod._FACTOR_MAX * math.gamma(alpha))
+        with fresh_caches():
+            r0 = _series_table(alpha, beta, 1)[0][0]
+            z = sign * mlmod._FACTOR_MAX / r0 * (1.0 + shift) * np.array([0.25, 1.0, 0.5])
+            tol = np.full(z.shape, 3e-11)
+            val, ok = _series_double(alpha, beta, z, tol)
+        ref_val, ref_ok = series_double_ref(alpha, beta, z, tol)
+        assert ok.tolist() == ref_ok.tolist() and val.tobytes() == ref_val.tobytes()
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-310])
+    def test_subnormal_beta_is_declined(self, fresh_tables, beta):
+        # R_0 overflows to inf: no argument passes the decline test
+        z = -np.array([1e-3, 0.5, 2.0])
+        val, ok = _series_double(1.5, beta, z, np.full(3, 3e-11))
+        assert not ok.any()
+        assert series_double_ref(1.5, beta, z, np.full(3, 3e-11))[1].tolist() == ok.tolist()
+
+    @pytest.mark.parametrize("alpha,beta", [(1.37, 1.11), (1.5, 1.0), (0.5, 2.0), (2.0, 1.0),
+                                            (1.9539344662916631, 1.9539344662916631)])
+    @pytest.mark.parametrize("sign,m_max", [(-1.0, 12.0), (1.0, 60.0)])
+    def test_series_in_place_keeps_the_bits(self, fresh_tables, alpha, beta, sign, m_max):
+        # the in-place loop against the one-expression-per-step form
+        z = sign * np.random.default_rng(2).uniform(0.0, m_max, 3_000) ** alpha
+        tol = np.where(np.abs(z) <= 64.0, 3e-11, 1e-9)
+        val, ok = _series_double(alpha, beta, z, tol)
+        ref_val, ref_ok = series_double_ref(alpha, beta, z, tol)
+        assert val.tobytes() == ref_val.tobytes() and ok.tolist() == ref_ok.tolist()
+        assert ok.any()
+
+    def test_series_band_peak_memory(self):
+        # 2**18 values all in the series band: about 9.5 times the input
+        # (the result, m, the selection and its tolerances, and the five
+        # arrays of the series loop), where the one-expression-per-step loop
+        # of oracles.series_double_ref takes 11.5 times
+        z = -(np.random.default_rng(3).uniform(0.0, 12.0, 2**18) ** 1.5)
+        ml(MLParams(1.5, 1.0), z)  # the table, built once
+        tracemalloc.start()
+        try:
+            ml(MLParams(1.5, 1.0), z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * z.nbytes
+
+    def test_reciprocal_gammas_of_one_sweep_solve(self, fresh_tables, gamma_calls):
+        # one alpha-sweep-sized solve (256 modes, 33 time nodes, the value)
+        # takes 138 reciprocal gammas, all at the tables' 20 digits; whole
+        # tables would take 244 (82 for each series table and 40 for each
+        # set of expansion coefficients)
+        from fracwave import FracOrder, SolutionQuery, TimeGrid, build_interval
+        from fracwave.presets import random_decay
+        from fracwave.solver import solve_field
+
+        query = SolutionQuery(FracOrder(1.37), build_interval(1.0, 256), random_decay(256, 2.0, 5),
+                              TimeGrid(1.0, 32), "value")
+        solve_field(query, np.linspace(0.0, 1.0, 65))
+        assert len(gamma_calls) == 138
+        assert set(gamma_calls) == {mp.libmp.dps_to_prec(mlmod._TABLE_DPS)}
+
+
+def _expansion_block(rng, alpha, sign, size=3_000):
+    """Expansion-tier arguments of one sign: |z| log-uniform from 60 to 1e8
+    on the negative axis, m from 47 to 700 on the positive axis, where the
+    value still fits in a double."""
+    if sign < 0.0:
+        return -(10.0 ** rng.uniform(math.log10(60.0), 8.0, size))
+    return rng.uniform(47.0, 700.0, size) ** alpha
+
+
+class TestAlgebraicExit:
+    # the algebraic series stops once no later term can change a running
+    # sum; against the 40-term loop (oracles.algebraic_ref) its sums keep
+    # their bits and the expansions accept the same values
+    NEAR_POLE = [(1.3, 1.0 + 1e-5), (1.3, 1.0 - 1e-5), (1.5, 1.0 + 1e-7), (0.7, 0.4 + 1e-6)]
+
+    @staticmethod
+    def _check(alpha, beta, z):
+        s, s_abs, est = mlmod._algebraic(alpha, beta, z)
+        ref = algebraic_ref(alpha, beta, z, asym_coeffs_ref(alpha, beta))
+        assert s.tobytes() == ref[0].tobytes() and s_abs.tobytes() == ref[1].tobytes()
+        assert np.all(est >= ref[2]) and np.all(est - ref[2] < 2.0**-54 * np.abs(s) + 1e-300)
+        tol = np.where(np.abs(z) <= 64.0, 3e-11, 1e-9)
+        tier = _asym_neg if z[0] < 0.0 else _asym_pos
+        val, ok = tier(alpha, beta, z, tol)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mlmod, "_algebraic", lambda a, b, zz: algebraic_ref(a, b, zz, asym_coeffs_ref(a, b)))
+            ref_val, ref_ok = tier(alpha, beta, z, tol)
+        assert val.tobytes() == ref_val.tobytes() and ok.tolist() == ref_ok.tolist()
+
+    @given(alpha=st.floats(0.3, 2.0), beta=st.floats(0.05, 3.0), negative=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_random_blocks(self, alpha, beta, negative, seed):
+        rng = np.random.default_rng(seed)
+        self._check(alpha, beta, _expansion_block(rng, alpha, -1.0 if negative else 1.0))
+
+    @pytest.mark.parametrize("alpha,beta", NEAR_POLE)
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_near_pole_orders(self, alpha, beta, sign):
+        # beta - 10 alpha sits 1e-5 from -12 at (1.3, 1 + 1e-5): outside the
+        # 1e-6 pole window, so the term is kept, with a tiny coefficient
+        rng = np.random.default_rng(int(alpha * 1e3))
+        self._check(alpha, beta, _expansion_block(rng, alpha, sign))
+
+    @pytest.mark.parametrize("alpha,beta", [(1.37, 1.0), (1.9, 2.0), (2.0, 3.0), (1.0, 3.0)])
+    def test_grid_blocks_stop_early(self, fresh_tables, alpha, beta):
+        # the solver's kernel arguments past m = 46: on non-integer orders
+        # the loop stops before reading every coefficient
+        lam = (np.arange(1, 513) * math.pi) ** 2
+        z = -np.outer(lam, np.linspace(0.0, 1.0, 65) ** alpha).ravel()
+        z = z[np.abs(z) ** (1.0 / alpha) > 46.0][:mlmod._EXPANSION_BLOCK]
+        self._check(alpha, beta, z)
+        if alpha != round(alpha):
+            assert mlmod._ASYM_CACHE.get((alpha, beta)).size < mlmod._ASYM_KMAX
 
 
 class TestDecayBound:

@@ -1,5 +1,7 @@
 import hashlib
 
+import numpy as np
+
 import output_digests
 
 TINY = (["solve", "--modes", "8", "--steps", "8", "--points", "5", "--out-prefix", "tiny"],
@@ -8,6 +10,7 @@ TINY = (["solve", "--modes", "8", "--steps", "8", "--points", "5", "--out-prefix
 
 def test_prints_the_sha256_of_each_output(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(output_digests, "COMMANDS", (TINY,))
+    monkeypatch.setattr(output_digests, "SWEEP_SEEDS", ())
     assert output_digests.main([str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}  {name}"
@@ -18,3 +21,16 @@ def test_failing_command_exits_1(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(output_digests, "COMMANDS", ((["solve", "--points", "1"], []),))
     assert output_digests.main([str(tmp_path)]) == 1
     assert "failed: fracwave solve --points 1" in capsys.readouterr().err
+
+
+def test_sweep_fields_are_raw_float64(monkeypatch, capsys, tmp_path):
+    # a small sweep: 10 alphas, each field (steps + 1) x points doubles
+    monkeypatch.setattr(output_digests, "COMMANDS", ())
+    monkeypatch.setattr(output_digests, "SWEEP", {"modes": 8, "steps": 4, "points": 5, "per_bin": 1})
+    assert output_digests.main([str(tmp_path)]) == 0
+    path = tmp_path / "sweep_seed7000.f64"
+    assert path.stat().st_size == 10 * 5 * 5 * 8
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert capsys.readouterr().out.splitlines() == [f"{digest}  sweep_seed7000.f64"]
+    first = np.frombuffer(path.read_bytes(), dtype=np.float64)[:25].reshape(5, 5)
+    assert np.all(np.isfinite(first)) and np.any(first != 0.0)
