@@ -65,9 +65,10 @@ its terms lies 20 digits below the value; its cost does not grow with
 incrementally updated power, at ``30 + 0.45 m`` digits (twice that per unit
 of ``m`` for ``alpha <= 1``).  Each coefficient ``c_k`` is taken at that
 precision when the sum reaches it, so the fallback keeps no state between
-calls.  The two tables of doubles above are the module's only caches:
-least-recently-used maps bounded in bytes, so a process that scans many
-orders does not grow without limit.
+calls.  The two tables of doubles above are the module's only state: one
+record per (alpha, beta) in a ``functools.lru_cache`` of ``_TABLES_MAX``
+orders.  A record holds at most ``_SERIES_KMAX + _ASYM_KMAX`` doubles, so a
+process that scans many orders keeps about 3 MB at most.
 ``_MP_MAX_DPS`` (800 digits) caps both arbitrary-precision sums: the power
 series can reach it only on the positive axis, where the expansion accepts
 long before, and the contour only where the value lies hundreds of digits
@@ -84,7 +85,7 @@ import itertools
 import math
 import sys
 import threading
-from collections import OrderedDict
+import types
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -168,7 +169,7 @@ def gamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-thread mpmath contexts and byte-bounded caches
+# per-thread mpmath contexts and the per-order tables
 
 _MP_LOCAL = threading.local()
 
@@ -182,46 +183,25 @@ def _mp_context():
     return ctx
 
 
-class _ByteLRU:
-    """Least-recently-used map whose entries' sizes, as ``nbytes(value)``
-    estimates them, sum to at most ``budget`` bytes.
+# orders whose tables are kept.  A record holds at most 1,440 doubles, so
+# this bounds the cache near 3 MB; a seed-7 ``verify all`` reads 21 orders
+# and one 30-alpha sweep 60
+_TABLES_MAX = 256
 
-    Storing an entry evicts the least recently used ones until the total
-    fits, the new entry too if it alone is over budget.  Values are replaced,
-    never mutated, so a caller holding an evicted value still has a valid
-    one; a lock keeps the order and the byte count consistent under
-    concurrent calls.
+
+@functools.lru_cache(maxsize=_TABLES_MAX)
+def _tables(alpha: float, beta: float):
+    """The record of one order's tables, as far as they are built: ``series``
+    (see ``_series_table``) and ``coeffs`` (see ``_asym_coeffs``).
+
+    A table grows by storing a longer one in its field, never by changing
+    an array, so a caller keeps a valid table whatever other threads store.
+    Two threads extending one record race only to store: both hold the same
+    bits at every length, so a shorter table stored over a longer one costs
+    a rebuild and nothing else.  Callers look this function up at call
+    time, so it can be replaced from outside.
     """
-
-    def __init__(self, nbytes, budget: int):
-        self.nbytes = nbytes
-        self.budget = budget
-        self.total = 0
-        self._items: OrderedDict = OrderedDict()  # key -> (value, size)
-        self._lock = threading.Lock()
-
-    def get(self, key, default=None):
-        with self._lock:
-            item = self._items.get(key)
-            if item is None:
-                return default
-            self._items.move_to_end(key)
-            return item[0]
-
-    def __setitem__(self, key, value) -> None:
-        size = self.nbytes(value)
-        with self._lock:
-            old = self._items.pop(key, None)
-            self.total += size - (old[1] if old else 0)
-            self._items[key] = (value, size)
-            while self.total > self.budget:
-                self.total -= self._items.popitem(last=False)[1][1]
-
-
-# Per-cache byte budget.  The tables grow only as far as they are read: one
-# 30-alpha sweep holds about 40 kB of series tables and 25 kB of expansion
-# coefficients, so only long scans over many orders evict.
-_CACHE_BYTES = 32 * 2**20
+    return types.SimpleNamespace(series=None, coeffs=np.empty(0))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +237,6 @@ def _rgamma_double(ctx, x: float) -> float:
     return r if abs(r) * sys.float_info.max >= 1.0 else 0.0
 
 
-# (alpha, beta) -> 1/Gamma(beta - alpha k) for k = 1, 2, ..., as far as read
-_ASYM_CACHE = _ByteLRU(lambda coeffs: coeffs.nbytes + 256, _CACHE_BYTES)
-
-
 def _asym_coeffs(alpha: float, beta: float, size: int) -> np.ndarray:
     """``1/Gamma(beta - alpha k)`` for k = 1..``size`` at least, each at the
     argument as rounded to double: the coefficients of the algebraic series,
@@ -270,24 +246,16 @@ def _asym_coeffs(alpha: float, beta: float, size: int) -> np.ndarray:
     value lies within about 1e-20 (relative) of a halfway point between two.
     A shorter table is replaced by one extended to ``size`` entries.
     """
-    coeffs = _ASYM_CACHE.get((alpha, beta))
-    built = 0 if coeffs is None else coeffs.size
-    if built < size:
+    tables = _tables(alpha, beta)
+    coeffs = tables.coeffs
+    if coeffs.size < size:
         ctx = _mp_context()
         with ctx.workdps(_TABLE_DPS):
-            new = [_rgamma_double(ctx, beta - alpha * k) for k in range(built + 1, size + 1)]
-        coeffs = np.array(new) if coeffs is None else np.concatenate([coeffs, new])
-        _ASYM_CACHE[(alpha, beta)] = coeffs
+            new = [_rgamma_double(ctx, beta - alpha * k) for k in range(coeffs.size + 1, size + 1)]
+        coeffs = tables.coeffs = np.concatenate([coeffs, new])
     return coeffs
 
 
-def _table_bytes(entry) -> int:
-    return entry[0].nbytes + 256
-
-
-# (alpha, beta) -> (ratios R_k = c_{k+1}/c_k, c_0, the raw c_k at the end of
-# the ratios), as far as read
-_TABLE_CACHE = _ByteLRU(_table_bytes, _CACHE_BYTES)
 # the series extends its table by this many ratios when its loop reaches
 # the end of what is built
 _SERIES_CHUNK = 24
@@ -299,14 +267,17 @@ def _series_length(alpha: float, m_max: float) -> int:
 
 def _series_table(alpha: float, beta: float, size: int):
     """Term ratios ``R_k = c_{k+1}/c_k``, ``size`` of them at least, and
-    ``c_0``, rounded to double.
+    ``c_0``, rounded to double, with the raw ``c_k`` the ratios end on.
 
     The coefficients ``c_k = 1/Gamma(alpha k + beta)``, at arguments formed
     exactly, and their ratios are taken at ``_TABLE_DPS`` digits.  One table
-    per (alpha, beta); a shorter one is replaced by one extended to ``size``
-    ratios, which starts from the coefficient the shorter one ends on.
+    per (alpha, beta), kept as one tuple so that its last coefficient always
+    matches its ratios; a shorter one is replaced by one extended to
+    ``size`` ratios, which starts from the coefficient the shorter one ends
+    on.
     """
-    entry = _TABLE_CACHE.get((alpha, beta))
+    tables = _tables(alpha, beta)
+    entry = tables.series
     if entry is not None and entry[0].size >= size:
         return entry
     ctx = _mp_context()
@@ -322,8 +293,7 @@ def _series_table(alpha: float, beta: float, size: int):
             c = _series_coeff(ctx, a, b, k)
             new.append(libmp.to_float(libmp.mpf_div(c, last, ctx.prec, _NEAREST), rnd=_NEAREST))
             last = c
-    entry = (np.concatenate([ratios, new]), c0, last)
-    _TABLE_CACHE[(alpha, beta)] = entry
+    entry = tables.series = (np.concatenate([ratios, new]), c0, last)
     return entry
 
 
@@ -925,7 +895,10 @@ def ml(params: MLParams, z):
 
     zero = flat == 0.0
     if np.any(zero):
-        out[zero] = 1.0 / gamma(beta)
+        try:
+            out[zero] = 1.0 / gamma(beta)
+        except OverflowError:  # Gamma(beta) past the double range: the 20-digit c_0
+            out[zero] = _series_table(alpha, beta, 0)[1]
     if hi > 0.0:
         _cascade(alpha, beta, flat, _POS_TIERS, flat > 0.0, out)
     if lo < 0.0:

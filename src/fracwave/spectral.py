@@ -479,8 +479,9 @@ _FORK_MIN_VALUES = 2**16
 def _fork_width() -> int:
     """Processes one stage may run at once: the usable CPUs, or 1 (serial)
     where ``fork`` is missing, another thread runs (a forked child would
-    inherit any lock it holds, the ML caches' among them) or this process
-    is a daemonic ``multiprocessing`` worker, which may have no children."""
+    inherit any lock that thread holds, with no thread left to release it)
+    or this process is a daemonic ``multiprocessing`` worker, which may have
+    no children."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1

@@ -26,6 +26,13 @@ def test_ml_evaluation(capsys, tmp_path):
     assert len(report["E"]) == 2
 
 
+def test_ml_at_zero_past_the_gamma_range(tmp_path):
+    # Gamma(200) overflows a double; E_{1.5,200}(0) = 1/Gamma(200) rounds to 0
+    out = tmp_path / "ml.json"
+    assert main(["ml", "--alpha", "1.5", "--beta", "200", "--z", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["E"] == [0.0]
+
+
 def test_ml_decay_check(tmp_path):
     out = tmp_path / "decay.json"
     assert main(["ml", "--alpha", "1.25", "--decay-check", "--z=-1", "--out", str(out)]) == 0

@@ -1,9 +1,9 @@
+import functools
 import math
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -94,6 +94,17 @@ class TestIdentities:
     def test_value_at_zero(self):
         for beta in (0.5, 1.0, 1.7, 3.2):
             assert abs(ml(MLParams(1.5, beta), 0.0) - 1.0 / gamma(beta)) < 1e-13
+
+    def test_value_at_zero_where_gamma_overflows(self):
+        # Gamma(beta) leaves the double range above beta of about 171.62 and
+        # for subnormal beta; 1/Gamma(beta) is then rounded from 20 digits,
+        # as the series table's c_0, next to the other values of the array
+        p = MLParams(1.5, 200.0)
+        assert ml(p, np.array([0.0, -1.0])).tolist() == [0.0, ml(p, -1.0)]
+        with mp.workdps(50):
+            assert ml(MLParams(1.5, 172.0), 0.0) == float(mp.rgamma(172)) == 8.05790039644312e-310
+        assert ml(MLParams(1.5, 5e-324), 0.0) == 5e-324
+        assert ml(MLParams(1.5, 1e-310), np.zeros(2)).tolist() == [1e-310, 1e-310]
 
     def test_range_cap(self):
         with pytest.raises(ValueError):
@@ -309,30 +320,32 @@ class TestCascade:
         assert np.array_equal(ok, np.concatenate([k for _, k in parts]))
         assert ok.any() and not ok.all()
 
-    def test_series_table_built_once(self, empty_coeff_cache):
+    def test_series_table_built_once(self, empty_tables):
         # the table grows _SERIES_CHUNK ratios at a time as far as the series
-        # reads it: a call that reads no further reuses it, one that reads
-        # further replaces it, once, with a longer table of the same leading
-        # bits, which a later negative argument reuses
+        # reads it: a call that reads no further reuses the same tuple, one
+        # that reads further replaces it, once, with a longer table of the
+        # same leading bits, which a later negative argument reuses
         alpha, beta = 1.37, 1.11
         chunk = mlmod._SERIES_CHUNK
         p = MLParams(alpha, beta)
         ml(p, -1.0)
-        short = empty_coeff_cache[(alpha, beta)]
+        record = empty_tables(alpha, beta)
+        short = record.series
         assert short[0].size == chunk < mlmod._series_length(alpha, mlmod._M_DOUBLE)
         ml(p, np.array([-0.5, -2.0, -(40.0**alpha)]))
-        assert empty_coeff_cache[(alpha, beta)] is short
+        assert record.series is short
         ml(p, np.array([-(11.0**alpha), -(40.0**alpha)]))
-        mid = empty_coeff_cache[(alpha, beta)]
+        mid = record.series
         assert chunk < mid[0].size <= mlmod._series_length(alpha, mlmod._M_DOUBLE) + chunk
         ml(p, np.array([-(40.0**alpha), 55.0**alpha]))
-        long = empty_coeff_cache[(alpha, beta)]
+        long = record.series
         assert mid[0].size < long[0].size <= mlmod._series_length(alpha, mlmod._M_POS_SERIES) + chunk
         assert long[0].size % chunk == mid[0].size % chunk == 0
         assert long[0][: short[0].size].tolist() == short[0].tolist() and long[1] == short[1]
         assert long[0].tolist() == series_table_ref(alpha, beta, long[0].size)[0].tolist()
         ml(p, np.array([-1.0, 3.0]))
-        assert empty_coeff_cache[(alpha, beta)] is long
+        assert empty_tables(alpha, beta) is record and record.series is long
+        assert empty_tables.cache_info().currsize == 1
 
 
 class TestContourTier:
@@ -527,10 +540,21 @@ class TestWindows:
 
 
 @pytest.fixture
-def empty_coeff_cache(monkeypatch):
-    """A fresh series-table cache, restored afterwards."""
-    monkeypatch.setattr(mlmod, "_TABLE_CACHE", {})
-    return mlmod._TABLE_CACHE
+def empty_tables():
+    """The module's table cache, ``_tables``, emptied before the test and
+    after it."""
+    tables = mlmod._tables
+    tables.cache_clear()
+    yield tables
+    tables.cache_clear()
+
+
+def bounded_tables(monkeypatch, maxsize):
+    """Put an empty table cache of ``maxsize`` orders in place of
+    ``_tables`` for the rest of the test, and return it."""
+    tables = functools.lru_cache(maxsize=maxsize)(mlmod._tables.__wrapped__)
+    monkeypatch.setattr(mlmod, "_tables", tables)
+    return tables
 
 
 @pytest.fixture
@@ -545,11 +569,6 @@ def gamma_calls(monkeypatch):
 
     monkeypatch.setattr(mlmod, "_rgamma_raw", counting)
     return calls
-
-
-def byte_caches():
-    """Name -> cache of every byte-bounded cache of the module."""
-    return {name: obj for name, obj in vars(mlmod).items() if isinstance(obj, mlmod._ByteLRU)}
 
 
 class TestCoefficientTable:
@@ -573,18 +592,14 @@ class TestCoefficientTable:
     def test_fallback_bits_frozen(self, alpha, beta, z, bits):
         assert mlmod._mpmath_single(alpha, beta, z).hex() == bits
 
-    def test_fallback_keeps_nothing_in_the_caches(self, monkeypatch):
-        # the power series takes its coefficients as it reaches them: no
-        # cache of the module gains a byte
-        caches = byte_caches()
-        assert set(caches) == {"_TABLE_CACHE", "_ASYM_CACHE"}
-        for name, cache in caches.items():
-            monkeypatch.setattr(mlmod, name, mlmod._ByteLRU(cache.nbytes, cache.budget))
+    def test_fallback_keeps_nothing_in_the_caches(self, empty_tables):
+        # the power series takes its coefficients as it reaches them: the
+        # table cache gains no order
         for alpha, beta, z, bits in self.FALLBACK:
             assert mlmod._mpmath_single(alpha, beta, z).hex() == bits
-        assert {name: cache.total for name, cache in byte_caches().items()} == dict.fromkeys(caches, 0)
+        assert empty_tables.cache_info().currsize == 0
 
-    def test_batch_sets_precision_once(self, empty_coeff_cache, gamma_calls):
+    def test_batch_sets_precision_once(self, empty_tables, gamma_calls):
         # no tiers: every value goes to arbitrary precision, the power series
         # up to m = _M_MP_SERIES and the contour sum above it (z = -3000,
         # m = 208).  Each series sets its own precision once and takes all
@@ -598,9 +613,9 @@ class TestCoefficientTable:
         assert runs[:2] == [mp.libmp.dps_to_prec(mlmod._fallback_dps(alpha, v)) for v in z[:2]]
         assert vals.tolist() == [(mlmod._mpmath_single if s else mlmod._contour_mp)(alpha, beta, v)
                                  for s, v in zip(series, z)]
-        assert not empty_coeff_cache
+        assert empty_tables.cache_info().currsize == 0
 
-    def test_concurrent_calls_match_serial(self, empty_coeff_cache):
+    def test_concurrent_calls_match_serial(self, empty_tables):
         # each thread works at its own precision; a shared global precision
         # lets one thread's working digits leak into another's sum
         cases = [row[:3] for row in self.FALLBACK[:8]]
@@ -631,7 +646,7 @@ class TestCoefficientTable:
             sys.setswitchinterval(interval)
         assert got == want * 2
 
-    def test_over_cap_element_raises_before_building(self, monkeypatch, empty_coeff_cache):
+    def test_over_cap_element_raises_before_building(self, monkeypatch, empty_tables):
         alpha, beta, z, bits = self.FALLBACK[0]
         far = -1.0e6  # m of about 5e5 needs over 2e5 digits
         message = ("argument needs more than the supported working precision "
@@ -704,32 +719,24 @@ class TestCacheBudget:
     CASES = [(a, b, np.array([-0.5, z / 2, z])) for a, b, z, _ in TestCoefficientTable.FALLBACK]
     CASES.append((1.5, 1.0, -np.array([0.5, 30.0, 700.0, 2.0e4])))
 
-    def test_tiny_budget_bounds_caches_and_keeps_bits(self, monkeypatch, empty_coeff_cache):
+    def test_tiny_budget_bounds_caches_and_keeps_bits(self, monkeypatch, empty_tables):
         unbounded = [ml(MLParams(a, b), z).tolist() for a, b, z in self.CASES]
-        # series tables take 0.8 to 1.9 kB here, expansion coefficients 576 bytes
-        tables = mlmod._ByteLRU(mlmod._table_bytes, 3_000)
-        coeffs = mlmod._ByteLRU(mlmod._ASYM_CACHE.nbytes, 2_000)
-        monkeypatch.setattr(mlmod, "_TABLE_CACHE", tables)
-        monkeypatch.setattr(mlmod, "_ASYM_CACHE", coeffs)
+        # three orders for ten: every order but the last three is evicted
+        tables = bounded_tables(monkeypatch, 3)
         for (a, b, z), want in zip(self.CASES, unbounded):
             assert ml(MLParams(a, b), z).tolist() == want
-            for c in (tables, coeffs):
-                assert c.total <= c.budget
-                assert c.total == sum(size for _, size in c._items.values())
-        assert all(0 < len(c._items) < len(self.CASES) for c in (coeffs, tables))
+            assert tables.cache_info().currsize <= 3
+        info = tables.cache_info()
+        assert info.currsize == 3 and info.misses == len(self.CASES)
 
     def test_concurrent_eviction_keeps_values_and_count(self, monkeypatch):
         # threads building, extending (the positive argument reads further
-        # into the series table) and evicting the entries of two caches too
-        # small for these four orders: series tables of 448 bytes (one chunk)
-        # to 640 bytes, coefficient tables of 264 bytes (the contour's lead)
-        tables = mlmod._ByteLRU(mlmod._table_bytes, 1_500)
-        coeffs = mlmod._ByteLRU(mlmod._ASYM_CACHE.nbytes, 600)
+        # into the series table) and evicting the records of a cache of two
+        # orders for these four
         rows = [TestCoefficientTable.FALLBACK[i] for i in (0, 2, 3, 4)]
         cases = [(MLParams(a, b), np.array([-0.5, z / 2, z, 5.0])) for a, b, z, _ in rows]
         want = [ml(p, z).tobytes() for p, z in cases]
-        monkeypatch.setattr(mlmod, "_TABLE_CACHE", tables)
-        monkeypatch.setattr(mlmod, "_ASYM_CACHE", coeffs)
+        tables = bounded_tables(monkeypatch, 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -738,9 +745,8 @@ class TestCacheBudget:
         finally:
             sys.setswitchinterval(interval)
         assert got == want * 4
-        for c in (tables, coeffs):
-            assert c.total == sum(size for _, size in c._items.values()) <= c.budget
-            assert 0 < len(c._items) < len(rows)
+        info = tables.cache_info()
+        assert info.currsize == 2 and info.misses > len(rows)
 
 
 class TestAsymCoefficients:
@@ -749,13 +755,7 @@ class TestAsymCoefficients:
     ALPHAS = [0.1, 0.37, 0.5, 0.75, 1.0, 1.153934466291663, 1.25, 1.5, 1.75, 1.9539344662916631, 2.0]
     BETAS = [0.05, 0.5, 0.75, 1.0, 1.5, 1.75, 2.0, 2.5, 3.0]
 
-    @pytest.fixture
-    def fresh(self, monkeypatch):
-        cache = mlmod._ByteLRU(mlmod._ASYM_CACHE.nbytes, mlmod._CACHE_BYTES)
-        monkeypatch.setattr(mlmod, "_ASYM_CACHE", cache)
-        return cache
-
-    def test_grid_is_correctly_rounded(self, fresh):
+    def test_grid_is_correctly_rounded(self, empty_tables):
         for alpha in self.ALPHAS:
             for beta in self.BETAS:
                 coeffs = mlmod._asym_coeffs(alpha, beta, mlmod._ASYM_KMAX)
@@ -770,7 +770,7 @@ class TestAsymCoefficients:
         with ctx.workdps(30):
             assert mlmod._rgamma_double(ctx, x) == 0.0
 
-    def test_pole_coefficients_are_zero(self, fresh):
+    def test_pole_coefficients_are_zero(self, empty_tables):
         # beta - alpha k = 1 - k for alpha = beta = 1; for alpha = 0.5 every
         # second argument is a pole
         kmax = mlmod._ASYM_KMAX
@@ -791,17 +791,17 @@ class TestAsymCoefficients:
             with mp.workdps(50):
                 assert got == float(mp.rgamma(x))
 
-    def test_large_beta_coefficients_underflow_to_zero(self, fresh):
+    def test_large_beta_coefficients_underflow_to_zero(self, empty_tables):
         coeffs = mlmod._asym_coeffs(0.5, 200.0, mlmod._ASYM_KMAX)  # arguments 199.5 down to 180
         assert not coeffs.any()
 
-    def test_concurrent_builds_match_serial(self, monkeypatch, fresh):
-        # every build is fresh (a zero budget keeps nothing) while other
+    def test_concurrent_builds_match_serial(self, monkeypatch, empty_tables):
+        # every build is fresh (a cache of no orders keeps nothing) while other
         # threads run contour sums at their own working precisions; a shared
         # precision would show in the contour bits
         orders = [(a, b) for a in self.ALPHAS[::2] for b in self.BETAS[::3]]
         serial = [mlmod._asym_coeffs(a, b, mlmod._ASYM_KMAX).tobytes() for a, b in orders]
-        monkeypatch.setattr(mlmod, "_ASYM_CACHE", mlmod._ByteLRU(fresh.nbytes, 0))
+        tables = bounded_tables(monkeypatch, 0)
         fallback = TestCoefficientTable.FALLBACK[:4]
 
         def task(i):
@@ -819,39 +819,23 @@ class TestAsymCoefficients:
             sys.setswitchinterval(interval)
         assert got[0::2] == serial * 2
         assert got[1::2] == [fallback[j % len(fallback)][3] for j in range(2 * len(orders))]
+        assert tables.cache_info().currsize == 0
 
-    def test_cache_is_bounded_and_keeps_bits(self, monkeypatch, fresh):
-        assert mlmod._ASYM_CACHE.budget == mlmod._CACHE_BYTES
-        # asymptotic-tier arguments on both axes for 12 orders; each table
-        # holds as many coefficients as its expansion read, so a budget of
-        # five of the largest keeps at least five of them
+    def test_cache_is_bounded_and_keeps_bits(self, monkeypatch, empty_tables):
+        # a record holds at most _SERIES_KMAX + _ASYM_KMAX doubles, so the
+        # order count bounds the cache's bytes, near 3 MB
+        record_bytes = 8 * (mlmod._SERIES_KMAX + mlmod._ASYM_KMAX)
+        assert empty_tables.cache_info().maxsize * record_bytes < 3 * 2**20
+        # asymptotic-tier arguments on both axes for 12 orders through a
+        # cache of five
         orders = [(a, b) for a in (1.25, 1.5, 1.75) for b in (0.5, 1.0, 1.5, 2.0)]
         z = np.array([-5.0e3, -1.0e6, 1.0e3])
         unbounded = [ml(MLParams(a, b), z).tolist() for a, b in orders]
-        entry = max(fresh.nbytes(value) for value, _ in fresh._items.values())
-        small = mlmod._ByteLRU(fresh.nbytes, 5 * entry)
-        monkeypatch.setattr(mlmod, "_ASYM_CACHE", small)
+        small = bounded_tables(monkeypatch, 5)
         for (a, b), want in zip(orders, unbounded):
             assert ml(MLParams(a, b), z).tolist() == want
-            assert small.total <= small.budget
-        assert 5 <= len(small._items) < len(orders)
-
-
-@contextmanager
-def fresh_caches():
-    """Empty series-table and coefficient caches of the module's budget,
-    restored on exit."""
-    with pytest.MonkeyPatch.context() as m:
-        for name in ("_TABLE_CACHE", "_ASYM_CACHE"):
-            cache = getattr(mlmod, name)
-            m.setattr(mlmod, name, mlmod._ByteLRU(cache.nbytes, cache.budget))
-        yield
-
-
-@pytest.fixture
-def fresh_tables():
-    with fresh_caches():
-        yield
+            assert small.cache_info().currsize <= 5
+        assert small.cache_info().currsize == 5
 
 
 class TestOnDemandTables:
@@ -864,10 +848,10 @@ class TestOnDemandTables:
     @given(**ORDERS, steps=st.lists(st.integers(1, 60), min_size=1, max_size=4))
     def test_grown_series_table_equals_one_shot(self, alpha, beta, steps):
         size = 0
-        with fresh_caches():
-            for step in steps:
-                size += step
-                ratios, c0, _ = _series_table(alpha, beta, size)
+        mlmod._tables.cache_clear()
+        for step in steps:
+            size += step
+            ratios, c0, _ = _series_table(alpha, beta, size)
         ref, ref_c0 = series_table_ref(alpha, beta, size)
         assert ratios.size == size and c0 == ref_c0
         assert ratios.tobytes() == ref.tobytes()
@@ -875,18 +859,18 @@ class TestOnDemandTables:
     @given(**ORDERS, steps=st.lists(st.integers(1, 16), min_size=1, max_size=4))
     def test_grown_coefficients_equal_one_shot(self, alpha, beta, steps):
         size = 0
-        with fresh_caches():
-            for step in steps:
-                size = min(size + step, mlmod._ASYM_KMAX)
-                coeffs = mlmod._asym_coeffs(alpha, beta, size)
+        mlmod._tables.cache_clear()
+        for step in steps:
+            size = min(size + step, mlmod._ASYM_KMAX)
+            coeffs = mlmod._asym_coeffs(alpha, beta, size)
         assert coeffs.tobytes() == asym_coeffs_ref(alpha, beta)[:size].tobytes()
 
     @given(**ORDERS)
     def test_ratios_never_increase(self, alpha, beta):
         # R_k = Gamma(alpha k + beta)/Gamma(alpha k + alpha + beta) falls as
         # k grows (digamma increases on (0, inf)): R_0 decides the decline
-        with fresh_caches():
-            ratios = _series_table(alpha, beta, 200)[0]
+        mlmod._tables.cache_clear()
+        ratios = _series_table(alpha, beta, 200)[0]
         assert np.all(ratios[1:] <= ratios[:-1]) and ratios[-1] > 0.0
 
     @given(alpha=st.floats(0.01, 2.0), log_m=st.floats(-3.0, 0.0),
@@ -898,16 +882,16 @@ class TestOnDemandTables:
         # off that edge, within and beyond the slack, to either side.  The
         # decision is that of the test over all n ratios
         beta = (12.0 * 10.0**log_m) ** alpha / (mlmod._FACTOR_MAX * math.gamma(alpha))
-        with fresh_caches():
-            r0 = _series_table(alpha, beta, 1)[0][0]
-            z = sign * mlmod._FACTOR_MAX / r0 * (1.0 + shift) * np.array([0.25, 1.0, 0.5])
-            tol = np.full(z.shape, 3e-11)
-            val, ok = _series_double(alpha, beta, z, tol)
+        mlmod._tables.cache_clear()
+        r0 = _series_table(alpha, beta, 1)[0][0]
+        z = sign * mlmod._FACTOR_MAX / r0 * (1.0 + shift) * np.array([0.25, 1.0, 0.5])
+        tol = np.full(z.shape, 3e-11)
+        val, ok = _series_double(alpha, beta, z, tol)
         ref_val, ref_ok = series_double_ref(alpha, beta, z, tol)
         assert ok.tolist() == ref_ok.tolist() and val.tobytes() == ref_val.tobytes()
 
     @pytest.mark.parametrize("beta", [5e-324, 1e-310])
-    def test_subnormal_beta_is_declined(self, fresh_tables, beta):
+    def test_subnormal_beta_is_declined(self, empty_tables, beta):
         # R_0 overflows to inf: no argument passes the decline test
         z = -np.array([1e-3, 0.5, 2.0])
         val, ok = _series_double(1.5, beta, z, np.full(3, 3e-11))
@@ -917,7 +901,7 @@ class TestOnDemandTables:
     @pytest.mark.parametrize("alpha,beta", [(1.37, 1.11), (1.5, 1.0), (0.5, 2.0), (2.0, 1.0),
                                             (1.9539344662916631, 1.9539344662916631)])
     @pytest.mark.parametrize("sign,m_max", [(-1.0, 12.0), (1.0, 60.0)])
-    def test_series_in_place_keeps_the_bits(self, fresh_tables, alpha, beta, sign, m_max):
+    def test_series_in_place_keeps_the_bits(self, empty_tables, alpha, beta, sign, m_max):
         # the in-place loop against the one-expression-per-step form
         z = sign * np.random.default_rng(2).uniform(0.0, m_max, 3_000) ** alpha
         tol = np.where(np.abs(z) <= 64.0, 3e-11, 1e-9)
@@ -941,7 +925,45 @@ class TestOnDemandTables:
             tracemalloc.stop()
         assert peak <= 10 * z.nbytes
 
-    def test_reciprocal_gammas_of_one_sweep_solve(self, fresh_tables, gamma_calls):
+    def test_threads_extend_one_record(self, empty_tables):
+        # four threads grow the same order's two tables, each to its own
+        # lengths; whichever stores last wins, so a thread may see a table
+        # longer than it asked for, or rebuild one another thread had grown.
+        # Every table returned is the prefix of the one built whole, and
+        # every series table ends on the raw coefficient of its length
+        alpha, beta = 1.37, 1.11
+        ratios_ref, c0_ref = series_table_ref(alpha, beta, 240)
+        coeffs_ref = asym_coeffs_ref(alpha, beta)
+
+        def grow(i):
+            got = []
+            for size in range(1 + i, 241, 9 + 4 * i):
+                got.append((size, _series_table(alpha, beta, size),
+                            mlmod._asym_coeffs(alpha, beta, min(1 + size // 6, mlmod._ASYM_KMAX))))
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = []
+            for _ in range(3):
+                empty_tables.cache_clear()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    runs += list(pool.map(grow, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        with mp.workdps(mlmod._TABLE_DPS):
+            a, b = mp.mpf(alpha), mp.mpf(beta)
+            c_ref = [mp.rgamma(mp.fadd(mp.fmul(a, k, exact=True), b, exact=True))._mpf_
+                     for k in range(241)]
+        for size, (ratios, c0, last), coeffs in (row for run in runs for row in run):
+            assert size <= ratios.size <= 240 and c0 == c0_ref
+            assert ratios.tobytes() == ratios_ref[:ratios.size].tobytes()
+            assert last == c_ref[ratios.size]
+            assert min(1 + size // 6, mlmod._ASYM_KMAX) <= coeffs.size
+            assert coeffs.tobytes() == coeffs_ref[:coeffs.size].tobytes()
+
+    def test_reciprocal_gammas_of_one_sweep_solve(self, empty_tables, gamma_calls):
         # one alpha-sweep-sized solve (256 modes, 33 time nodes, the value)
         # takes 138 reciprocal gammas, all at the tables' 20 digits; whole
         # tables would take 244 (82 for each series table and 40 for each
@@ -1001,7 +1023,7 @@ class TestAlgebraicExit:
         self._check(alpha, beta, _expansion_block(rng, alpha, sign))
 
     @pytest.mark.parametrize("alpha,beta", [(1.37, 1.0), (1.9, 2.0), (2.0, 3.0), (1.0, 3.0)])
-    def test_grid_blocks_stop_early(self, fresh_tables, alpha, beta):
+    def test_grid_blocks_stop_early(self, empty_tables, alpha, beta):
         # the solver's kernel arguments past m = 46: on non-integer orders
         # the loop stops before reading every coefficient
         lam = (np.arange(1, 513) * math.pi) ** 2
@@ -1009,7 +1031,7 @@ class TestAlgebraicExit:
         z = z[np.abs(z) ** (1.0 / alpha) > 46.0][:mlmod._EXPANSION_BLOCK]
         self._check(alpha, beta, z)
         if alpha != round(alpha):
-            assert mlmod._ASYM_CACHE.get((alpha, beta)).size < mlmod._ASYM_KMAX
+            assert mlmod._tables(alpha, beta).coeffs.size < mlmod._ASYM_KMAX
 
 
 class TestDecayBound:
