@@ -228,8 +228,9 @@ def gagliardo_tensor_ref(values, t_end: float, beta: float, weights=None) -> flo
     the tensor trapezoid, the cells touching the diagonal by the exact
     moments of local linear slopes.
 
-    The same floating-point operations in the same order as the package's
-    evaluation, so the two agree bit for bit.
+    O(M**2 d) time and memory: the package sums the same quadrature in
+    O(M log M) by a near-diagonal band and an FFT far field, and agrees
+    with this form to rounding.
     """
     vals = np.asarray(values, dtype=float)
     vals = vals[:, None] if vals.ndim == 1 else vals

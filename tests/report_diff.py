@@ -1,7 +1,7 @@
 """Largest relative change of every numeric field between two reports of
 ``fracwave verify all --out``.
 
-    python tests/report_diff.py OLD.json NEW.json
+    python tests/report_diff.py OLD.json NEW.json [--max-rel X]
 
 A field is the path of keys from a criterion's name down to a number, with
 list positions left out, so that a list of numbers is one field, reported
@@ -11,6 +11,10 @@ line per field, in the order of the old report, then a line for the
 largest change overall.  Fields present in only one report, and
 non-numeric values that differ (``passed`` flags, names), are named on
 lines of their own.
+
+With ``--max-rel X`` the exit status is 1 when any numeric field changed
+by more than ``X``, or any leaf has no equal counterpart (a non-numeric
+value that differs, a field in one report only), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -86,14 +90,29 @@ def report_lines(old: dict, new: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = list(sys.argv[1:] if argv is None else argv)
+    max_rel = None
+    if "--max-rel" in args:
+        at = args.index("--max-rel")
+        try:
+            max_rel = float(args[at + 1])
+        except (IndexError, ValueError):
+            args = []
+        else:
+            del args[at : at + 2]
     if len(args) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     with open(args[0]) as fh_old, open(args[1]) as fh_new:
         old, new = json.load(fh_old), json.load(fh_new)
     print("\n".join(report_lines(old, new)))
-    return 0
+    if max_rel is None:
+        return 0
+    changes, notes = diff(old, new)
+    over = [field for field, change in changes.items() if not change <= max_rel]
+    for field in over:
+        print(f"over --max-rel {max_rel:g}: {field}")
+    return 1 if over or notes else 0
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from fracwave.fracops import (
     KernelPhi,
-    _exterior_node_counts,
+    _BAND,
+    _band_counts,
     _fast_len,
-    _pair_sqnorms,
     SampledPath,
     TimeGrid,
     caputo_derivative,
@@ -27,7 +27,7 @@ from fracwave.fracops import (
     young_bound_check,
 )
 from fracwave.mittag_leffler import gamma
-from oracles import gagliardo_linear_ref, gagliardo_tensor_ref, pair_sqnorms_ref
+from oracles import gagliardo_linear_ref, gagliardo_tensor_ref
 
 # reference value of the half-order integral of sin(2 pi t) at t = 0.75
 # (oracles.frac_integral_ref, adaptive quadrature; cross-checked by series)
@@ -305,36 +305,83 @@ class TestGagliardo:
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
-    @pytest.mark.parametrize("M", [2, 3, 64, 193])  # TimeGrid needs M >= 2
+    @pytest.mark.parametrize("M", [2, 3, 64, 193, _BAND - 1, _BAND, _BAND + 1, 512])
     def test_bits_of_the_difference_tensor(self, M, d, weighted):
+        """Within 1e-12 of the seminorm summed over the whole difference
+        tensor, on both sides of the band edge."""
         rng = np.random.default_rng(100 * M + d)
-        # components of very different sizes, so the order of their sum shows
+        # components of very different sizes, so that a lost one shows
         vals = rng.standard_normal((M + 1, d)) * np.logspace(0, 4, d)
         weights = rng.uniform(0.1, 2.0, d) if weighted else None
         v = SampledPath(TimeGrid(1.3, M), vals[:, 0] if d == 1 else vals)
-        # the total can round alike where single pairs do not
-        assert np.array_equal(_pair_sqnorms(vals, weights), pair_sqnorms_ref(vals, weights))
-        assert gagliardo_seminorm(v, 0.3, weights) == gagliardo_tensor_ref(
-            v.values, 1.3, 0.3, weights)
+        ref = gagliardo_tensor_ref(v.values, 1.3, 0.3, weights)
+        assert abs(gagliardo_seminorm(v, 0.3, weights) - ref) <= 1e-12 * ref
 
-    # (weights, components, peak allowed in (M+1)**2 doubles)
-    @pytest.mark.parametrize("weighted,d,limit", [(False, 1, 1.5), (True, 2, 3.5)])
-    def test_peak_memory(self, weighted, d, limit):
-        M = 1024
+    @given(
+        beta=st.floats(0.05, 0.95),
+        M=st.integers(2, 600),
+        d=st.sampled_from([1, 2, 3, 9]),
+        weighted=st.booleans(),
+        kind=st.sampled_from(["smooth", "rough", "noise", "constant"]),
+        offset=st.floats(-1e6, 1e6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_tensor_oracle(self, beta, M, d, weighted, kind, offset, seed):
+        rng = np.random.default_rng(seed)
         grid = TimeGrid(1.0, M)
-        vals = np.random.default_rng(d).standard_normal((M + 1, d))
+        t = grid.nodes[:, None]
+        scales = rng.uniform(0.1, 10.0, d)
+        if kind == "smooth":
+            vals = np.sin(rng.uniform(1.0, 20.0, d) * t + rng.uniform(0.0, 6.0, d)) * scales
+        elif kind == "rough":
+            vals = t**0.45 * scales
+        elif kind == "noise":
+            vals = frac_integral(SampledPath(grid, rng.standard_normal((M + 1, d))), 0.3).values
+        else:
+            vals = np.zeros((M + 1, d))
+        vals = vals + offset
+        weights = rng.uniform(0.0, 2.0, d) if weighted else None
         v = SampledPath(grid, vals[:, 0] if d == 1 else vals)
-        weights = np.ones(d) if weighted else None
-        gagliardo_seminorm(v, 0.3, weights)  # builds the cached kernel and weights
+        got = gagliardo_seminorm(v, beta, weights)
+        if kind == "constant":
+            assert got == 0.0
+            return
+        ref = gagliardo_tensor_ref(v.values, 1.0, beta, weights)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("M", [_BAND + 1, 25, 31])
+    def test_path_with_no_far_pair(self, M):
+        # only the middle nodes move, none of them _BAND steps from another
+        # moving node: the far sum is zero and may round below it
+        vals = np.zeros(M + 1)
+        vals[M - _BAND + 1 : _BAND] = np.random.default_rng(M).standard_normal(2 * _BAND - M - 1)
+        v = SampledPath(TimeGrid(1.0, M), vals)
+        for beta in (0.05, 0.6, 0.95):
+            ref = gagliardo_tensor_ref(vals, 1.0, beta)
+            assert abs(gagliardo_seminorm(v, beta) - ref) <= 1e-12 * ref
+
+    def test_extreme_magnitudes(self):
+        v = trig_path(GRID, 3)
+        base = gagliardo_seminorm(v, 0.3, [1.0])
+        for scale, weight in ((1e200, 1.0), (1e-200, 1.0), (1.0, 1e300), (1e150, 1e-300)):
+            got = gagliardo_seminorm(SampledPath(GRID, scale * v.values), 0.3, [weight])
+            assert abs(got - scale * math.sqrt(weight) * base) <= 1e-13 * got
+
+    @pytest.mark.parametrize("M", [1024, 4096])
+    def test_peak_memory(self, M):
+        d = 2
+        v = SampledPath(TimeGrid(1.0, M), np.random.default_rng(M).standard_normal((M + 1, d)))
+        weights = np.ones(d)
+        gagliardo_seminorm(v, 0.3, weights)  # builds the cached factors
         tracemalloc.start()
         try:
             gagliardo_seminorm(v, 0.3, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= limit * 8 * (M + 1) ** 2
+        assert peak <= 64 * 8 * (M + 1) * d
 
-    @pytest.mark.parametrize("M", range(2, 10))
+    @pytest.mark.parametrize("M", [*range(2, 10), _BAND + 3])
     def test_exterior_node_counts_enumerated(self, M):
         # cell (a, b) spans nodes a..a+1 by b..b+1; count far cells per node pair
         ref = np.zeros((M + 1, M + 1))
@@ -342,7 +389,33 @@ class TestGagliardo:
             for b in range(M):
                 if abs(a - b) >= 2:
                     ref[a:a + 2, b:b + 2] += 1.0
-        assert np.array_equal(_exterior_node_counts(M), ref)
+        counts = _band_counts(M)
+        for k in range(1, _BAND):
+            pairs = np.diagonal(ref, k)
+            assert np.array_equal(counts[k - 1, : pairs.size], pairs)
+            assert not counts[k - 1, pairs.size :].any()
+        # beyond the band every touching cell is exterior
+        n = np.full(M + 1, 2.0)
+        n[0] = n[-1] = 1.0
+        for k in range(_BAND, M + 1):
+            assert np.array_equal(np.diagonal(ref, k), n[:-k] * n[k:])
+
+    @pytest.mark.parametrize("func", [l2_time_norm, gagliardo_seminorm, sobolev_norm])
+    @pytest.mark.parametrize("weights,message", [
+        ([1.0, np.nan], "finite"),
+        ([np.inf, 1.0], "finite"),
+        ([-1.0, 1.0], "non-negative"),
+        ([-5.0, 0.1], "non-negative"),
+        ([1.0, 1.0, 1.0], "one entry per component"),
+        ([[1.0, 1.0]], "one entry per component"),
+        (2.0, "one entry per component"),
+    ], ids=["nan", "inf", "negative", "negative-large", "length", "2d", "scalar"])
+    def test_weights_are_checked(self, func, weights, message):
+        v = trig_path(GRID, 5)
+        stacked = SampledPath(GRID, np.stack([v.values, -v.values], axis=1))
+        args = (stacked,) if func is l2_time_norm else (stacked, 0.3)
+        with pytest.raises(ValueError, match=message):
+            func(*args, weights)
 
 
 class TestNormEquivalence:

@@ -74,3 +74,49 @@ def test_fields_in_one_report_only_are_named():
 def test_usage(capsys):
     assert main(["one.json"]) == 2
     assert "report_diff.py OLD.json NEW.json" in capsys.readouterr().err
+
+
+def _write(tmp_path, old, new):
+    paths = tmp_path / "old.json", tmp_path / "new.json"
+    for path, report in zip(paths, (old, new)):
+        path.write_text(json.dumps(report))
+    return [str(p) for p in paths]
+
+
+def test_max_rel_passes_changes_within_the_bound(tmp_path, capsys):
+    new = json.loads(json.dumps(OLD))
+    new["criteria"][0]["details"]["worst"]["near"] = 2.0e-13 * (1.0 + 1e-14)
+    assert main(_write(tmp_path, OLD, new) + ["--max-rel", "1e-13"]) == 0
+    assert main(["--max-rel", "0"] + _write(tmp_path, OLD, OLD)) == 0
+    assert "over" not in capsys.readouterr().out
+
+
+def test_max_rel_fails_a_numeric_change_over_the_bound(tmp_path, capsys):
+    new = json.loads(json.dumps(OLD))
+    new["criteria"][1]["details"]["semigroup"]["discrepancies"][1] = 1.0e-4 * (1.0 + 1e-12)
+    assert main(_write(tmp_path, OLD, new) + ["--max-rel", "1e-13"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "over --max-rel 1e-13: frac-integral-suite.details.semigroup.discrepancies")
+    assert main(_write(tmp_path, OLD, new) + ["--max-rel", "1e-11"]) == 0
+
+
+def test_max_rel_fails_a_non_numeric_change_and_a_missing_field(tmp_path):
+    flag = json.loads(json.dumps(OLD))
+    flag["criteria"][0]["passed"] = False
+    assert main(_write(tmp_path, OLD, flag) + ["--max-rel", "1"]) == 1
+    extra = json.loads(json.dumps(OLD))
+    extra["criteria"][0]["details"]["worst"]["far"] = 1e-12
+    assert main(_write(tmp_path, OLD, extra) + ["--max-rel", "1"]) == 1
+
+
+def test_max_rel_fails_a_change_from_zero(tmp_path):
+    new = json.loads(json.dumps(OLD))
+    new["criteria"][1]["details"]["caputo_linear_max"] = 1e-300
+    assert main(_write(tmp_path, OLD, new) + ["--max-rel", "1e300"]) == 1
+
+
+def test_max_rel_needs_a_number(tmp_path, capsys):
+    paths = _write(tmp_path, OLD, OLD)
+    assert main(paths + ["--max-rel"]) == 2
+    assert main(paths + ["--max-rel", "small"]) == 2
+    assert "--max-rel X" in capsys.readouterr().err
