@@ -25,8 +25,8 @@ from .fracops import (
 from .params import as_alpha, identity_overlap_range
 from .regularity import NormReport
 from .solver import ModePropagator, mode_second_derivative_samples
-from .spectral import (ModeCoefficients, SpectralDomain, _gauss_panels, _write_csv, eval_modes,
-                       mode_sum, pairwise_sum, tail_stabilizes)
+from .spectral import (ModeCoefficients, SpectralDomain, _gauss_panels, _leggauss, _write_csv,
+                       eval_modes, mode_sum, pairwise_sum, tail_stabilizes)
 
 __all__ = [
     "MultiplierField",
@@ -120,6 +120,8 @@ class RatioStudy:
     ratios: np.ndarray
     skipped: int
     table: list = field(default_factory=list)
+    # draw index -> TraceSeries, for the draws the study was asked to keep
+    traces: dict = field(default_factory=dict)
 
     @property
     def max_ratio(self) -> float:
@@ -139,21 +141,27 @@ def hidden_inequality_ratio(
 
 
 def _ratio_study(domain: SpectralDomain, prop: ModePropagator, ensemble,
-                 tgrid: TimeGrid) -> RatioStudy:
+                 tgrid: TimeGrid, keep=()) -> RatioStudy:
+    """The ratio study of ``ensemble`` on ``prop``'s kernels; the traces of
+    the draws whose indices are in ``keep`` stay in ``RatioStudy.traces``."""
     ratios = []
     table = []
+    traces = {}
     skipped = 0
     for i, data in enumerate(ensemble):
         energy = data.energy(domain.eigenvalues)
         if energy == 0.0:
             skipped += 1
             continue
-        num = _draw_trace(domain, prop, data, tgrid).energy()
+        trace = _draw_trace(domain, prop, data, tgrid)
+        if i in keep:
+            traces[i] = trace
+        num = trace.energy()
         ratios.append(num / energy)
         table.append({"draw": i, "trace_energy": num, "data_energy": energy, "ratio": num / energy})
     if not ratios:
         raise ValueError("every draw had zero energy")
-    return RatioStudy(np.asarray(ratios), skipped, table)
+    return RatioStudy(np.asarray(ratios), skipped, table, traces)
 
 
 @dataclass(frozen=True)
@@ -199,7 +207,7 @@ def multiplier_identity_check(
     for xb in (0.0, L):
         if abs(float(np.asarray(wfun.w(np.array([xb])))[0])) > 1e-10:
             raise ValueError("the test function must vanish on the boundary")
-    x, wq = np.polynomial.legendre.leggauss(n_gauss)
+    x, wq = _leggauss(n_gauss)
     x = 0.5 * L * (x + 1.0)
     wq = 0.5 * L * wq
     dwx = wfun.dw(x)
@@ -328,39 +336,39 @@ def trace_seminorm_bound(
     data energy; a zero-energy draw reports zeros.  The mode dynamics are
     evaluated once for the whole ensemble.
     """
-    prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
-    return _trace_bound_reports(domain, prop, ensemble, beta, tgrid)
-
-
-def _trace_bound_reports(domain: SpectralDomain, prop: ModePropagator, ensemble,
-                         beta: float, tgrid: TimeGrid) -> list[TraceBoundReport]:
-    al = prop.alpha
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
+    return [_trace_bound_report(domain, data, prop.alpha, beta,
+                                _draw_trace(domain, prop, data, tgrid))
+            for data in ensemble]
+
+
+def _trace_bound_report(domain: SpectralDomain, data: ModeCoefficients, al: float,
+                        beta: float, trace: TraceSeries | None) -> TraceBoundReport:
+    """The two routes of one draw from its trace, which a zero-energy draw
+    (reported as zeros) need not have."""
+    energy = data.energy(domain.eigenvalues)
+    if energy == 0.0:
+        return TraceBoundReport(
+            NormReport("integrated-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
+            NormReport("plain-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
+            cross_ratio=0.0,
+        )
     wts = domain.boundary_weights
-    reports = []
-    for data in ensemble:
-        energy = data.energy(domain.eigenvalues)
-        if energy == 0.0:
-            reports.append(TraceBoundReport(
-                NormReport("integrated-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
-                NormReport("plain-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
-                cross_ratio=0.0,
-            ))
-            continue
-        path = _draw_trace(domain, prop, data, tgrid).as_path()
-        itr = frac_integral(path, beta)
-        il2 = l2_time_norm(itr, wts)
-        semi = gagliardo_seminorm(itr, beta, wts)
-        plain = l2_time_norm(path, wts)
-        params = {"alpha": al, "beta": beta, "t_end": tgrid.t_end, "steps": tgrid.steps}
-        integrated = NormReport("integrated-trace-energy", params,
-                                value=(il2**2 + semi**2) / energy, bound_rhs=energy)
-        plain_rep = NormReport("plain-trace-energy", params,
-                               value=plain**2 / energy, bound_rhs=energy)
-        cross = plain / (il2 + semi) if (il2 + semi) > 0 else 0.0
-        reports.append(TraceBoundReport(integrated, plain_rep, cross_ratio=cross))
-    return reports
+    path = trace.as_path()
+    itr = frac_integral(path, beta)
+    il2 = l2_time_norm(itr, wts)
+    semi = gagliardo_seminorm(itr, beta, wts)
+    plain = l2_time_norm(path, wts)
+    tgrid = trace.grid
+    params = {"alpha": al, "beta": beta, "t_end": tgrid.t_end, "steps": tgrid.steps}
+    integrated = NormReport("integrated-trace-energy", params,
+                            value=(il2**2 + semi**2) / energy, bound_rhs=energy)
+    plain_rep = NormReport("plain-trace-energy", params,
+                           value=plain**2 / energy, bound_rhs=energy)
+    cross = plain / (il2 + semi) if (il2 + semi) > 0 else 0.0
+    return TraceBoundReport(integrated, plain_rep, cross_ratio=cross)
 
 
 def two_time_identity_check(

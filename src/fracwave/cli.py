@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .boundary import hidden_inequality_ratio, normal_trace, trace_to_csv
 from .fracops import (
     SampledPath,
     TimeGrid,
@@ -26,17 +25,13 @@ from .fracops import (
 )
 from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
 from .params import FracOrder
-from .presets import PRESET_NAMES, build_preset, random_decay
-from .regularity import (
-    initial_convergence,
-    l2_time_norms,
-    smooth_data_velocity,
-    uniform_bound_report,
-    velocity_blowup_rate,
-)
+from .presets import PRESET_NAMES, _random_trig_paths, build_preset, random_decay
 from .solver import _WHICH, SolutionQuery, solve_grid, write_manifest, write_snapshots_csv
 from .spectral import _BUILDERS, _write_json, build_interval, uniform_grid
-from .verify import _random_trig_paths, report_lines, run_all
+
+# ``boundary``, ``regularity`` and ``verify`` are imported by the subcommands
+# that use them, so ``ml``, ``frac`` and ``solve`` never load them (nor the
+# ``multiprocessing`` that ``verify`` starts its pool with)
 
 
 def _parse_flag(key: str, text: str, parse):
@@ -168,6 +163,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_regularity(args) -> int:
+    from .regularity import (initial_convergence, l2_time_norms, smooth_data_velocity,
+                             uniform_bound_report, velocity_blowup_rate)
+
     domain = build_interval(args.length, args.modes)
     data = build_preset(args.preset, domain, mode=args.mode_k, p=args.decay_p,
                         seed=args.seed, delta=args.delta)
@@ -200,6 +198,8 @@ def _cmd_regularity(args) -> int:
 
 
 def _cmd_hidden(args) -> int:
+    from .boundary import hidden_inequality_ratio, normal_trace, trace_to_csv
+
     domain = build_interval(args.length, args.modes)
     grid = TimeGrid(args.t_end, args.steps)
     draws = [random_decay(args.modes, args.decay_p, args.seed + i) for i in range(args.draws)]
@@ -220,7 +220,16 @@ def _cmd_hidden(args) -> int:
     return 0
 
 
+def run_all(seed: int) -> list:
+    """``verify.run_all(seed)``; the ``verify`` module is loaded on first use."""
+    from . import verify
+
+    return verify.run_all(seed)
+
+
 def _cmd_verify(args) -> int:
+    from .verify import report_lines
+
     results = run_all(args.seed)
     for line in report_lines(results):
         print(line)

@@ -227,12 +227,27 @@ def _component_weights(weights, d: int):
     return w
 
 
+def _pow2_scaled(vals: np.ndarray, wts):
+    """``(vals * 2**-s, wts * 2**-2w, s + w)``: values scaled below 1 and
+    weights below 4 by exact powers of two, so that no square of a value and
+    no weighted square overflows or underflows.  A norm formed from the
+    scaled arrays is the norm of the originals times ``2**-(s + w)``, with
+    the same bits wherever the originals' squares stay in the normal range."""
+    scale = math.frexp(float(np.max(np.abs(vals), initial=0.0)))[1]
+    vals = np.ldexp(vals, -scale)
+    if wts is not None:
+        wscale = (math.frexp(float(np.max(wts, initial=0.0)))[1] + 1) // 2
+        wts = np.ldexp(wts, -2 * wscale)
+        scale += wscale
+    return vals, wts, scale
+
+
 def l2_time_norm(f: SampledPath, weights=None) -> float:
     """Trapezoidal L2(0,T;H) norm; `weights` are per-component H-weights."""
     vals = f.components()
-    wts = _component_weights(weights, vals.shape[1])
+    vals, wts, scale = _pow2_scaled(vals, _component_weights(weights, vals.shape[1]))
     sq = np.sum(vals**2, axis=1) if wts is None else vals**2 @ wts
-    return float(np.sqrt(np.sum(_node_weights(f.grid) * sq)))
+    return math.ldexp(math.sqrt(float(np.sum(_node_weights(f.grid) * sq))), scale)
 
 
 def young_bound_check(f: SampledPath, beta: float) -> tuple[float, float]:
@@ -342,14 +357,7 @@ def gagliardo_seminorm(v: SampledPath, beta: float, weights=None) -> float:
     M = grid.steps
     h = grid.spacing
     vals = v.components()
-    wts = _component_weights(weights, vals.shape[1])
-    # power-of-two scales, exact, so that no square overflows or underflows
-    scale = math.frexp(float(np.max(np.abs(vals), initial=0.0)))[1]
-    vals = np.ldexp(vals, -scale)
-    if wts is not None:
-        wscale = (math.frexp(float(np.max(wts, initial=0.0)))[1] + 1) // 2
-        wts = np.ldexp(wts, -2 * wscale)
-        scale += wscale
+    vals, wts, scale = _pow2_scaled(vals, _component_weights(weights, vals.shape[1]))
 
     def sqnorm(diff):
         return np.sum(diff**2, axis=-1) if wts is None else diff**2 @ wts

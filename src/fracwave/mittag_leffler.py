@@ -65,7 +65,9 @@ its terms lies 20 digits below the value; its cost does not grow with
 incrementally updated power, at ``30 + 0.45 m`` digits (twice that per unit
 of ``m`` for ``alpha <= 1``).  Each coefficient ``c_k`` is taken at that
 precision when the sum reaches it, so the fallback keeps no state between
-calls.  The two tables of doubles above are the module's only state: one
+calls; for ``alpha = p/q`` with a small power of two ``q`` (every order
+``verify`` samples) all but the first q come from the exact gamma
+recurrence, one division each.  The two tables of doubles above are the module's only state: one
 record per (alpha, beta) in a ``functools.lru_cache`` of ``_TABLES_MAX``
 orders.  A record holds at most ``_SERIES_KMAX + _ASYM_KMAX`` doubles, so a
 process that scans many orders keeps about 3 MB at most.
@@ -699,10 +701,25 @@ def _over_precision_cap(alpha: float, z: float) -> ValueError:
     )
 
 
+# largest denominator q of alpha = p/q for which ``_mpmath_single`` takes its
+# coefficients by recurrence: it needs q gammas per value and a product of p
+# integers per coefficient; every alpha ``verify`` samples has q <= 4
+_RECURRENCE_Q_MAX = 16
+
+
 def _mpmath_single(alpha: float, beta: float, z: float) -> float:
     """``sum_k z**k c_k`` at ``_fallback_dps`` digits, each coefficient
     ``c_k = 1/Gamma(alpha k + beta)`` taken at that precision as the sum
-    reaches it."""
+    reaches it.
+
+    Where ``alpha`` is a fraction p/q (exactly, as a double) with q at most
+    ``_RECURRENCE_Q_MAX``, only ``c_0 .. c_{q-1}`` are gammas: the rest follow
+    from ``Gamma(x + p) = (x)_p Gamma(x)`` at ``x = alpha (k - q) + beta``,
+    ``c_k = c_{k-q} / prod_{j<p} (x + j)``.  The p factors share the
+    power-of-two denominator D of alpha and beta, so their product is the
+    exact integer ``prod_j (D x + j D)`` over ``D**p`` and each coefficient
+    rounds once, in the division.  Any other alpha takes a gamma per term.
+    """
     dps = _fallback_dps(alpha, z)
     if dps > _MP_MAX_DPS:
         raise _over_precision_cap(alpha, z)
@@ -711,13 +728,35 @@ def _mpmath_single(alpha: float, beta: float, z: float) -> float:
     a, b, zz = libmp.from_float(alpha), libmp.from_float(beta), libmp.from_float(z)
     tiny = libmp.from_float(1e-300)
     mul, add, gt = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_gt
+    p, q = alpha.as_integer_ratio()
+    bn, bd = beta.as_integer_ratio()
+    D = max(q, bd)  # both are powers of two
+    step, x0 = p * (D // q), bn * (D // bd)  # D alpha and D beta
+    shift = -p * (D.bit_length() - 1)
     ctx = _mp_context()
     with ctx.workdps(dps):
         prec = ctx.prec
+        coeffs = []
+
+        def coeff(k):
+            if q > _RECURRENCE_Q_MAX:
+                return _series_coeff(ctx, a, b, k)
+            if k < q:
+                c = _series_coeff(ctx, a, b, k)
+            else:
+                dx = x0 + (k - q) * step  # D x
+                pochhammer = dx
+                for j in range(1, p):
+                    pochhammer *= dx + j * D
+                c = libmp.mpf_div(coeffs[k - q], libmp.from_man_exp(pochhammer, shift), prec,
+                                  _NEAREST)
+            coeffs.append(c)
+            return c
+
         eps = (ctx.mpf(10) ** (-dps - 5))._mpf_
         s = term_max = libmp.fzero
         power = libmp.fone
-        t = _series_coeff(ctx, a, b, 0)
+        t = coeff(0)
         k = 0
         while True:
             s = add(s, t, prec, _NEAREST)
@@ -726,7 +765,7 @@ def _mpmath_single(alpha: float, beta: float, z: float) -> float:
                 term_max = at
             k += 1
             power = mul(power, zz, prec, _NEAREST)
-            t = mul(power, _series_coeff(ctx, a, b, k), prec, _NEAREST)
+            t = mul(power, coeff(k), prec, _NEAREST)
             if k > 5:
                 scale = max(term_max, libmp.mpf_abs(s), tiny, key=_MPF_ORDER)
                 if gt(mul(eps, scale, prec, _NEAREST), libmp.mpf_abs(t)):

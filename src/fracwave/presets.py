@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .fracops import TimeGrid
 from .spectral import ModeCoefficients, SpectralDomain
 
 __all__ = [
@@ -93,3 +94,20 @@ def build_preset(name: str, domain: SpectralDomain, *, mode: int = 1, p: float =
     if name == "h1-saturating":
         return h1_saturating(N, delta=delta)
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+
+
+def _random_trig_paths(grid: TimeGrid, count: int, seed: int) -> list[np.ndarray]:
+    """``count`` sine polynomials ``sum_k c_k sin(k pi t / T)``, k = 1..8, on
+    the nodes of ``grid``, draw i with standard normal ``c`` from seed
+    ``seed + i``.  The eight sines are formed once for all draws, and each
+    draw adds them up in k order."""
+    t = grid.nodes
+    basis = [np.sin((k + 1) * math.pi * t / grid.t_end) for k in range(8)]
+    paths = []
+    for i in range(count):
+        c = np.random.default_rng(seed + i).standard_normal(8)
+        vals = np.zeros_like(t)
+        for ck, row in zip(c, basis):
+            vals += ck * row
+        paths.append(vals)
+    return paths

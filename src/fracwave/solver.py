@@ -104,7 +104,8 @@ class ModePropagator:
     E_{a,a-1}, the last for t > 0 only) costs one ``ml`` call on that whole
     grid, on first use.  Time powers stay separate factors so each
     combination multiplies in one fixed order.  Studies over many datasets
-    build one propagator and reuse it for every draw.
+    build one propagator and reuse it for every draw, and ``head`` serves
+    a study over fewer modes from the same kernels.
     """
 
     def __init__(self, eigenvalues, alpha, times):
@@ -117,6 +118,20 @@ class ModePropagator:
 
     def _ml(self, beta: float) -> np.ndarray:
         return ml(MLParams(self.alpha, beta), self.z)
+
+    def head(self, n: int) -> "ModePropagator":
+        """The propagator of the first ``n`` modes on the same times, sharing
+        the kernels this one has computed so far as row views; a kernel
+        computed later is computed for the ``n`` modes alone.  A row view
+        has the bits of the smaller propagator's own kernel where an ``ml``
+        value does not depend on the rest of its call, which the tests check
+        on the grids ``verify`` reads this way."""
+        sub = object.__new__(ModePropagator)
+        sub.lam, sub.alpha, sub.times, sub.z = self.lam[:n], self.alpha, self.times, self.z[:n]
+        for name in ("e1", "te2", "ea", "eam1"):
+            if name in vars(self):
+                vars(sub)[name] = vars(self)[name][:n]
+        return sub
 
     @cached_property
     def e1(self) -> np.ndarray:

@@ -130,8 +130,17 @@ def tail_stabilizes(terms: np.ndarray, frac: float = 0.125, tol: float = 0.05) -
     return float(np.sum(t[-k:])) / total <= tol
 
 
-def _gauss_panels(a: float, b: float, panels: int, order: int = 10):
+@functools.lru_cache(maxsize=32)
+def _leggauss(order: int):
+    """The ``order``-point Gauss-Legendre rule on [-1, 1], nodes and weights,
+    computed once per order and handed out read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_panels(a: float, b: float, panels: int, order: int = 10):
+    x, w = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])

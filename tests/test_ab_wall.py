@@ -1,0 +1,28 @@
+import ab_wall
+from output_digests import SRC
+
+TINY = ["solve", "--modes", "8", "--steps", "8", "--points", "5", "--out-prefix", "tiny"]
+
+
+def test_one_pair_on_a_tiny_solve(capsys):
+    assert ab_wall.main([str(SRC), str(SRC), "--pairs", "1", "--"] + TINY) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["side", "median_s", "q1_s", "q3_s", "wins", "peak_rss_mb"]
+    for line, side in zip(lines[1:3], ("old", "new")):
+        fields = line.split()
+        assert fields[0] == side
+        assert fields[4].endswith("/1")
+        assert all(float(v) > 0.0 for v in fields[1:4] + fields[5:])
+    assert lines[3].startswith("median wall change: ")
+
+
+def test_usage_errors_exit_2(capsys, tmp_path):
+    assert ab_wall.main([str(SRC), str(SRC)] + TINY) == 2
+    assert ab_wall.main([str(SRC), str(SRC), "--pairs", "0", "--"] + TINY) == 2
+    assert ab_wall.main([str(SRC), str(tmp_path), "--"] + TINY) == 2
+    assert "holds no fracwave package" in capsys.readouterr().err
+
+
+def test_failing_command_exits_1(capsys):
+    assert ab_wall.main([str(SRC), str(SRC), "--pairs", "1", "--", "solve", "--points", "1"]) == 1
+    assert "failed: fracwave solve --points 1" in capsys.readouterr().err

@@ -146,10 +146,10 @@ def test_unreadable_value_names_its_flag(tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
-# Every subcommand but verify (whose module the CLI imports), solve_field, the
-# ML tiers that use reciprocal gammas (the expansion on both axes and the
-# contour) and the diagnostic frac_integral_inverse: none of them may load
-# scipy.
+# Every subcommand but verify (the slowest, with the modules hidden and
+# regularity load), solve_field, the ML tiers that use reciprocal gammas (the
+# expansion on both axes and the contour) and the diagnostic
+# frac_integral_inverse: none of them may load scipy.
 NO_SCIPY = """
 import sys
 from fracwave import MLParams, SolutionQuery, TimeGrid, FracOrder, build_interval, ml, solve_field
@@ -179,6 +179,28 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
 
 def test_cli_and_solve_paths_never_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path / "run")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# ml, frac and solve run without the modules only hidden, regularity and
+# verify need, and without the multiprocessing verify's pool starts from
+LEAN_COMMANDS = """
+import sys
+from fracwave.cli import main
+prefix = sys.argv[1]
+assert main(["ml", "--z=-1,-5000"]) == 0
+assert main(["frac", "--check", "equivalence", "--steps", "64", "--draws", "4"]) == 0
+assert main(["solve", "--modes", "8", "--steps", "4", "--points", "5", "--out-prefix", prefix]) == 0
+print(sorted(name for name in sys.modules
+             if name in ("fracwave.boundary", "fracwave.regularity", "fracwave.verify")
+             or name.split(".")[0] == "multiprocessing"))
+"""
+
+
+def test_ml_frac_and_solve_load_no_study_module(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", LEAN_COMMANDS, str(tmp_path / "run")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

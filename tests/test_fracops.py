@@ -418,6 +418,42 @@ class TestGagliardo:
             func(*args, weights)
 
 
+class TestL2TimeNorm:
+    def test_large_values_do_not_overflow(self):
+        # the squares of 1e160 leave the double range; the norm does not
+        t = GRID.nodes
+        v = SampledPath(GRID, 1e160 * np.sin(3.0 * t))
+        base = SampledPath(GRID, np.sin(3.0 * t))
+        assert abs(l2_time_norm(v) - 1e160 * l2_time_norm(base)) <= 1e-15 * l2_time_norm(v)
+        total = sobolev_norm(v, 0.3)
+        assert math.isfinite(total)
+        assert total == l2_time_norm(v) + gagliardo_seminorm(v, 0.3)
+
+    def test_extreme_magnitudes(self):
+        v = trig_path(GRID, 3)
+        base = l2_time_norm(v, [1.0])
+        for scale, weight in ((1e200, 1.0), (1e-200, 1.0), (1.0, 1e300), (1e150, 1e-300)):
+            got = l2_time_norm(SampledPath(GRID, scale * v.values), [weight])
+            assert abs(got - scale * math.sqrt(weight) * base) <= 1e-13 * got
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_ordinary_paths_keep_their_bits(self, d):
+        # the rescaling is by exact powers of two: where no square leaves
+        # the normal range the norm is the plain trapezoid, bit for bit
+        rng = np.random.default_rng(d)
+        h = GRID.spacing
+        node_w = np.full(GRID.steps + 1, h)
+        node_w[0] = node_w[-1] = h / 2.0
+        for scale in (1e-100, 1e-3, 1.0, 7.5, 1e100):
+            vals = scale * rng.standard_normal((GRID.steps + 1, d))
+            wts = rng.uniform(0.1, 3.0, d)
+            path = SampledPath(GRID, vals if d > 1 else vals[:, 0])
+            plain = float(np.sqrt(np.sum(node_w * np.sum(vals**2, axis=1))))
+            weighted = float(np.sqrt(np.sum(node_w * (vals**2 @ wts))))
+            assert l2_time_norm(path) == plain
+            assert l2_time_norm(path, wts) == weighted
+
+
 class TestNormEquivalence:
     def test_bracket(self):
         paths = [trig_path(TimeGrid(1.0, 256), s) for s in range(50)]

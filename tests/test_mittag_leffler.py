@@ -28,7 +28,7 @@ from fracwave.mittag_leffler import (
     verify_decay_bound,
 )
 from oracles import (algebraic_ref, asym_coeffs_ref, golden_section_max, ml_series_ref,
-                     series_double_ref, series_table_ref)
+                     mpmath_single_ref, series_double_ref, series_table_ref)
 
 # frozen extended-precision series values (see oracles.ml_series_ref)
 ML_1P5_1_M5 = -0.3000820504131309
@@ -646,6 +646,10 @@ class TestCoefficientTable:
             sys.setswitchinterval(interval)
         assert got == want * 2
 
+    @pytest.mark.parametrize("alpha,beta,z,bits", FALLBACK)
+    def test_per_term_reference_reproduces_fallback_bits(self, alpha, beta, z, bits):
+        assert mpmath_single_ref(alpha, beta, z).hex() == bits
+
     def test_over_cap_element_raises_before_building(self, monkeypatch, empty_tables):
         alpha, beta, z, bits = self.FALLBACK[0]
         far = -1.0e6  # m of about 5e5 needs over 2e5 digits
@@ -670,6 +674,36 @@ class TestCoefficientTable:
         # the in-cap element took its gammas at its own precision, the most
         # any gamma was taken at
         assert max(precs) == mp.libmp.dps_to_prec(mlmod._fallback_dps(alpha, z))
+
+
+class TestRationalOrderRecurrence:
+    # alpha = p/q with q <= 8 in (1, 2): the doubles with such a q are the
+    # multiples of 1/8
+    ALPHAS = [p / 8 for p in range(9, 16)]
+    Z = (-0.7, -5.0, -30.0, -90.0, -400.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_same_doubles_as_the_per_term_series(self, alpha):
+        for beta in (1.0, 2.0, alpha, alpha - 1.0):
+            for z in self.Z:
+                assert mlmod._mpmath_single(alpha, beta, z) == mpmath_single_ref(alpha, beta, z), \
+                    (alpha, beta, z)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 1.75, 2.0, 1.125, 1.9375])
+    def test_at_most_q_gammas_per_value(self, alpha, gamma_calls):
+        q = alpha.as_integer_ratio()[1]
+        assert q <= mlmod._RECURRENCE_Q_MAX
+        for z in (-0.7, -90.0, 3.0):
+            del gamma_calls[:]
+            assert mlmod._mpmath_single(alpha, 1.0, z) == mpmath_single_ref(alpha, 1.0, z)
+            assert 1 <= len(gamma_calls) <= q
+
+    def test_other_orders_take_a_gamma_per_term(self, gamma_calls):
+        # the alpha sweep's golden offsets are no fractions of small q
+        alpha = 1.1539344662916632
+        assert alpha.as_integer_ratio()[1] > mlmod._RECURRENCE_Q_MAX
+        assert mlmod._mpmath_single(alpha, alpha, -30.0) == mpmath_single_ref(alpha, alpha, -30.0)
+        assert len(gamma_calls) > mlmod._RECURRENCE_Q_MAX
 
 
 @pytest.fixture

@@ -172,6 +172,41 @@ class TestModePropagator:
             assert np.allclose(v[n], st.y_prime, rtol=1e-12, atol=1e-13)
 
 
+    # ``verify``'s trace-energy check serves its 64-mode studies from the
+    # leading rows of the 128-mode kernels on its 192-step grid; that rests
+    # on an ``ml`` value not depending on the rest of its call
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_ml_rows_are_the_rows_own_call(self, alpha, beta):
+        t = TimeGrid(1.0, 192).nodes
+        z = -np.outer(build_interval(1.0, 128).eigenvalues, t**alpha)
+        rows = -np.outer(build_interval(1.0, 64).eigenvalues, t**alpha)
+        assert np.array_equal(z[:64], rows)
+        params = MLParams(alpha, beta)
+        assert np.array_equal(ml(params, z)[:64], ml(params, rows))
+
+    def test_head_shares_computed_kernels(self, monkeypatch):
+        t = TimeGrid(1.0, 192).nodes
+        lam = build_interval(1.0, 128).eigenvalues
+        prop = ModePropagator(lam, 1.5, t)
+        data = random_decay(64, 2.0, 3)
+        want = ModePropagator(lam[:64], 1.5, t).value(data.a, data.b)
+        prop.value(np.zeros(128), np.zeros(128))
+        calls = []
+        original = fracwave.solver.ml
+        monkeypatch.setattr(fracwave.solver, "ml",
+                            lambda params, z: calls.append(params.beta) or original(params, z))
+        head = prop.head(64)
+        assert np.array_equal(head.z, ModePropagator(lam[:64], 1.5, t).z)
+        assert np.array_equal(head.value(data.a, data.b), want)
+        assert calls == []
+        # a kernel the larger propagator has not computed is computed for
+        # the head's rows alone
+        head.velocity(data.a, data.b)
+        assert calls == [1.5]
+        assert "ea" not in vars(prop)
+
+
 class TestSolveField:
     def setup_method(self):
         self.domain = build_interval(1.0, 8)

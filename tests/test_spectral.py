@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fracwave.spectral as spectral
+from fracwave.boundary import interval_multiplier, multiplier_identity_check, trig_test_function
 from fracwave.spectral import (
     ModeCoefficients,
     SpectralDomain,
@@ -367,6 +368,26 @@ class TestHelpers:
         mc = ModeCoefficients(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
         scaled = mc.scaled(3.0)
         assert np.array_equal(scaled.a, [3.0, 6.0])
+
+
+    def test_gauss_rule_built_once_per_order(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        spectral._leggauss.cache_clear()
+        try:
+            for N in (8, 16):
+                build_interval(1.0, N).quad_points
+                build_rectangle(1.0, 1.5, N).boundary_weights
+            for c in ([1.0], [0.5, -2.0]):
+                multiplier_identity_check(trig_test_function(c), interval_multiplier(1.0))
+            assert sorted(calls) == [10, 64]
+            x, w = spectral._leggauss(10)
+            assert np.array_equal(x, leggauss(10)[0]) and np.array_equal(w, leggauss(10)[1])
+            assert not (x.flags.writeable or w.flags.writeable)
+        finally:
+            spectral._leggauss.cache_clear()
 
 
 class TestModeSum:

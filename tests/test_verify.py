@@ -1,12 +1,17 @@
-"""``verify.run_all``: the forked worker pool and the serial path agree."""
+"""``verify``: the forked worker pool and the serial path agree, and the
+draws it shares keep their bits."""
 
+import math
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from fracwave import verify
 from fracwave.cli import main
+from fracwave.fracops import TimeGrid
+from fracwave.presets import _random_trig_paths
 from fracwave.verify import ALL_CHECKS, CheckResult, run_all
 
 
@@ -90,4 +95,15 @@ def test_pool_reraises_a_check_error(monkeypatch):
     _cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match=r"^check 3 failed at seed 9$"):
         run_all(9)
+
+
+def test_random_trig_paths_keep_the_per_path_bits():
+    # the shared sine rows add up in the order each path used to form them
+    grid = TimeGrid(1.0, 256)
+    for i, vals in enumerate(_random_trig_paths(grid, 5, 7)):
+        c = np.random.default_rng(7 + i).standard_normal(8)
+        ref = np.zeros_like(grid.nodes)
+        for k in range(8):
+            ref += c[k] * np.sin((k + 1) * math.pi * grid.nodes / grid.t_end)
+        assert np.array_equal(vals, ref)
 
