@@ -30,8 +30,7 @@ from .solver import _WHICH, SolutionQuery, solve_grid, write_manifest, write_sna
 from .spectral import _BUILDERS, _write_json, build_interval, uniform_grid
 
 # ``boundary``, ``regularity`` and ``verify`` are imported by the subcommands
-# that use them, so ``ml``, ``frac`` and ``solve`` never load them (nor the
-# ``multiprocessing`` that ``verify`` starts its pool with)
+# that use them, so ``ml``, ``frac`` and ``solve`` never load them
 
 
 def _parse_flag(key: str, text: str, parse):

@@ -405,7 +405,9 @@ class EquivalenceStudy:
 
 
 def norm_equivalence_study(ensemble, beta: float, weights=None) -> EquivalenceStudy:
-    """Ratios ||I^beta u||_{H^beta} / ||u||_{L2} over an ensemble of paths."""
+    """Ratios ||I^beta u||_{H^beta} / ||u||_{L2} over an ensemble of paths, bounded
+    below only over paths with u(0) = 0 (``verify``'s sine sums): ``frac_integral``'s
+    matrix has a zero row 0, and its null vector, mostly a spike at t = 0, has ratio ~1e-15."""
     if not ensemble:
         raise ValueError("ensemble must be non-empty")
     ratios = []

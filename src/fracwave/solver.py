@@ -16,8 +16,8 @@ mode x time x point product.
 ``solve_field`` serves arbitrary points that way; ``solve_grid`` serves the
 equispaced grids of ``spectral.uniform_grid`` by type-I sine transform
 (``spectral.grid_sum``), which agrees with the pairwise sum to roundoff and
-gives exact zeros on the boundary.  Every solve can report an upper
-estimate of the norm it is missing by truncating the mode sum.
+gives exact zeros on the boundary.  Every solve can report an estimate,
+not a bound (``truncation_tail``), of the norm its truncated mode sum misses.
 
 ``coefficient_evolution`` computes a solve's two ML kernels at once, one in
 a forked child, when the grid holds at least ``spectral._FORK_MIN_VALUES``
@@ -299,12 +299,13 @@ def _decay_constant(alpha: float, beta: float) -> float:
 
 
 def truncation_tail(query: SolutionQuery, theta: float, t: float) -> float:
-    """Upper estimate of the omitted-mode norm at time t in the theta scale.
+    """Estimate of the omitted-mode norm at time t in the theta scale.
 
-    Modes beyond ``n_sum`` are bounded by the empirical decay envelope
-    |E(z)| <= C/(1+|z|).  At t = 0 the envelope degenerates to |E(0)| = 1 and
-    the bound is the plain coefficient-tail norm.  A theta that is not
-    finite raises ``ValueError``.
+    Modes beyond ``n_sum`` are scaled by the decay envelope |E(z)| <= C/(1+|z|)
+    with C the maximum at the 21 ``DECAY_SAMPLES`` points, up to about 1.5x
+    below the dense supremum: not an upper bound (ROADMAP.md, "An honest tail
+    bound").  At t = 0, |E(0)| = 1 and it is the plain coefficient-tail norm.
+    A theta that is not finite raises ``ValueError``.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")

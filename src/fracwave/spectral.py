@@ -20,9 +20,9 @@ these bits against ``scipy.fft``.
 ``_write_csv`` formats a float table (solve snapshots, sampled paths) in
 contiguous row ranges, one per usable CPU; forked children format all but
 the first, appended in order.  ``_forked`` is the package's one fork-join
-helper and ``_fork_width`` its one fork rule, read by ``solver`` and
-``verify`` too.  Each job is the serial computation, so forked or not, the
-bytes are the same.
+helper (``solver`` forks a kernel with it, ``verify`` its check shares) and
+``_fork_width`` its one fork rule.  Each job is the serial computation, so
+forked or not, the bytes are the same.
 """
 
 from __future__ import annotations

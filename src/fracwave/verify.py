@@ -4,13 +4,13 @@ Each check returns a CheckResult with the numbers it computed, so the CLI
 can print one line per criterion and serialize a deterministic report.
 Randomized checks derive all draws from the single seed passed in.
 
-``run_all`` (``fracwave verify all``) runs the checks in one forked worker
-process per usable CPU, longest first.  It runs them serially in the
-calling process where the package's one fork rule (``spectral._fork_width``)
-says so: only one CPU is usable, ``fork`` is missing, another thread is
-running, or the caller is itself a daemonic pool worker.  Each check draws
-only from its seed and ML values do not depend on cache state, so the
-results, and the report bytes, are identical either way.
+``run_all`` (``fracwave verify all``) runs one share of the checks per
+usable CPU (``_shares``), each in a child of ``spectral._forked`` that
+pickles its results to its file, while the parent only joins.  It runs them
+serially where ``spectral._fork_width`` says so: one usable CPU, no
+``fork``, another thread running, or a daemonic pool worker as caller.
+Each check draws only from its seed and ML values do not depend on cache
+state, so the results, and the report bytes, are identical either way.
 
 Work that does not depend on the data runs once.  The trace-energy check
 draws its three ensembles before its alpha loop and evaluates one 128-mode
@@ -28,6 +28,7 @@ the same arrays, computed once.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,7 @@ from .mittag_leffler import (DECAY_SAMPLES, MLParams, _mpmath_single, gamma, max
 from .presets import _random_trig_paths, h1_saturating, random_decay, single_mode
 from .regularity import fit_loglog_slope, initial_convergence, velocity_blowup_rate
 from .solver import ModePropagator, mode_second_derivative_samples
-from .spectral import _fork_width, build_interval
+from .spectral import _fork_width, _forked, build_interval
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS", "report_lines"]
 
@@ -391,34 +392,41 @@ ALL_CHECKS = (
 )
 
 
-# Pool dispatch order: the three longest checks first, then the rest in
-# ALL_CHECKS order, so the short checks fill in around the long ones.
-_LONGEST_FIRST = (check_trace_energy_bound, check_ml_identities, check_norm_equivalence)
+# Cold ms of each check by function name, one fresh process per check at
+# seed 7 on a 2-core x86 host (by name, so a wrapped check keeps its cost)
+_COLD_MS = dict(
+    check_trace_energy_bound=634, check_integrated_identity=169, check_ml_identities=168,
+    check_initial_data_continuity=116, check_mode_ode_residual=90, check_norm_equivalence=83,
+    check_decay_envelope=23, check_multiplier_identity=21, check_kernel_peak=19,
+    check_velocity_blowup=14, check_frac_integral_suite=4)
 
 
-def _run_check(index: int, seed: int) -> CheckResult:
-    return ALL_CHECKS[index](seed)
-
-
-def _pool_size() -> int:
-    """Workers for ``run_all``: one per process ``_fork_width`` allows, 1
-    (serial) where it allows no child."""
-    return min(_fork_width(), len(ALL_CHECKS))
+def _shares(width: int) -> list[list[int]]:
+    """ALL_CHECKS indices in ``min(width, len(ALL_CHECKS))`` shares: longest
+    first, each to the least-loaded share, on a tie the one of fewer checks."""
+    cost = [_COLD_MS.get(fn.__name__, 0) for fn in ALL_CHECKS]
+    shares = [[] for _ in range(min(width, len(ALL_CHECKS)))]
+    for i in sorted(range(len(ALL_CHECKS)), key=lambda i: -cost[i]):
+        min(shares, key=lambda share: (sum(cost[j] for j in share), len(share))).append(i)
+    return shares
 
 
 def run_all(seed: int = 7) -> list[CheckResult]:
-    """Every check at ``seed``, in ALL_CHECKS order (see the module
-    docstring for where they run).  A check that raises in a worker
-    re-raises here."""
-    workers = _pool_size()
-    if workers <= 1:
+    """Every check at ``seed``, in ALL_CHECKS order, run as the module
+    docstring says; a check that raises in a child re-raises here."""
+    shares = _shares(_fork_width())
+    if len(shares) <= 1:
         return [fn(seed) for fn in ALL_CHECKS]
-    import multiprocessing as mp  # only here: ``fracwave solve`` never loads it
 
-    rank = {fn: i for i, fn in enumerate(_LONGEST_FIRST)}
-    order = sorted(range(len(ALL_CHECKS)), key=lambda i: rank.get(ALL_CHECKS[i], len(rank)))
-    with mp.get_context("fork").Pool(workers) as pool:
-        done = dict(zip(order, pool.starmap(_run_check, [(i, seed) for i in order], chunksize=1)))
+    def checks(share):
+        return [ALL_CHECKS[i](seed) for i in share]
+
+    done = {}
+    jobs = [lambda fh, share=share: pickle.dump(checks(share), fh) for share in shares]
+    with _forked(jobs) as join:
+        for k, share in enumerate(shares):
+            fh = join(k)
+            done.update(zip(share, checks(share) if fh is None else pickle.load(fh)))
     return [done[i] for i in range(len(ALL_CHECKS))]
 
 

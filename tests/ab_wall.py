@@ -11,8 +11,9 @@ temporary directory (so ``--out`` files do not clash); the side that runs
 first alternates from pair to pair, so a drift in the host's load falls on
 both alike.  Prints per side the median and quartiles of the wall seconds,
 the number of pairs that side was faster in, and the peak resident set size
-``wait4`` reports (the largest over its runs), then the change of the
-median.  Exits 1 if a run fails, 2 on a usage error.
+``wait4`` reports, both the largest over its runs and their median (a
+largest over processes reads higher when more of them run), then the change
+of the median.  Exits 1 if a run fails, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -57,12 +58,13 @@ def measure(srcs: dict, args: list[str], pairs: int) -> dict:
 def report(runs: dict) -> list[str]:
     old, new = (np.array([wall for wall, _ in runs[side]]) for side in ("old", "new"))
     wins = {"old": int(np.sum(old < new)), "new": int(np.sum(new < old))}
-    lines = [f"{'side':4}  {'median_s':>8}  {'q1_s':>6}  {'q3_s':>6}  {'wins':>7}  peak_rss_mb"]
+    lines = [f"{'side':4}  {'median_s':>8}  {'q1_s':>6}  {'q3_s':>6}  {'wins':>7}  "
+             "peak_rss_mb  median_rss_mb"]
     for side, walls in (("old", old), ("new", new)):
         q1, med, q3 = np.percentile(walls, [25, 50, 75])
-        rss = max(mb for _, mb in runs[side])
+        rss = [mb for _, mb in runs[side]]
         lines.append(f"{side:4}  {med:8.3f}  {q1:6.3f}  {q3:6.3f}  "
-                     f"{wins[side]:>3}/{walls.size:<3}  {rss:.1f}")
+                     f"{wins[side]:>3}/{walls.size:<3}  {max(rss):11.1f}  {np.median(rss):13.1f}")
     change = np.median(new) / np.median(old) - 1.0
     lines.append(f"median wall change: {change:+.1%} ({wins['new']} of {new.size} pairs faster)")
     return lines

@@ -7,12 +7,14 @@ TINY = ["solve", "--modes", "8", "--steps", "8", "--points", "5", "--out-prefix"
 def test_one_pair_on_a_tiny_solve(capsys):
     assert ab_wall.main([str(SRC), str(SRC), "--pairs", "1", "--"] + TINY) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["side", "median_s", "q1_s", "q3_s", "wins", "peak_rss_mb"]
+    assert lines[0].split() == ["side", "median_s", "q1_s", "q3_s", "wins", "peak_rss_mb",
+                                "median_rss_mb"]
     for line, side in zip(lines[1:3], ("old", "new")):
         fields = line.split()
-        assert fields[0] == side
+        assert fields[0] == side and len(fields) == 7
         assert fields[4].endswith("/1")
         assert all(float(v) > 0.0 for v in fields[1:4] + fields[5:])
+        assert fields[5] == fields[6]  # one run: its peak is the largest and the median
     assert lines[3].startswith("median wall change: ")
 
 

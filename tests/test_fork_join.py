@@ -222,6 +222,34 @@ def test_interrupted_wait_kills_and_reaps_the_child(monkeypatch):
     _no_children_left()
 
 
+def test_interrupted_run_all_kills_and_reaps_its_children(monkeypatch):
+    parent, fakes = os.getpid(), list(_fake_checks())
+    quick = fakes[0]
+
+    def slow_in_a_child(seed):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        return quick(seed)
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (slow_in_a_child, *fakes[1:]))
+    _cpus(monkeypatch, 2)
+
+    def expire(signum, frame):
+        raise Interrupted()
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(Interrupted):
+            verify.run_all(3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30.0
+    _no_children_left()
+
+
 def test_run_all_in_a_pool_worker_runs_serially(monkeypatch):
     monkeypatch.setattr(verify, "ALL_CHECKS", _fake_checks())
     _cpus(monkeypatch, 2)
@@ -239,3 +267,23 @@ def test_import_loads_neither_multiprocessing_nor_signal():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ``verify all`` on two usable CPUs forks its check shares without ever
+# loading ``multiprocessing``
+FORKED_VERIFY = """
+import os, sys
+from fracwave.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, real_fork = [], os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+assert main(["verify", "all", "--seed", "7"]) == 0
+print(len(forks), "multiprocessing" in sys.modules)
+"""
+
+
+def test_forked_verify_loads_no_multiprocessing():
+    proc = subprocess.run([sys.executable, "-c", FORKED_VERIFY], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "2 False"

@@ -484,6 +484,17 @@ class TestNormEquivalence:
         with pytest.raises(ValueError):
             norm_equivalence_study([], 0.25)
 
+    def test_no_lower_bound_without_u0_zero(self):
+        # the integral's (M+1) x (M+1) matrix has a zero row 0, so rank M;
+        # its null vector is mostly a spike at t = 0 and its ratio is ~0
+        g = TimeGrid(1.0, 64)
+        matrix = frac_integral(SampledPath(g, np.eye(g.steps + 1)), 0.25).values
+        assert not np.any(matrix[0])
+        assert np.linalg.matrix_rank(matrix) == g.steps
+        null = np.linalg.svd(matrix)[2][-1]
+        assert abs(null[0]) > 0.9
+        assert norm_equivalence_study([SampledPath(g, null)], 0.25).ratio_max < 1e-12
+
 
 class TestInverse:
     def test_roundtrip(self):

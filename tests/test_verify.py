@@ -1,4 +1,4 @@
-"""``verify``: the forked worker pool and the serial path agree, and the
+"""``verify``: the forked check shares and the serial path agree, and the
 draws it shares keep their bits."""
 
 import math
@@ -80,14 +80,32 @@ def _fake_checks(raise_at=None):
 
 
 def test_pool_returns_results_in_check_order(monkeypatch):
-    fakes = _fake_checks()
-    monkeypatch.setattr(verify, "ALL_CHECKS", fakes)
-    monkeypatch.setattr(verify, "_LONGEST_FIRST", (fakes[7], fakes[2]))
+    monkeypatch.setattr(verify, "ALL_CHECKS", _fake_checks())
     _cpus(monkeypatch, 2)
     results = run_all(5)
     assert [r.name for r in results] == [f"fake-{i}" for i in range(len(ALL_CHECKS))]
     assert {r.details["seed"] for r in results} == {5}
     assert os.getpid() not in {r.details["pid"] for r in results}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 16])
+def test_shares_deal_each_check_once(width):
+    shares = verify._shares(width)
+    assert sorted(i for share in shares for i in share) == list(range(len(ALL_CHECKS)))
+    assert len(shares) == min(width, len(ALL_CHECKS)) and all(shares)
+    assert verify._shares(width) == shares
+
+
+def test_shares_split_the_two_longest_checks():
+    names = [fn.__name__ for fn in ALL_CHECKS]
+    first, second = verify._shares(2)
+    longest = {names.index("check_trace_energy_bound"), names.index("check_ml_identities")}
+    assert len(longest & set(first)) == len(longest & set(second)) == 1
+
+
+def test_shares_spread_checks_of_no_cost(monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", _fake_checks())
+    assert [len(share) for share in verify._shares(2)] == [6, 5]
 
 
 def test_pool_reraises_a_check_error(monkeypatch):
