@@ -25,8 +25,9 @@ from .fracops import (
 from .params import as_alpha, identity_overlap_range
 from .regularity import NormReport
 from .solver import ModePropagator, mode_second_derivative_samples
-from .spectral import (ModeCoefficients, SpectralDomain, _gauss_panels, _leggauss, _write_csv,
-                       eval_modes, mode_sum, pairwise_sum, tail_stabilizes)
+from .spectral import (_MODE_SUM_BYTES, ModeCoefficients, SpectralDomain, _gauss_panels,
+                       _leggauss, _write_csv, eval_modes, mode_sum, pairwise_sum,
+                       tail_stabilizes)
 
 __all__ = [
     "MultiplierField",
@@ -74,8 +75,13 @@ class TraceSeries:
 
     def energy(self) -> float:
         """Time integral of the weighted squared trace (trapezoid)."""
-        sq = self.values**2 @ self.weights
-        return float(np.trapezoid(sq, self.grid.nodes))
+        return float(_trace_energy(self.values, self.weights, self.grid.nodes))
+
+
+def _trace_energy(values: np.ndarray, weights: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``TraceSeries.energy`` of every trace in ``values`` (..., M+1, B) at
+    once; each trace's squares and sums are those of its own call."""
+    return np.trapezoid(values**2 @ weights, nodes, axis=-1)
 
 
 def trace_to_csv(trace: TraceSeries, filename: str) -> None:
@@ -101,18 +107,41 @@ def _trace_tail_check(domain: SpectralDomain, data: ModeCoefficients, t_end: flo
         )
 
 
-def _draw_trace(domain: SpectralDomain, prop: ModePropagator, data: ModeCoefficients,
-                tgrid: TimeGrid) -> TraceSeries:
-    """Trace of one dataset from the shared mode dynamics."""
-    _trace_tail_check(domain, data, tgrid.t_end)
-    vals = mode_sum(prop.value(data.a, data.b), domain.boundary_normal_deriv)
-    return TraceSeries(tgrid, domain.boundary_points, domain.boundary_weights, vals)
+def _traces(domain: SpectralDomain, prop: ModePropagator, data, tgrid: TimeGrid):
+    """Boundary traces of the datasets ``data`` (a sequence) on ``prop``'s
+    kernels, in order, as blocks of shape (draws, M+1, B).
+
+    Every dataset passes the tail check first.  A block is one contraction
+    ``einsum("rn,nt->rt", W, K)`` of ``W = phi'^T (x) C``, the boundary
+    normal derivatives times the block's stacked coefficients ``(a, b)``,
+    reshaped to (B * draws, 2N), with ``K = [e1; te2]`` of shape (2N, M+1).
+    Without ``optimize`` NumPy adds the 2N products of each entry in mode
+    order in its own loop, not in BLAS, so a trace has the same bits alone
+    or in any block, under any number of BLAS threads.  A block, its
+    product, its transposed copy and a caller's squares of it stay within
+    ``_MODE_SUM_BYTES``.
+    """
+    for d in data:
+        _trace_tail_check(domain, d, tgrid.t_end)
+    phi = np.tile(domain.boundary_normal_deriv.T, 2)  # (B, 2N)
+    K = np.concatenate([prop.e1, prop.te2])
+    (B, N2), T = phi.shape, K.shape[1]
+    size = max(1, _MODE_SUM_BYTES // (8 * B * (N2 + 3 * T)))
+    for i in range(0, len(data), size):
+        C = np.array([np.concatenate([d.a, d.b]) for d in data[i : i + size]])
+        out = np.einsum("rn,nt->rt", (phi[:, None, :] * C).reshape(-1, N2), K, optimize=False)
+        yield np.ascontiguousarray(out.reshape(B, len(C), T).transpose(1, 2, 0))
 
 
 def normal_trace(domain: SpectralDomain, data: ModeCoefficients, alpha, tgrid: TimeGrid) -> TraceSeries:
     """Series trace of the normal derivative on the boundary quadrature."""
     prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
-    return _draw_trace(domain, prop, data, tgrid)
+    ((values,),) = _traces(domain, prop, [data], tgrid)
+    return _series(domain, tgrid, values)
+
+
+def _series(domain: SpectralDomain, tgrid: TimeGrid, values: np.ndarray) -> TraceSeries:
+    return TraceSeries(tgrid, domain.boundary_points, domain.boundary_weights, values)
 
 
 @dataclass
@@ -135,33 +164,30 @@ def hidden_inequality_ratio(
     tgrid: TimeGrid,
 ) -> RatioStudy:
     """Trace energy over data energy, per draw, with the shared mode dynamics
-    evaluated once for the whole ensemble."""
+    evaluated once and the traces contracted together for the whole ensemble."""
     prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
-    return _ratio_study(domain, prop, ensemble, tgrid)
+    return _ratio_study(domain, prop, list(ensemble), tgrid)
 
 
 def _ratio_study(domain: SpectralDomain, prop: ModePropagator, ensemble,
                  tgrid: TimeGrid, keep=()) -> RatioStudy:
-    """The ratio study of ``ensemble`` on ``prop``'s kernels; the traces of
-    the draws whose indices are in ``keep`` stay in ``RatioStudy.traces``."""
-    ratios = []
-    table = []
-    traces = {}
-    skipped = 0
-    for i, data in enumerate(ensemble):
-        energy = data.energy(domain.eigenvalues)
-        if energy == 0.0:
-            skipped += 1
-            continue
-        trace = _draw_trace(domain, prop, data, tgrid)
-        if i in keep:
-            traces[i] = trace
-        num = trace.energy()
-        ratios.append(num / energy)
-        table.append({"draw": i, "trace_energy": num, "data_energy": energy, "ratio": num / energy})
-    if not ratios:
+    """The ratio study of ``ensemble`` on ``prop``'s kernels, one ``_traces``
+    contraction for all its draws of nonzero energy; the traces of the draws
+    whose indices are in ``keep`` stay in ``RatioStudy.traces``."""
+    energies = [data.energy(domain.eigenvalues) for data in ensemble]
+    live = [i for i, energy in enumerate(energies) if energy != 0.0]
+    if not live:
         raise ValueError("every draw had zero energy")
-    return RatioStudy(np.asarray(ratios), skipped, table, traces)
+    nums, traces = [], {}
+    for block in _traces(domain, prop, [ensemble[i] for i in live], tgrid):
+        for i, values in zip(live[len(nums) :], block):
+            if i in keep:
+                traces[i] = _series(domain, tgrid, values.copy())
+        nums += _trace_energy(block, domain.boundary_weights, tgrid.nodes).tolist()
+    table = [{"draw": i, "trace_energy": num, "data_energy": energies[i],
+              "ratio": num / energies[i]} for i, num in zip(live, nums)]
+    return RatioStudy(np.asarray([row["ratio"] for row in table]), len(ensemble) - len(live),
+                      table, traces)
 
 
 @dataclass(frozen=True)
@@ -334,14 +360,16 @@ def trace_seminorm_bound(
     time-Sobolev data (L2 squared plus squared Slobodeckij seminorm); route
     2 is the plain squared L2 norm of the trace.  Both are divided by the
     data energy; a zero-energy draw reports zeros.  The mode dynamics are
-    evaluated once for the whole ensemble.
+    evaluated once, and the traces contracted together (``_traces``), for
+    the whole ensemble.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
-    return [_trace_bound_report(domain, data, prop.alpha, beta,
-                                _draw_trace(domain, prop, data, tgrid))
-            for data in ensemble]
+    ensemble = list(ensemble)
+    values = (v for block in _traces(domain, prop, ensemble, tgrid) for v in block)
+    return [_trace_bound_report(domain, data, prop.alpha, beta, _series(domain, tgrid, v))
+            for data, v in zip(ensemble, values)]
 
 
 def _trace_bound_report(domain: SpectralDomain, data: ModeCoefficients, al: float,

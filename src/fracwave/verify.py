@@ -15,14 +15,20 @@ state, so the results, and the report bytes, are identical either way.
 Work that does not depend on the data runs once.  The trace-energy check
 draws its three ensembles before its alpha loop and evaluates one 128-mode
 propagator per alpha; its 64-mode studies read the leading rows of those
-kernels (``ModePropagator.head``), and its route reports reuse the traces
-its first study computed.  ``check_ml_identities`` makes one ``ml`` call per
-order, and its oracle, the fallback ``_mpmath_single``, takes all but the
-first q coefficients of alpha = p/q by exact recurrence.  No bit moves: an
-``ml`` value does not depend on the other entries of its call (the tests pin
-this on the grids used here), the recurrence rounds to the doubles of the
-gamma-per-term series (tested for q <= 8), and the draws and traces are
-the same arrays, computed once.
+kernels (``ModePropagator.head``), each study takes the traces of all its
+draws in one contraction (``boundary._traces``), and its route reports
+reuse the traces its first study computed.  ``check_ml_identities`` makes
+one ``ml`` call per order, and its oracle, the fallback ``_mpmath_single``,
+takes all but the first q coefficients of alpha = p/q by exact recurrence.
+None of this sharing moves a bit: an ``ml`` value does not depend on the
+other entries of its call, nor a trace on the other draws of its
+contraction (the tests pin both on the grids used here), the recurrence
+rounds to the doubles of the gamma-per-term series (tested for q <= 8), and
+the draws and traces are the same arrays, computed once.  The contraction
+itself sums over the modes in a different order than the per-draw pairwise
+``mode_sum`` it replaced, so the ``trace-energy-bound`` fields moved once,
+in their last bits: by at most 4.65e-16 relative (``route_bracket`` at
+alpha = 1.25, seeds 7, 11 and 23).  No other field moved.
 """
 
 from __future__ import annotations
@@ -392,13 +398,16 @@ ALL_CHECKS = (
 )
 
 
-# Cold ms of each check by function name, one fresh process per check at
-# seed 7 on a 2-core x86 host (by name, so a wrapped check keeps its cost)
+# Cold ms of each check by function name (by name, so a wrapped check keeps
+# its cost): the median of 7 fresh processes per check at seed 7 on a 2-core
+# x86 host, each timing one call,
+#   python -c "import time; from fracwave import verify; t = time.perf_counter();
+#              verify.check_trace_energy_bound(7); print(time.perf_counter() - t)"
 _COLD_MS = dict(
-    check_trace_energy_bound=634, check_integrated_identity=169, check_ml_identities=168,
-    check_initial_data_continuity=116, check_mode_ode_residual=90, check_norm_equivalence=83,
-    check_decay_envelope=23, check_multiplier_identity=21, check_kernel_peak=19,
-    check_velocity_blowup=14, check_frac_integral_suite=4)
+    check_trace_energy_bound=204, check_ml_identities=147, check_integrated_identity=98,
+    check_initial_data_continuity=79, check_norm_equivalence=66, check_mode_ode_residual=58,
+    check_decay_envelope=38, check_multiplier_identity=20, check_kernel_peak=15,
+    check_velocity_blowup=10, check_frac_integral_suite=6)
 
 
 def _shares(width: int) -> list[list[int]]:

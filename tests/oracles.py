@@ -423,3 +423,18 @@ def mode_combinations_ref(lam, alpha: float, times, kernels, a, b) -> dict:
         out["second_derivative"] = -lam[:, None] * (a * t2[None, :] * kernels[alpha - 1.0]
                                                      + b * tpow[None, :] * kernels[alpha])
     return out
+
+
+def trace_energy_ref(e1, te2, a, b, normal_deriv, weights, nodes) -> float:
+    """Trace energy of one dataset ``(a, b)`` by the per-draw route: its mode
+    values ``a e1 + b te2`` (kernels of shape (N, T)) times the boundary
+    normal derivatives ``normal_deriv`` (N, B), summed over the modes by
+    pairwise halving, then the ``weights``-weighted squares integrated over
+    ``nodes`` by the trapezoid rule."""
+    value = np.reshape(a, (-1, 1)) * e1 + np.reshape(b, (-1, 1)) * te2
+    terms = value[:, :, None] * np.asarray(normal_deriv)[:, None, :]
+    while terms.shape[0] > 1:
+        n = terms.shape[0]
+        halved = terms[0 : n - n % 2 : 2] + terms[1:n:2]
+        terms = np.concatenate([halved, terms[-1:]]) if n % 2 else halved
+    return float(np.trapezoid(terms[0] ** 2 @ weights, nodes))

@@ -1,12 +1,17 @@
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import fracwave.mittag_leffler
+from fracwave import boundary
 from fracwave.boundary import (
+    _ratio_study,
+    _trace_bound_report,
+    _traces,
     MultiplierField,
     fractional_identity_check,
     hidden_inequality_ratio,
@@ -20,9 +25,10 @@ from fracwave.boundary import (
 )
 from fracwave.fracops import TimeGrid
 from fracwave.presets import power_decay, random_decay, single_mode
-from fracwave.spectral import ModeCoefficients, build_interval, build_rectangle
+from fracwave.solver import ModePropagator
+from fracwave.spectral import _MODE_SUM_BYTES, ModeCoefficients, build_interval, build_rectangle
 from fracwave.verify import check_trace_energy_bound
-from oracles import ml_series_ref, quad_ref
+from oracles import ml_series_ref, quad_ref, trace_energy_ref
 
 LAM1 = math.pi**2
 
@@ -143,6 +149,117 @@ class TestHiddenRatio:
         draws = [random_decay(64, p, seed) for seed in range(7, 17)]
         with pytest.raises(ValueError, match="not stabilized"):
             hidden_inequality_ratio(dom, draws, 1.5, TimeGrid(1.0, 192))
+
+
+# the trace-energy check's time grid and a rectangle of P = 280 boundary nodes
+CHECK_GRID = TimeGrid(1.0, 192)
+
+
+def _kernels(domain, alpha=1.5, grid=CHECK_GRID):
+    # a 64-mode interval reads the leading rows of the 128-mode kernels, as
+    # the check does
+    if domain.is_interval and domain.mode_count == 64:
+        prop = ModePropagator(build_interval(1.0, 128).eigenvalues, alpha, grid.nodes)
+        prop.e1, prop.te2
+        return prop.head(64)
+    return ModePropagator(domain.eigenvalues, alpha, grid.nodes)
+
+
+def _stacked(domain, prop, draws, grid=CHECK_GRID):
+    return np.concatenate(list(_traces(domain, prop, draws, grid)))
+
+
+class TestTraces:
+    @pytest.mark.parametrize("domain, count", [(build_interval(1.0, 64), 100),
+                                               (build_interval(1.0, 128), 100),
+                                               (build_rectangle(1.0, 1.5, 64), 25)],
+                             ids=["interval64", "interval128", "rectangle64"])
+    def test_a_trace_has_its_own_bits_in_any_block(self, monkeypatch, domain, count):
+        n = domain.mode_count
+        draws = [random_decay(n, 2.0, 7 + i) for i in range(count)]
+        prop = _kernels(domain)
+        batch = _stacked(domain, prop, draws)
+        assert batch.shape == (count, 193, domain.boundary_points.shape[0])
+        for i in range(0, count, 25):
+            assert np.array_equal(_stacked(domain, prop, draws[i : i + 25]), batch[i : i + 25])
+        for i, data in enumerate(draws):
+            assert np.array_equal(_stacked(domain, prop, [data])[0], batch[i])
+        # one draw per block
+        monkeypatch.setattr(boundary, "_MODE_SUM_BYTES", 1)
+        assert np.array_equal(_stacked(domain, prop, draws), batch)
+
+    def test_study_traces_are_the_normal_and_route_traces(self):
+        dom = build_interval(1.0, 64)
+        draws = [random_decay(64, 2.0, 7 + i) for i in range(20)]
+        keep = range(0, 20, 4)
+        study = _ratio_study(dom, _kernels(dom), draws, CHECK_GRID, keep=keep)
+        routes = trace_seminorm_bound(dom, [draws[i] for i in keep], 1.5, 0.25, CHECK_GRID)
+        for i, route in zip(keep, routes):
+            trace = study.traces[i]
+            assert np.array_equal(trace.values, normal_trace(dom, draws[i], 1.5, CHECK_GRID).values)
+            own = _trace_bound_report(dom, draws[i], 1.5, 0.25, trace)
+            assert own.cross_ratio == route.cross_ratio
+            assert own.integrated_route.value == route.integrated_route.value
+            assert own.plain_route.value == route.plain_route.value
+
+
+class TestRatioStudy:
+    @pytest.mark.parametrize("domain", [build_interval(1.0, 64), build_rectangle(1.0, 1.5, 64)],
+                             ids=["interval", "rectangle"])
+    def test_energies_match_the_per_draw_route(self, domain):
+        draws = [random_decay(domain.mode_count, 2.0, 7 + i) for i in range(10)]
+        prop = _kernels(domain)
+        study = _ratio_study(domain, prop, draws, CHECK_GRID)
+        assert [row["draw"] for row in study.table] == list(range(10))
+        for row in study.table:
+            data = draws[row["draw"]]
+            ref = trace_energy_ref(prop.e1, prop.te2, data.a, data.b, domain.boundary_normal_deriv,
+                                   domain.boundary_weights, CHECK_GRID.nodes)
+            assert abs(row["trace_energy"] - ref) <= 1e-13 * ref
+            assert row["data_energy"] == data.energy(domain.eigenvalues)
+            assert row["ratio"] == row["trace_energy"] / row["data_energy"]
+        assert np.array_equal(study.ratios, [row["ratio"] for row in study.table])
+
+    def test_zero_energy_draw_skipped_and_kept_traces_exact(self):
+        dom = build_interval(1.0, 64)
+        draws = [random_decay(64, 2.0, 7 + i) for i in range(6)]
+        draws[2] = ModeCoefficients(np.zeros(64), np.zeros(64))
+        study = _ratio_study(dom, _kernels(dom), draws, CHECK_GRID, keep={1, 2, 5})
+        assert study.skipped == 1
+        assert [row["draw"] for row in study.table] == [0, 1, 3, 4, 5]
+        assert sorted(study.traces) == [1, 5]
+        for i in (1, 5):
+            assert study.traces[i].values.shape == (193, 2)
+            assert np.array_equal(study.traces[i].values,
+                                  normal_trace(dom, draws[i], 1.5, CHECK_GRID).values)
+
+    def test_late_unconverged_draw_raises_as_alone(self):
+        dom = build_interval(1.0, 64)
+        bad = random_decay(64, 0.75, 7)
+        with pytest.raises(ValueError, match="not stabilized") as alone:
+            normal_trace(dom, bad, 1.5, CHECK_GRID)
+        draws = [random_decay(64, 2.0, 7 + i) for i in range(5)] + [bad]
+        with pytest.raises(ValueError, match="not stabilized") as study:
+            _ratio_study(dom, _kernels(dom), draws, CHECK_GRID)
+        assert str(study.value) == str(alone.value)
+
+    def test_memory_does_not_grow_with_the_draws(self):
+        # 2,000 rectangle draws in blocks of a few: one unblocked W would be
+        # 2000 * 280 * 128 doubles, about 570 MB
+        dom = build_rectangle(1.0, 1.5, 64)
+        grid = TimeGrid(1.0, 8)
+        draws = [random_decay(64, 2.0, s) for s in range(2000)]
+        # the domain's boundary data and the ML tables are built once, untraced
+        hidden_inequality_ratio(dom, draws[:1], 1.5, grid)
+        tracemalloc.start()
+        try:
+            study = hidden_inequality_ratio(dom, draws, 1.5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert study.ratios.size == 2000
+        kernels = 3 * 64 * (grid.steps + 1) * 8  # z, e1, te2
+        assert peak <= kernels + 2 * _MODE_SUM_BYTES
 
 
 class TestMultiplierIdentity:

@@ -248,6 +248,23 @@ def test_hidden_rerun_is_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_hidden_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the traces are a NumPy einsum, not a BLAS product, so the study and the
+    # trace file keep their bytes under any OpenBLAS thread count
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / threads
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "fracwave.cli", "hidden", "--seed", "7",
+                               "--out", "hidden.json", "--trace-out", "trace.csv"],
+                              cwd=out, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append([(out / name).read_bytes() for name in ("hidden.json", "trace.csv")])
+    assert outs[0] == outs[1]
+
+
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 1.75, "modes": 4}))

@@ -96,6 +96,11 @@ def test_shares_deal_each_check_once(width):
     assert verify._shares(width) == shares
 
 
+def test_every_check_has_a_cold_cost():
+    # a check missing from the table would cost 0 and be dealt last
+    assert set(verify._COLD_MS) == {fn.__name__ for fn in ALL_CHECKS}
+
+
 def test_shares_split_the_two_longest_checks():
     names = [fn.__name__ for fn in ALL_CHECKS]
     first, second = verify._shares(2)
