@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -26,8 +27,8 @@ from .fracops import (
 from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
 from .params import FracOrder
 from .presets import PRESET_NAMES, _random_trig_paths, build_preset, random_decay
-from .solver import _WHICH, SolutionQuery, solve_grid, write_manifest, write_snapshots_csv
-from .spectral import _BUILDERS, _write_json, build_interval, uniform_grid
+from .solver import _WHICH, SolutionQuery, write_grid_snapshots_csv, write_manifest
+from .spectral import _BUILDERS, _write_json, build_interval
 
 # ``boundary``, ``regularity`` and ``verify`` are imported by the subcommands
 # that use them, so ``ml``, ``frac`` and ``solve`` never load them
@@ -150,14 +151,19 @@ def _cmd_solve(args) -> int:
     data = build_preset(args.preset, domain, mode=args.mode_k, p=args.decay_p, seed=args.seed)
     grid = TimeGrid(args.t_end, args.steps)
     query = SolutionQuery(FracOrder(args.alpha), domain, data, grid, args.which)
-    points = uniform_grid(domain, args.points)
-    fields = solve_grid(query, args.points)
     prefix = args.out_prefix
-    # the manifest first: it checks theta, and a bad one writes no file
-    write_manifest(query, f"{prefix}_manifest.json", theta=args.theta,
+    manifest = f"{prefix}_manifest.json"
+    # the manifest first: it checks theta, and a bad one writes no file; the
+    # snapshots are written as they are solved, and a solve that fails
+    # removes both files
+    write_manifest(query, manifest, theta=args.theta,
                    extra={"preset": args.preset, "seed": args.seed})
-    write_snapshots_csv(query, points, fields, f"{prefix}_snapshots.csv")
-    print(f"wrote {prefix}_snapshots.csv and {prefix}_manifest.json")
+    try:
+        write_grid_snapshots_csv(query, args.points, f"{prefix}_snapshots.csv")
+    except BaseException:
+        os.remove(manifest)
+        raise
+    print(f"wrote {prefix}_snapshots.csv and {manifest}")
     return 0
 
 

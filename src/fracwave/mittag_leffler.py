@@ -998,7 +998,8 @@ def verify_decay_bound(params: MLParams, z_samples) -> BoundFit:
     values = np.abs(ml(params, z)) * (1.0 + np.abs(z))
     az = np.abs(z)
     levels = _dyadic_levels(az)
-    uniq = np.unique(levels)
+    # the levels present, ascending (``np.unique`` would load ``numpy.ma``)
+    uniq = np.flatnonzero(np.bincount(levels))
     sups = np.array([values[levels == l].max() for l in uniq])
     violation = _tail_growth_violation(sups)
     mu = 0.5 * (math.pi * params.alpha / 2.0 + math.pi)

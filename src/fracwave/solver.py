@@ -19,28 +19,38 @@ equispaced grids of ``spectral.uniform_grid`` by type-I sine transform
 gives exact zeros on the boundary.  Every solve can report an estimate,
 not a bound (``truncation_tail``), of the norm its truncated mode sum misses.
 
-``coefficient_evolution`` computes a solve's two ML kernels at once, one in
-a forked child, when the grid holds at least ``spectral._FORK_MIN_VALUES``
-values and ``spectral._fork_width`` allows it (``fork`` present, more than
-one usable CPU, no other thread, not a daemonic pool worker).  Each process
-runs one whole ``ml`` call, the serial one, so forked or not, the bits are
-the same; a failed child's kernel is computed in this process.
+``solve_field``, ``solve_grid`` and ``write_grid_snapshots_csv`` take the
+time rows in blocks of at most ``_CASCADE_CHUNK`` mode x row values (one
+``ml`` window): per block, the two kernels the quantity reads, their
+combination and the synthesized field rows, handed on to the returned array
+or the CSV file, so no solve holds an N x (M+1) array.  This is one of the
+package's two fork sites (``verify``'s check shares are the other): when
+the later half of the blocks holds at least ``spectral._FORK_MIN_VALUES``
+mode values and CSV cells and ``spectral._fork_width`` allows it (``fork``
+present, more than one usable CPU, no other thread, not a forked child or a
+daemonic pool worker), a forked child computes those rows into its file
+while this process hands on the earlier ones, then appends the child's.
+The blocks are the serial ones either way, so forked or not, the bits are
+the same; a failed child's rows are computed in this process.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import math
+import shutil
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .fracops import TimeGrid
-from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
+from .mittag_leffler import _CASCADE_CHUNK, DECAY_SAMPLES, MLParams, ml, verify_decay_bound
 from .params import FracOrder, as_alpha
-from .spectral import (_FORK_MIN_VALUES, ModeCoefficients, SpectralDomain, _fork_width, _forked,
-                       _write_csv, _write_json, domain_to_config, eval_modes, grid_sum, mode_sum)
+from .spectral import (_FORK_MIN_VALUES, ModeCoefficients, SpectralDomain, _csv_file, _fork_width,
+                       _forked, _grid_size, _grid_synthesis, _table_lines, _write_csv, _write_json,
+                       domain_to_config, eval_modes, mode_sum, uniform_grid)
 
 __all__ = [
     "SolutionQuery",
@@ -54,12 +64,11 @@ __all__ = [
     "solve_grid",
     "truncation_tail",
     "write_snapshots_csv",
+    "write_grid_snapshots_csv",
     "write_manifest",
 ]
 
 _WHICH = ("value", "velocity", "caputo")
-# the two kernels each quantity reads, in the order it reads them
-_KERNELS = {"value": ("e1", "te2"), "velocity": ("ea", "e1"), "caputo": ("e1", "te2")}
 
 
 @dataclass(frozen=True)
@@ -162,27 +171,6 @@ class ModePropagator:
             raise ValueError("the second derivative needs t > 0")
         return self._ml(self.alpha - 1.0)
 
-    def prefetch(self, which: str) -> None:
-        """Compute the two kernels ``which`` reads at once, the first here and
-        the second in a forked child (returned as raw float64 bytes), where
-        the grid holds at least ``_FORK_MIN_VALUES`` values and
-        ``_fork_width`` allows it; otherwise they follow on first use."""
-        first, second = _KERNELS[which]
-        if (self.z.size < _FORK_MIN_VALUES or first in vars(self) or second in vars(self)
-                or _fork_width() < 2):
-            return
-
-        def job(fh):
-            fh.write(np.ascontiguousarray(getattr(self, second)).data)
-
-        with _forked([job]) as join:
-            getattr(self, first)
-            done = join(0)
-            if done is not None:
-                out = np.empty(self.z.shape)
-                if done.readinto(out) == out.nbytes:
-                    vars(self)[second] = out
-
     # Each combination builds its result in one array with at most one
     # temporary of its size, in the operation order of the formula written
     # out (products are commutative, so a factor may be applied last).
@@ -275,22 +263,113 @@ def coefficient_evolution(query: SolutionQuery) -> np.ndarray:
     """Selected per-mode quantity on the time grid, shape (n_active, M+1)."""
     n = query.active_modes
     prop = ModePropagator(query.domain.eigenvalues[:n], query.alpha.alpha, query.tgrid.nodes)
-    prop.prefetch(query.which)
     return getattr(prop, query.which)(query.data.a[:n], query.data.b[:n])
+
+
+def _block_rows(modes: int) -> int:
+    """Time rows per block: one ``ml`` cascade window of mode x row values."""
+    return max(1, _CASCADE_CHUNK // modes)
+
+
+def _row_blocks(query: SolutionQuery, synth, start: int, stop: int):
+    """``(r, rows)`` per block of time rows ``start`` (a block edge) to
+    ``stop``: ``rows = synth(coeff)``, with ``coeff`` the (n_active, rows)
+    quantity of the block's times and ``r`` its first row."""
+    n = query.active_modes
+    lam, a, b = query.domain.eigenvalues[:n], query.data.a[:n], query.data.b[:n]
+    t, step = query.tgrid.nodes, _block_rows(n)
+    for r in range(start, stop, step):
+        prop = ModePropagator(lam, query.alpha.alpha, t[r : min(r + step, stop)])
+        yield r, synth(getattr(prop, query.which)(a, b))
+
+
+def _solve_rows(query: SolutionQuery, synth, cells: int, sink) -> None:
+    """Hand the field rows of ``query`` on to ``sink`` block by block
+    (``_row_blocks``): ``sink.put(r, rows)`` here, in order.
+
+    When the later half of the blocks holds at least ``_FORK_MIN_VALUES``
+    mode values and ``cells`` CSV cells per row and ``_fork_width`` allows
+    it, a forked child runs ``sink.dump(file, blocks)`` on those blocks while
+    this process puts the earlier ones; then ``sink.load(r, file)`` takes the
+    child's file from row ``r`` on, and a failed child's (or one that
+    ``load`` refuses) rows are put here."""
+    n, R = query.active_modes, query.tgrid.steps + 1
+    step = _block_rows(n)
+    split = step * (-(-R // step) // 2)
+    if split == 0 or (R - split) * (n + cells) < _FORK_MIN_VALUES or _fork_width() < 2:
+        split = R
+    late = functools.partial(_row_blocks, query, synth, split, R)
+    with _forked([lambda raw: sink.dump(raw, late())] if split < R else []) as join:
+        for r, rows in _row_blocks(query, synth, 0, split):
+            sink.put(r, rows)
+        if split < R:
+            done = join(0)
+            if done is None or not sink.load(split, done):
+                for r, rows in late():
+                    sink.put(r, rows)
+
+
+class _ArrayRows:
+    """Field rows into one (rows, cols) array; a child's rows travel as raw
+    float64 bytes."""
+
+    def __init__(self, rows: int, cols: int):
+        self.out = np.empty((rows, cols))
+
+    def put(self, r, rows):
+        self.out[r : r + len(rows)] = rows
+
+    def dump(self, raw, blocks):
+        for _, rows in blocks:
+            raw.write(np.ascontiguousarray(rows).data)
+
+    def load(self, r, raw) -> bool:
+        rest = self.out[r:]
+        return raw.readinto(rest) == rest.nbytes
+
+
+class _CsvRows:
+    """Field rows as CSV lines, each led by its time, into the open text
+    file ``fh``; a child formats its rows into its own file, copied in after
+    this process's rows."""
+
+    def __init__(self, fh, times: np.ndarray):
+        self.fh, self.times = fh, times
+
+    def _lines(self, r, rows):
+        return _table_lines(np.column_stack((self.times[r : r + len(rows)], rows)))
+
+    def put(self, r, rows):
+        self.fh.writelines(self._lines(r, rows))
+
+    def dump(self, raw, blocks):
+        text = io.TextIOWrapper(raw, "ascii", newline="")
+        for r, rows in blocks:
+            text.writelines(self._lines(r, rows))
+        text.detach()
+
+    def load(self, r, raw) -> bool:
+        self.fh.flush()
+        shutil.copyfileobj(raw, self.fh.buffer)
+        return True
 
 
 def solve_field(query: SolutionQuery, points) -> np.ndarray:
     """Field snapshots, shape (M+1, P): rows are time nodes."""
-    coeff = coefficient_evolution(query)
     # fixed ascending-mode pairwise reduction for reproducibility
-    return mode_sum(coeff, eval_modes(query.domain, points)[: query.active_modes])
+    basis = eval_modes(query.domain, points)[: query.active_modes]
+    sink = _ArrayRows(query.tgrid.steps + 1, basis.shape[1])
+    _solve_rows(query, functools.partial(mode_sum, basis=basis), 0, sink)
+    return sink.out
 
 
 def solve_grid(query: SolutionQuery, P: int) -> np.ndarray:
     """Field snapshots on ``uniform_grid(query.domain, P)``, shape (M+1, P)
     on the interval and (M+1, P*P) on the rectangle: ``solve_field`` on
     those points, synthesized by sine transform."""
-    return grid_sum(coefficient_evolution(query), query.domain, P)
+    sink = _ArrayRows(query.tgrid.steps + 1, _grid_size(P) ** len(query.domain.lengths))
+    _solve_rows(query, _grid_synthesis(query.domain, query.active_modes, P), 0, sink)
+    return sink.out
 
 
 @functools.lru_cache(maxsize=16)
@@ -328,13 +407,26 @@ def truncation_tail(query: SolutionQuery, theta: float, t: float) -> float:
     return float(np.sqrt(np.sum(lam ** (2.0 * theta) * per_mode**2)))
 
 
-def write_snapshots_csv(query: SolutionQuery, points, fields: np.ndarray, filename: str) -> None:
+def _snapshot_header(points) -> list[str]:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if pts.ndim == 1:
-        header = ["t"] + [f"x={repr(float(x))}" for x in pts]
-    else:
-        header = ["t"] + [f"x={repr(float(p[0]))};y={repr(float(p[1]))}" for p in pts]
-    _write_csv(filename, header, np.column_stack((query.tgrid.nodes, fields)))
+        return ["t"] + [f"x={repr(float(x))}" for x in pts]
+    return ["t"] + [f"x={repr(float(p[0]))};y={repr(float(p[1]))}" for p in pts]
+
+
+def write_snapshots_csv(query: SolutionQuery, points, fields: np.ndarray, filename: str) -> None:
+    _write_csv(filename, _snapshot_header(points),
+               np.column_stack((query.tgrid.nodes, fields)))
+
+
+def write_grid_snapshots_csv(query: SolutionQuery, P: int, filename: str) -> None:
+    """``write_snapshots_csv`` of ``solve_grid(query, P)`` on its points,
+    the same bytes, written block by block as the rows are solved: the
+    field is never held whole.  A solve that fails removes the file."""
+    points = uniform_grid(query.domain, P)
+    with _csv_file(filename, _snapshot_header(points)) as fh:
+        _solve_rows(query, _grid_synthesis(query.domain, query.active_modes, P),
+                    len(points) + 1, _CsvRows(fh, query.tgrid.nodes))
 
 
 def write_manifest(query: SolutionQuery, filename: str, theta: float = 0.0, extra: dict | None = None) -> None:

@@ -17,12 +17,10 @@ instead of O(N R G) for R rows on G grid points, with boundary nodes
 exactly 0.  No module of the package imports scipy; the test suite checks
 these bits against ``scipy.fft``.
 
-``_write_csv`` formats a float table (solve snapshots, sampled paths) in
-contiguous row ranges, one per usable CPU; forked children format all but
-the first, appended in order.  ``_forked`` is the package's one fork-join
-helper (``solver`` forks a kernel with it, ``verify`` its check shares) and
-``_fork_width`` its one fork rule.  Each job is the serial computation, so
-forked or not, the bytes are the same.
+``_forked`` is the package's one fork-join helper and ``_fork_width`` its
+one fork rule.  The package forks at two sites: a large solve's later half
+of time rows (``solver``) and ``verify``'s check shares.  Each job is the
+serial computation, so forked or not, the bytes are the same.
 """
 
 from __future__ import annotations
@@ -30,11 +28,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
-import shutil
 import sys
 import tempfile
 import threading
@@ -116,18 +112,20 @@ def mode_sum(coeff, basis) -> np.ndarray:
     return out
 
 
-def tail_stabilizes(terms: np.ndarray, frac: float = 0.125, tol: float = 0.05) -> bool:
+def tail_stabilizes(terms: np.ndarray, frac: float = 0.125, tol: float = 0.05):
     """Partial-sum stabilization heuristic for non-negative term sequences.
 
     True when the last ``frac`` of the terms contributes at most ``tol`` of
-    the total, i.e. the partial sums have visibly flattened.
+    the total, i.e. the partial sums have visibly flattened.  A 2-D array
+    holds one sequence per row and gives one flag per row, each with the
+    bits of its row alone.
     """
     t = np.asarray(terms, dtype=float)
-    total = float(np.sum(t))
-    if total == 0.0:
-        return True
-    k = max(1, int(len(t) * frac))
-    return float(np.sum(t[-k:])) / total <= tol
+    total = np.sum(t, axis=-1)
+    k = max(1, int(t.shape[-1] * frac))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (total == 0.0) | (np.sum(t[..., -k:], axis=-1) / total <= tol)
+    return ok if ok.ndim else bool(ok)
 
 
 @functools.lru_cache(maxsize=32)
@@ -394,19 +392,24 @@ def grid_sum(coeff, domain: SpectralDomain, P: int) -> np.ndarray:
     ``_MODE_SUM_BYTES`` (128 rows of the 512-mode, 513-point interval solve).
     """
     c = np.asarray(coeff, dtype=float)
-    (n, R), P = c.shape, _grid_size(P)
+    return _grid_synthesis(domain, c.shape[0], P)(c)
+
+
+def _grid_synthesis(domain: SpectralDomain, n: int, P: int):
+    """``coeff -> grid_sum(coeff, domain, P)`` for (n, R) coefficients, with
+    the folding of the n modes onto the grid done once for every call."""
+    P = _grid_size(P)
     if n > domain.mode_count:
         raise ValueError("more coefficient rows than domain modes")
     idx = domain.mode_index[:n].reshape(n, -1)
     dims, K = idx.shape[1], P - 1
-    out = np.zeros((R,) + (P,) * dims)
     res = idx % (2 * K)
+    # False everywhere when every node is on the boundary (P = 2) or every
+    # mode vanishes there
     live = np.all(res % K != 0, axis=1)
-    if not live.any():  # every node on the boundary (P = 2) or every mode vanishing there
-        return out.reshape(R, -1)
     res = res[live]
     sign = np.where(res > K, -1.0, 1.0).prod(axis=1)[:, None]
-    nodes = tuple((np.where(res > K, 2 * K - res, res) - 1).T)
+    nodes = (slice(None),) + tuple((np.where(res > K, 2 * K - res, res) - 1).T)
     # sqrt(2/L) per axis, over the factor 2 of each unnormalized DST-I
     scale = math.prod(math.sqrt(0.5 / L) for L in domain.lengths)
     interior = (slice(None),) + (slice(1, -1),) * dims
@@ -414,11 +417,17 @@ def grid_sum(coeff, domain: SpectralDomain, P: int) -> np.ndarray:
     # per time row: the signed coefficients, the scattered block, and the
     # transform's odd extension, spectrum and result (about 6 block sizes)
     rows = max(1, _MODE_SUM_BYTES // (64 * max(n, (K - 1) ** dims)))
-    for r in range(0, R, rows):
-        blk = np.zeros((min(rows, R - r),) + (K - 1,) * dims)
-        np.add.at(blk, (slice(None),) + nodes, (c[live, r : r + rows] * sign).T)
-        out[r : r + rows][interior] = _dst1(blk, axes) * scale
-    return out.reshape(R, -1)
+
+    def synth(c: np.ndarray) -> np.ndarray:
+        R = c.shape[1]
+        out = np.zeros((R,) + (P,) * dims)
+        for r in range(0, R if live.any() else 0, rows):
+            blk = np.zeros((min(rows, R - r),) + (K - 1,) * dims)
+            np.add.at(blk, nodes, (c[live, r : r + rows] * sign).T)
+            out[r : r + rows][interior] = _dst1(blk, axes) * scale
+        return out.reshape(R, -1)
+
+    return synth
 
 
 def frac_power_norm(domain: SpectralDomain, coeffs, theta: float) -> float:
@@ -485,14 +494,19 @@ def domain_from_config(cfg: dict) -> SpectralDomain:
 _FORK_MIN_VALUES = 2**16
 
 
+# set in a child of ``_forked``: its parent's other jobs hold the other CPUs
+_IN_FORKED_CHILD = False
+
+
 def _fork_width() -> int:
     """Processes one stage may run at once: the usable CPUs, or 1 (serial)
     where ``fork`` is missing, another thread runs (a forked child would
-    inherit any lock that thread holds, with no thread left to release it)
-    or this process is a daemonic ``multiprocessing`` worker, which may have
-    no children."""
+    inherit any lock that thread holds, with no thread left to release it),
+    this process is a child of ``_forked`` (whose siblings and parent keep
+    the other CPUs busy) or a daemonic ``multiprocessing`` worker, which may
+    have no children."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
+            or threading.active_count() > 1 or _IN_FORKED_CHILD):
         return 1
     # a pool worker has multiprocessing loaded already; never load it here
     mp = sys.modules.get("multiprocessing")
@@ -526,6 +540,8 @@ def _forked(jobs):
             except OSError:
                 continue
             if pid == 0:
+                global _IN_FORKED_CHILD
+                _IN_FORKED_CHILD = True
                 status = 1
                 try:
                     job(child[1])
@@ -568,10 +584,19 @@ def _table_lines(table: np.ndarray):
     return _csv_lines(row.tolist() for row in table)
 
 
-def _format_into(table: np.ndarray, raw) -> None:
-    text = io.TextIOWrapper(raw, "ascii", newline="")
-    text.writelines(_table_lines(table))
-    text.detach()
+@contextlib.contextmanager
+def _csv_file(filename: str, header: list[str]):
+    """The text file ``filename``, open for CSV lines after ``header``; an
+    exception on the way out removes the file, so no partial table is left."""
+    fh = open(filename, "w", newline="")
+    try:
+        with fh:
+            csv.writer(fh).writerow(header)
+            yield fh
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(filename)
+        raise
 
 
 def _write_csv(filename: str, header: list[str], rows) -> None:
@@ -579,27 +604,9 @@ def _write_csv(filename: str, header: list[str], rows) -> None:
     row of a 2-D float array ``rows``) as the ``repr`` of its entries.
 
     Number reprs never need CSV quoting, so rows are joined directly; the
-    bytes are those of ``csv.writer`` (comma, ``\\r\\n`` line ends).  An
-    array is split into contiguous row ranges, at most one per process of
-    ``_fork_width`` and each of at least ``_FORK_MIN_VALUES`` values; this
-    process formats the first while forked children format the rest, which
-    are then copied in order, so no process holds a range as one string."""
-    with open(filename, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        if not isinstance(rows, np.ndarray):
-            fh.writelines(_csv_lines(rows))
-            return
-        jobs = min(rows.size // _FORK_MIN_VALUES, len(rows))
-        first, *rest = np.array_split(rows, min(_fork_width(), jobs)) if jobs > 1 else [rows]
-        with _forked([functools.partial(_format_into, part) for part in rest]) as join:
-            fh.writelines(_table_lines(first))
-            for i, part in enumerate(rest):
-                done = join(i)
-                if done is None:
-                    fh.writelines(_table_lines(part))
-                else:
-                    fh.flush()
-                    shutil.copyfileobj(done, fh.buffer)
+    bytes are those of ``csv.writer`` (comma, ``\\r\\n`` line ends)."""
+    with _csv_file(filename, header) as fh:
+        fh.writelines(_table_lines(rows) if isinstance(rows, np.ndarray) else _csv_lines(rows))
 
 
 def _write_json(filename: str, obj) -> None:

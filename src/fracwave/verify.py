@@ -8,7 +8,8 @@ Randomized checks derive all draws from the single seed passed in.
 usable CPU (``_shares``), each in a child of ``spectral._forked`` that
 pickles its results to its file, while the parent only joins.  It runs them
 serially where ``spectral._fork_width`` says so: one usable CPU, no
-``fork``, another thread running, or a daemonic pool worker as caller.
+``fork``, another thread running, or a forked child or daemonic pool
+worker as caller.
 Each check draws only from its seed and ML values do not depend on cache
 state, so the results, and the report bytes, are identical either way.
 

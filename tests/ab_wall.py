@@ -4,9 +4,12 @@
 
 ``OLD_SRC`` and ``NEW_SRC`` are ``src`` directories, each holding a
 ``fracwave`` package (for example ``src`` of a ``git archive`` of the parent
-commit, and ``src`` of the working tree).  Each pair runs
-``python -m fracwave.cli <fracwave args>`` once on each tree, each in a fresh
-process with that tree first on ``PYTHONPATH``, inside that side's own
+commit, and ``src`` of the working tree).  Each side runs from a copy of its
+package without ``__pycache__``, as a fresh checkout does: a tree with valid
+bytecode skips compiling the package (about 50 ms a run where
+``PYTHONDONTWRITEBYTECODE`` is set), which would favour it.  Each pair runs
+``python -m fracwave.cli <fracwave args>`` once on each copy, each in a
+fresh process with that copy first on ``PYTHONPATH``, inside that side's own
 temporary directory (so ``--out`` files do not clash); the side that runs
 first alternates from pair to pair, so a drift in the host's load falls on
 both alike.  Prints per side the median and quartiles of the wall seconds,
@@ -19,6 +22,7 @@ of the median.  Exits 1 if a run fails, 2 on a usage error.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,11 +50,14 @@ def measure(srcs: dict, args: list[str], pairs: int) -> dict:
     sides = list(srcs)
     with tempfile.TemporaryDirectory() as tmp:
         for side in sides:
-            (Path(tmp) / side).mkdir()
+            (Path(tmp) / side / "run").mkdir(parents=True)
+            shutil.copytree(srcs[side] / "fracwave", Path(tmp) / side / "src" / "fracwave",
+                            ignore=shutil.ignore_patterns("__pycache__"))
         for i in range(pairs):
             for side in (sides if i % 2 == 0 else sides[::-1]):
                 runs[side].append(run([sys.executable, "-m", "fracwave.cli", *args],
-                                      cwd=Path(tmp) / side, env=_env(srcs[side]),
+                                      cwd=Path(tmp) / side / "run",
+                                      env=_env(Path(tmp) / side / "src"),
                                       stdout=subprocess.DEVNULL))
     return runs
 

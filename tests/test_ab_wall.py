@@ -1,3 +1,7 @@
+import os
+import shutil
+from pathlib import Path
+
 import ab_wall
 from output_digests import SRC
 
@@ -28,3 +32,25 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 def test_failing_command_exits_1(capsys):
     assert ab_wall.main([str(SRC), str(SRC), "--pairs", "1", "--", "solve", "--points", "1"]) == 1
     assert "failed: fracwave solve --points 1" in capsys.readouterr().err
+
+
+def test_sides_run_from_copies_without_bytecode(tmp_path, monkeypatch):
+    src = tmp_path / "src"
+    shutil.copytree(SRC / "fracwave", src / "fracwave",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (src / "fracwave" / "__pycache__").mkdir()
+    (src / "fracwave" / "__pycache__" / "cli.cpython-311.pyc").write_bytes(b"stale")
+    package = sorted(p.name for p in (SRC / "fracwave").glob("*.py"))
+    trees = []
+
+    def fake_run(argv, cwd, env, stdout):
+        tree = Path(env["PYTHONPATH"].split(os.pathsep)[0])
+        trees.append(tree)
+        assert sorted(p.name for p in (tree / "fracwave").iterdir()) == package
+        assert tree != src and cwd.parent == tree.parent
+        return 1.0, 40.0
+
+    monkeypatch.setattr(ab_wall, "run", fake_run)
+    runs = ab_wall.measure({"old": src, "new": src}, TINY, 2)
+    assert runs == {"old": [(1.0, 40.0)] * 2, "new": [(1.0, 40.0)] * 2}
+    assert len(trees) == 4 and len(set(trees)) == 2

@@ -26,7 +26,8 @@ from fracwave.boundary import (
 from fracwave.fracops import TimeGrid
 from fracwave.presets import power_decay, random_decay, single_mode
 from fracwave.solver import ModePropagator
-from fracwave.spectral import _MODE_SUM_BYTES, ModeCoefficients, build_interval, build_rectangle
+from fracwave.spectral import (_MODE_SUM_BYTES, ModeCoefficients, build_interval, build_rectangle,
+                               tail_stabilizes)
 from fracwave.verify import check_trace_energy_bound
 from oracles import ml_series_ref, quad_ref, trace_energy_ref
 
@@ -242,6 +243,40 @@ class TestRatioStudy:
         with pytest.raises(ValueError, match="not stabilized") as study:
             _ratio_study(dom, _kernels(dom), draws, CHECK_GRID)
         assert str(study.value) == str(alone.value)
+
+    def test_one_tail_check_per_study(self, monkeypatch):
+        calls, original = [], boundary.tail_stabilizes
+
+        def counting(terms, **kw):
+            calls.append(np.shape(terms))
+            return original(terms, **kw)
+
+        monkeypatch.setattr(boundary, "tail_stabilizes", counting)
+        dom = build_interval(1.0, 64)
+        _ratio_study(dom, _kernels(dom), [random_decay(64, 2.0, s) for s in range(50)], CHECK_GRID)
+        assert calls == [(50, 64)]
+
+    def test_stacked_tail_check_flags_each_draw_as_alone(self):
+        # the guard one draw at a time, as each study applied it before
+        def alone(dom, data):
+            terms = np.sqrt(dom.eigenvalues) * (np.abs(data.a) + np.abs(data.b))
+            return tail_stabilizes(terms, frac=0.25, tol=0.22)
+
+        dom = build_interval(1.0, 64)
+        draws = [random_decay(64, p, s) for s, p in enumerate(np.linspace(0.55, 1.5, 60))]
+        passes = [alone(dom, d) for d in draws]
+        assert 0 < sum(passes) < len(draws)
+        for start in range(len(draws)):
+            rest = draws[start:]
+            if all(passes[start:]):
+                boundary._trace_tail_check(dom, rest, 1.0)
+                continue
+            first = passes.index(False, start)
+            with pytest.raises(ValueError, match="not stabilized") as alone_err:
+                boundary._trace_tail_check(dom, [draws[first]], 1.0)
+            with pytest.raises(ValueError, match="not stabilized") as study_err:
+                boundary._trace_tail_check(dom, rest, 1.0)
+            assert str(study_err.value) == str(alone_err.value)
 
     def test_memory_does_not_grow_with_the_draws(self):
         # 2,000 rectangle draws in blocks of a few: one unblocked W would be

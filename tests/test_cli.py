@@ -126,6 +126,16 @@ def test_solve_rejects_non_finite_theta(tmp_path, capsys, theta):
     assert not list(tmp_path.iterdir())
 
 
+def test_solve_failing_at_late_rows_leaves_no_file(tmp_path, capsys):
+    # -lambda t^a passes Z_MAX only in the last tenth of the time rows, long
+    # after the first rows of the snapshot table are written
+    argv = ["solve", "--modes", "2048", "--t-end", "2.0", "--steps", "128", "--points", "5",
+            "--out-prefix", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "exceeds the supported range" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv,message", [
     (["ml", "--z-range=1:2"], "--z-range: expected lo:hi:count, got '1:2'"),
     (["ml", "--z-range=1:2:x"], "--z-range: expected lo:hi:count, got '1:2:x'"),

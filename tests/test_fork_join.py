@@ -1,6 +1,6 @@
-"""Large solves fork: the kernels and snapshot rows computed by children
-give the serial bytes, the fork rule keeps small or threaded work serial,
-and no child outlives the call that started it."""
+"""Large solves fork once: the rows a child computes give the serial bytes,
+the fork rule keeps small, threaded or already forked work serial, and no
+child outlives the call that started it."""
 
 import multiprocessing as mp
 import os
@@ -13,18 +13,18 @@ import time
 import numpy as np
 import pytest
 
-from fracwave import solver, spectral, verify
+from fracwave import solver, verify
 from fracwave.cli import main
 from fracwave.fracops import TimeGrid
 from fracwave.params import FracOrder
 from fracwave.presets import random_decay
-from fracwave.solver import ModePropagator, SolutionQuery, coefficient_evolution, solve_field
-from fracwave.spectral import _FORK_MIN_VALUES, _write_csv, build_interval
+from fracwave.solver import SolutionQuery, solve_field, solve_grid, write_grid_snapshots_csv
+from fracwave.spectral import _fork_width, _forked, build_interval
 from test_verify import _count_forks, _cpus, _fake_checks, _forbid_fork
 
-# (modes, steps, points): kernels of 65,792 values, just above the fork
-# threshold, and a snapshot table of 66,306 values that stays in one piece;
-# then a grid whose 132,096-value table splits in two
+# (modes, steps, points): 256 modes take 128 time rows per block; the child
+# takes the last 129 of 257 rows, 66,306 values and CSV cells, just above
+# the fork threshold; then 512 rows, of which the child takes 256
 GRIDS = [("256", "256", "257"), ("256", "511", "257")]
 
 
@@ -56,14 +56,11 @@ def test_pinned_and_unpinned_solves_write_the_same_bytes(tmp_path, monkeypatch, 
         os.sched_setaffinity(0, cpus)
     forks = _count_forks(monkeypatch)
     assert _solve(tmp_path, "free", which, grid) == pinned
-    if len(cpus) > 1:
-        table = (int(grid[1]) + 1) * (int(grid[2]) + 1)
-        parts = max(1, min(len(cpus), table // _FORK_MIN_VALUES))
-        assert len(forks) == 1 + (parts - 1)  # the kernels, then each row range after the first
+    assert len(forks) == (len(cpus) > 1)
     _no_children_left()
 
 
-def test_large_solve_forks_once_for_kernels_and_once_per_extra_cpu_for_rows(tmp_path, monkeypatch):
+def test_large_solve_forks_once_whatever_the_cpu_count(tmp_path, monkeypatch):
     grid = ("512", "512", "513")
     with monkeypatch.context() as m:
         _cpus(m, 1)
@@ -72,7 +69,7 @@ def test_large_solve_forks_once_for_kernels_and_once_per_extra_cpu_for_rows(tmp_
     _cpus(monkeypatch, 3)
     forks = _count_forks(monkeypatch)
     assert _solve(tmp_path, "forked", "value", grid) == serial
-    assert len(forks) == 1 + 2
+    assert len(forks) == 1
     _no_children_left()
 
 
@@ -80,6 +77,15 @@ def _query(modes, steps, which="value"):
     domain = build_interval(1.0, modes)
     return SolutionQuery(FracOrder(1.5), domain, random_decay(modes, 2.0, 5),
                          TimeGrid(1.0, steps), which)
+
+
+def _serial(query, tmp_path):
+    """``solve_grid`` and the streamed snapshot bytes of ``query`` on one CPU."""
+    with pytest.MonkeyPatch.context() as m:
+        _cpus(m, 1)
+        _forbid_fork(m)
+        write_grid_snapshots_csv(query, 257, str(tmp_path / "serial.csv"))
+        return solve_grid(query, 257), (tmp_path / "serial.csv").read_bytes()
 
 
 def test_sweep_sized_solves_never_fork(monkeypatch):
@@ -98,12 +104,36 @@ def test_other_thread_keeps_a_large_solve_serial(tmp_path, monkeypatch):
     other = threading.Thread(target=stop.wait, args=(30.0,))
     other.start()
     try:
-        coeff = coefficient_evolution(query)
-        _write_csv(str(tmp_path / "rows.csv"), ["c"] * coeff.shape[1], coeff)
+        assert solve_grid(query, 257).shape == (512, 257)
+        write_grid_snapshots_csv(query, 257, str(tmp_path / "rows.csv"))
     finally:
         stop.set()
         other.join(timeout=30.0)
     assert not other.is_alive()
+
+
+def test_forked_child_runs_serially(tmp_path, monkeypatch):
+    # a large solve inside a job: forking there would fail the job
+    query = _query(256, 511)
+    expected, _ = _serial(query, tmp_path)
+    _cpus(monkeypatch, 2)
+    assert _fork_width() == 2
+
+    def job(fh):
+        width = _fork_width()
+        _forbid_fork(pytest.MonkeyPatch())
+        fh.write(np.array([width], dtype=float).data)
+        fh.write(solve_grid(query, 257).data)
+
+    with _forked([job]) as join:
+        done = join(0)
+        assert done is not None
+        out = np.empty((1 + expected.size,))
+        assert done.readinto(out) == out.nbytes
+    assert out[0] == 1.0
+    assert np.array_equal(out[1:].reshape(expected.shape), expected)
+    assert _fork_width() == 2
+    _no_children_left()
 
 
 def _in_children(monkeypatch, module, name, act):
@@ -125,12 +155,10 @@ def _fail():
 
 
 @pytest.mark.parametrize("which", ["value", "velocity"])
-def test_child_kernel_is_read_back(monkeypatch, which):
-    nodes = TimeGrid(1.0, 256).nodes
-    lam = build_interval(1.0, 256).eigenvalues
-    serial = ModePropagator(lam, 1.5, nodes)
-    first, second = solver._KERNELS[which]
-    expected = (getattr(serial, first), getattr(serial, second))
+def test_child_rows_are_read_back(tmp_path, monkeypatch, which):
+    # 512 rows in four blocks of 128: this process solves the first two
+    query = _query(256, 511, which)
+    expected, _ = _serial(query, tmp_path)
     _cpus(monkeypatch, 2)
     parent, calls, original = os.getpid(), [], solver.ml
 
@@ -140,11 +168,10 @@ def test_child_kernel_is_read_back(monkeypatch, which):
         return original(params, z)
 
     monkeypatch.setattr(solver, "ml", counting_ml)
-    prop = ModePropagator(lam, 1.5, nodes)
-    prop.prefetch(which)
-    assert np.array_equal(getattr(prop, first), expected[0])
-    assert np.array_equal(getattr(prop, second), expected[1])
-    assert len(calls) == 1
+    forks = _count_forks(monkeypatch)
+    assert np.array_equal(solve_grid(query, 257), expected)
+    assert len(forks) == 1
+    assert len(calls) == 2 * 2  # two kernels per block
     _no_children_left()
 
 
@@ -153,46 +180,37 @@ def test_fork_that_fails_runs_the_job_here(tmp_path, monkeypatch):
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     query = _query(256, 511)
-    with monkeypatch.context() as m:
-        _cpus(m, 1)
-        expected = coefficient_evolution(query)
-        _write_csv(str(tmp_path / "serial.csv"), ["c"] * 512, expected)
+    expected, csv = _serial(query, tmp_path)
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", no_fork)
-    assert np.array_equal(coefficient_evolution(query), expected)
-    _write_csv(str(tmp_path / "forked.csv"), ["c"] * 512, expected)
-    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert np.array_equal(solve_grid(query, 257), expected)
+    write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
+    assert (tmp_path / "forked.csv").read_bytes() == csv
 
 
 @pytest.mark.parametrize("which", ["value", "velocity"])
-def test_failed_kernel_child_is_recomputed_here(monkeypatch, which):
-    nodes = TimeGrid(1.0, 256).nodes
-    lam = build_interval(1.0, 256).eigenvalues
-    serial = ModePropagator(lam, 1.5, nodes)
-    first, second = solver._KERNELS[which]
-    expected = (getattr(serial, first), getattr(serial, second))
+def test_failed_kernel_child_is_recomputed_here(tmp_path, monkeypatch, which):
+    query = _query(256, 511, which)
+    expected, csv = _serial(query, tmp_path)
     _cpus(monkeypatch, 2)
     _in_children(monkeypatch, solver, "ml", _fail)
     forks = _count_forks(monkeypatch)
-    prop = ModePropagator(lam, 1.5, nodes)
-    prop.prefetch(which)
-    assert len(forks) == 1
-    assert np.array_equal(getattr(prop, first), expected[0])
-    assert np.array_equal(getattr(prop, second), expected[1])
+    assert np.array_equal(solve_grid(query, 257), expected)
+    write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
+    assert len(forks) == 2
+    assert (tmp_path / "forked.csv").read_bytes() == csv
     _no_children_left()
 
 
 def test_failed_row_child_is_formatted_here(tmp_path, monkeypatch):
-    table = np.random.default_rng(3).standard_normal((300, 2 * _FORK_MIN_VALUES // 300 + 1))
-    with monkeypatch.context() as m:
-        _cpus(m, 1)
-        _write_csv(str(tmp_path / "serial.csv"), ["v"] * table.shape[1], table)
+    query = _query(256, 511)
+    _, csv = _serial(query, tmp_path)
     _cpus(monkeypatch, 2)
-    _in_children(monkeypatch, spectral, "_format_into", _fail)
+    _in_children(monkeypatch, solver, "_table_lines", _fail)
     forks = _count_forks(monkeypatch)
-    _write_csv(str(tmp_path / "forked.csv"), ["v"] * table.shape[1], table)
+    write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
     assert len(forks) == 1
-    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert (tmp_path / "forked.csv").read_bytes() == csv
     _no_children_left()
 
 
@@ -200,10 +218,11 @@ class Interrupted(BaseException):
     pass
 
 
-def test_interrupted_wait_kills_and_reaps_the_child(monkeypatch):
+def test_interrupted_wait_kills_and_reaps_the_child(tmp_path, monkeypatch):
     _cpus(monkeypatch, 2)
     _in_children(monkeypatch, solver, "ml", lambda: time.sleep(60.0))
-    prop = ModePropagator(build_interval(1.0, 256).eigenvalues, 1.5, TimeGrid(1.0, 256).nodes)
+    query = _query(256, 511)
+    out = tmp_path / "rows.csv"
 
     def expire(signum, frame):
         raise Interrupted()
@@ -213,12 +232,12 @@ def test_interrupted_wait_kills_and_reaps_the_child(monkeypatch):
     start = time.perf_counter()
     try:
         with pytest.raises(Interrupted):
-            prop.prefetch("value")
+            write_grid_snapshots_csv(query, 257, str(out))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 30.0
-    assert "e1" in vars(prop) and "te2" not in vars(prop)
+    assert not out.exists()  # no partial table is left
     _no_children_left()
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -1079,6 +1080,29 @@ class TestDecayBound:
         assert fit.max_violation == 0.0
         assert not fit.violated
         assert math.pi * alpha / 2 < fit.mu < math.pi
+
+    @pytest.mark.parametrize("samples", [SAMPLES, SAMPLES[::-1] + [-0.5, 0.0, -3.0, -1e5],
+                                         [-0.25, -0.75]])
+    def test_level_sups_as_unique_levels_give_them(self, samples):
+        params = MLParams(1.5, 1.0)
+        z = np.array(samples)
+        values = np.abs(ml(params, z)) * (1.0 + np.abs(z))
+        levels = mlmod._dyadic_levels(np.abs(z))
+        sups = np.array([values[levels == l].max() for l in np.unique(levels)])
+        fit = verify_decay_bound(params, samples)
+        assert fit.max_violation == mlmod._tail_growth_violation(sups)
+        assert fit.c_empirical == float(np.max(values))
+        assert fit.sample_count == z.size
+
+    def test_fit_loads_no_numpy_ma(self):
+        # np.unique without indices or counts imports numpy.ma (10-17 ms)
+        code = ("import sys; from fracwave.cli import main; from fracwave.verify import "
+                "check_decay_envelope; assert main(['ml', '--decay-check']) == 0; "
+                "assert check_decay_envelope().passed; print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_second_parameter(self):
         fit = verify_decay_bound(MLParams(1.25, 1.25), self.SAMPLES)

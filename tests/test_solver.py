@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import fracwave.solver
 import fracwave.spectral
 from fracwave.fracops import SampledPath, TimeGrid, caputo_derivative
-from fracwave.mittag_leffler import MLParams, ml
+from fracwave.mittag_leffler import _CASCADE_CHUNK, MLParams, ml
 from fracwave.params import FracOrder
 from fracwave.presets import poly_bump, random_decay, single_mode
 from fracwave.solver import (
@@ -21,6 +22,7 @@ from fracwave.solver import (
     solve_field,
     solve_grid,
     truncation_tail,
+    write_grid_snapshots_csv,
     write_manifest,
     write_snapshots_csv,
 )
@@ -334,11 +336,12 @@ class TestBoundedAssembly:
         assert field.shape == (M + 1, P)
         assert peak < full_product / 3
 
-    def test_grid_solve_peak_memory(self):
+    def test_grid_solve_peak_memory(self, tmp_path, monkeypatch):
         # the interval solve of the benchmark: 512 modes, 513 times, 513
         # points; the field is 2.1 MB, each ML kernel of the solve too
         domain = build_interval(1.0, 512)
-        q = SolutionQuery(FracOrder(1.5), domain, random_decay(512, 2.0, 7), TimeGrid(1.0, 512))
+        data = random_decay(512, 2.0, 7)
+        q = SolutionQuery(FracOrder(1.5), domain, data, TimeGrid(1.0, 512))
         solve_grid(q, 2)  # the coefficient tables, built once
         tracemalloc.start()
         try:
@@ -347,6 +350,21 @@ class TestBoundedAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 8 * field.nbytes
+        # streamed to CSV, nothing grows with the steps: at 4096 steps an
+        # N x (M+1) kernel grid would be 14.7 MB larger than at 512, while
+        # the peaks differ by at most the ML working set of one block (its
+        # series tier holds about seven arrays of the block's values)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process to trace
+        peaks = []
+        for steps in (512, 4096):
+            q = SolutionQuery(FracOrder(1.5), domain, data, TimeGrid(1.0, steps))
+            tracemalloc.start()
+            try:
+                write_grid_snapshots_csv(q, 33, str(tmp_path / "snapshots.csv"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 8 * 8 * _CASCADE_CHUNK
 
     def test_boundary_derivatives_built_on_first_use(self):
         dom = build_rectangle(1.0, 1.5, 4096)

@@ -358,6 +358,18 @@ class TestHelpers:
         assert tail_stabilizes(n**-2.0)
         assert not tail_stabilizes(np.ones(256))
 
+    def test_tail_stabilizes_per_row(self):
+        # rows near the threshold, a zero row and a row of one term: each
+        # row's flag is the flag of the row alone
+        rng = np.random.default_rng(4)
+        n = np.arange(1, 65, dtype=float)
+        rows = np.array([n ** -p * rng.uniform(0.5, 1.5, n.size) for p in np.linspace(0.0, 2.0, 200)])
+        rows[7] = 0.0
+        flags = tail_stabilizes(rows, frac=0.25, tol=0.22)
+        assert flags.shape == (200,) and 0 < flags.sum() < 200
+        assert flags.tolist() == [tail_stabilizes(r, frac=0.25, tol=0.22) for r in rows]
+        assert tail_stabilizes(np.ones((3, 1)), tol=1.0).tolist() == [True] * 3
+
     def test_mode_coefficients_validation(self):
         with pytest.raises(ValueError):
             ModeCoefficients(np.ones(4), np.ones(5))
@@ -575,3 +587,13 @@ class TestSerialization:
         fname = tmp_path / "rows.csv"
         spectral._write_csv(str(fname), header, iter(rows))
         assert fname.read_bytes() == buf.getvalue().encode()
+
+    def test_failed_table_leaves_no_file(self, tmp_path):
+        def rows():
+            yield [1.0, 2.0]
+            raise RuntimeError("the row source fails")
+
+        fname = tmp_path / "rows.csv"
+        with pytest.raises(RuntimeError, match="row source fails"):
+            spectral._write_csv(str(fname), ["a", "b"], rows())
+        assert not list(tmp_path.iterdir())
