@@ -22,16 +22,14 @@ not a bound (``truncation_tail``), of the norm its truncated mode sum misses.
 ``solve_field``, ``solve_grid`` and ``write_grid_snapshots_csv`` take the
 time rows in blocks of at most ``_CASCADE_CHUNK`` mode x row values (one
 ``ml`` window): per block, the two kernels the quantity reads, their
-combination and the synthesized field rows, handed on to the returned array
-or the CSV file, so no solve holds an N x (M+1) array.  This is one of the
-package's two fork sites (``verify``'s check shares are the other): when
-the later half of the blocks holds at least ``spectral._FORK_MIN_VALUES``
-mode values and CSV cells and ``spectral._fork_width`` allows it (``fork``
-present, more than one usable CPU, no other thread, not a forked child or a
-daemonic pool worker), a forked child computes those rows into its file
-while this process hands on the earlier ones, then appends the child's.
-The blocks are the serial ones either way, so forked or not, the bits are
-the same; a failed child's rows are computed in this process.
+combination and the synthesized field rows, written into the returned array
+or to the CSV file, so no solve holds an N x (M+1) array.  The array solves
+run in this process.  ``fracwave solve``'s snapshot CSV is one of the
+package's two fork sites (``verify``'s check shares are the other): a forked
+child may compute and format the later half of its rows
+(``write_grid_snapshots_csv``).  The blocks are the serial ones either way,
+so forked or not, the bytes are the same; a failed child's rows are
+computed and formatted in this process.
 """
 
 from __future__ import annotations
@@ -283,93 +281,27 @@ def _row_blocks(query: SolutionQuery, synth, start: int, stop: int):
         yield r, synth(getattr(prop, query.which)(a, b))
 
 
-def _solve_rows(query: SolutionQuery, synth, cells: int, sink) -> None:
-    """Hand the field rows of ``query`` on to ``sink`` block by block
-    (``_row_blocks``): ``sink.put(r, rows)`` here, in order.
-
-    When the later half of the blocks holds at least ``_FORK_MIN_VALUES``
-    mode values and ``cells`` CSV cells per row and ``_fork_width`` allows
-    it, a forked child runs ``sink.dump(file, blocks)`` on those blocks while
-    this process puts the earlier ones; then ``sink.load(r, file)`` takes the
-    child's file from row ``r`` on, and a failed child's (or one that
-    ``load`` refuses) rows are put here."""
-    n, R = query.active_modes, query.tgrid.steps + 1
-    step = _block_rows(n)
-    split = step * (-(-R // step) // 2)
-    if split == 0 or (R - split) * (n + cells) < _FORK_MIN_VALUES or _fork_width() < 2:
-        split = R
-    late = functools.partial(_row_blocks, query, synth, split, R)
-    with _forked([lambda raw: sink.dump(raw, late())] if split < R else []) as join:
-        for r, rows in _row_blocks(query, synth, 0, split):
-            sink.put(r, rows)
-        if split < R:
-            done = join(0)
-            if done is None or not sink.load(split, done):
-                for r, rows in late():
-                    sink.put(r, rows)
-
-
-class _ArrayRows:
-    """Field rows into one (rows, cols) array; a child's rows travel as raw
-    float64 bytes."""
-
-    def __init__(self, rows: int, cols: int):
-        self.out = np.empty((rows, cols))
-
-    def put(self, r, rows):
-        self.out[r : r + len(rows)] = rows
-
-    def dump(self, raw, blocks):
-        for _, rows in blocks:
-            raw.write(np.ascontiguousarray(rows).data)
-
-    def load(self, r, raw) -> bool:
-        rest = self.out[r:]
-        return raw.readinto(rest) == rest.nbytes
-
-
-class _CsvRows:
-    """Field rows as CSV lines, each led by its time, into the open text
-    file ``fh``; a child formats its rows into its own file, copied in after
-    this process's rows."""
-
-    def __init__(self, fh, times: np.ndarray):
-        self.fh, self.times = fh, times
-
-    def _lines(self, r, rows):
-        return _table_lines(np.column_stack((self.times[r : r + len(rows)], rows)))
-
-    def put(self, r, rows):
-        self.fh.writelines(self._lines(r, rows))
-
-    def dump(self, raw, blocks):
-        text = io.TextIOWrapper(raw, "ascii", newline="")
-        for r, rows in blocks:
-            text.writelines(self._lines(r, rows))
-        text.detach()
-
-    def load(self, r, raw) -> bool:
-        self.fh.flush()
-        shutil.copyfileobj(raw, self.fh.buffer)
-        return True
+def _solve_array(query: SolutionQuery, synth, cols: int) -> np.ndarray:
+    """The field rows of ``query`` (``_row_blocks``) in one (M+1, cols) array."""
+    out = np.empty((query.tgrid.steps + 1, cols))
+    for r, rows in _row_blocks(query, synth, 0, len(out)):
+        out[r : r + len(rows)] = rows
+    return out
 
 
 def solve_field(query: SolutionQuery, points) -> np.ndarray:
     """Field snapshots, shape (M+1, P): rows are time nodes."""
     # fixed ascending-mode pairwise reduction for reproducibility
     basis = eval_modes(query.domain, points)[: query.active_modes]
-    sink = _ArrayRows(query.tgrid.steps + 1, basis.shape[1])
-    _solve_rows(query, functools.partial(mode_sum, basis=basis), 0, sink)
-    return sink.out
+    return _solve_array(query, functools.partial(mode_sum, basis=basis), basis.shape[1])
 
 
 def solve_grid(query: SolutionQuery, P: int) -> np.ndarray:
     """Field snapshots on ``uniform_grid(query.domain, P)``, shape (M+1, P)
     on the interval and (M+1, P*P) on the rectangle: ``solve_field`` on
     those points, synthesized by sine transform."""
-    sink = _ArrayRows(query.tgrid.steps + 1, _grid_size(P) ** len(query.domain.lengths))
-    _solve_rows(query, _grid_synthesis(query.domain, query.active_modes, P), 0, sink)
-    return sink.out
+    return _solve_array(query, _grid_synthesis(query.domain, query.active_modes, P),
+                        _grid_size(P) ** len(query.domain.lengths))
 
 
 @functools.lru_cache(maxsize=16)
@@ -422,11 +354,39 @@ def write_snapshots_csv(query: SolutionQuery, points, fields: np.ndarray, filena
 def write_grid_snapshots_csv(query: SolutionQuery, P: int, filename: str) -> None:
     """``write_snapshots_csv`` of ``solve_grid(query, P)`` on its points,
     the same bytes, written block by block as the rows are solved: the
-    field is never held whole.  A solve that fails removes the file."""
+    field is never held whole.  A solve that fails removes the file.
+
+    When the later half of the blocks holds at least ``_FORK_MIN_VALUES``
+    mode values and CSV cells and ``_fork_width`` allows it, a forked child
+    computes and formats those rows into its file while this process writes
+    the earlier ones, then copies the child's file in; a failed child's
+    rows are computed and formatted here."""
     points = uniform_grid(query.domain, P)
-    with _csv_file(filename, _snapshot_header(points)) as fh:
-        _solve_rows(query, _grid_synthesis(query.domain, query.active_modes, P),
-                    len(points) + 1, _CsvRows(fh, query.tgrid.nodes))
+    n, R, t = query.active_modes, query.tgrid.steps + 1, query.tgrid.nodes
+    synth = _grid_synthesis(query.domain, n, P)
+    step = _block_rows(n)
+    split = step * (-(-R // step) // 2)
+    if split == 0 or (R - split) * (n + len(points) + 1) < _FORK_MIN_VALUES or _fork_width() < 2:
+        split = R
+
+    def lines(start, stop):
+        for r, rows in _row_blocks(query, synth, start, stop):
+            yield from _table_lines(np.column_stack((t[r : r + len(rows)], rows)))
+
+    def late(raw):
+        text = io.TextIOWrapper(raw, "ascii", newline="")
+        text.writelines(lines(split, R))
+        text.detach()
+
+    with _csv_file(filename, _snapshot_header(points)) as fh, \
+            _forked([late] if split < R else []) as join:
+        fh.writelines(lines(0, split))
+        done = join(0) if split < R else None
+        if done is None:
+            fh.writelines(lines(split, R))
+        else:
+            fh.flush()
+            shutil.copyfileobj(done, fh.buffer)
 
 
 def write_manifest(query: SolutionQuery, filename: str, theta: float = 0.0, extra: dict | None = None) -> None:

@@ -7,8 +7,7 @@ only the builders differ, in mode selection.  A domain stores its lengths and
 mode indices; its composite Gauss-Legendre quadrature and boundary data are
 built on first use, so a grid solve builds none.  Mode sums against
 a basis go through ``mode_sum``, which forms the mode x row x point product
-in bounded-memory blocks, the longer of the row and point axes innermost,
-without changing a bit of the pairwise reduction.
+in bounded-memory blocks without changing a bit of the pairwise reduction.
 On the equispaced grids of ``uniform_grid`` the same sums are type-I
 discrete sine transforms: ``grid_sum`` folds every mode onto the grid's
 interior nodes by aliasing and applies a DST-I along each axis, run on
@@ -18,9 +17,10 @@ exactly 0.  No module of the package imports scipy; the test suite checks
 these bits against ``scipy.fft``.
 
 ``_forked`` is the package's one fork-join helper and ``_fork_width`` its
-one fork rule.  The package forks at two sites: a large solve's later half
-of time rows (``solver``) and ``verify``'s check shares.  Each job is the
-serial computation, so forked or not, the bytes are the same.
+one fork rule.  The package forks at two sites: the later half of the rows
+of ``fracwave solve``'s snapshot CSV (``solver.write_grid_snapshots_csv``)
+and ``verify``'s check shares.  Each job is the serial computation, so
+forked or not, the bytes are the same.
 """
 
 from __future__ import annotations
@@ -77,10 +77,7 @@ def pairwise_sum(arr: np.ndarray, axis: int = 0) -> np.ndarray:
 # bytes one ``mode_sum`` block may occupy: the product block plus the
 # pairwise halvings of it (together at most twice the block); ``grid_sum``
 # sizes its row blocks by the same budget.  4 MiB keeps a solve's working
-# set small next to its mode x time kernels, and no bit depends on it.  The
-# longer of the row and point axes is the block's innermost axis, so NumPy
-# runs long inner loops (boundary traces have only P = 2 points against
-# thousands of time rows)
+# set small next to its mode x time kernels, and no bit depends on it
 _MODE_SUM_BYTES = 4 * 2**20
 
 
@@ -92,23 +89,18 @@ def mode_sum(coeff, basis) -> np.ndarray:
     (and, when one row is over budget, of points) at a time changes nothing.
     A block and its halvings take about ``_MODE_SUM_BYTES`` (4 MiB) beside
     the (R, P) result, whatever R and P are.
-    When P < R the blocks are ``basis[:, p, None] * coeff[:, None, r]``,
-    written back transposed: the product is commutative, so neither the
-    block size nor the layout moves a bit.
     """
     c = np.asarray(coeff, dtype=float)
     e = np.asarray(basis, dtype=float)
     (N, R), P = c.shape, e.shape[1]
     out = np.empty((R, P))
-    # (outer, inner) operands, and the output seen in their (outer, inner) order
-    a, b, view = (c, e, out) if P >= R else (e, c, out.T)
     elems = _MODE_SUM_BYTES // 16  # 8-byte floats, twice over for the halvings
-    cols = max(1, min(b.shape[1], elems // N))
+    cols = max(1, min(P, elems // N))
     rows = max(1, elems // (N * cols))
-    for i in range(0, a.shape[1], rows):
-        for j in range(0, b.shape[1], cols):
-            view[i : i + rows, j : j + cols] = pairwise_sum(
-                a[:, i : i + rows, None] * b[:, None, j : j + cols], axis=0)
+    for i in range(0, R, rows):
+        for j in range(0, P, cols):
+            out[i : i + rows, j : j + cols] = pairwise_sum(
+                c[:, i : i + rows, None] * e[:, None, j : j + cols], axis=0)
     return out
 
 
@@ -485,12 +477,12 @@ def domain_from_config(cfg: dict) -> SpectralDomain:
     return build(*cfg["lengths"][:axes], cfg["mode_count"])
 
 
-# A job goes to a forked child only at this many values of work: a fork
-# round trip from an 80 MB NumPy process took 3.4-4.6 ms on a 2-core x86
-# host, against about 25 ms for an ``ml`` kernel of 2^16 values and 80 ms to
-# format 2^16 floats.  The alpha sweep's kernels (8,448 values) and
-# ``verify``'s largest (24,704) stay serial; the large solves' kernels
-# (262,656 and 278,528) and the interval solve's snapshot table (263,682) fork.
+# The later half of a snapshot CSV's rows goes to a forked child only when
+# it holds this many mode values and CSV cells: a fork round trip from an
+# 80 MB NumPy process took 3.4-4.6 ms on a 2-core x86 host, against about
+# 25 ms for an ``ml`` kernel of 2^16 values and 80 ms to format 2^16 floats.
+# The later halves of the benchmark's large solves hold 263,682 (interval)
+# and 148,194 (rectangle) and fork.
 _FORK_MIN_VALUES = 2**16
 
 

@@ -25,11 +25,7 @@ None of this sharing moves a bit: an ``ml`` value does not depend on the
 other entries of its call, nor a trace on the other draws of its
 contraction (the tests pin both on the grids used here), the recurrence
 rounds to the doubles of the gamma-per-term series (tested for q <= 8), and
-the draws and traces are the same arrays, computed once.  The contraction
-itself sums over the modes in a different order than the per-draw pairwise
-``mode_sum`` it replaced, so the ``trace-energy-bound`` fields moved once,
-in their last bits: by at most 4.65e-16 relative (``route_bracket`` at
-alpha = 1.25, seeds 7, 11 and 23).  No other field moved.
+the draws and traces are the same arrays, computed once.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """sha256 of every file the reference commands write, one line per file.
 
-    python tests/output_digests.py [WORKDIR]
+    python tests/output_digests.py [--check LISTING] [WORKDIR]
 
 Runs each command of ``COMMANDS`` as ``python -m fracwave.cli ...`` in a
 fresh process, inside ``WORKDIR`` (a new temporary directory when none is
@@ -8,13 +8,17 @@ given, removed afterwards), on the package next to this file.  Then, in this
 process, writes the alpha-sweep fields of each seed of ``SWEEP_SEEDS`` (see
 ``write_sweep``).  Prints ``<sha256>  <file>`` per output, as ``sha256sum``
 does, so a change that claims to keep every output byte can show it by
-comparing this listing before and after.  Each command's wall seconds and
-peak resident set size, as ``wait4`` reports it, and each sweep's wall
-seconds go to standard error.  Exits 1 if a command fails.
+comparing this listing before and after: ``--check LISTING`` compares it
+with a listing saved from an earlier run and names each file whose digest
+differs (or that only one listing holds) on standard error.  Each command's
+wall seconds and peak resident set size, as ``wait4`` reports it, and each
+sweep's wall seconds go to standard error.  Exits 1 if a command fails or a
+checked digest differs, 2 on a usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import math
 import os
@@ -116,13 +120,14 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) > 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(prog="output_digests.py", description=__doc__.strip(),
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("workdir", nargs="?", type=Path)
+    parser.add_argument("--check", metavar="LISTING", type=Path)
+    args = parser.parse_args(argv)
     try:
-        if args:
-            found = digests(Path(args[0]))
+        if args.workdir:
+            found = digests(args.workdir)
         else:
             with tempfile.TemporaryDirectory() as tmp:
                 found = digests(Path(tmp))
@@ -130,7 +135,15 @@ def main(argv=None) -> int:
         print(f"failed: fracwave {' '.join(exc.cmd[3:])}", file=sys.stderr)
         return 1
     print("\n".join(f"{digest}  {name}" for digest, name in found))
-    return 0
+    if args.check is None:
+        return 0
+    saved = dict(line.split("  ", 1)[::-1] for line in args.check.read_text().splitlines()
+                 if line.strip())
+    now = {name: digest for digest, name in found}
+    differ = sorted(name for name in saved.keys() | now.keys() if saved.get(name) != now.get(name))
+    for name in differ:
+        print(f"differs: {name}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

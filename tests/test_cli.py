@@ -421,18 +421,31 @@ MEMORY_SOLVES = [
 MAX_RSS_MB = 250  # bounded solves peak near 100 MB, whole-array ones above 570 MB
 
 
+# Starts each solve and prints ``[exit code, peak RSS in MB, stderr]`` per
+# solve as JSON (``ru_maxrss`` is in kilobytes on Linux).  A child's ``ru_maxrss`` starts from the resident size of
+# the process it is forked from, so the solves start from this small
+# interpreter, not from the test process, which may hold gigabytes by now.
+LAUNCHER = """
+import json, os, subprocess, sys
+procs = [subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+         for argv in json.loads(sys.argv[1])]
+out = []
+for proc in procs:
+    _, status, usage = os.wait4(proc.pid, 0)
+    with proc.stderr:
+        out.append([os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024, proc.stderr.read()])
+print(json.dumps(out))
+"""
+
+
 def test_solve_memory_is_bounded(tmp_path):
-    procs = [
-        subprocess.Popen([sys.executable, "-m", "fracwave.cli", "solve", "--out-prefix",
-                          str(tmp_path / f"run{k}")] + opts,
-                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        for k, opts in enumerate(MEMORY_SOLVES)
-    ]
-    peaks = []
-    for proc in procs:
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        with proc.stderr:
-            assert proc.returncode == 0, proc.stderr.read()
-        peaks.append(usage.ru_maxrss / 1024)  # kilobytes on Linux
+    argvs = [[sys.executable, "-m", "fracwave.cli", "solve", "--out-prefix",
+              str(tmp_path / f"run{k}")] + opts for k, opts in enumerate(MEMORY_SOLVES)]
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for code, _, err in runs:
+        assert code == 0, err
+    peaks = [peak for _, peak, _ in runs]
     assert max(peaks) < MAX_RSS_MB, f"solves peaked at {peaks} MB"

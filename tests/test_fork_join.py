@@ -1,6 +1,7 @@
-"""Large solves fork once: the rows a child computes give the serial bytes,
-the fork rule keeps small, threaded or already forked work serial, and no
-child outlives the call that started it."""
+"""A large ``fracwave solve`` forks once for its snapshot CSV: the rows a
+child formats give the serial bytes, array solves run in the calling
+process, the fork rule keeps small, threaded or already forked work serial,
+and no child outlives the call that started it."""
 
 import multiprocessing as mp
 import os
@@ -80,12 +81,12 @@ def _query(modes, steps, which="value"):
 
 
 def _serial(query, tmp_path):
-    """``solve_grid`` and the streamed snapshot bytes of ``query`` on one CPU."""
+    """The streamed snapshot bytes of ``query`` on one CPU."""
     with pytest.MonkeyPatch.context() as m:
         _cpus(m, 1)
         _forbid_fork(m)
         write_grid_snapshots_csv(query, 257, str(tmp_path / "serial.csv"))
-        return solve_grid(query, 257), (tmp_path / "serial.csv").read_bytes()
+        return (tmp_path / "serial.csv").read_bytes()
 
 
 def test_sweep_sized_solves_never_fork(monkeypatch):
@@ -112,26 +113,37 @@ def test_other_thread_keeps_a_large_solve_serial(tmp_path, monkeypatch):
     assert not other.is_alive()
 
 
-def test_forked_child_runs_serially(tmp_path, monkeypatch):
-    # a large solve inside a job: forking there would fail the job
+def test_large_array_solve_runs_here(tmp_path, monkeypatch):
+    # with two CPUs to fork onto, a large solve_grid returns the rows of the
+    # serial CSV (each entry's repr reads back as its float)
     query = _query(256, 511)
-    expected, _ = _serial(query, tmp_path)
+    _serial(query, tmp_path)
+    _cpus(monkeypatch, 2)
+    _forbid_fork(monkeypatch)
+    expected = np.loadtxt(tmp_path / "serial.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert np.array_equal(solve_grid(query, 257), expected)
+
+
+def test_forked_child_runs_serially(tmp_path, monkeypatch):
+    # a large CSV solve inside a job: forking there would fail the job
+    query = _query(256, 511)
+    csv = _serial(query, tmp_path)
     _cpus(monkeypatch, 2)
     assert _fork_width() == 2
 
     def job(fh):
         width = _fork_width()
         _forbid_fork(pytest.MonkeyPatch())
+        write_grid_snapshots_csv(query, 257, str(tmp_path / "child.csv"))
         fh.write(np.array([width], dtype=float).data)
-        fh.write(solve_grid(query, 257).data)
 
     with _forked([job]) as join:
         done = join(0)
         assert done is not None
-        out = np.empty((1 + expected.size,))
+        out = np.empty((1,))
         assert done.readinto(out) == out.nbytes
     assert out[0] == 1.0
-    assert np.array_equal(out[1:].reshape(expected.shape), expected)
+    assert (tmp_path / "child.csv").read_bytes() == csv
     assert _fork_width() == 2
     _no_children_left()
 
@@ -156,9 +168,10 @@ def _fail():
 
 @pytest.mark.parametrize("which", ["value", "velocity"])
 def test_child_rows_are_read_back(tmp_path, monkeypatch, which):
-    # 512 rows in four blocks of 128: this process solves the first two
+    # 512 rows in four blocks of 128: this process solves and writes the
+    # first two, then copies in the child's file
     query = _query(256, 511, which)
-    expected, _ = _serial(query, tmp_path)
+    csv = _serial(query, tmp_path)
     _cpus(monkeypatch, 2)
     parent, calls, original = os.getpid(), [], solver.ml
 
@@ -169,7 +182,8 @@ def test_child_rows_are_read_back(tmp_path, monkeypatch, which):
 
     monkeypatch.setattr(solver, "ml", counting_ml)
     forks = _count_forks(monkeypatch)
-    assert np.array_equal(solve_grid(query, 257), expected)
+    write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
+    assert (tmp_path / "forked.csv").read_bytes() == csv
     assert len(forks) == 1
     assert len(calls) == 2 * 2  # two kernels per block
     _no_children_left()
@@ -180,10 +194,9 @@ def test_fork_that_fails_runs_the_job_here(tmp_path, monkeypatch):
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     query = _query(256, 511)
-    expected, csv = _serial(query, tmp_path)
+    csv = _serial(query, tmp_path)
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", no_fork)
-    assert np.array_equal(solve_grid(query, 257), expected)
     write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
     assert (tmp_path / "forked.csv").read_bytes() == csv
 
@@ -191,20 +204,19 @@ def test_fork_that_fails_runs_the_job_here(tmp_path, monkeypatch):
 @pytest.mark.parametrize("which", ["value", "velocity"])
 def test_failed_kernel_child_is_recomputed_here(tmp_path, monkeypatch, which):
     query = _query(256, 511, which)
-    expected, csv = _serial(query, tmp_path)
+    csv = _serial(query, tmp_path)
     _cpus(monkeypatch, 2)
     _in_children(monkeypatch, solver, "ml", _fail)
     forks = _count_forks(monkeypatch)
-    assert np.array_equal(solve_grid(query, 257), expected)
     write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert (tmp_path / "forked.csv").read_bytes() == csv
     _no_children_left()
 
 
 def test_failed_row_child_is_formatted_here(tmp_path, monkeypatch):
     query = _query(256, 511)
-    _, csv = _serial(query, tmp_path)
+    csv = _serial(query, tmp_path)
     _cpus(monkeypatch, 2)
     _in_children(monkeypatch, solver, "_table_lines", _fail)
     forks = _count_forks(monkeypatch)

@@ -34,3 +34,30 @@ def test_sweep_fields_are_raw_float64(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out.splitlines() == [f"{digest}  sweep_seed7000.f64"]
     first = np.frombuffer(path.read_bytes(), dtype=np.float64)[:25].reshape(5, 5)
     assert np.all(np.isfinite(first)) and np.any(first != 0.0)
+
+
+def test_check_names_each_file_that_differs(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(output_digests, "COMMANDS", (TINY,))
+    monkeypatch.setattr(output_digests, "SWEEP_SEEDS", ())
+    assert output_digests.main([str(tmp_path)]) == 0
+    listing = tmp_path / "listing.txt"
+    listing.write_text(capsys.readouterr().out)
+    assert output_digests.main(["--check", str(listing), str(tmp_path)]) == 0
+    assert "differs" not in capsys.readouterr().err
+
+    # the same command, now writing one byte of its CSV differently
+    run = output_digests.run
+
+    def one_byte_off(argv, **popen):
+        out = run(argv, **popen)
+        path = popen["cwd"] / "tiny_snapshots.csv"
+        data = bytearray(path.read_bytes())
+        data[-3] ^= 1
+        path.write_bytes(data)
+        return out
+
+    monkeypatch.setattr(output_digests, "run", one_byte_off)
+    assert output_digests.main(["--check", str(listing), str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("differs")] == [
+        "differs: tiny_snapshots.csv"]

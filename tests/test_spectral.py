@@ -431,7 +431,7 @@ class TestModeSum:
         assert len(seen) == calls
         assert np.array_equal(got, full)
 
-    # fewer points than rows: the rows are the blocks' inner axis
+    # fewer points than rows
     @pytest.mark.parametrize("budget", [None, 16 * N * 4, 8])
     @pytest.mark.parametrize("P,R", [(1, 2), (1, 193), (2, 3), (2, 193)])
     def test_rows_inner_are_bit_identical(self, monkeypatch, budget, P, R):
