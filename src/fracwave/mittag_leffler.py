@@ -49,34 +49,43 @@ The series' term ratios ``c_{k+1}/c_k`` of ``c_k = 1/Gamma(alpha k +
 beta)`` and the expansions' coefficients ``1/Gamma(beta - alpha k)`` are
 doubles rounded from 20-digit reciprocal gammas, one table of each per
 (alpha, beta).  Each grows only as far as it is read: the series extends
-its ratios ``_SERIES_CHUNK`` at a time when its loop reaches their end, the
-algebraic series its coefficients ``_ASYM_CHUNK`` at a time, and the
-contour sum reads the lead coefficient alone.  Every entry is the same
+its ratios ``_SERIES_CHUNK`` (8) at a time when its loop reaches their end,
+the algebraic series its coefficients ``_ASYM_CHUNK`` (8) at a time, and
+the contour sum reads the lead coefficient alone.  Every entry is the same
 20-digit computation whenever it is built, so a grown table has the bits of
 one built whole.  The algebraic series also stops early: after each
 ``_ASYM_CHUNK`` terms it bounds every later term it could add, ``|1/Gamma(x)|``
 by 1.13 for ``x > 0`` and by ``Gamma(1 - x)/pi`` for ``x < 0``, and ``|z|**-k``
 by ``zmin**(1-k)/|z|`` over the smallest running ``|z|``.  It ends once every
 such term lies below ``2**-54`` times its value's ``|sum|``, under half an
-ulp of the sum, so adding it would leave the sum's bits unchanged.
+ulp of the sum, so adding it would leave the sum's bits unchanged.  Until
+the first of its values stops, it adds its terms in place and without
+masks.
 
 Whatever every tier declines goes to arbitrary precision.  On the negative
-axis above ``m = 100`` that is the contour sum again, with its step halved
-until it converges and its working precision raised until the rounding of
-its terms lies 20 digits below the value; its cost does not grow with
+axis above ``m = 100``, for ``alpha > 1``, that is first the large-argument
+expansion: the algebraic series, with its coefficients at the exactly
+formed arguments, plus the saddle pair; these are the values next to a
+zero of the function, which the double tiers must decline.  It takes fewer
+terms the larger ``m`` is: about 75 just above ``m = 100`` for alpha near 1, about 10
+at ``m = 250``.  It keeps its value only where a bound on its remainder lies 20 digits below
+the value; what it declines goes to the contour sum, with its step halved
+until it converges.  Both raise their working precision until the rounding
+of their terms lies 20 digits below the value, so neither's cost grows with
 ``m``.  Everything else is summed as ``sum_k z**k c_k`` with an
 incrementally updated power, at ``30 + 0.45 m`` digits (twice that per unit
 of ``m`` for ``alpha <= 1``).  Each coefficient ``c_k`` is taken at that
 precision when the sum reaches it, so the fallback keeps no state between
 calls; for ``alpha = p/q`` with a small power of two ``q`` (every order
 ``verify`` samples) all but the first q come from the exact gamma
-recurrence, one division each.  The two tables of doubles above are the module's only state: one
-record per (alpha, beta) in a ``functools.lru_cache`` of ``_TABLES_MAX``
-orders.  A record holds at most ``_SERIES_KMAX + _ASYM_KMAX`` doubles, so a
-process that scans many orders keeps about 3 MB at most.
-``_MP_MAX_DPS`` (800 digits) caps both arbitrary-precision sums: the power
-series can reach it only on the positive axis, where the expansion accepts
-long before, and the contour only where the value lies hundreds of digits
+recurrence, one division each.  The two tables of doubles above are the
+module's only state: one record per (alpha, beta) in a
+``functools.lru_cache`` of ``_TABLES_MAX`` orders.  A record holds at most
+``_SERIES_KMAX + _ASYM_KMAX`` doubles, so a process that scans many orders
+keeps about 3 MB at most.  ``_MP_MAX_DPS`` (800 digits) caps every
+arbitrary-precision sum: the power series can reach it only on the positive
+axis, where the expansion accepts long before, and the far expansion (which
+then declines) and the contour only where the value lies hundreds of digits
 below its terms, at a zero of the function.  Each thread works in its own
 mpmath context, so concurrent calls never share a working precision.
 ``alpha = 1`` with ``beta`` in {1, 2} uses ``exp`` and ``expm1(z)/z`` on the
@@ -263,7 +272,7 @@ def _asym_coeffs(alpha: float, beta: float, size: int) -> np.ndarray:
 
 # the series extends its table by this many ratios when its loop reaches
 # the end of what is built
-_SERIES_CHUNK = 24
+_SERIES_CHUNK = 8
 
 
 def _series_length(alpha: float, m_max: float) -> int:
@@ -438,8 +447,12 @@ def _algebraic(alpha, beta, z):
     s = np.zeros_like(z)
     s_abs = np.zeros_like(z)
     prev = np.full(z.shape, np.inf)
-    active = np.ones(z.shape, dtype=bool)
     est = np.zeros_like(z)
+    t, mag = np.empty_like(z), np.empty_like(z)
+    stop = np.empty(z.shape, dtype=bool)
+    # True while every value still runs: until the first stop the terms are
+    # added in place and without masks, with the bits of the masked updates
+    active = True
     for k, ends, skips in _pole_terms(alpha, beta):
         if ends:
             return s, s_abs, est
@@ -447,16 +460,21 @@ def _algebraic(alpha, beta, z):
             coeffs = _asym_coeffs(alpha, beta, -(-k // _ASYM_CHUNK) * _ASYM_CHUNK)
         rg = 0.0 if skips else coeffs[k - 1]
         if rg != 0.0:
-            t = p * rg
-            mag = np.abs(t)
-            stop = active & (mag >= prev)
-            np.copyto(est, mag, where=stop)
-            active &= ~stop
-            if not active.any():
-                break
-            np.add(s, t, out=s, where=active)
-            np.add(s_abs, mag, out=s_abs, where=active)
-            np.copyto(prev, mag, where=active)
+            np.multiply(p, rg, out=t)
+            np.abs(t, out=mag)
+            np.greater_equal(mag, prev, out=stop)
+            if active is True and not stop.any():
+                s += t
+                s_abs += mag
+                prev, mag = mag, prev
+            else:
+                np.copyto(est, mag, where=stop & active)
+                active = active & ~stop
+                if not active.any():
+                    break
+                np.add(s, t, out=s, where=active)
+                np.add(s_abs, mag, out=s_abs, where=active)
+                np.copyto(prev, mag, where=active)
         if k % _ASYM_CHUNK == 0 and k < _ASYM_KMAX:
             # a later term j of a running value is at most g_j |z|**-j <=
             # g_j zmin**(1-j) / |z|, over the smallest running |z|; |sum z|
@@ -468,7 +486,7 @@ def _algebraic(alpha, beta, z):
             if top > -np.inf and bound < _NEGLIGIBLE * np.where(active, np.abs(s) * az, np.inf).min():
                 np.copyto(est, bound / az, where=active)
                 return s, s_abs, est
-        p = p * invz
+        p *= invz
     # ran out of terms while still decreasing: last kept term is the estimate
     np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
     return s, s_abs, est
@@ -605,15 +623,23 @@ def _bromwich_parts(a, b, mu, w, exp):
 def _contour_blocks(alpha, beta, x, mu, u):
     """``Re`` of the integrand at the nodes ``u``, as (row slice, block) pairs
     of a (values x nodes) array.  ``num`` and ``den`` are formed once per
-    distinct ``mu``, not once per value."""
-    levels, which = np.unique(mu, return_inverse=True)
-    num, den = _bromwich_parts(alpha, beta, levels[:, None], 1.0 + 1j * u, np.exp)
+    level of ``mu`` (one of ``_CONTOUR_MU``), not once per value, and each
+    level's node row meets its values by broadcasting, not by a gather."""
+    num, den = _bromwich_parts(alpha, beta, np.array(_CONTOUR_MU)[:, None], 1.0 + 1j * u, np.exp)
+    high = mu == _CONTOUR_MU[1]
     # about four complex temporaries of a block are alive at once
     rows = max(1, _CONTOUR_BLOCK_BYTES // (64 * u.size))
     for lo in range(0, x.size, rows):
         blk = slice(lo, lo + rows)
-        i = which[blk]
-        yield blk, np.ascontiguousarray((num[i] / (den[i] + x[blk, None])).real)
+        xb, hb = x[blk, None], high[blk]
+        if hb.all() or not hb.any():  # one level: no selection
+            j = int(hb[0])
+            yield blk, np.ascontiguousarray((num[j] / (den[j] + xb)).real)
+            continue
+        g = np.empty((xb.shape[0], u.size))
+        for j, on in enumerate((~hb, hb)):
+            g[on] = (num[j] / (den[j] + xb[on])).real
+        yield blk, g
 
 
 def _contour_scale(alpha, m):
@@ -852,6 +878,76 @@ def _contour_mp(alpha: float, beta: float, z: float) -> float:
     raise _over_precision_cap(alpha, z)
 
 
+def _expansion_sum_mp(ctx, alpha, beta, z):
+    """The large-argument expansion at the context's working precision:
+    ``-sum_{k<n} z**-k / Gamma(beta - alpha k)`` plus the saddle pair.
+
+    Returns the value, a bound on its truncation error and the sum of the
+    magnitudes it was added from (the pair's counted ``m`` times over, for
+    the rounding of its phase).  Past the terms it adds, the series expands
+    the integral over the branch cut, whose remainder after term n - 1 is at
+    most ``B_n = F Gamma(alpha n - beta + 1) / (pi |z|**n)``, with ``F =
+    1/|sin(pi alpha)|`` where ``cos(pi alpha) < 0`` and 1 elsewhere.  It
+    stops at the first n where ``B_n`` lies below the working precision or
+    no longer falls, and for integer alpha and beta at the first gamma pole,
+    where the cut is gone and the sum is exact.
+    """
+    a, b = libmp.from_float(alpha), libmp.from_float(beta)
+    x = -ctx.mpf(z)
+    m = ctx.power(x, 1 / ctx.mpf(alpha))
+    pole = m * ctx.expj(ctx.pi / alpha)
+    pair = 2 / ctx.mpf(alpha) * ctx.re(pole ** (1 - ctx.mpf(beta)) * ctx.exp(pole))
+    s, size = pair, m * abs(2 / ctx.mpf(alpha) * m ** (1 - ctx.mpf(beta)) * ctx.exp(pole.real))
+    log_f = -math.log(math.sin(math.pi * (alpha - 1.0))) if alpha < 1.5 else 0.0
+    log_x, log_eps = math.log(-z), math.log(ctx.eps)
+    whole = alpha == round(alpha) and beta == round(beta)
+    prev = math.inf
+    power = ctx.mpf(1)
+    for n in itertools.count(1):
+        arg = alpha * n - beta + 1.0
+        if arg > 0.0:  # B_n is finite
+            log_b = log_f + math.lgamma(arg) - math.log(math.pi) - n * log_x
+            if log_b <= log_eps + float(ctx.log(size)) or log_b >= prev:
+                return s, math.exp(log_b), size
+            prev = log_b
+        power /= x
+        c = _rgamma_raw(ctx, libmp.mpf_sub(b, libmp.mpf_mul(a, libmp.from_int(n))))
+        if whole and c == libmp.fzero:
+            return s, 0.0, size
+        t = power * ctx.make_mpf(c)
+        # z**-n = (-1)**n x**-n, and the series enters with a minus sign
+        s += t if n % 2 else -t
+        size += abs(t)
+
+
+def _expansion_mp(alpha: float, beta: float, z: float):
+    """``E_{alpha,beta}(z)`` for ``z < 0`` and ``1 < alpha <= 2`` from the
+    large-argument expansion in arbitrary precision (see
+    ``_expansion_sum_mp``), or None where its truncation bound misses
+    ``_CONTOUR_MP_DIGITS`` digits of the value.
+
+    The working precision starts and rises as in ``_contour_mp``.  A bound
+    that misses the value's digits at the sum's scale misses them at any
+    precision, so such an argument is declined at once.
+    """
+    if not alpha > 1.0:
+        return None
+    ctx = _mp_context()
+    dps = _CONTOUR_MP_DIGITS + 15
+    while dps <= _MP_MAX_DPS:
+        with ctx.workdps(dps):
+            val, est, size = _expansion_sum_mp(ctx, alpha, beta, z)
+            digits = ctx.mpf(10) ** -_CONTOUR_MP_DIGITS
+            if est > digits * size:
+                return None
+            target = digits * abs(val)
+            noise = 10 * ctx.eps * size
+            if noise <= target:
+                return float(val) if est <= target else None
+            dps += 10 + (int(ctx.log10(noise / target)) if target else dps)
+    return None
+
+
 # ((m_lo, m_hi), tier) in the order tried on each half-axis: a tier sees the
 # pending values with m_lo < m <= m_hi.  The contour sum takes the band
 # between the series and the expansion first, and what the expansion leaves
@@ -877,8 +973,9 @@ def _cascade(alpha, beta, z, tiers, pending=None, out=None):
 
     Each tier sees the still-pending arguments in its band of ``m`` and
     keeps the values whose error estimate meets the tolerance; whatever
-    every tier declines goes to arbitrary precision: the contour sum where
-    ``z < 0`` and ``m > _M_MP_SERIES``, the power series otherwise.  The
+    every tier declines goes to arbitrary precision: where ``z < 0`` and
+    ``m > _M_MP_SERIES`` the expansion, and the contour sum where that
+    declines, the power series otherwise.  The
     series sees its whole band at once, in array order; the elementwise
     tiers run window by window (see the module docstring).
     """
@@ -906,12 +1003,13 @@ def _cascade(alpha, beta, z, tiers, pending=None, out=None):
                     idx = np.flatnonzero(sel)[ok]
                     out[w][idx] = val[ok]
                     pending[w][idx] = False
-    # both fallbacks and the band edge between them are looked up at call
+    # the fallbacks and the band edge between them are looked up at call
     # time, so they can be wrapped or moved from outside
     for i in np.flatnonzero(pending):
         v = float(z[i])
         if v < 0.0 and m[i] > _M_MP_SERIES:
-            out[i] = _contour_mp(alpha, beta, v)
+            val = _expansion_mp(alpha, beta, v)
+            out[i] = _contour_mp(alpha, beta, v) if val is None else val
         else:
             out[i] = _mpmath_single(alpha, beta, v)
     return out

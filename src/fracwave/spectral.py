@@ -74,10 +74,11 @@ def pairwise_sum(arr: np.ndarray, axis: int = 0) -> np.ndarray:
     return a[0]
 
 
-# bytes one ``mode_sum`` block may occupy: the product block plus the
-# pairwise halvings of it (together at most twice the block); ``grid_sum``
-# sizes its row blocks by the same budget.  4 MiB keeps a solve's working
-# set small next to its mode x time kernels, and no bit depends on it
+# bytes one ``mode_sum`` block may occupy: a buffer of the block's
+# products and the pairwise halvings after the first level (together about
+# 12 bytes per product, in a budget of 16); ``grid_sum`` sizes its row
+# blocks by the same budget.  4 MiB keeps a solve's working set small next
+# to its mode x time kernels, and no bit depends on it
 _MODE_SUM_BYTES = 4 * 2**20
 
 
@@ -85,22 +86,35 @@ def mode_sum(coeff, basis) -> np.ndarray:
     """``sum_n coeff[n, r] * basis[n, p]`` of (N, R) and (N, P) arrays, shape (R, P).
 
     Bit for bit ``pairwise_sum(coeff[:, :, None] * basis[:, None, :])``: the
-    pairwise tree depends only on N, so forming the product one block of rows
-    (and, when one row is over budget, of points) at a time changes nothing.
-    A block and its halvings take about ``_MODE_SUM_BYTES`` (4 MiB) beside
-    the (R, P) result, whatever R and P are.
+    pairwise tree depends only on N, so forming its first level,
+    ``c[0::2] e[0::2] + c[1::2] e[1::2]`` with the last product carried when
+    N is odd, one block of rows (and, when one row is over budget, of
+    points) at a time, changes nothing.  The whole product never exists:
+    every block reuses one buffer for the first level and the products of
+    the odd rows, so a block and the halvings after it take about three
+    quarters of ``_MODE_SUM_BYTES`` (4 MiB) beside the (R, P) result,
+    whatever R and P are.
     """
     c = np.asarray(coeff, dtype=float)
     e = np.asarray(basis, dtype=float)
     (N, R), P = c.shape, e.shape[1]
     out = np.empty((R, P))
-    elems = _MODE_SUM_BYTES // 16  # 8-byte floats, twice over for the halvings
+    elems = _MODE_SUM_BYTES // 16  # product elements per block
     cols = max(1, min(P, elems // N))
     rows = max(1, elems // (N * cols))
+    h = N // 2
+    # the first level's rows, then the odd rows' products
+    buf = np.empty((N, min(rows, R), cols))
     for i in range(0, R, rows):
         for j in range(0, P, cols):
-            out[i : i + rows, j : j + cols] = pairwise_sum(
-                c[:, i : i + rows, None] * e[:, None, j : j + cols], axis=0)
+            ci, ej = c[:, i : i + rows], e[:, j : j + cols]
+            b = buf[:, : ci.shape[1], : ej.shape[1]]
+            level, odd = b[: N - h], b[N - h :]
+            np.einsum("nr,np->nrp", ci[0 : 2 * h : 2], ej[0 : 2 * h : 2], out=level[:h])
+            level[:h] += np.einsum("nr,np->nrp", ci[1::2], ej[1::2], out=odd)
+            if N % 2:
+                np.multiply(ci[-1, :, None], ej[-1], out=level[-1])
+            out[i : i + rows, j : j + cols] = pairwise_sum(level, axis=0)
     return out
 
 

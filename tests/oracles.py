@@ -166,6 +166,78 @@ def algebraic_ref(alpha: float, beta: float, z, coeffs):
     return s, s_abs, est
 
 
+def algebraic_masked_ref(alpha: float, beta: float, z, coeffs):
+    """The algebraic series with the early exit of the package, in the form
+    that masks every update with the values still running: ``(sum,
+    abs_sum, truncation_estimate)``.
+
+    After every 8 terms it ends once each term that a running value could
+    still add or stop at lies below ``2**-54`` times that value's
+    ``|sum|``, bounding ``|1/Gamma(x)|`` by 1.13 for ``x > 0`` and by
+    ``Gamma(1 - x)/pi`` for ``x < 0`` (times 1.01 for rounding) and
+    ``|z|**-j`` by ``zmin**(1-j)/|z|``; the running values then take that
+    bound as their estimate.
+    """
+    skips = [False] * _ASYM_KMAX
+    end = _ASYM_KMAX + 1
+    log_g = np.full(_ASYM_KMAX, -np.inf)
+    for k in range(1, _ASYM_KMAX + 1):
+        arg = beta - alpha * k
+        skips[k - 1] = arg < 0.5 and abs(arg - round(arg)) < 1e-6
+        if skips[k - 1] and alpha == round(alpha) and arg == round(arg):
+            end = k
+            break
+        if not skips[k - 1]:
+            log_g[k - 1] = math.log(1.01 * 1.13) if arg > 0.0 else (
+                math.lgamma(1.0 - arg) - math.log(math.pi / 1.01))
+    az = np.abs(z)
+    slack = _ASYM_KMAX * 2.0**-1074 * math.exp(min(np.max(log_g), 709.0)) * np.max(az)
+    invz = 1.0 / z
+    p = invz.copy()
+    s = np.zeros_like(z)
+    s_abs = np.zeros_like(z)
+    prev = np.full(z.shape, np.inf)
+    active = np.ones(z.shape, dtype=bool)
+    est = np.zeros_like(z)
+    for k in range(1, _ASYM_KMAX + 1):
+        if k == end:
+            return s, s_abs, est
+        rg = 0.0 if skips[k - 1] else coeffs[k - 1]
+        if rg != 0.0:
+            t = p * rg
+            mag = np.abs(t)
+            stop = active & (mag >= prev)
+            np.copyto(est, mag, where=stop)
+            active &= ~stop
+            if not active.any():
+                break
+            np.add(s, t, out=s, where=active)
+            np.add(s_abs, mag, out=s_abs, where=active)
+            np.copyto(prev, mag, where=active)
+        if k % 8 == 0 and k < _ASYM_KMAX:
+            top = np.max(log_g[k:] - np.arange(k, _ASYM_KMAX)
+                         * math.log(np.where(active, az, np.inf).min()))
+            bound = math.exp(min(top, 709.0)) + slack
+            if top > -np.inf and bound < 2.0**-54 * np.where(active, np.abs(s) * az, np.inf).min():
+                np.copyto(est, bound / az, where=active)
+                return s, s_abs, est
+        p = p * invz
+    np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
+    return s, s_abs, est
+
+
+def contour_blocks_ref(alpha: float, beta: float, x, mu, u):
+    """The real part of the contour integrand at the nodes ``u`` for every
+    value at once, as one (row slice, block) pair: each value's row of
+    ``num`` and ``den`` gathered from its level of ``mu``."""
+    levels, which = np.unique(mu, return_inverse=True)
+    mu_col, w = levels[:, None], 1.0 + 1j * u
+    a, b = alpha, beta
+    num = np.exp(mu_col * (w * w)) * w ** (2 * (2 * a - b) + 1)
+    den = mu_col**a * w ** (2 * a)
+    yield slice(None), np.ascontiguousarray((num[which] / (den[which] + x[:, None])).real)
+
+
 def mpmath_single_ref(alpha: float, beta: float, z: float) -> float:
     """The arbitrary-precision power-series fallback with a fresh reciprocal
     gamma per term: ``sum_k z**k / Gamma(alpha k + beta)`` in raw mpf

@@ -55,9 +55,12 @@ SWEEP_SEEDS = (7000,)
 SWEEP = {"modes": 256, "steps": 32, "points": 65, "per_bin": 3}
 
 
-def write_sweep(path: Path, seed: int) -> None:
-    """Write the ``SWEEP`` fields of ``seed``, one after another in alpha
-    order, as raw float64 bytes."""
+def sweep_fields(seed: int, sizes: dict | None = None):
+    """Yield ``(seconds, field)`` for each solve of the alpha sweep of
+    ``seed`` at ``sizes`` (``SWEEP`` by default), in alpha order: the wall
+    seconds of its ``solve_field`` call alone, and the field it returned.
+    Imports ``fracwave`` from the package next to this file unless it is
+    imported already."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     import numpy as np
@@ -66,19 +69,31 @@ def write_sweep(path: Path, seed: int) -> None:
     from fracwave.presets import random_decay
     from fracwave.solver import solve_field
 
-    n, per_bin = SWEEP["modes"], SWEEP["per_bin"]
+    sizes = SWEEP if sizes is None else sizes
+    n, per_bin = sizes["modes"], sizes["per_bin"]
     domain = build_interval(1.0, n)
-    points = np.linspace(0.0, 1.0, SWEEP["points"])
-    grid = TimeGrid(1.0, SWEEP["steps"])
+    points = np.linspace(0.0, 1.0, sizes["points"])
+    grid = TimeGrid(1.0, sizes["steps"])
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     alphas = 1.0 + (np.arange(10 * per_bin) + golden) / (10 * per_bin)
     data_rng = np.random.default_rng([seed, 0])
+    for j, alpha in enumerate(alphas):
+        data = random_decay(n, 2.0, int(data_rng.integers(2**31)))
+        which = ("value", "velocity", "caputo")[j % 3]
+        query = SolutionQuery(FracOrder(float(alpha)), domain, data, grid, which)
+        t0 = time.perf_counter()
+        field = solve_field(query, points)
+        yield time.perf_counter() - t0, field
+
+
+def write_sweep(path: Path, seed: int) -> None:
+    """Write the ``SWEEP`` fields of ``seed``, one after another in alpha
+    order, as raw float64 bytes."""
+    import numpy as np
+
     with open(path, "wb") as fh:
-        for j, alpha in enumerate(alphas):
-            data = random_decay(n, 2.0, int(data_rng.integers(2**31)))
-            which = ("value", "velocity", "caputo")[j % 3]
-            query = SolutionQuery(FracOrder(float(alpha)), domain, data, grid, which)
-            fh.write(np.ascontiguousarray(solve_field(query, points), dtype=np.float64).tobytes())
+        for _, field in sweep_fields(seed):
+            fh.write(np.ascontiguousarray(field, dtype=np.float64).tobytes())
 
 
 def sha256(path: Path) -> str:

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpmath as mp
@@ -28,8 +28,9 @@ from fracwave.mittag_leffler import (
     ml,
     verify_decay_bound,
 )
-from oracles import (algebraic_ref, asym_coeffs_ref, golden_section_max, ml_series_ref,
-                     mpmath_single_ref, series_double_ref, series_table_ref)
+from oracles import (algebraic_masked_ref, algebraic_ref, asym_coeffs_ref, contour_blocks_ref,
+                     golden_section_max, ml_series_ref, mpmath_single_ref, series_double_ref,
+                     series_table_ref)
 
 # frozen extended-precision series values (see oracles.ml_series_ref)
 ML_1P5_1_M5 = -0.3000820504131309
@@ -235,7 +236,7 @@ class TestCascade:
         (1.153934466291663, 1.153934466291663, -60.67957098593296, "-0x1.87876f356ed78p-15",
          "_contour_neg"),
         (1.05, 1.05, -40.0, "-0x1.2b3cfbc35b906p-15", "_contour_neg"),
-        (2.0, 3.0, -15792.111111111113, "0x1.311deb5447fb6p-32", "_contour_mp"),
+        (2.0, 3.0, -15792.111111111113, "0x1.311deb5447fb6p-32", "_expansion_mp"),
         (1.0, 1.0, -3.0, "0x1.97db0ccceb0afp-5", None),
         (1.0, 2.0, -3.0, "0x1.4456df777634ep-2", None),
         (1.5, 2.0, 0.0, "0x1.0000000000000p+0", None),
@@ -259,14 +260,16 @@ class TestCascade:
 
         def fallback(name):
             def wrapped(a, b, zz, orig=getattr(mlmod, name)):
-                accepted.append(name)
-                return orig(a, b, zz)
+                val = orig(a, b, zz)
+                if val is not None:  # the expansion declines with None
+                    accepted.append(name)
+                return val
             return wrapped
 
         for name in ("_NEG_TIERS", "_POS_TIERS"):
             tiers = getattr(mlmod, name)
             monkeypatch.setattr(mlmod, name, tuple((lim, record(fn)) for lim, fn in tiers))
-        for name in ("_mpmath_single", "_contour_mp"):
+        for name in ("_mpmath_single", "_expansion_mp", "_contour_mp"):
             monkeypatch.setattr(mlmod, name, fallback(name))
         assert ml(MLParams(alpha, beta), z).hex() == bits
         assert accepted == ([tier] if tier else [])
@@ -329,11 +332,11 @@ class TestCascade:
         alpha, beta = 1.37, 1.11
         chunk = mlmod._SERIES_CHUNK
         p = MLParams(alpha, beta)
-        ml(p, -1.0)
+        ml(p, -1e-3)
         record = empty_tables(alpha, beta)
         short = record.series
         assert short[0].size == chunk < mlmod._series_length(alpha, mlmod._M_DOUBLE)
-        ml(p, np.array([-0.5, -2.0, -(40.0**alpha)]))
+        ml(p, np.array([-5e-4, -1e-3, -(40.0**alpha)]))
         assert record.series is short
         ml(p, np.array([-(11.0**alpha), -(40.0**alpha)]))
         mid = record.series
@@ -459,6 +462,92 @@ class TestContourTier:
         assert np.array_equal(val, np.concatenate([v for v, _ in parts]))
         assert np.array_equal(ok, np.concatenate([k for _, k in parts]))
         assert ok.any() and (alpha < 1.5 or not ok.all())
+
+    @pytest.mark.parametrize("alpha,m_lo,m_hi,levels", [(1.6, 12.5, 46.0, 1),
+                                                         (1.153934466291663, 10.0, 150.0, 2),
+                                                         (1.153934466291663, 32.0, 37.0, 1)])
+    def test_levels_broadcast_like_the_gather(self, monkeypatch, alpha, m_lo, m_hi, levels):
+        # each level of mu meets its values by broadcasting: the sums, the
+        # halvings and the accept flags keep the bits of gathering one
+        # (num, den) row per value, with one level and with two
+        m = np.random.default_rng(13).uniform(m_lo, m_hi, 3_000)
+        z = -(m**alpha)
+        tol = np.where(-z <= 64.0, 3e-11, 1e-9)
+        mu, _ = mlmod._contour_scale(alpha, m)
+        assert np.unique(mu).size == levels
+        val, ok = _contour_neg(alpha, 1.0, z, tol)
+        monkeypatch.setattr(mlmod, "_contour_blocks", contour_blocks_ref)
+        ref_val, ref_ok = _contour_neg(alpha, 1.0, z, tol)
+        assert val.tobytes() == ref_val.tobytes() and ok.tolist() == ref_ok.tolist()
+
+
+def _near_zero(alpha, beta, m_lo, m_hi):
+    """Two adjacent doubles ``z < 0`` between which ``E_{alpha,beta}``
+    changes sign, the first sign change on a grid of ``m`` from ``m_lo`` to
+    ``m_hi``, bisected on the arbitrary-precision contour sum."""
+    z = -np.linspace(m_lo, m_hi, 400) ** alpha
+    v = ml(MLParams(alpha, beta), z)
+    i = int(np.flatnonzero(np.sign(v[:-1]) != np.sign(v[1:]))[0])
+    lo, hi = float(z[i]), float(z[i + 1])
+    sign_lo = math.copysign(1.0, mlmod._contour_mp(alpha, beta, lo))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        if math.copysign(1.0, mlmod._contour_mp(alpha, beta, mid)) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestExpansionMp:
+    # the large-argument expansion in arbitrary precision, which the far
+    # fallback tries ahead of the contour sum
+
+    @settings(max_examples=12, deadline=None)
+    @given(alpha=st.floats(1.001, 2.0), beta=st.floats(0.1, 3.0), m=st.floats(100.5, 600.0))
+    def test_matches_the_contour(self, alpha, beta, m):
+        z = -(m**alpha)
+        assert mlmod._expansion_mp(alpha, beta, z).hex() == mlmod._contour_mp(alpha, beta, z).hex()
+
+    @pytest.mark.parametrize("alpha,beta", [(1.9872677996249966, 1.0), (1.95, 1.95), (2.0, 1.5)])
+    def test_matches_the_contour_next_to_zeros(self, alpha, beta):
+        # the value is many digits below its terms here, and the double
+        # tiers decline it
+        for z in _near_zero(alpha, beta, 120.0, 160.0):
+            got = mlmod._expansion_mp(alpha, beta, z)
+            ref = mlmod._contour_mp(alpha, beta, z)
+            assert got.hex() == ref.hex()
+            assert not _asym_neg(alpha, beta, np.array([z]), np.array([1e-9]))[1][0]
+
+    def test_declines_next_to_a_zero_its_bound_misses(self):
+        # at m = 61 the remainder bound lies 28 digits below the sum's terms
+        # but only 12 below the value next to a zero: declined by the value
+        ctx = mlmod._mp_context()
+        for z in _near_zero(1.95, 1.0, 60.0, 75.0):
+            with ctx.workdps(mlmod._CONTOUR_MP_DIGITS + 15):
+                val, est, size = mlmod._expansion_sum_mp(ctx, 1.95, 1.0, z)
+            assert est < 1e-25 * size and est > 1e-20 * abs(val)
+            assert mlmod._expansion_mp(1.95, 1.0, z) is None
+
+    @pytest.mark.parametrize("alpha,beta,z", [(1.5, 1.0, -(40.0**1.5)), (1.9, 1.9, -(30.0**1.9)),
+                                              (1.0, 0.5, -200.0), (0.7, 1.0, -(300.0**0.7))])
+    def test_declines_where_its_bound_misses(self, monkeypatch, alpha, beta, z):
+        # at m of 30-40 the smallest bound on the remainder lies about
+        # exp(-m) below the terms, short of 20 digits; for alpha <= 1 the
+        # expansion is not tried.  With its band edge moved below these m,
+        # the far fallback hands the value on to the contour sum
+        assert mlmod._expansion_mp(alpha, beta, z) is None
+        calls = []
+
+        def spy(a, b, zz, orig=mlmod._expansion_mp):
+            calls.append(orig(a, b, zz))
+            return calls[-1]
+
+        monkeypatch.setattr(mlmod, "_expansion_mp", spy)
+        monkeypatch.setattr(mlmod, "_M_MP_SERIES", 20.0)
+        got = mlmod._cascade(alpha, beta, np.array([z]), ())
+        assert calls == [None] and got[0].hex() == mlmod._contour_mp(alpha, beta, z).hex()
 
 
 def _solver_grid(N=512, M=512, alpha=1.5):
@@ -1026,12 +1115,18 @@ def _expansion_block(rng, alpha, sign, size=3_000):
 class TestAlgebraicExit:
     # the algebraic series stops once no later term can change a running
     # sum; against the 40-term loop (oracles.algebraic_ref) its sums keep
-    # their bits and the expansions accept the same values
+    # their bits and the expansions accept the same values.  It adds its
+    # terms without masks until a value stops, and keeps every bit of the
+    # loop that masks each update (oracles.algebraic_masked_ref)
     NEAR_POLE = [(1.3, 1.0 + 1e-5), (1.3, 1.0 - 1e-5), (1.5, 1.0 + 1e-7), (0.7, 0.4 + 1e-6)]
+    # series that skip an exact pole, and for integer alpha end at one
+    AT_POLE = [(1.5, 1.5), (2.0, 0.5), (1.0, 0.25), (2.0, 3.0)]
 
     @staticmethod
     def _check(alpha, beta, z):
         s, s_abs, est = mlmod._algebraic(alpha, beta, z)
+        masked = algebraic_masked_ref(alpha, beta, z, asym_coeffs_ref(alpha, beta))
+        assert [a.tobytes() for a in (s, s_abs, est)] == [a.tobytes() for a in masked]
         ref = algebraic_ref(alpha, beta, z, asym_coeffs_ref(alpha, beta))
         assert s.tobytes() == ref[0].tobytes() and s_abs.tobytes() == ref[1].tobytes()
         assert np.all(est >= ref[2]) and np.all(est - ref[2] < 2.0**-54 * np.abs(s) + 1e-300)
@@ -1044,12 +1139,12 @@ class TestAlgebraicExit:
         assert val.tobytes() == ref_val.tobytes() and ok.tolist() == ref_ok.tolist()
 
     @given(alpha=st.floats(0.3, 2.0), beta=st.floats(0.05, 3.0), negative=st.booleans(),
-           seed=st.integers(0, 2**16))
-    def test_random_blocks(self, alpha, beta, negative, seed):
+           seed=st.integers(0, 2**16), size=st.integers(1, 3_000))
+    def test_random_blocks(self, alpha, beta, negative, seed, size):
         rng = np.random.default_rng(seed)
-        self._check(alpha, beta, _expansion_block(rng, alpha, -1.0 if negative else 1.0))
+        self._check(alpha, beta, _expansion_block(rng, alpha, -1.0 if negative else 1.0, size))
 
-    @pytest.mark.parametrize("alpha,beta", NEAR_POLE)
+    @pytest.mark.parametrize("alpha,beta", NEAR_POLE + AT_POLE)
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_near_pole_orders(self, alpha, beta, sign):
         # beta - 10 alpha sits 1e-5 from -12 at (1.3, 1 + 1e-5): outside the
