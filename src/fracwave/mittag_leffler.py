@@ -31,19 +31,22 @@ Positive axis:
    optimally truncated algebraic series.  Past ``m`` of about 709 the value
    leaves the double range and ``ml`` raises ``ValueError``.
 
-The series' term count and early stop follow the largest ``|z|`` of its
-batch, so it sees its whole band at once.  The contour sum and both
-expansions are elementwise: the cascade runs them over windows of
-``_CASCADE_CHUNK`` input positions and writes what they accept straight
-into the result, and the expansions run over blocks of
-``_EXPANSION_BLOCK`` values inside a window, so their temporaries stay in
-cache.  Neither size moves a bit.  ``ml`` reads its input in place, so its
-working set is the result, ``m``, a few masks, one window and the series'
-band.  The solver's calls take blocks of at most ``_CASCADE_CHUNK`` values
-(256 KiB); on the 512-mode interval at alpha 1.25, 1.5 and 1.9 and 512 to
-16,384 steps, one such call's tracemalloc peak read 2.1-4.1 MB, 8-17 times
-its input, highest at small t, where most of a block lies in the band.  A
-solve's ``ml`` working set is bounded by its block, not by its grid.
+Every tier is elementwise: a value and its accept flag, and so the tier
+that produces it, depend on its own argument alone, never on the rest of
+its call.  The series gives each value its own term count and stop (see
+``_series_double``), and the algebraic series charges each value at least
+what its early exit could leave out (below).  The cascade runs every tier,
+and the fallbacks, over windows of about ``_CASCADE_CHUNK`` (8,192) input
+positions and writes what they accept straight into the result, so a
+window's selections, tolerances and working arrays stay small; the window
+size moves no bit.  ``ml`` reads its input in place, so its working set is
+the result, a few masks and one window.  On the solver's blocks of 2**15
+values (256 KiB; the 512-mode interval at alpha 1.25, 1.5 and 1.9 and 512
+to 16,384 steps) one call's tracemalloc peak read 1.4-2.2 MB, 5.3-8.3
+times its input, highest at small t, where the contour sum's (values x
+nodes) blocks of up to ``_CONTOUR_BLOCK_BYTES`` set it; on whole kernel
+grids of 2**18 values it read under 2 times.  A solve's ``ml`` working set
+is bounded by its block, not by its grid.
 
 The series' term ratios ``c_{k+1}/c_k`` of ``c_k = 1/Gamma(alpha k +
 beta)`` and the expansions' coefficients ``1/Gamma(beta - alpha k)`` are
@@ -58,9 +61,10 @@ one built whole.  The algebraic series also stops early: after each
 by 1.13 for ``x > 0`` and by ``Gamma(1 - x)/pi`` for ``x < 0``, and ``|z|**-k``
 by ``zmin**(1-k)/|z|`` over the smallest running ``|z|``.  It ends once every
 such term lies below ``2**-54`` times its value's ``|sum|``, under half an
-ulp of the sum, so adding it would leave the sum's bits unchanged.  Until
-the first of its values stops, it adds its terms in place and without
-masks.
+ulp of the sum, so adding it would leave the sum's bits unchanged; every
+value's estimate is at least that much, so it does not depend on where the
+loop ended.  Until the first of its values stops, it adds its terms in
+place and without masks.
 
 Whatever every tier declines goes to arbitrary precision.  On the negative
 axis above ``m = 100``, for ``alpha > 1``, that is first the large-argument
@@ -271,12 +275,14 @@ def _asym_coeffs(alpha: float, beta: float, size: int) -> np.ndarray:
 
 
 # the series extends its table by this many ratios when its loop reaches
-# the end of what is built
+# the end of what is built, and tests its values' stops after each such run
+# of terms
 _SERIES_CHUNK = 8
 
 
-def _series_length(alpha: float, m_max: float) -> int:
-    return min(_SERIES_KMAX, int(3.8 * max(m_max, 1.0) / alpha) + 48)
+def _series_length(alpha: float, m):
+    """The series' term count at cancellation scale ``m`` (scalar or array)."""
+    return np.minimum(_SERIES_KMAX, (3.8 * np.maximum(m, 1.0) / alpha).astype(int) + 48)
 
 
 def _series_table(alpha: float, beta: float, size: int):
@@ -311,64 +317,66 @@ def _series_table(alpha: float, beta: float, size: int):
     return entry
 
 
-def _declined(z):
-    return np.zeros_like(z), np.zeros(z.shape, dtype=bool)
-
-
-# relative slack of the series' decline test: its ratios fall with k, so
-# the first decides the test unless it lies this close to the bound
-_DECLINE_SLACK = 2.0**-40
-
-
 def _series_double(alpha, beta, z, tol):
     """Kahan-compensated Taylor series at ``z`` of one sign; returns (value,
-    accept mask).
+    accept mask).  Every value is summed on its own: nothing it returns
+    depends on the rest of ``z``.
 
-    It takes terms out to ``m = _M_DOUBLE`` for negative ``z`` and
-    ``_M_POS_SERIES`` for positive ``z``, and extends its table as its loop
-    reads it.  Every value is declined where a term factor ``z R_k`` could
-    exceed ``_FACTOR_MAX``.  ``R_k = Gamma(alpha k + beta)/Gamma(alpha k +
-    alpha + beta)`` falls as k grows, because the digamma function
-    increases on (0, inf), so that test reads ``R_0`` alone unless ``R_0``
-    lies within rounding slack of the bound.  The loop updates its arrays in
-    place, in the operation order of ``t = t * (z * R_k)`` and the Kahan
-    step, so it holds five of them besides ``z`` and ``tol``.
+    A value is declined where a term factor ``z R_k`` reaches
+    ``_FACTOR_MAX``.  ``R_k = Gamma(alpha k + beta)/Gamma(alpha k + alpha +
+    beta)`` falls as k grows, because the digamma function increases on
+    (0, inf), so that test reads ``R_0`` alone.  Otherwise the value takes
+    its terms in runs of ``_SERIES_CHUNK``, and stops after the first run
+    that ends on a term ``|t| <= 1e-20 acc`` or that reaches its term count,
+    ``_series_length`` at its own ``m``, capped at ``m = _M_DOUBLE`` for
+    negative ``z`` and ``_M_POS_SERIES`` for positive ``z``.  A value that
+    stops is written out and leaves the working arrays.  The loop extends
+    the table as it reads it and updates its arrays in place, in the
+    operation order of ``t = t * (z * R_k)`` and the Kahan step.
     """
-    zmax = float(np.max(np.abs(z)))
     m_cap = _M_POS_SERIES if z[0] > 0.0 else _M_DOUBLE
-    n = min(_series_length(alpha, zmax ** (1.0 / alpha)), _series_length(alpha, m_cap))
+    # no value reaches its term count before this many terms
+    first = _series_length(alpha, 0.0) - 1
     ratios, c0, _ = _series_table(alpha, beta, _SERIES_CHUNK)
-    bound = _FACTOR_MAX / zmax
-    if not abs(ratios[0]) < bound * (1.0 - _DECLINE_SLACK):
-        ratios = _series_table(alpha, beta, n)[0]
-        if not np.max(np.abs(ratios[:n])) < bound:
-            return _declined(z)
-    t = np.full(z.shape, c0)
+    val = np.zeros_like(z)
+    ok = np.zeros(z.shape, dtype=bool)
+    with np.errstate(over="ignore"):
+        idx = np.flatnonzero(np.abs(z) * ratios[0] < _FACTOR_MAX)
+    zs = z[idx]
+    t = np.full(idx.size, c0)
     s = t.copy()
     comp = np.zeros_like(s)
     acc = np.abs(t)
     w = np.empty_like(s)
-    blocks = range(0, z.size, _EXPANSION_BLOCK)
-    for k in range(n - 1):
-        if k == ratios.size:
-            ratios = _series_table(alpha, beta, min(k + _SERIES_CHUNK, _SERIES_KMAX))[0]
-        t *= np.multiply(z, ratios[k], out=w)
-        # the Kahan step y = t - comp, tmp = s + y, comp = (tmp - s) - y,
-        # s = tmp, with y in comp and tmp in w
-        np.subtract(t, comp, out=comp)
-        np.add(s, comp, out=w)
-        np.subtract(w, s, out=s)
-        np.subtract(s, comp, out=comp)
-        s, w = w, s
-        acc += np.abs(t, out=w)
-        # all |t| <= 1e-20 acc, block by block
-        if k > 4 and all(np.all(w[i:i + _EXPANSION_BLOCK] <= 1e-20 * acc[i:i + _EXPANSION_BLOCK])
-                         for i in blocks):
-            break
-    # est = 4 eps acc + |t|, accepted where est <= tol |s|
-    acc *= 4.0 * _EPS
-    acc += np.abs(t, out=t)
-    return s, acc <= np.multiply(np.abs(s, out=w), tol, out=w)
+    k = 0
+    while idx.size:
+        if ratios.size < k + _SERIES_CHUNK:
+            ratios = _series_table(alpha, beta, k + _SERIES_CHUNK)[0]
+        for r in ratios[k : k + _SERIES_CHUNK]:
+            t *= np.multiply(zs, r, out=w)
+            # the Kahan step y = t - comp, tmp = s + y, comp = (tmp - s) - y,
+            # s = tmp, with y in comp and tmp in w
+            np.subtract(t, comp, out=comp)
+            np.add(s, comp, out=w)
+            np.subtract(w, s, out=s)
+            np.subtract(s, comp, out=comp)
+            s, w = w, s
+            acc += np.abs(t, out=w)
+        k += _SERIES_CHUNK
+        stop = w <= 1e-20 * acc
+        if k >= first:
+            with np.errstate(over="ignore"):
+                m = np.minimum(np.abs(zs) ** (1.0 / alpha), m_cap)
+            stop |= k >= _series_length(alpha, m) - 1
+        if stop.any():
+            # est = 4 eps acc + |t|, accepted where est <= tol |s|
+            done = idx[stop]
+            val[done] = s[stop]
+            ok[done] = 4.0 * _EPS * acc[stop] + w[stop] <= tol[done] * np.abs(s[stop])
+            run = ~stop
+            idx, zs, t, s, comp, acc = (a[run] for a in (idx, zs, t, s, comp, acc))
+            w = np.empty_like(s)
+    return val, ok
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +433,15 @@ def _algebraic(alpha, beta, z):
     Returns ``(sum, abs_sum, truncation_estimate)``: the sum stops before
     the first term that fails to decrease, which then bounds the error.  For
     integer ``alpha`` the series ends at the first exact gamma pole, and
-    what was kept is exact (estimate 0) wherever it had not already stopped.
+    what was kept is exact wherever it had not already stopped.
 
     After every ``_ASYM_CHUNK`` terms the loop also ends if no later term
     can change a running value's sums: each term it could still add or stop
     at is bounded below ``_NEGLIGIBLE`` times that value's ``|sum|``.  So sum
-    and abs_sum keep the bits of the whole loop.  The values still running
-    take their bound as the estimate: at least the term the whole loop would
-    have charged, and above it by less than ``2**-54 |sum|``.  Coefficients
+    and abs_sum keep the bits of the whole loop.  Every value is charged at
+    least ``_NEGLIGIBLE |sum|``, the most such a term can be: the estimate
+    is the larger of that and what the whole loop charges, so it does not
+    depend on where the loop ended, nor on the other values.  Coefficients
     are built ``_ASYM_CHUNK`` at a time, as far as the loop reads them.
     """
     log_g = _log_coeff_bounds(alpha, beta)
@@ -455,7 +464,7 @@ def _algebraic(alpha, beta, z):
     active = True
     for k, ends, skips in _pole_terms(alpha, beta):
         if ends:
-            return s, s_abs, est
+            break
         if not skips and k > coeffs.size:
             coeffs = _asym_coeffs(alpha, beta, -(-k // _ASYM_CHUNK) * _ASYM_CHUNK)
         rg = 0.0 if skips else coeffs[k - 1]
@@ -484,12 +493,12 @@ def _algebraic(alpha, beta, z):
                          * math.log(np.where(active, az, np.inf).min()))
             bound = math.exp(min(top, 709.0)) + slack
             if top > -np.inf and bound < _NEGLIGIBLE * np.where(active, np.abs(s) * az, np.inf).min():
-                np.copyto(est, bound / az, where=active)
-                return s, s_abs, est
+                break
         p *= invz
-    # ran out of terms while still decreasing: last kept term is the estimate
-    np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
-    return s, s_abs, est
+    else:
+        # ran out of terms while still decreasing: last kept term is the estimate
+        np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
+    return s, s_abs, np.maximum(est, _NEGLIGIBLE * np.abs(s), out=est)
 
 
 def _saddle_pair(alpha, beta, m):
@@ -506,31 +515,6 @@ def _saddle_pair(alpha, beta, m):
         return amp * np.cos(m * math.sin(phi) + (1.0 - beta) * phi), amp
 
 
-# the expansion tiers run over blocks of this many values, so the dozen
-# (values,) temporaries of their 40-term loop stay in cache
-_EXPANSION_BLOCK = 8192
-
-
-def _in_blocks(tier):
-    """Run an elementwise tier ``_EXPANSION_BLOCK`` values at a time.  No
-    value depends on another value, so the bits do not depend on the block
-    size.  An accept flag can, through the estimate the algebraic series
-    charges where it stops early, but only where its test sits within
-    ``2**-54 |sum|`` of its threshold."""
-    @functools.wraps(tier)
-    def blocked(alpha, beta, z, tol):
-        if z.size <= _EXPANSION_BLOCK:  # one block: no copy into a result array
-            return tier(alpha, beta, z, tol)
-        val = np.empty_like(z)
-        ok = np.empty(z.shape, dtype=bool)
-        for lo in range(0, z.size, _EXPANSION_BLOCK):
-            blk = slice(lo, lo + _EXPANSION_BLOCK)
-            val[blk], ok[blk] = tier(alpha, beta, z[blk], tol[blk])
-        return val, ok
-    return blocked
-
-
-@_in_blocks
 def _asym_neg(alpha, beta, z, tol):
     """Algebraic expansion plus saddle pair for z < 0; returns (value, accept)."""
     s, s_abs, est = _algebraic(alpha, beta, z)
@@ -555,7 +539,6 @@ def _asym_neg(alpha, beta, z, tol):
     return val, ok
 
 
-@_in_blocks
 def _asym_pos(alpha, beta, z, tol):
     """Exponential lead minus the algebraic expansion for z > 0; returns
     (value, accept)."""
@@ -958,12 +941,13 @@ _NEG_TIERS = (((_ANY, _M_DOUBLE), _series_double), ((_ANY, _M_CONTOUR), _contour
 _POS_TIERS = (((_ANY, _M_POS_SERIES), _series_double), ((_ANY, math.inf), _asym_pos))
 
 
-# tiers whose value and accept flag at an argument do not depend on the rest
-# of their batch.  The cascade runs them over windows of _CASCADE_CHUNK
-# positions of its input, so their selections, tolerances and results stay
-# small; a window holds whole blocks of _EXPANSION_BLOCK values
-_ELEMENTWISE = frozenset({_contour_neg, _asym_neg, _asym_pos})
-_CASCADE_CHUNK = 2**15
+# the cascade runs its tiers and fallbacks over windows of about this many
+# positions of its input, so their selections, tolerances and working arrays
+# stay small.  The input splits into the nearest whole number of equal
+# windows, so an input a little over one window (the alpha sweep's 256 x 33
+# kernels) stays whole rather than leaving a small window to pay each tier's
+# fixed cost again
+_CASCADE_CHUNK = 2**13
 
 
 def _cascade(alpha, beta, z, tiers, pending=None, out=None):
@@ -971,47 +955,41 @@ def _cascade(alpha, beta, z, tiers, pending=None, out=None):
     ``pending`` is set (it is cleared as they are evaluated).  Writes them
     into ``out`` (a new array by default) and returns it.
 
-    Each tier sees the still-pending arguments in its band of ``m`` and
-    keeps the values whose error estimate meets the tolerance; whatever
-    every tier declines goes to arbitrary precision: where ``z < 0`` and
-    ``m > _M_MP_SERIES`` the expansion, and the contour sum where that
-    declines, the power series otherwise.  The
-    series sees its whole band at once, in array order; the elementwise
-    tiers run window by window (see the module docstring).
+    Window by window, each tier sees the still-pending arguments in its band
+    of ``m`` and keeps the values whose error estimate meets the tolerance;
+    whatever every tier declines goes to arbitrary precision: where ``z < 0``
+    and ``m > _M_MP_SERIES`` the expansion, and the contour sum where that
+    declines, the power series otherwise.
     """
     pending = np.ones(z.shape, dtype=bool) if pending is None else pending
     out = np.empty_like(z) if out is None else out
-    # in place, with the bits of np.abs(z) ** (1/alpha): ``**=`` takes the
-    # same scalar fast paths as ``**`` (sqrt for alpha = 2)
-    m = np.abs(z)
-    with np.errstate(over="ignore"):  # m = inf for alpha far below 1
-        m **= 1.0 / alpha
-
-    # consecutive elementwise tiers go window by window, any other tier over
-    # the whole input at once
-    for windowed, group in itertools.groupby(tiers, lambda t: t[1] in _ELEMENTWISE):
-        group = tuple(group)
-        step = _CASCADE_CHUNK if windowed else max(1, z.size)
-        for start in range(0, z.size, step):
-            w = slice(start, start + step)
-            for (lo, hi), tier in group:
-                sel = pending[w] & (m[w] > lo) & (m[w] <= hi)
-                if np.any(sel):
-                    zs = z[w][sel]
-                    tol = np.where(np.abs(zs) <= _NEAR_LIMIT, _TOL_NEAR, _TOL_FAR)
-                    val, ok = tier(alpha, beta, zs, tol)
-                    idx = np.flatnonzero(sel)[ok]
-                    out[w][idx] = val[ok]
-                    pending[w][idx] = False
-    # the fallbacks and the band edge between them are looked up at call
-    # time, so they can be wrapped or moved from outside
-    for i in np.flatnonzero(pending):
-        v = float(z[i])
-        if v < 0.0 and m[i] > _M_MP_SERIES:
-            val = _expansion_mp(alpha, beta, v)
-            out[i] = _contour_mp(alpha, beta, v) if val is None else val
-        else:
-            out[i] = _mpmath_single(alpha, beta, v)
+    step = max(1, -(-z.size // max(1, round(z.size / _CASCADE_CHUNK))))
+    for start in range(0, z.size, step):
+        w = slice(start, start + step)
+        zw, todo, res = z[w], pending[w], out[w]
+        # in place, with the bits of np.abs(zw) ** (1/alpha): ``**=`` takes
+        # the same scalar fast paths as ``**`` (sqrt for alpha = 2)
+        m = np.abs(zw)
+        with np.errstate(over="ignore"):  # m = inf for alpha far below 1
+            m **= 1.0 / alpha
+        for (lo, hi), tier in tiers:
+            sel = todo & (m > lo) & (m <= hi)
+            if np.any(sel):
+                zs = zw[sel]
+                tol = np.where(np.abs(zs) <= _NEAR_LIMIT, _TOL_NEAR, _TOL_FAR)
+                val, ok = tier(alpha, beta, zs, tol)
+                idx = np.flatnonzero(sel)[ok]
+                res[idx] = val[ok]
+                todo[idx] = False
+        # the fallbacks and the band edge between them are looked up at call
+        # time, so they can be wrapped or moved from outside
+        for i in np.flatnonzero(todo):
+            v = float(zw[i])
+            if v < 0.0 and m[i] > _M_MP_SERIES:
+                val = _expansion_mp(alpha, beta, v)
+                res[i] = _contour_mp(alpha, beta, v) if val is None else val
+            else:
+                res[i] = _mpmath_single(alpha, beta, v)
     return out
 
 

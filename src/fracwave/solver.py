@@ -20,10 +20,10 @@ gives exact zeros on the boundary.  Every solve can report an estimate,
 not a bound (``truncation_tail``), of the norm its truncated mode sum misses.
 
 ``solve_field``, ``solve_grid`` and ``write_grid_snapshots_csv`` take the
-time rows in blocks of at most ``_CASCADE_CHUNK`` mode x row values (one
-``ml`` window): per block, the two kernels the quantity reads, their
-combination and the synthesized field rows, written into the returned array
-or to the CSV file, so no solve holds an N x (M+1) array.  The array solves
+time rows in blocks of at most ``_BLOCK_VALUES`` mode x row values: per
+block, the two kernels the quantity reads, their combination and the
+synthesized field rows, written into the returned array or to the CSV
+file, so no solve holds an N x (M+1) array.  The array solves
 run in this process.  ``fracwave solve``'s snapshot CSV is one of the
 package's two fork sites (``verify``'s check shares are the other): a forked
 child may compute and format the later half of its rows
@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .fracops import TimeGrid
-from .mittag_leffler import _CASCADE_CHUNK, DECAY_SAMPLES, MLParams, ml, verify_decay_bound
+from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
 from .params import FracOrder, as_alpha
 from .spectral import (_FORK_MIN_VALUES, ModeCoefficients, SpectralDomain, _csv_file, _fork_width,
                        _forked, _grid_size, _grid_synthesis, _table_lines, _write_csv, _write_json,
@@ -130,9 +130,8 @@ class ModePropagator:
         """The propagator of the first ``n`` modes on the same times, sharing
         the kernels this one has computed so far as row views; a kernel
         computed later is computed for the ``n`` modes alone.  A row view
-        has the bits of the smaller propagator's own kernel where an ``ml``
-        value does not depend on the rest of its call, which the tests check
-        on the grids ``verify`` reads this way."""
+        has the bits of the smaller propagator's own kernel, since an ``ml``
+        value does not depend on its call."""
         sub = object.__new__(ModePropagator)
         sub.lam, sub.alpha, sub.times, sub.z = self.lam[:n], self.alpha, self.times, self.z[:n]
         for name in ("e1", "te2", "ea", "eam1"):
@@ -264,9 +263,13 @@ def coefficient_evolution(query: SolutionQuery) -> np.ndarray:
     return getattr(prop, query.which)(query.data.a[:n], query.data.b[:n])
 
 
+# mode x row values per block of time rows (256 KiB of each kernel)
+_BLOCK_VALUES = 2**15
+
+
 def _block_rows(modes: int) -> int:
-    """Time rows per block: one ``ml`` cascade window of mode x row values."""
-    return max(1, _CASCADE_CHUNK // modes)
+    """Time rows per block: at most ``_BLOCK_VALUES`` mode x row values."""
+    return max(1, _BLOCK_VALUES // modes)
 
 
 def _row_blocks(query: SolutionQuery, synth, start: int, stop: int):

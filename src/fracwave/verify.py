@@ -21,11 +21,11 @@ draws in one contraction (``boundary._traces``), and its route reports
 reuse the traces its first study computed.  ``check_ml_identities`` makes
 one ``ml`` call per order, and its oracle, the fallback ``_mpmath_single``,
 takes all but the first q coefficients of alpha = p/q by exact recurrence.
-None of this sharing moves a bit: an ``ml`` value does not depend on the
-other entries of its call, nor a trace on the other draws of its
-contraction (the tests pin both on the grids used here), the recurrence
-rounds to the doubles of the gamma-per-term series (tested for q <= 8), and
-the draws and traces are the same arrays, computed once.
+None of this sharing moves a bit: an ``ml`` value does not depend on its
+call, nor a trace on the other draws of its contraction (the tests pin
+that on the grids used here), the recurrence rounds to the doubles of the
+gamma-per-term series (tested for q <= 8), and the draws and traces are
+the same arrays, computed once.
 """
 
 from __future__ import annotations

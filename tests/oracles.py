@@ -96,30 +96,31 @@ def _series_length(alpha: float, m_max: float) -> int:
 
 
 def series_double_ref(alpha: float, beta: float, z, tol):
-    """The Kahan-compensated series tier as one expression per step, over a
-    table built whole for its half-axis (out to m = 12 for negative ``z``,
-    60 for positive), declining where any of its ``n`` ratios reaches
-    ``_FACTOR_MAX / max|z|``; returns (value, accept mask)."""
-    zmax = float(np.max(np.abs(z)))
-    ratios, c0 = series_table_ref(alpha, beta, _series_length(alpha, 60.0 if z[0] > 0.0 else 12.0))
-    n = min(_series_length(alpha, zmax ** (1.0 / alpha)), ratios.size)
-    if not np.max(np.abs(ratios[:n])) < _FACTOR_MAX / zmax:
-        return np.zeros_like(z), np.zeros(z.shape, dtype=bool)
-    t = np.full(z.shape, c0)
-    s = t.copy()
-    comp = np.zeros_like(s)
-    acc = np.abs(t)
-    for k in range(n - 1):
-        t = t * (z * ratios[k])
-        y = t - comp
-        tmp = s + y
-        comp = (tmp - s) - y
-        s = tmp
-        acc += np.abs(t)
-        if k > 4 and np.all(np.abs(t) <= 1e-20 * acc):
-            break
-    est = 4.0 * _EPS * acc + np.abs(t)
-    return s, est <= tol * np.abs(s)
+    """The Kahan-compensated series tier on each value alone, in Python
+    floats, over a table built whole for its half-axis (out to m = 12 for
+    negative ``z``, 60 for positive): declined where ``|z|`` times any of
+    its ``n`` ratios (``n`` at its own ``m``) reaches ``_FACTOR_MAX``, and
+    stopped after the first 8 terms that end on ``|t| <= 1e-20 acc`` or
+    reach ``n - 1`` terms; returns (value, accept mask)."""
+    m_cap = 60.0 if z[0] > 0.0 else 12.0
+    ratios, c0 = series_table_ref(alpha, beta, _series_length(alpha, m_cap) + 8)
+    val, ok = np.zeros_like(z), np.zeros(z.shape, dtype=bool)
+    for i, (x, m) in enumerate(zip(z.tolist(), np.abs(z) ** (1.0 / alpha))):
+        n = _series_length(alpha, min(m, m_cap))
+        if float(np.max(ratios[:n])) * abs(x) < _FACTOR_MAX:
+            t = s = c0
+            comp, acc, k = 0.0, abs(t), 0
+            while True:
+                t = t * (x * float(ratios[k]))
+                y = t - comp
+                tmp = s + y
+                comp, s = (tmp - s) - y, tmp
+                acc += abs(t)
+                k += 1
+                if k % 8 == 0 and (abs(t) <= 1e-20 * acc or k >= n - 1):
+                    break
+            val[i], ok[i] = s, 4.0 * _EPS * acc + abs(t) <= tol[i] * abs(s)
+    return val, ok
 
 
 def asym_coeffs_ref(alpha: float, beta: float) -> np.ndarray:
@@ -175,8 +176,8 @@ def algebraic_masked_ref(alpha: float, beta: float, z, coeffs):
     still add or stop at lies below ``2**-54`` times that value's
     ``|sum|``, bounding ``|1/Gamma(x)|`` by 1.13 for ``x > 0`` and by
     ``Gamma(1 - x)/pi`` for ``x < 0`` (times 1.01 for rounding) and
-    ``|z|**-j`` by ``zmin**(1-j)/|z|``; the running values then take that
-    bound as their estimate.
+    ``|z|**-j`` by ``zmin**(1-j)/|z|``.  Every estimate is then raised to
+    at least ``2**-54 |sum|``.
     """
     skips = [False] * _ASYM_KMAX
     end = _ASYM_KMAX + 1
@@ -201,7 +202,7 @@ def algebraic_masked_ref(alpha: float, beta: float, z, coeffs):
     est = np.zeros_like(z)
     for k in range(1, _ASYM_KMAX + 1):
         if k == end:
-            return s, s_abs, est
+            break
         rg = 0.0 if skips[k - 1] else coeffs[k - 1]
         if rg != 0.0:
             t = p * rg
@@ -219,11 +220,11 @@ def algebraic_masked_ref(alpha: float, beta: float, z, coeffs):
                          * math.log(np.where(active, az, np.inf).min()))
             bound = math.exp(min(top, 709.0)) + slack
             if top > -np.inf and bound < 2.0**-54 * np.where(active, np.abs(s) * az, np.inf).min():
-                np.copyto(est, bound / az, where=active)
-                return s, s_abs, est
+                break
         p = p * invz
-    np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
-    return s, s_abs, est
+    else:
+        np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
+    return s, s_abs, np.maximum(est, 2.0**-54 * np.abs(s))
 
 
 def contour_blocks_ref(alpha: float, beta: float, x, mu, u):

@@ -1,7 +1,10 @@
 """Largest relative change of every numeric field between two reports of
-``fracwave verify all --out``.
+``fracwave verify all --out``, or of every entry between two snapshot CSVs
+or two raw float64 files.
 
     python tests/report_diff.py OLD.json NEW.json [--max-rel X]
+    python tests/report_diff.py OLD.csv NEW.csv [--max-rel X]
+    python tests/report_diff.py OLD.f64 NEW.f64 [--max-rel X]
 
 A field is the path of keys from a criterion's name down to a number, with
 list positions left out, so that a list of numbers is one field, reported
@@ -12,16 +15,27 @@ largest change overall.  Fields present in only one report, and
 non-numeric values that differ (``passed`` flags, names), are named on
 lines of their own.
 
-With ``--max-rel X`` the exit status is 1 when any numeric field changed
-by more than ``X``, or any leaf has no equal counterpart (a non-numeric
-value that differs, a field in one report only), and 0 otherwise.
+A CSV (``fracwave solve``'s snapshots, ``fracwave hidden``'s trace) is
+compared cell by cell below its header, and a ``.f64`` file (the alpha
+sweep of ``output_digests.py``) entry by entry.  The lines give the number
+of entries and of those that changed, the largest absolute change over the
+largest ``|old|``, and the largest relative change with its column and row
+(or its entry); a header or shape that differs is named instead.
+
+With ``--max-rel X`` the exit status is 1 when any numeric field or entry
+changed by more than ``X``, or any leaf has no equal counterpart (a
+non-numeric value that differs, a field in one report only, a header or
+shape that differs), and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import sys
+
+import numpy as np
 
 
 def leaves(node, field="", at=()):
@@ -89,6 +103,38 @@ def report_lines(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def _entries(path: str):
+    """``(header, values)``: a CSV's header and its other rows as a float
+    array, or no header and the float64 entries of any other file."""
+    if not path.endswith(".csv"):
+        return None, np.fromfile(path, dtype=np.float64)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], np.array(rows[1:], dtype=float)
+
+
+def array_lines(old, new) -> tuple[list[str], float]:
+    """The lines comparing two ``_entries`` results, and their largest
+    relative change (``inf`` where their headers or shapes differ)."""
+    (head, a), (head_new, b) = old, new
+    if head != head_new:
+        return ["header differs"], math.inf
+    if a.shape != b.shape:
+        return [f"shape differs: {a.shape} -> {b.shape}"], math.inf
+    lines = [f"entries: {a.size}, changed: {np.count_nonzero(a != b)}"]
+    if a.size == 0:
+        return lines, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(a == b, 0.0, np.abs(b - a) / np.abs(a))
+    scale = np.max(np.abs(a))
+    lines.append(f"largest absolute change / largest |old|: "
+                 f"{np.max(np.abs(b - a)) / scale if scale else 0.0:.3g}")
+    at = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    where = f"entry {at[0]}" if head is None else f"{head[at[1]]} at row {at[0] + 1}"
+    lines.append(f"largest: {rel[at]:.3g}  {where}")
+    return lines, float(rel[at])
+
+
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     max_rel = None
@@ -103,6 +149,13 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    if not args[0].endswith(".json"):
+        lines, largest = array_lines(_entries(args[0]), _entries(args[1]))
+        print("\n".join(lines))
+        over = max_rel is not None and not largest <= max_rel
+        if over:
+            print(f"over --max-rel {max_rel:g}")
+        return int(over)
     with open(args[0]) as fh_old, open(args[1]) as fh_new:
         old, new = json.load(fh_old), json.load(fh_new)
     print("\n".join(report_lines(old, new)))

@@ -311,12 +311,13 @@ class TestCascade:
     @pytest.mark.parametrize("tier,sign,m_max", [(_asym_neg, -1.0, 5000.0),
                                                  (_asym_pos, 1.0, 700.0)])
     def test_expansion_blocks_keep_the_bits(self, tier, sign, m_max):
-        # 20,000 values run in blocks whose edges fall mid-array; each
-        # 1,000-value slice fits in one block
+        # 20,000 values, more than two cascade windows, keep the bits of
+        # the same values run 1,000 at a time: where the expansion's loop
+        # stops for a batch changes no value nor its acceptance
         alpha, beta = 1.37, 1.11
         z = sign * np.random.default_rng(5).uniform(2.0, m_max, 20_000) ** alpha
         tol = np.where(np.abs(z) <= 64.0, 3e-11, 1e-9)
-        assert 1_000 < mlmod._EXPANSION_BLOCK < z.size / 2
+        assert 1_000 < mlmod._CASCADE_CHUNK < z.size / 2
         val, ok = tier(alpha, beta, z, tol)
         parts = [tier(alpha, beta, z[i : i + 1_000], tol[i : i + 1_000])
                  for i in range(0, z.size, 1_000)]
@@ -556,14 +557,32 @@ def _solver_grid(N=512, M=512, alpha=1.5):
     return -np.outer(lam, np.linspace(0.0, 1.0, M + 1) ** alpha)
 
 
+def _every_band(rng, alpha, size):
+    """``size`` arguments drawn from every band of ``m`` on both half-axes,
+    shuffled, with a zero every 50th: the series, the contour sum and the
+    expansion on the negative axis up to ``|z| = Z_MAX``, the series and the
+    exponential lead on the positive axis up to ``m = 690``, where every
+    value still fits in a double."""
+    n = size // 6
+    top = math.log10(Z_MAX) / alpha
+    m = np.concatenate([rng.uniform(0.0, 12.0, n), rng.uniform(12.0, 46.0, n),
+                        rng.uniform(46.0, 100.0, n), 10.0 ** rng.uniform(2.0, top, n)])
+    z = np.concatenate([-np.minimum(m**alpha, Z_MAX), rng.uniform(0.0, 60.0, n) ** alpha,
+                        rng.uniform(60.0, 690.0, size - 5 * n) ** alpha])
+    rng.shuffle(z)
+    z[::50] = 0.0
+    return z
+
+
 class TestWindows:
-    # the elementwise tiers run over windows of _CASCADE_CHUNK positions;
-    # the series tier and the fallbacks see the whole input
+    # the cascade runs every tier and both fallbacks over windows of
+    # _CASCADE_CHUNK positions of its input; no value depends on the window
+    # or on the rest of its call
 
     def test_window_size_keeps_the_bits(self, monkeypatch):
         alpha, beta = 1.2872677996249964, 1.0
         rng = np.random.default_rng(11)
-        n = 3 * mlmod._CASCADE_CHUNK + 5_000
+        n = 103_304
         # every band of m on the negative axis, both positive bands, zeros
         m = np.concatenate([rng.uniform(0.0, 12.0, n // 5), rng.uniform(12.0, 46.0, n // 5),
                             rng.uniform(46.0, 100.0, n // 5),
@@ -580,8 +599,23 @@ class TestWindows:
         monkeypatch.setattr(mlmod, "_mpmath_single", counting)
         windowed = ml(MLParams(alpha, beta), z)
         assert fallbacks
-        monkeypatch.setattr(mlmod, "_CASCADE_CHUNK", z.size + 1)
-        assert np.array_equal(ml(MLParams(alpha, beta), z), windowed)
+        # windows whose edges fall mid-band, and one window over everything
+        for chunk in (1_000, z.size + 1):
+            monkeypatch.setattr(mlmod, "_CASCADE_CHUNK", chunk)
+            assert np.array_equal(ml(MLParams(alpha, beta), z), windowed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.1, 2.0), beta=st.floats(0.01, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_a_value_is_its_own(self, alpha, beta, seed):
+        # each entry of a batch has the bits of the entry evaluated alone,
+        # whatever the window
+        z = _every_band(np.random.default_rng(seed), alpha, 150)
+        p = MLParams(alpha, beta)
+        alone = np.array([ml(p, z[i : i + 1])[0] for i in range(z.size)])
+        for chunk in (13, mlmod._CASCADE_CHUNK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mlmod, "_CASCADE_CHUNK", chunk)
+                assert ml(p, z).tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("shape", [(512, 512), (1024, 1025)])
     def test_peak_memory_is_a_small_multiple_of_the_input(self, shape):
@@ -596,6 +630,23 @@ class TestWindows:
             finally:
                 tracemalloc.stop()
             assert peak <= 4 * z.nbytes
+
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.9])
+    def test_small_t_solver_block_peak_memory(self, alpha):
+        # one solver block of the 512-mode interval: its first 64 rows, most
+        # of them in the series band and the contour's.  The contour's
+        # (values x nodes) blocks set the peak, 5.3-8.3 times the input
+        for steps in (512, 2048, 16384):
+            z = np.ascontiguousarray(_solver_grid(512, steps, alpha)[:, :64])
+            for beta in (1.0, 2.0):
+                ml(MLParams(alpha, beta), z)  # the coefficient tables, built once
+                tracemalloc.start()
+                try:
+                    ml(MLParams(alpha, beta), z)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 9 * z.nbytes
 
     def test_empty_input(self):
         for z in (np.array([]), np.empty((3, 0))):
@@ -1035,10 +1086,9 @@ class TestOnDemandTables:
         assert ok.any()
 
     def test_series_band_peak_memory(self):
-        # 2**18 values all in the series band: about 9.5 times the input
-        # (the result, m, the selection and its tolerances, and the five
-        # arrays of the series loop), where the one-expression-per-step loop
-        # of oracles.series_double_ref takes 11.5 times
+        # 2**18 values all in the series band: about 2.0 times the input
+        # (the result, two masks, and one window's m, selection and series
+        # arrays)
         z = -(np.random.default_rng(3).uniform(0.0, 12.0, 2**18) ** 1.5)
         ml(MLParams(1.5, 1.0), z)  # the table, built once
         tracemalloc.start()
@@ -1047,7 +1097,7 @@ class TestOnDemandTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * z.nbytes
+        assert peak <= 2.5 * z.nbytes
 
     def test_threads_extend_one_record(self, empty_tables):
         # four threads grow the same order's two tables, each to its own
@@ -1115,9 +1165,10 @@ def _expansion_block(rng, alpha, sign, size=3_000):
 class TestAlgebraicExit:
     # the algebraic series stops once no later term can change a running
     # sum; against the 40-term loop (oracles.algebraic_ref) its sums keep
-    # their bits and the expansions accept the same values.  It adds its
-    # terms without masks until a value stops, and keeps every bit of the
-    # loop that masks each update (oracles.algebraic_masked_ref)
+    # their bits, its estimate is that loop's raised to 2**-54 |sum|, and
+    # the expansions accept the same values.  It adds its terms without
+    # masks until a value stops, and keeps every bit of the loop that masks
+    # each update (oracles.algebraic_masked_ref)
     NEAR_POLE = [(1.3, 1.0 + 1e-5), (1.3, 1.0 - 1e-5), (1.5, 1.0 + 1e-7), (0.7, 0.4 + 1e-6)]
     # series that skip an exact pole, and for integer alpha end at one
     AT_POLE = [(1.5, 1.5), (2.0, 0.5), (1.0, 0.25), (2.0, 3.0)]
@@ -1127,14 +1178,18 @@ class TestAlgebraicExit:
         s, s_abs, est = mlmod._algebraic(alpha, beta, z)
         masked = algebraic_masked_ref(alpha, beta, z, asym_coeffs_ref(alpha, beta))
         assert [a.tobytes() for a in (s, s_abs, est)] == [a.tobytes() for a in masked]
-        ref = algebraic_ref(alpha, beta, z, asym_coeffs_ref(alpha, beta))
-        assert s.tobytes() == ref[0].tobytes() and s_abs.tobytes() == ref[1].tobytes()
-        assert np.all(est >= ref[2]) and np.all(est - ref[2] < 2.0**-54 * np.abs(s) + 1e-300)
+
+        def whole(a, b, zz):  # the whole loop, its estimate raised to 2**-54 |sum|
+            s, s_abs, est = algebraic_ref(a, b, zz, asym_coeffs_ref(a, b))
+            return s, s_abs, np.maximum(est, 2.0**-54 * np.abs(s))
+
+        ref = whole(alpha, beta, z)
+        assert [a.tobytes() for a in (s, s_abs, est)] == [a.tobytes() for a in ref]
         tol = np.where(np.abs(z) <= 64.0, 3e-11, 1e-9)
         tier = _asym_neg if z[0] < 0.0 else _asym_pos
         val, ok = tier(alpha, beta, z, tol)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(mlmod, "_algebraic", lambda a, b, zz: algebraic_ref(a, b, zz, asym_coeffs_ref(a, b)))
+            m.setattr(mlmod, "_algebraic", whole)
             ref_val, ref_ok = tier(alpha, beta, z, tol)
         assert val.tobytes() == ref_val.tobytes() and ok.tolist() == ref_ok.tolist()
 
@@ -1158,7 +1213,7 @@ class TestAlgebraicExit:
         # the loop stops before reading every coefficient
         lam = (np.arange(1, 513) * math.pi) ** 2
         z = -np.outer(lam, np.linspace(0.0, 1.0, 65) ** alpha).ravel()
-        z = z[np.abs(z) ** (1.0 / alpha) > 46.0][:mlmod._EXPANSION_BLOCK]
+        z = z[np.abs(z) ** (1.0 / alpha) > 46.0][:mlmod._CASCADE_CHUNK]
         self._check(alpha, beta, z)
         if alpha != round(alpha):
             assert mlmod._tables(alpha, beta).coeffs.size < mlmod._ASYM_KMAX

@@ -1,6 +1,8 @@
 import json
 import math
 
+import numpy as np
+
 from report_diff import main, relative_change, report_lines
 
 OLD = {
@@ -120,3 +122,41 @@ def test_max_rel_needs_a_number(tmp_path, capsys):
     assert main(paths + ["--max-rel"]) == 2
     assert main(paths + ["--max-rel", "small"]) == 2
     assert "--max-rel X" in capsys.readouterr().err
+
+
+def test_snapshot_csvs_by_entry(tmp_path, capsys):
+    header = "t,x=0.0,x=0.5\n"
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text(header + "0.0,0.0,2.0\n0.5,0.0,-4.0\n")
+    new.write_text(header + "0.0,0.0,2.0\n0.5,0.0,-4.0000000000000018\n")
+    assert main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "entries: 6, changed: 1",
+        "largest absolute change / largest |old|: 4.44e-16",
+        "largest: 4.44e-16  x=0.5 at row 2",
+    ]
+    assert main([str(old), str(new), "--max-rel", "1e-15"]) == 0
+    assert main([str(old), str(new), "--max-rel", "1e-16"]) == 1
+    other = tmp_path / "other.csv"
+    other.write_text("t,x=0.0,x=0.25\n0.0,0.0,2.0\n0.5,0.0,-4.0\n")
+    assert main([str(old), str(other), "--max-rel", "1"]) == 1
+    assert "header differs" in capsys.readouterr().out
+
+
+def test_raw_float64_files_by_entry(tmp_path, capsys):
+    old, new = tmp_path / "old.f64", tmp_path / "new.f64"
+    a = np.array([1.0, 0.0, -3.0, 8.0])
+    a.tofile(old)
+    b = a.copy()
+    b[1] = 1e-300
+    b.tofile(new)
+    assert main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "entries: 4, changed: 1",
+        "largest absolute change / largest |old|: 1.25e-301",
+        "largest: inf  entry 1",
+    ]
+    assert main([str(old), str(old), "--max-rel", "0"]) == 0
+    a[:3].tofile(new)
+    assert main([str(old), str(new), "--max-rel", "1"]) == 1
+    assert "shape differs: (4,) -> (3,)" in capsys.readouterr().out

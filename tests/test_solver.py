@@ -9,7 +9,7 @@ import pytest
 import fracwave.solver
 import fracwave.spectral
 from fracwave.fracops import SampledPath, TimeGrid, caputo_derivative
-from fracwave.mittag_leffler import _CASCADE_CHUNK, MLParams, ml
+from fracwave.mittag_leffler import MLParams, ml
 from fracwave.params import FracOrder
 from fracwave.presets import poly_bump, random_decay, single_mode
 from fracwave.solver import (
@@ -187,26 +187,30 @@ class TestModePropagator:
         params = MLParams(alpha, beta)
         assert np.array_equal(ml(params, z)[:64], ml(params, rows))
 
-    def test_head_shares_computed_kernels(self, monkeypatch):
-        t = TimeGrid(1.0, 192).nodes
+    def test_head_shares_computed_kernels(self):
+        # uniform times, and random times on which the head's series band
+        # ends near m = 11.6, where the other 64 modes' runs on to m = 12
         lam = build_interval(1.0, 128).eigenvalues
-        prop = ModePropagator(lam, 1.5, t)
         data = random_decay(64, 2.0, 3)
-        want = ModePropagator(lam[:64], 1.5, t).value(data.a, data.b)
-        prop.value(np.zeros(128), np.zeros(128))
-        calls = []
-        original = fracwave.solver.ml
-        monkeypatch.setattr(fracwave.solver, "ml",
-                            lambda params, z: calls.append(params.beta) or original(params, z))
-        head = prop.head(64)
-        assert np.array_equal(head.z, ModePropagator(lam[:64], 1.5, t).z)
-        assert np.array_equal(head.value(data.a, data.b), want)
-        assert calls == []
-        # a kernel the larger propagator has not computed is computed for
-        # the head's rows alone
-        head.velocity(data.a, data.b)
-        assert calls == [1.5]
-        assert "ea" not in vars(prop)
+        for alpha, t in ((1.5, TimeGrid(1.0, 192).nodes),
+                         (1.75, np.sort(np.random.default_rng(0).uniform(0.0, 0.027, 193)))):
+            prop = ModePropagator(lam, alpha, t)
+            want = ModePropagator(lam[:64], alpha, t).value(data.a, data.b)
+            prop.value(np.zeros(128), np.zeros(128))
+            calls = []
+            original = fracwave.solver.ml
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fracwave.solver, "ml",
+                              lambda params, z: calls.append(params.beta) or original(params, z))
+                head = prop.head(64)
+                assert np.array_equal(head.z, ModePropagator(lam[:64], alpha, t).z)
+                assert np.array_equal(head.value(data.a, data.b), want)
+                assert calls == []
+                # a kernel the larger propagator has not computed is computed
+                # for the head's rows alone
+                head.velocity(data.a, data.b)
+            assert calls == [alpha]
+            assert "ea" not in vars(prop)
 
 
 class TestSolveField:
@@ -352,8 +356,7 @@ class TestBoundedAssembly:
         assert peak < 8 * field.nbytes
         # streamed to CSV, nothing grows with the steps: at 4096 steps an
         # N x (M+1) kernel grid would be 14.7 MB larger than at 512, while
-        # the peaks differ by at most the ML working set of one block (its
-        # series tier holds about seven arrays of the block's values)
+        # the peaks differ by at most the working set of one block
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process to trace
         peaks = []
         for steps in (512, 4096):
@@ -364,7 +367,7 @@ class TestBoundedAssembly:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < 8 * 8 * _CASCADE_CHUNK
+        assert abs(peaks[1] - peaks[0]) < 8 * 8 * fracwave.solver._BLOCK_VALUES
 
     def test_boundary_derivatives_built_on_first_use(self):
         dom = build_rectangle(1.0, 1.5, 4096)
