@@ -20,7 +20,8 @@ so there is no hand-tuned switch radius.  Negative axis:
 3. the large-argument expansion: optimally truncated algebraic series plus
    the conjugate saddle pair ``(2/alpha) Re[w**(1-beta) e**w]``,
    ``w = m e**(i pi/alpha)`` (present for ``alpha > 1``; for ``alpha`` near 2
-   the damped oscillation dominates and is essential),
+   the damped oscillation dominates and is essential; at ``alpha = 1``
+   half the pair, the one real pole ``z**(1-beta) e**z``),
 4. the contour sum again, for ``m > 46``, where the expansion is not yet
    accurate.
 
@@ -49,12 +50,12 @@ grids of 2**18 values it read under 2 times.  A solve's ``ml`` working set
 is bounded by its block, not by its grid.
 
 The series' term ratios ``c_{k+1}/c_k`` of ``c_k = 1/Gamma(alpha k +
-beta)`` and the expansions' coefficients ``1/Gamma(beta - alpha k)`` are
-doubles rounded from 20-digit reciprocal gammas, one table of each per
-(alpha, beta).  Each grows only as far as it is read: the series extends
-its ratios ``_SERIES_CHUNK`` (8) at a time when its loop reaches their end,
-the algebraic series its coefficients ``_ASYM_CHUNK`` (8) at a time, and
-the contour sum reads the lead coefficient alone.  Every entry is the same
+beta)`` and the expansions' coefficients ``1/Gamma(beta - alpha k)`` (c_k
+at k < 0) are doubles rounded from 20-digit reciprocal gammas, one table of
+each per (alpha, beta).  Each grows only as far as it is read: the series
+extends its ratios ``_SERIES_CHUNK`` (8) at a time when its loop reaches
+their end, the algebraic series its coefficients ``_ASYM_CHUNK`` (8) at a
+time, and the contour sum reads the lead coefficient alone.  Every entry is the same
 20-digit computation whenever it is built, so a grown table has the bits of
 one built whole.  The algebraic series also stops early: after each
 ``_ASYM_CHUNK`` terms it bounds every later term it could add, ``|1/Gamma(x)|``
@@ -66,17 +67,24 @@ value's estimate is at least that much, so it does not depend on where the
 loop ended.  Until the first of its values stops, it adds its terms in
 place and without masks.
 
+Every reciprocal gamma, in the tables and in arbitrary precision, is a c_k
+at its exactly formed argument (``_series_coeff``), and one rule decides
+the poles, in integer arithmetic (``_pole_terms``).  A pole's coefficient
+is zero; for integer ``alpha`` the algebraic series ends there.  The terms
+within 1e-6 of a pole are added, and stop on their own growth rather than
+the other terms'.
+
 Whatever every tier declines goes to arbitrary precision.  On the negative
 axis above ``m = 100``, for ``alpha > 1``, that is first the large-argument
-expansion: the algebraic series, with its coefficients at the exactly
-formed arguments, plus the saddle pair; these are the values next to a
-zero of the function, which the double tiers must decline.  It takes fewer
-terms the larger ``m`` is: about 75 just above ``m = 100`` for alpha near 1, about 10
-at ``m = 250``.  It keeps its value only where a bound on its remainder lies 20 digits below
-the value; what it declines goes to the contour sum, with its step halved
-until it converges.  Both raise their working precision until the rounding
-of their terms lies 20 digits below the value, so neither's cost grows with
-``m``.  Everything else is summed as ``sum_k z**k c_k`` with an
+expansion: the algebraic series plus the saddle pair; these are the
+values next to a zero of the function, which the double tiers must
+decline.  It takes fewer terms the larger ``m`` is: about 75 just above
+``m = 100`` for alpha near 1, about 10 at ``m = 250``.  It keeps its value
+only where a bound on its remainder lies 20 digits below the value; what it
+declines goes to the contour sum, with its step halved until it converges.
+Both run through one loop that raises their working precision until the
+rounding of their terms lies 20 digits below the value, so neither's cost
+grows with ``m``.  Everything else is summed as ``sum_k z**k c_k`` with an
 incrementally updated power, at ``30 + 0.45 m`` digits (twice that per unit
 of ``m`` for ``alpha <= 1``).  Each coefficient ``c_k`` is taken at that
 precision when the sum reaches it, so the fallback keeps no state between
@@ -223,12 +231,8 @@ def _tables(alpha: float, beta: float):
 
 
 # ---------------------------------------------------------------------------
-# reciprocal gammas.  Every one the module takes comes from mpmath's raw
-# routine at the context's precision, which skips the context's argument
-# conversion on every call: the double tables rounded from _TABLE_DPS digits
-# (the expansions' coefficients 1/Gamma(beta - alpha k) and the series tier's
-# term ratios c_{k+1}/c_k), the arbitrary-precision power series' c_k and the
-# contour sum's lead 1/Gamma(beta - alpha).
+# reciprocal gammas: every one the module takes is ``_series_coeff``, from
+# mpmath's raw routine, which skips the context's argument conversion
 
 _TABLE_DPS = 20
 _NEAREST = libmp.round_nearest
@@ -241,24 +245,27 @@ def _rgamma_raw(ctx, x):
     return libmp.mpf_rgamma(x, ctx.prec, _NEAREST)
 
 
-def _series_coeff(ctx, a, b, k: int):
-    """``c_k = 1/Gamma(alpha k + beta)`` at the context's precision, from the
-    raw ``a`` = alpha and ``b`` = beta, at the argument formed exactly."""
-    return _rgamma_raw(ctx, libmp.mpf_add(libmp.mpf_mul(a, libmp.from_int(k)), b))
+def _series_coeff(ctx, order, k: int):
+    """``c_k = 1/Gamma(alpha k + beta)`` at the context's precision, at the
+    argument formed exactly from ``order = _dyadic(alpha, beta)``, for any
+    integer ``k`` (zero at a pole)."""
+    step, x0, e = order
+    return _rgamma_raw(ctx, libmp.from_man_exp(x0 + k * step, -e))
 
 
-def _rgamma_double(ctx, x: float) -> float:
-    """``1/Gamma(x)`` from the context's precision, rounded to double; 0.0 at
-    the poles and where ``Gamma(x)`` overflows the double range (``x`` above
-    about 171.62)."""
-    r = libmp.to_float(_rgamma_raw(ctx, libmp.from_float(x)), rnd=_NEAREST)
-    return r if abs(r) * sys.float_info.max >= 1.0 else 0.0
+def _dyadic(alpha: float, beta: float):
+    """``(D alpha, D beta, log2 D)`` in integers, ``D`` the larger of the two
+    doubles' denominators (both powers of two)."""
+    p, q = alpha.as_integer_ratio()
+    bn, bd = beta.as_integer_ratio()
+    d = max(q, bd)
+    return p * (d // q), bn * (d // bd), d.bit_length() - 1
 
 
 def _asym_coeffs(alpha: float, beta: float, size: int) -> np.ndarray:
-    """``1/Gamma(beta - alpha k)`` for k = 1..``size`` at least, each at the
-    argument as rounded to double: the coefficients of the algebraic series,
-    the first also the contour's lead term.
+    """``1/Gamma(beta - alpha k)`` for k = 1..``size`` at least: the
+    coefficients of the algebraic series, the first also the contour's lead
+    term; 0.0 at the poles and where ``Gamma`` overflows (above about 171.62).
 
     Rounded from 20 digits, they are the correctly rounded doubles unless a
     value lies within about 1e-20 (relative) of a halfway point between two.
@@ -267,9 +274,11 @@ def _asym_coeffs(alpha: float, beta: float, size: int) -> np.ndarray:
     tables = _tables(alpha, beta)
     coeffs = tables.coeffs
     if coeffs.size < size:
-        ctx = _mp_context()
+        ctx, order = _mp_context(), _dyadic(alpha, beta)
         with ctx.workdps(_TABLE_DPS):
-            new = [_rgamma_double(ctx, beta - alpha * k) for k in range(coeffs.size + 1, size + 1)]
+            new = [libmp.to_float(_series_coeff(ctx, order, -k), rnd=_NEAREST)
+                   for k in range(coeffs.size + 1, size + 1)]
+        new = [r if abs(r) * sys.float_info.max >= 1.0 else 0.0 for r in new]
         coeffs = tables.coeffs = np.concatenate([coeffs, new])
     return coeffs
 
@@ -300,17 +309,16 @@ def _series_table(alpha: float, beta: float, size: int):
     entry = tables.series
     if entry is not None and entry[0].size >= size:
         return entry
-    ctx = _mp_context()
-    a, b = libmp.from_float(alpha), libmp.from_float(beta)
+    ctx, order = _mp_context(), _dyadic(alpha, beta)
     with ctx.workdps(_TABLE_DPS):
         if entry is None:
-            last = _series_coeff(ctx, a, b, 0)
+            last = _series_coeff(ctx, order, 0)
             ratios, c0 = np.empty(0), libmp.to_float(last, rnd=_NEAREST)
         else:
             ratios, c0, last = entry
         new = []
         for k in range(ratios.size + 1, size + 1):
-            c = _series_coeff(ctx, a, b, k)
+            c = _series_coeff(ctx, order, k)
             new.append(libmp.to_float(libmp.mpf_div(c, last, ctx.prec, _NEAREST), rnd=_NEAREST))
             last = c
     entry = tables.series = (np.concatenate([ratios, new]), c0, last)
@@ -392,35 +400,36 @@ _NEGLIGIBLE = 2.0**-54
 
 
 def _pole_terms(alpha: float, beta: float):
-    """``(k, ends, skips)`` for k = 1.._ASYM_KMAX: whether the algebraic
-    series ends at term k, and whether it skips it.
-
-    Arguments ``beta - alpha k`` that are non-positive integers up to
-    rounding sit at gamma poles: the coefficient is (essentially) zero, so
-    the term is skipped and must not feed the term-growth stopping rule.  For
-    integer ``alpha`` the arguments step by integers, so once one is exactly
-    a pole every later one is too, and the series ends there.
+    """``(k, ends, pole, near)`` for k = 1, 2, ...: whether the algebraic
+    series ends at term k, whether ``beta - alpha k``, formed exactly in
+    integer arithmetic, is a gamma pole (a non-positive integer), and whether
+    it lies within 1e-6 of one as rounded to double.  For integer ``alpha``
+    (``D`` divides ``D alpha``) the arguments step by integers, so after one
+    pole every later one is too: the end.
     """
-    for k in range(1, _ASYM_KMAX + 1):
+    step, x0, e = _dyadic(alpha, beta)
+    d = 1 << e
+    for k in itertools.count(1):
+        x = x0 - k * step  # D (beta - alpha k)
+        pole = x <= 0 and x % d == 0
         arg = beta - alpha * k
-        near = arg < 0.5 and abs(arg - round(arg)) < 1e-6
-        yield k, near and alpha == round(alpha) and arg == round(arg), near
+        yield k, pole and step % d == 0, pole, arg < 0.5 and abs(arg - round(arg)) < 1e-6
 
 
 def _log_coeff_bounds(alpha: float, beta: float) -> np.ndarray:
     """Logarithm of a bound on ``|1/Gamma(beta - alpha k)|``, k =
     1.._ASYM_KMAX, for every term the algebraic series can add or stop at;
-    -inf for the terms it skips and those past its end.
+    -inf at the poles and past its end.
 
     ``|1/Gamma(x)|`` is at most 1.13 for ``x > 0`` and, by the reflection
     formula, ``Gamma(1 - x)/pi`` for ``x < 0``; the factor 1.01 covers the
     rounding of the coefficients and of the powers of ``1/z``.
     """
     log_g = np.full(_ASYM_KMAX, -np.inf)
-    for k, ends, skips in _pole_terms(alpha, beta):
+    for k, ends, pole, _ in itertools.islice(_pole_terms(alpha, beta), _ASYM_KMAX):
         if ends:
             break
-        if not skips:
+        if not pole:
             x = beta - alpha * k
             log_g[k - 1] = math.log(1.01 * 1.13) if x > 0.0 else (
                 math.lgamma(1.0 - x) - math.log(math.pi / 1.01))
@@ -431,9 +440,11 @@ def _algebraic(alpha, beta, z):
     """Optimally truncated ``sum_{k>=1} z**-k / Gamma(beta - alpha k)``.
 
     Returns ``(sum, abs_sum, truncation_estimate)``: the sum stops before
-    the first term that fails to decrease, which then bounds the error.  For
-    integer ``alpha`` the series ends at the first exact gamma pole, and
-    what was kept is exact wherever it had not already stopped.
+    the first term that fails to decrease, which then bounds the error.  The
+    terms next to a gamma pole, far below their neighbours, stop the same
+    way among themselves, which ends only them; the estimate is the larger
+    bound.  For integer ``alpha`` the series ends at the first gamma pole,
+    and what was kept is exact wherever it had not already stopped.
 
     After every ``_ASYM_CHUNK`` terms the loop also ends if no later term
     can change a running value's sums: each term it could still add or stop
@@ -462,28 +473,38 @@ def _algebraic(alpha, beta, z):
     # True while every value still runs: until the first stop the terms are
     # added in place and without masks, with the bits of the masked updates
     active = True
-    for k, ends, skips in _pole_terms(alpha, beta):
+    near_on, near_prev = True, math.inf  # the terms next to a pole: running, last kept
+    for k, ends, _, near in itertools.islice(_pole_terms(alpha, beta), _ASYM_KMAX):
         if ends:
             break
-        if not skips and k > coeffs.size:
+        if k > coeffs.size:
             coeffs = _asym_coeffs(alpha, beta, -(-k // _ASYM_CHUNK) * _ASYM_CHUNK)
-        rg = 0.0 if skips else coeffs[k - 1]
+        rg = coeffs[k - 1]  # zero at a pole
         if rg != 0.0:
             np.multiply(p, rg, out=t)
             np.abs(t, out=mag)
-            np.greater_equal(mag, prev, out=stop)
-            if active is True and not stop.any():
-                s += t
-                s_abs += mag
-                prev, mag = mag, prev
+            if near:
+                grow = near_on & active & (mag >= near_prev)
+                np.maximum(est, mag, out=est, where=grow)
+                near_on = near_on & ~grow
+                add = near_on & active
+                np.add(s, t, out=s, where=add)
+                np.add(s_abs, mag, out=s_abs, where=add)
+                near_prev = np.where(add, mag, near_prev)
             else:
-                np.copyto(est, mag, where=stop & active)
-                active = active & ~stop
-                if not active.any():
-                    break
-                np.add(s, t, out=s, where=active)
-                np.add(s_abs, mag, out=s_abs, where=active)
-                np.copyto(prev, mag, where=active)
+                np.greater_equal(mag, prev, out=stop)
+                if active is True and not stop.any():
+                    s += t
+                    s_abs += mag
+                    prev, mag = mag, prev
+                else:
+                    np.maximum(est, mag, out=est, where=stop & active)
+                    active = active & ~stop
+                    if not active.any():
+                        break
+                    np.add(s, t, out=s, where=active)
+                    np.add(s_abs, mag, out=s_abs, where=active)
+                    np.copyto(prev, mag, where=active)
         if k % _ASYM_CHUNK == 0 and k < _ASYM_KMAX:
             # a later term j of a running value is at most g_j |z|**-j <=
             # g_j zmin**(1-j) / |z|, over the smallest running |z|; |sum z|
@@ -496,14 +517,18 @@ def _algebraic(alpha, beta, z):
                 break
         p *= invz
     else:
-        # ran out of terms while still decreasing: last kept term is the estimate
-        np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
+        # ran out of terms while still decreasing: the last kept term of each
+        # kind is the estimate
+        for last, on in ((prev, active), (near_prev, near_on & active)):
+            np.maximum(est, np.where(np.isfinite(last), last, 0.0), out=est, where=on)
     return s, s_abs, np.maximum(est, _NEGLIGIBLE * np.abs(s), out=est)
 
 
 def _saddle_pair(alpha, beta, m):
     """The conjugate pole pair ``(2/alpha) Re[w**(1-beta) e**w]``,
-    ``w = m e**(i pi/alpha)``, and its amplitude; for ``alpha > 1``.
+    ``w = m e**(i pi/alpha)``, and its amplitude; for ``alpha > 1``.  At
+    ``alpha = 1`` the two poles meet on the branch cut in one, ``z**(1-beta)
+    e**z``, half the pair.
 
     Its phase ``m sin(pi/alpha)`` carries a rounding error of order
     ``m eps``, which near a zero of the cosine is large against the pair
@@ -511,7 +536,7 @@ def _saddle_pair(alpha, beta, m):
     """
     phi = math.pi / alpha
     with np.errstate(under="ignore"):
-        amp = (2.0 / alpha) * m ** (1.0 - beta) * np.exp(m * math.cos(phi))
+        amp = (2.0 / alpha if alpha > 1.0 else 1.0) * m ** (1.0 - beta) * np.exp(m * math.cos(phi))
         return amp * np.cos(m * math.sin(phi) + (1.0 - beta) * phi), amp
 
 
@@ -525,7 +550,7 @@ def _asym_neg(alpha, beta, z, tol):
     # understates it (at alpha = beta = 1.954, z = -1.99e5, 1e-10 relative
     # against a true 5.3e-10)
     est = est + (2.0 * _ASYM_KMAX + 30.0) * _EPS * s_abs
-    if alpha > 1.0:
+    if alpha >= 1.0:
         m = np.abs(z) ** (1.0 / alpha)
         osc, amp = _saddle_pair(alpha, beta, m)
         val = val + osc
@@ -706,13 +731,6 @@ def _fallback_dps(alpha: float, z: float) -> int:
     return 30 + int(0.45 * m) if alpha > 1.0 else 30 + int(0.92 * m)
 
 
-def _over_precision_cap(alpha: float, z: float) -> ValueError:
-    return ValueError(
-        "argument needs more than the supported working precision "
-        f"(alpha={alpha}, z={z}); see module docstring for the envelope"
-    )
-
-
 # largest denominator q of alpha = p/q for which ``_mpmath_single`` takes its
 # coefficients by recurrence: it needs q gammas per value and a product of p
 # integers per coefficient; every alpha ``verify`` samples has q <= 4
@@ -734,17 +752,15 @@ def _mpmath_single(alpha: float, beta: float, z: float) -> float:
     """
     dps = _fallback_dps(alpha, z)
     if dps > _MP_MAX_DPS:
-        raise _over_precision_cap(alpha, z)
+        raise ValueError("argument needs more than the supported working precision "
+                         f"(alpha={alpha}, z={z}); see module docstring for the envelope")
     # raw mpmath values and operations: the roundings of the context's
     # arithmetic at its precision, without its number objects
-    a, b, zz = libmp.from_float(alpha), libmp.from_float(beta), libmp.from_float(z)
-    tiny = libmp.from_float(1e-300)
+    zz, tiny = libmp.from_float(z), libmp.from_float(1e-300)
     mul, add, gt = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_gt
     p, q = alpha.as_integer_ratio()
-    bn, bd = beta.as_integer_ratio()
-    D = max(q, bd)  # both are powers of two
-    step, x0 = p * (D // q), bn * (D // bd)  # D alpha and D beta
-    shift = -p * (D.bit_length() - 1)
+    step, x0, e = order = _dyadic(alpha, beta)  # D alpha, D beta and log2 D
+    D, shift = 1 << e, -p * e
     ctx = _mp_context()
     with ctx.workdps(dps):
         prec = ctx.prec
@@ -752,9 +768,9 @@ def _mpmath_single(alpha: float, beta: float, z: float) -> float:
 
         def coeff(k):
             if q > _RECURRENCE_Q_MAX:
-                return _series_coeff(ctx, a, b, k)
+                return _series_coeff(ctx, order, k)
             if k < q:
-                c = _series_coeff(ctx, a, b, k)
+                c = _series_coeff(ctx, order, k)
             else:
                 dx = x0 + (k - q) * step  # D x
                 pochhammer = dx
@@ -787,22 +803,32 @@ def _mpmath_single(alpha: float, beta: float, z: float) -> float:
     return libmp.to_float(s, rnd=_NEAREST)
 
 
-# relative digits to which the arbitrary-precision contour sum is converged
+# relative digits to which the arbitrary-precision sums are converged
 _CONTOUR_MP_DIGITS = 20
 
 
-def _contour_sum_mp(ctx, alpha, beta, z, mu, inside):
+def _saddle_pair_mp(ctx, alpha, beta, x):
+    """``_saddle_pair`` at ``m = x**(1/alpha)`` in arbitrary precision, for
+    ``alpha > 1`` (its callers' range), and the amplitude times ``m``: the
+    scale of its phase's rounding."""
+    a, b = ctx.mpf(alpha), ctx.mpf(beta)
+    m = ctx.power(x, 1 / a)
+    w = m * ctx.expj(ctx.pi / a)
+    pair = 2 / a * ctx.re(w ** (1 - b) * ctx.exp(w))
+    return pair, m * abs(2 / a * m ** (1 - b) * ctx.exp(w.real))
+
+
+def _contour_sum_mp(ctx, alpha, beta, z):
     """Contour sum at the context's working precision, the step halved until
     two successive sums agree to ``_CONTOUR_MP_DIGITS`` digits.
 
     Returns the value, its change at the last halving and the sum of the
     magnitudes it was added from.
     """
-    a, b, x, mu = ctx.mpf(alpha), ctx.mpf(beta), -ctx.mpf(z), ctx.mpf(mu)
-    pair = ctx.mpf(0)
-    if inside:
-        pole = ctx.power(x, 1 / a) * ctx.expj(ctx.pi / a)
-        pair = 2 / a * ctx.re(pole ** (1 - b) * ctx.exp(pole))
+    with np.errstate(over="ignore"):
+        mu, inside = _contour_scale(alpha, np.abs([z]) ** (1.0 / alpha))
+    a, b, x, mu = ctx.mpf(alpha), ctx.mpf(beta), -ctx.mpf(z), ctx.mpf(mu[0])
+    pair = _saddle_pair_mp(ctx, alpha, beta, x)[0] if inside[0] else ctx.mpf(0)
 
     def term(u):
         num, den = _bromwich_parts(a, b, mu, ctx.mpc(1, u), ctx.exp)
@@ -819,8 +845,7 @@ def _contour_sum_mp(ctx, alpha, beta, z, mu, inside):
     n = len(terms) - 1
     total = ctx.fsum(terms)
     factor = 2 * mu ** (1 + 2 * a - b) / ctx.pi
-    lead = ctx.make_mpf(_rgamma_raw(ctx, libmp.mpf_sub(libmp.from_float(beta),
-                                                       libmp.from_float(alpha))))
+    lead = ctx.make_mpf(_series_coeff(ctx, _dyadic(alpha, beta), -1))
     val = (lead - h * factor * total) / x + pair
     for _ in range(6):
         h /= 2
@@ -834,31 +859,41 @@ def _contour_sum_mp(ctx, alpha, beta, z, mu, inside):
     return val, abs(val - prev), (abs(lead) + h * factor * size) / x + abs(pair)
 
 
-def _contour_mp(alpha: float, beta: float, z: float) -> float:
-    """``E_{alpha,beta}(z)`` for ``z < 0`` from the contour sum in arbitrary
-    precision, at a cost that does not grow with ``m``.
+def _precise_mp(sum_mp, alpha: float, beta: float, z: float):
+    """The double of ``sum_mp(ctx, alpha, beta, z)`` (value, error bound, sum
+    of magnitudes), or None where the bound misses ``_CONTOUR_MP_DIGITS``
+    digits of the value or the precision would pass ``_MP_MAX_DPS``.
 
     Starts at ``_CONTOUR_MP_DIGITS + 15`` digits and raises the precision
     until the rounding of the terms lies ``_CONTOUR_MP_DIGITS`` digits below
     the value: near a zero of the function the value is far smaller than its
-    terms.
+    terms.  A bound that misses those digits at the terms' scale misses them
+    at any precision, so it declines at once.
     """
-    with np.errstate(over="ignore"):
-        mu, inside = _contour_scale(alpha, np.abs([z]) ** (1.0 / alpha))
     ctx = _mp_context()
     dps = _CONTOUR_MP_DIGITS + 15
     while dps <= _MP_MAX_DPS:
         with ctx.workdps(dps):
-            val, spread, size = _contour_sum_mp(ctx, alpha, beta, z, mu[0], inside[0])
-            target = ctx.mpf(10) ** -_CONTOUR_MP_DIGITS * abs(val)
+            val, err, size = sum_mp(ctx, alpha, beta, z)
+            digits = ctx.mpf(10) ** -_CONTOUR_MP_DIGITS
+            if err > digits * size:
+                return None
+            target = digits * abs(val)
             noise = 10 * ctx.eps * size
             if noise <= target:
-                if spread > target:
-                    raise ValueError(f"contour sum did not converge (alpha={alpha}, "
-                                     f"beta={beta}, z={z})")
-                return float(val)
+                return float(val) if err <= target else None
             dps += 10 + (int(ctx.log10(noise / target)) if target else dps)
-    raise _over_precision_cap(alpha, z)
+    return None
+
+
+def _contour_mp(alpha: float, beta: float, z: float) -> float:
+    """``E_{alpha,beta}(z)`` for ``z < 0`` from ``_contour_sum_mp`` by
+    ``_precise_mp``, at a cost that does not grow with ``m``."""
+    val = _precise_mp(_contour_sum_mp, alpha, beta, z)
+    if val is None:
+        raise ValueError("contour sum did not converge within the supported working precision "
+                         f"(alpha={alpha}, beta={beta}, z={z}); see module docstring")
+    return val
 
 
 def _expansion_sum_mp(ctx, alpha, beta, z):
@@ -872,63 +907,35 @@ def _expansion_sum_mp(ctx, alpha, beta, z):
     most ``B_n = F Gamma(alpha n - beta + 1) / (pi |z|**n)``, with ``F =
     1/|sin(pi alpha)|`` where ``cos(pi alpha) < 0`` and 1 elsewhere.  It
     stops at the first n where ``B_n`` lies below the working precision or
-    no longer falls, and for integer alpha and beta at the first gamma pole,
-    where the cut is gone and the sum is exact.
+    no longer falls, and where ``_pole_terms`` ends the series, where the
+    cut is gone and the sum is exact.
     """
-    a, b = libmp.from_float(alpha), libmp.from_float(beta)
-    x = -ctx.mpf(z)
-    m = ctx.power(x, 1 / ctx.mpf(alpha))
-    pole = m * ctx.expj(ctx.pi / alpha)
-    pair = 2 / ctx.mpf(alpha) * ctx.re(pole ** (1 - ctx.mpf(beta)) * ctx.exp(pole))
-    s, size = pair, m * abs(2 / ctx.mpf(alpha) * m ** (1 - ctx.mpf(beta)) * ctx.exp(pole.real))
+    order, x = _dyadic(alpha, beta), -ctx.mpf(z)
+    s, size = _saddle_pair_mp(ctx, alpha, beta, x)
     log_f = -math.log(math.sin(math.pi * (alpha - 1.0))) if alpha < 1.5 else 0.0
     log_x, log_eps = math.log(-z), math.log(ctx.eps)
-    whole = alpha == round(alpha) and beta == round(beta)
     prev = math.inf
     power = ctx.mpf(1)
-    for n in itertools.count(1):
+    for n, ends, _, _ in _pole_terms(alpha, beta):
         arg = alpha * n - beta + 1.0
         if arg > 0.0:  # B_n is finite
             log_b = log_f + math.lgamma(arg) - math.log(math.pi) - n * log_x
             if log_b <= log_eps + float(ctx.log(size)) or log_b >= prev:
                 return s, math.exp(log_b), size
             prev = log_b
-        power /= x
-        c = _rgamma_raw(ctx, libmp.mpf_sub(b, libmp.mpf_mul(a, libmp.from_int(n))))
-        if whole and c == libmp.fzero:
+        if ends:
             return s, 0.0, size
-        t = power * ctx.make_mpf(c)
+        power /= x
+        t = power * ctx.make_mpf(_series_coeff(ctx, order, -n))
         # z**-n = (-1)**n x**-n, and the series enters with a minus sign
         s += t if n % 2 else -t
         size += abs(t)
 
 
 def _expansion_mp(alpha: float, beta: float, z: float):
-    """``E_{alpha,beta}(z)`` for ``z < 0`` and ``1 < alpha <= 2`` from the
-    large-argument expansion in arbitrary precision (see
-    ``_expansion_sum_mp``), or None where its truncation bound misses
-    ``_CONTOUR_MP_DIGITS`` digits of the value.
-
-    The working precision starts and rises as in ``_contour_mp``.  A bound
-    that misses the value's digits at the sum's scale misses them at any
-    precision, so such an argument is declined at once.
-    """
-    if not alpha > 1.0:
-        return None
-    ctx = _mp_context()
-    dps = _CONTOUR_MP_DIGITS + 15
-    while dps <= _MP_MAX_DPS:
-        with ctx.workdps(dps):
-            val, est, size = _expansion_sum_mp(ctx, alpha, beta, z)
-            digits = ctx.mpf(10) ** -_CONTOUR_MP_DIGITS
-            if est > digits * size:
-                return None
-            target = digits * abs(val)
-            noise = 10 * ctx.eps * size
-            if noise <= target:
-                return float(val) if est <= target else None
-            dps += 10 + (int(ctx.log10(noise / target)) if target else dps)
-    return None
+    """``E_{alpha,beta}(z)`` for ``z < 0`` and ``1 < alpha <= 2`` from
+    ``_expansion_sum_mp`` by ``_precise_mp``, or None where that declines."""
+    return _precise_mp(_expansion_sum_mp, alpha, beta, z) if alpha > 1.0 else None
 
 
 # ((m_lo, m_hi), tier) in the order tried on each half-axis: a tier sees the
@@ -1011,12 +1018,6 @@ def ml(params: MLParams, z):
     if max(-lo, hi) > Z_MAX:
         raise ValueError(f"|z| exceeds the supported range Z_MAX={Z_MAX:g}")
 
-    zero = flat == 0.0
-    if np.any(zero):
-        try:
-            out[zero] = 1.0 / gamma(beta)
-        except OverflowError:  # Gamma(beta) past the double range: the 20-digit c_0
-            out[zero] = _series_table(alpha, beta, 0)[1]
     if hi > 0.0:
         _cascade(alpha, beta, flat, _POS_TIERS, flat > 0.0, out)
     if lo < 0.0:
@@ -1026,6 +1027,9 @@ def ml(params: MLParams, z):
             out[neg] = np.exp(zn) if beta == 1.0 else np.expm1(zn) / zn
         else:
             _cascade(alpha, beta, flat, _NEG_TIERS, neg, out)
+    zero = flat == 0.0
+    if np.any(zero):
+        out[zero] = _series_table(alpha, beta, 0)[1]  # c_0 = 1/Gamma(beta)
 
     if arr.ndim == 0:
         return float(out[0])

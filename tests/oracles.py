@@ -124,47 +124,94 @@ def series_double_ref(alpha: float, beta: float, z, tol):
 
 
 def asym_coeffs_ref(alpha: float, beta: float) -> np.ndarray:
-    """``1/Gamma(beta - alpha k)``, k = 1..40, at the arguments as rounded
-    to double, from 20 digits; 0.0 where the value leaves the double range."""
+    """``1/Gamma(beta - alpha k)``, k = 1..40, at the exactly formed
+    arguments, from 20 digits; 0.0 at the poles and where the value leaves
+    the double range."""
     with mp.workdps(_TABLE_DPS):
-        out = [float(mp.rgamma(beta - alpha * k)) for k in range(1, _ASYM_KMAX + 1)]
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        out = [float(mp.rgamma(mp.fsub(b, mp.fmul(a, k, exact=True), exact=True)))
+               for k in range(1, _ASYM_KMAX + 1)]
     return np.array([r if abs(r) * sys.float_info.max >= 1.0 else 0.0 for r in out])
+
+
+def _pole_flags(alpha: float, beta: float):
+    """``(end, pole, near)``: the first k (up to 41) at which the algebraic
+    series ends, at a gamma pole of an integer ``alpha``, and for k = 1..40
+    whether ``beta - alpha k``, as the exact fraction ``num / den`` of the
+    two doubles' ratios, is a pole (a non-positive integer) and whether, as
+    rounded to double, it lies within 1e-6 of one."""
+    (p, q), (bn, bd) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+    end, pole, near = _ASYM_KMAX + 1, [], []
+    for k in range(1, _ASYM_KMAX + 1):
+        num, den = bn * q - k * p * bd, bd * q
+        pole.append(num <= 0 and num % den == 0)
+        if pole[-1] and alpha == round(alpha):
+            end = min(end, k)
+        arg = beta - alpha * k
+        near.append(arg < 0.5 and abs(arg - round(arg)) < 1e-6)
+    return end, pole, near
+
+
+def _add_term(near, p, rg, s, s_abs, active, main, side):
+    """Term k of the algebraic series into the running sums.  The terms next
+    to a pole (``side``) and the others (``main``) each keep ``(prev, on,
+    est)``: the last term kept, whether they still run and the charge; the
+    ``on`` of ``main`` is ``active``.  A term stops the values at which it
+    fails to decrease against the last of its kind, and is charged to them;
+    a stop of ``main`` ends the value, one of ``side`` ends only its terms.
+    The term is added to the rest."""
+    t = p * rg
+    mag = np.abs(t)
+    prev, on, est = side if near else main
+    stop = active & on & (mag >= prev)
+    np.copyto(est, mag, where=stop)
+    on &= ~stop
+    if not active.any():
+        return False
+    add = active & on
+    np.copyto(prev, mag, where=add)
+    np.add(s, t, out=s, where=add)
+    np.add(s_abs, mag, out=s_abs, where=add)
+    return True
+
+
+def _streams(z):
+    """``(active, main, side)`` for ``_add_term`` before the first term."""
+    active = np.ones(z.shape, dtype=bool)
+    main = (np.full(z.shape, np.inf), active, np.zeros_like(z))
+    side = (np.full(z.shape, np.inf), np.ones(z.shape, dtype=bool), np.zeros_like(z))
+    return active, main, side
+
+
+def _charge_last(active, streams):
+    """The series ran out of terms while still decreasing: each kind's last
+    kept term is charged; the estimate is the larger charge."""
+    for prev, on, est in streams:
+        np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active & on)
 
 
 def algebraic_ref(alpha: float, beta: float, z, coeffs):
     """The algebraic series of the large-argument expansions over all 40
     terms: ``(sum, abs_sum, truncation_estimate)``, stopping each value
-    before its first term that fails to decrease; gamma poles up to 1e-6 are
-    skipped, and for integer ``alpha`` the first exact one ends the sum."""
+    before its first term that fails to decrease.  Terms next to a gamma
+    pole (see ``_pole_flags``) take no part in that test but stop on their
+    own growth (see ``_add_term``), and for integer ``alpha`` the first pole
+    ends the sum."""
+    end, _, near = _pole_flags(alpha, beta)
     invz = 1.0 / z
     p = invz.copy()
     s = np.zeros_like(z)
     s_abs = np.zeros_like(z)
-    prev = np.full(z.shape, np.inf)
-    active = np.ones(z.shape, dtype=bool)
-    est = np.zeros_like(z)
+    active, main, side = _streams(z)
     for k in range(1, _ASYM_KMAX + 1):
-        arg = beta - alpha * k
-        if arg < 0.5 and abs(arg - round(arg)) < 1e-6:
-            if alpha == round(alpha) and arg == round(arg):
-                return s, s_abs, est
-            p = p * invz
-            continue
+        if k == end:
+            return s, s_abs, np.maximum(main[2], side[2])
         rg = coeffs[k - 1]
-        if rg != 0.0:
-            t = p * rg
-            mag = np.abs(t)
-            stop = active & (mag >= prev)
-            np.copyto(est, mag, where=stop)
-            active &= ~stop
-            if not active.any():
-                break
-            np.add(s, t, out=s, where=active)
-            np.add(s_abs, mag, out=s_abs, where=active)
-            np.copyto(prev, mag, where=active)
+        if rg != 0.0 and not _add_term(near[k - 1], p, rg, s, s_abs, active, main, side):
+            break
         p = p * invz
-    np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
-    return s, s_abs, est
+    _charge_last(active, (main, side))
+    return s, s_abs, np.maximum(main[2], side[2])
 
 
 def algebraic_masked_ref(alpha: float, beta: float, z, coeffs):
@@ -175,20 +222,15 @@ def algebraic_masked_ref(alpha: float, beta: float, z, coeffs):
     After every 8 terms it ends once each term that a running value could
     still add or stop at lies below ``2**-54`` times that value's
     ``|sum|``, bounding ``|1/Gamma(x)|`` by 1.13 for ``x > 0`` and by
-    ``Gamma(1 - x)/pi`` for ``x < 0`` (times 1.01 for rounding) and
-    ``|z|**-j`` by ``zmin**(1-j)/|z|``.  Every estimate is then raised to
-    at least ``2**-54 |sum|``.
+    ``Gamma(1 - x)/pi`` for ``x < 0`` (times 1.01 for rounding), 0 at the
+    exact poles, and ``|z|**-j`` by ``zmin**(1-j)/|z|``.  Every estimate is
+    then raised to at least ``2**-54 |sum|``.
     """
-    skips = [False] * _ASYM_KMAX
-    end = _ASYM_KMAX + 1
+    end, pole, near = _pole_flags(alpha, beta)
     log_g = np.full(_ASYM_KMAX, -np.inf)
-    for k in range(1, _ASYM_KMAX + 1):
+    for k in range(1, end):
         arg = beta - alpha * k
-        skips[k - 1] = arg < 0.5 and abs(arg - round(arg)) < 1e-6
-        if skips[k - 1] and alpha == round(alpha) and arg == round(arg):
-            end = k
-            break
-        if not skips[k - 1]:
+        if not pole[k - 1]:
             log_g[k - 1] = math.log(1.01 * 1.13) if arg > 0.0 else (
                 math.lgamma(1.0 - arg) - math.log(math.pi / 1.01))
     az = np.abs(z)
@@ -197,24 +239,13 @@ def algebraic_masked_ref(alpha: float, beta: float, z, coeffs):
     p = invz.copy()
     s = np.zeros_like(z)
     s_abs = np.zeros_like(z)
-    prev = np.full(z.shape, np.inf)
-    active = np.ones(z.shape, dtype=bool)
-    est = np.zeros_like(z)
+    active, main, side = _streams(z)
     for k in range(1, _ASYM_KMAX + 1):
         if k == end:
             break
-        rg = 0.0 if skips[k - 1] else coeffs[k - 1]
-        if rg != 0.0:
-            t = p * rg
-            mag = np.abs(t)
-            stop = active & (mag >= prev)
-            np.copyto(est, mag, where=stop)
-            active &= ~stop
-            if not active.any():
-                break
-            np.add(s, t, out=s, where=active)
-            np.add(s_abs, mag, out=s_abs, where=active)
-            np.copyto(prev, mag, where=active)
+        rg = coeffs[k - 1]
+        if rg != 0.0 and not _add_term(near[k - 1], p, rg, s, s_abs, active, main, side):
+            break
         if k % 8 == 0 and k < _ASYM_KMAX:
             top = np.max(log_g[k:] - np.arange(k, _ASYM_KMAX)
                          * math.log(np.where(active, az, np.inf).min()))
@@ -223,8 +254,8 @@ def algebraic_masked_ref(alpha: float, beta: float, z, coeffs):
                 break
         p = p * invz
     else:
-        np.copyto(est, np.where(np.isfinite(prev), prev, 0.0), where=active)
-    return s, s_abs, np.maximum(est, 2.0**-54 * np.abs(s))
+        _charge_last(active, (main, side))
+    return s, s_abs, np.maximum(np.maximum(main[2], side[2]), 2.0**-54 * np.abs(s))
 
 
 def contour_blocks_ref(alpha: float, beta: float, x, mu, u):

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mpmath as mp
@@ -223,6 +223,68 @@ class TestContract:
             # E_{a,b}(z) = z E_{a,a+b}(z) + 1/Gamma(b), and alpha + beta == alpha
             ref = z * ml(MLParams(alpha, alpha), z)
         assert value == pytest.approx(ref, rel=1e-9)
+
+    @given(
+        alpha=st.floats(0.0, 2.0, exclude_min=True),
+        k=st.integers(1, mlmod._ASYM_KMAX),
+        pick=st.floats(0.0, 1.0),
+        delta=st.floats(1e-9, 1e-6),
+        sign=st.sampled_from([-1.0, 1.0]),
+        log_x=st.lists(st.floats(2.0, 6.0), min_size=4, max_size=4),
+    )
+    def test_near_pole_orders(self, alpha, k, pick, delta, sign, log_x):
+        # beta - alpha k = -n +- delta sits next to the gamma pole -n: the
+        # expansions' coefficient 1/Gamma(beta - alpha k) is small but not
+        # zero, and the series must not drop it.  The reference is the
+        # oracle within its cap and the contour sum beyond it.  Integer
+        # alpha at moderate |z| has cases of its own below
+        shift = alpha * k + sign * delta
+        lo, hi = max(0, math.ceil(shift - 3.0)), math.ceil(shift) - 1  # beta in (0, 3]
+        beta = shift - min(hi, lo + int(pick * (hi - lo + 1)))
+        assume(0.0 < beta <= 3.0)
+        z = -(10.0 ** np.array(log_x))
+        got = ml(MLParams(alpha, beta), z)
+        for zi, v in zip(z.tolist(), got.tolist()):
+            if math.log(-zi) / alpha <= math.log(min(200.0, 100.0 * alpha)):
+                ref = ml_series_ref(alpha, beta, zi)
+            else:
+                ref = mlmod._contour_mp(alpha, beta, zi)
+            assert abs(v - ref) <= 1e-9 * abs(ref), (alpha, beta, zi)
+
+    @pytest.mark.parametrize("alpha,beta,z", [
+        *((1.0, b, z) for b in (1e-7, 1.0 - 1e-7, 1.0 + 1e-7) for z in (-15.0, -20.0, -30.0, -40.0)),
+        # next to zeros of cos m and sin m, m = sqrt(-z)
+        *((2.0, b, -(n * math.pi) ** 2) for b in (1e-7, 1.0 - 1e-7, 1.0 + 1e-7, 2.0 - 1e-7, 2.0 + 1e-7)
+          for n in (3.5, 4.0, 4.5, 5.0)),
+    ])
+    def test_integer_alpha_next_to_integer_beta(self, alpha, beta, z):
+        # every term of the algebraic series sits next to a pole; they
+        # diverge past k ~ |z|**(1/alpha) and must stop there, not run on
+        # to the last term uncharged
+        ref = mlmod._mpmath_single(alpha, beta, z)
+        tol = mlmod._TOL_NEAR if -z <= mlmod._NEAR_LIMIT else mlmod._TOL_FAR
+        assert abs(ml(MLParams(alpha, beta), z) - ref) <= tol * abs(ref)
+
+    def test_alpha_one_tiny_beta_stays_in_double(self, empty_tables, monkeypatch):
+        # 1e-300 - k rounds to the pole -k: taken there, every coefficient
+        # of the expansion would read zero and the far fallback would climb
+        # in precision for seconds
+        def refuse(*args):
+            raise AssertionError("fallback reached")
+
+        for name in ("_contour_mp", "_expansion_mp", "_mpmath_single"):
+            monkeypatch.setattr(mlmod, name, refuse)
+        value = ml(MLParams(1.0, 1e-300), -1e4)
+        assert value == pytest.approx(-1.0002000600240121e-304, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-7, 0.01, 0.5, 2.5])
+    @pytest.mark.parametrize("z", [-50.0, -200.0, -600.0])
+    def test_alpha_one_matches_the_power_series(self, beta, z):
+        # at alpha = 1 the saddle pair's two poles meet in the real pole
+        # z**(1-beta) e**z, which the expansion adds; without it tiny beta
+        # loses all but the algebraic part
+        ref = mlmod._mpmath_single(1.0, beta, z)
+        assert abs(ml(MLParams(1.0, beta), z) - ref) <= 1e-9 * abs(ref)
 
 
 class TestCascade:
@@ -925,8 +987,9 @@ class TestCacheBudget:
 
 
 class TestAsymCoefficients:
-    # 1/Gamma(beta - alpha k) of the large-argument expansions, rounded to
-    # double from arbitrary precision once per (alpha, beta)
+    # 1/Gamma(beta - alpha k) of the large-argument expansions, at the
+    # exactly formed arguments, rounded to double from arbitrary precision
+    # once per (alpha, beta)
     ALPHAS = [0.1, 0.37, 0.5, 0.75, 1.0, 1.153934466291663, 1.25, 1.5, 1.75, 1.9539344662916631, 2.0]
     BETAS = [0.05, 0.5, 0.75, 1.0, 1.5, 1.75, 2.0, 2.5, 3.0]
 
@@ -936,14 +999,36 @@ class TestAsymCoefficients:
                 coeffs = mlmod._asym_coeffs(alpha, beta, mlmod._ASYM_KMAX)
                 assert coeffs.shape == (mlmod._ASYM_KMAX,)
                 with mp.workdps(50):
-                    ref = [float(mp.rgamma(beta - alpha * k)) for k in range(1, mlmod._ASYM_KMAX + 1)]
+                    a, b = mp.mpf(alpha), mp.mpf(beta)
+                    ref = [float(mp.rgamma(mp.fsub(b, mp.fmul(a, k, exact=True), exact=True)))
+                           for k in range(1, mlmod._ASYM_KMAX + 1)]
                 assert coeffs.tolist() == ref, (alpha, beta)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -17.0, -79.0])
-    def test_poles_give_zero(self, x):
-        ctx = mlmod._mp_context()
-        with ctx.workdps(30):
-            assert mlmod._rgamma_double(ctx, x) == 0.0
+    def test_poles_give_zero(self, empty_tables, x):
+        # the argument x = beta - 2 k, with beta 1 or 2
+        k = int(-x // 2.0) + 1
+        assert mlmod._asym_coeffs(2.0, x + 2.0 * k, k)[k - 1] == 0.0
+
+    def test_poles_are_decided_on_the_exact_argument(self):
+        def flags(alpha, beta):  # (ends, pole, near) of the first four terms
+            terms = mlmod._pole_terms(alpha, beta)
+            return [next(terms)[1:] for _ in range(4)]
+
+        # 1e-300 - k rounds to the pole -k but is none
+        assert flags(1.0, 1e-300) == [(False, False, True)] * 4
+        # 3 - 2k is a pole from k = 2 on, where the series ends
+        assert flags(2.0, 3.0) == [(False, False, False)] + [(True, True, True)] * 3
+        # every second argument of alpha = 0.5 is a pole, and the series goes on
+        assert flags(0.5, 1.0) == [(False, False, False), (False, True, True)] * 2
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-7])
+    def test_arguments_next_to_poles_are_exact(self, empty_tables, beta):
+        # 1e-300 - k rounds to the pole -k; the exact argument does not, and
+        # 1/Gamma(beta - k) is about (-1)**k k! beta
+        coeffs = mlmod._asym_coeffs(1.0, beta, 20)
+        ref = [(-1.0) ** k * math.factorial(k) * beta for k in range(1, 21)]
+        assert np.allclose(coeffs, ref, rtol=1e-6, atol=0.0)
 
     def test_pole_coefficients_are_zero(self, empty_tables):
         # beta - alpha k = 1 - k for alpha = beta = 1; for alpha = 0.5 every
@@ -957,10 +1042,10 @@ class TestAsymCoefficients:
 
     @pytest.mark.parametrize("x,zero", [(171.0, False), (171.62, False), (171.63, True),
                                         (171.7, True), (200.0, True), (1.0e4, True)])
-    def test_zero_where_gamma_overflows(self, x, zero):
-        ctx = mlmod._mp_context()
-        with ctx.workdps(30):
-            got = mlmod._rgamma_double(ctx, x)
+    def test_zero_where_gamma_overflows(self, empty_tables, x, zero):
+        # the argument x = (x + 1) - 1, formed exactly
+        assert (x + 1.0) - 1.0 == x
+        got = mlmod._asym_coeffs(1.0, x + 1.0, 1)[0]
         assert (got == 0.0) == zero
         if not zero:
             with mp.workdps(50):
