@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mittag_leffler import gamma
-from .spectral import _write_csv
+from .spectral import _integer, _write_csv
 
 __all__ = [
     "TimeGrid",
@@ -57,6 +57,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError("t_end must be positive and finite")
+        object.__setattr__(self, "steps", _integer("steps", self.steps))
         if self.steps < 2:
             raise ValueError("need at least 2 steps")
 

@@ -21,7 +21,9 @@ so there is no hand-tuned switch radius.  Negative axis:
    the conjugate saddle pair ``(2/alpha) Re[w**(1-beta) e**w]``,
    ``w = m e**(i pi/alpha)`` (present for ``alpha > 1``; for ``alpha`` near 2
    the damped oscillation dominates and is essential; at ``alpha = 1``
-   half the pair, the one real pole ``z**(1-beta) e**z``),
+   half the pair, the one real pole ``z**(1-beta) e**z``; just above 1,
+   where the series holds only part of the pair, its estimate is charged
+   for the rest),
 4. the contour sum again, for ``m > 46``, where the expansion is not yet
    accurate.
 
@@ -555,6 +557,13 @@ def _asym_neg(alpha, beta, z, tol):
         osc, amp = _saddle_pair(alpha, beta, m)
         val = val + osc
         est = est + (3.0 * m + 30.0) * _EPS * amp
+        if alpha > 1.0:
+            # the pair's poles lie pi - pi/alpha off the branch cut, and next
+            # to it the truncated series switches on only part of them: half
+            # as alpha -> 1+, erfc(x)/2 short by Berry's smoothing, x = (pi -
+            # pi/alpha) sqrt(m/2).  Terms next to gamma poles need not show
+            # it, so it is charged, by the bound exp(-x**2)/2
+            est = est + 0.5 * amp * np.exp(-0.5 * (math.pi - math.pi / alpha) ** 2 * m)
     ok = est <= 0.1 * tol * np.abs(val)
     # fully degenerate expansion (all coefficients at gamma poles): the value
     # is exponentially small; 0.0 is the correctly rounded double only when

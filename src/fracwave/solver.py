@@ -25,10 +25,11 @@ block, the two kernels the quantity reads, their combination and the
 synthesized field rows, written into the returned array or to the CSV
 file, so no solve holds an N x (M+1) array.  The array solves
 run in this process.  ``fracwave solve``'s snapshot CSV is one of the
-package's two fork sites (``verify``'s check shares are the other): a forked
-child may compute and format the later half of its rows
-(``write_grid_snapshots_csv``).  The blocks are the serial ones either way,
-so forked or not, the bytes are the same; a failed child's rows are
+package's two fork sites (``verify``'s check shares are the other), with
+the rule of both (``spectral``): when it forks, a child computes and formats
+each half of its rows and this process only copies their files in, in
+order (``write_grid_snapshots_csv``).  The blocks are the serial ones either
+way, so forked or not, the bytes are the same; a failed child's rows are
 computed and formatted in this process.
 """
 
@@ -47,8 +48,8 @@ from .fracops import TimeGrid
 from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
 from .params import FracOrder, as_alpha
 from .spectral import (_FORK_MIN_VALUES, ModeCoefficients, SpectralDomain, _csv_file, _fork_width,
-                       _forked, _grid_size, _grid_synthesis, _table_lines, _write_csv, _write_json,
-                       domain_to_config, eval_modes, mode_sum, uniform_grid)
+                       _forked, _grid_size, _grid_synthesis, _integer, _table_lines, _write_csv,
+                       _write_json, domain_to_config, eval_modes, mode_sum, uniform_grid)
 
 __all__ = [
     "SolutionQuery",
@@ -86,8 +87,10 @@ class SolutionQuery:
             raise ValueError("data length must equal the domain mode count")
         if self.which not in _WHICH:
             raise ValueError(f"which must be one of {_WHICH}")
-        if self.n_sum is not None and not 1 <= self.n_sum <= self.domain.mode_count:
-            raise ValueError("n_sum must lie in [1, mode_count]")
+        if self.n_sum is not None:
+            object.__setattr__(self, "n_sum", _integer("n_sum", self.n_sum))
+            if not 1 <= self.n_sum <= self.domain.mode_count:
+                raise ValueError("n_sum must lie in [1, mode_count]")
 
     @property
     def active_modes(self) -> int:
@@ -319,10 +322,13 @@ def truncation_tail(query: SolutionQuery, theta: float, t: float) -> float:
     with C the maximum at the 21 ``DECAY_SAMPLES`` points, up to about 1.5x
     below the dense supremum: not an upper bound (ROADMAP.md, "An honest tail
     bound").  At t = 0, |E(0)| = 1 and it is the plain coefficient-tail norm.
-    A theta that is not finite raises ``ValueError``.
+    A theta that is not finite, or a t that is not finite and non-negative,
+    raises ``ValueError`` whatever ``n_sum`` is.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and non-negative, got {t!r}")
     al = query.alpha.alpha
     n = query.active_modes
     lam = query.domain.eigenvalues[n:]
@@ -330,8 +336,6 @@ def truncation_tail(query: SolutionQuery, theta: float, t: float) -> float:
         return 0.0
     a = np.abs(query.data.a[n:])
     b = np.abs(query.data.b[n:])
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
     if t == 0.0:
         per_mode = a
     else:
@@ -359,37 +363,37 @@ def write_grid_snapshots_csv(query: SolutionQuery, P: int, filename: str) -> Non
     the same bytes, written block by block as the rows are solved: the
     field is never held whole.  A solve that fails removes the file.
 
-    When the later half of the blocks holds at least ``_FORK_MIN_VALUES``
-    mode values and CSV cells and ``_fork_width`` allows it, a forked child
-    computes and formats those rows into its file while this process writes
-    the earlier ones, then copies the child's file in; a failed child's
-    rows are computed and formatted here."""
+    The rows are one share, or two halves, each a whole number of blocks,
+    when the later half holds at least ``_FORK_MIN_VALUES`` mode values and
+    CSV cells and ``_fork_width`` allows it.  Then a forked child computes
+    and formats each half into its file, and this process computes no row:
+    it copies the children's files in, in order.  A share with no child
+    that succeeded is computed and formatted here."""
     points = uniform_grid(query.domain, P)
     n, R, t = query.active_modes, query.tgrid.steps + 1, query.tgrid.nodes
     synth = _grid_synthesis(query.domain, n, P)
     step = _block_rows(n)
     split = step * (-(-R // step) // 2)
+    shares = [(0, split), (split, R)]
     if split == 0 or (R - split) * (n + len(points) + 1) < _FORK_MIN_VALUES or _fork_width() < 2:
-        split = R
+        shares = [(0, R)]
 
-    def lines(start, stop):
-        for r, rows in _row_blocks(query, synth, start, stop):
-            yield from _table_lines(np.column_stack((t[r : r + len(rows)], rows)))
-
-    def late(raw):
+    def job(raw, share):
         text = io.TextIOWrapper(raw, "ascii", newline="")
-        text.writelines(lines(split, R))
+        for r, rows in _row_blocks(query, synth, *share):
+            text.writelines(_table_lines(np.column_stack((t[r : r + len(rows)], rows))))
         text.detach()
 
+    jobs = [functools.partial(job, share=share) for share in shares]
     with _csv_file(filename, _snapshot_header(points)) as fh, \
-            _forked([late] if split < R else []) as join:
-        fh.writelines(lines(0, split))
-        done = join(0) if split < R else None
-        if done is None:
-            fh.writelines(lines(split, R))
-        else:
+            _forked(jobs if len(shares) > 1 else []) as join:
+        for k, share in enumerate(shares):
+            done = join(k)
             fh.flush()
-            shutil.copyfileobj(done, fh.buffer)
+            if done is None:
+                job(fh.buffer, share)
+            else:
+                shutil.copyfileobj(done, fh.buffer)
 
 
 def write_manifest(query: SolutionQuery, filename: str, theta: float = 0.0, extra: dict | None = None) -> None:

@@ -4,12 +4,14 @@ Each check returns a CheckResult with the numbers it computed, so the CLI
 can print one line per criterion and serialize a deterministic report.
 Randomized checks derive all draws from the single seed passed in.
 
-``run_all`` (``fracwave verify all``) runs one share of the checks per
-usable CPU (``_shares``), each in a child of ``spectral._forked`` that
-pickles its results to its file, while the parent only joins.  It runs them
-serially where ``spectral._fork_width`` says so: one usable CPU, no
-``fork``, another thread running, or a forked child or daemonic pool
-worker as caller.
+``run_all`` (``fracwave verify all``) deals the checks into one share per
+usable CPU (``_shares``) and walks the shares in one loop, with the rule of
+both fork sites (``spectral``): each share runs in a child of
+``spectral._forked`` that pickles its results to its file, and the parent
+only joins and reads them back.  Where ``spectral._fork_width`` allows one
+process (one usable CPU, no ``fork``, another thread running, or a forked
+child or daemonic pool worker as caller) there is one share and no job,
+and the same loop runs it here.
 Each check draws only from its seed and ML values do not depend on cache
 state, so the results, and the report bytes, are identical either way.
 
@@ -421,15 +423,13 @@ def run_all(seed: int = 7) -> list[CheckResult]:
     """Every check at ``seed``, in ALL_CHECKS order, run as the module
     docstring says; a check that raises in a child re-raises here."""
     shares = _shares(_fork_width())
-    if len(shares) <= 1:
-        return [fn(seed) for fn in ALL_CHECKS]
 
     def checks(share):
         return [ALL_CHECKS[i](seed) for i in share]
 
     done = {}
     jobs = [lambda fh, share=share: pickle.dump(checks(share), fh) for share in shares]
-    with _forked(jobs) as join:
+    with _forked(jobs if len(shares) > 1 else []) as join:
         for k, share in enumerate(shares):
             fh = join(k)
             done.update(zip(share, checks(share) if fh is None else pickle.load(fh)))

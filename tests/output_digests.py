@@ -10,7 +10,10 @@ process, writes the alpha-sweep fields of each seed of ``SWEEP_SEEDS`` (see
 does, so a change that claims to keep every output byte can show it by
 comparing this listing before and after: ``--check LISTING`` compares it
 with a listing saved from an earlier run and names each file whose digest
-differs (or that only one listing holds) on standard error.  Each command's
+differs (or that only one listing holds) on standard error.
+``tests/output_digests.txt`` is the listing of the current code, so
+``--check tests/output_digests.txt`` shows that a change keeps every byte;
+a change that moves output bytes updates that file.  Each command's
 wall seconds and peak resident set size, as ``wait4`` reports it, and each
 sweep's wall seconds go to standard error.  Exits 1 if a command fails or a
 checked digest differs, 2 on a usage error.

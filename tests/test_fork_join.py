@@ -1,7 +1,8 @@
-"""A large ``fracwave solve`` forks once for its snapshot CSV: the rows a
-child formats give the serial bytes, array solves run in the calling
-process, the fork rule keeps small, threaded or already forked work serial,
-and no child outlives the call that started it."""
+"""A large ``fracwave solve`` forks twice for its snapshot CSV, one child
+per half, and the parent only joins: the rows children format give the
+serial bytes, a half whose child failed is solved here, array solves run in
+the calling process, the fork rule keeps small, threaded or already forked
+work serial, and no child outlives the call that started it."""
 
 import multiprocessing as mp
 import os
@@ -23,9 +24,9 @@ from fracwave.solver import SolutionQuery, solve_field, solve_grid, write_grid_s
 from fracwave.spectral import _fork_width, _forked, build_interval
 from test_verify import _count_forks, _cpus, _fake_checks, _forbid_fork
 
-# (modes, steps, points): 256 modes take 128 time rows per block; the child
-# takes the last 129 of 257 rows, 66,306 values and CSV cells, just above
-# the fork threshold; then 512 rows, of which the child takes 256
+# (modes, steps, points): 256 modes take 128 time rows per block; the later
+# child takes the last 129 of 257 rows, 66,306 values and CSV cells, just
+# above the fork threshold; then 512 rows, 256 per child
 GRIDS = [("256", "256", "257"), ("256", "511", "257")]
 
 
@@ -57,11 +58,11 @@ def test_pinned_and_unpinned_solves_write_the_same_bytes(tmp_path, monkeypatch, 
         os.sched_setaffinity(0, cpus)
     forks = _count_forks(monkeypatch)
     assert _solve(tmp_path, "free", which, grid) == pinned
-    assert len(forks) == (len(cpus) > 1)
+    assert len(forks) == 2 * (len(cpus) > 1)
     _no_children_left()
 
 
-def test_large_solve_forks_once_whatever_the_cpu_count(tmp_path, monkeypatch):
+def test_large_solve_forks_twice_whatever_the_cpu_count(tmp_path, monkeypatch):
     grid = ("512", "512", "513")
     with monkeypatch.context() as m:
         _cpus(m, 1)
@@ -70,7 +71,7 @@ def test_large_solve_forks_once_whatever_the_cpu_count(tmp_path, monkeypatch):
     _cpus(monkeypatch, 3)
     forks = _count_forks(monkeypatch)
     assert _solve(tmp_path, "forked", "value", grid) == serial
-    assert len(forks) == 1
+    assert len(forks) == 2
     _no_children_left()
 
 
@@ -166,13 +167,8 @@ def _fail():
     raise RuntimeError("a child that fails")
 
 
-@pytest.mark.parametrize("which", ["value", "velocity"])
-def test_child_rows_are_read_back(tmp_path, monkeypatch, which):
-    # 512 rows in four blocks of 128: this process solves and writes the
-    # first two, then copies in the child's file
-    query = _query(256, 511, which)
-    csv = _serial(query, tmp_path)
-    _cpus(monkeypatch, 2)
+def _ml_calls_here(monkeypatch):
+    """The betas of the ``solver.ml`` calls this process makes from now on."""
     parent, calls, original = os.getpid(), [], solver.ml
 
     def counting_ml(params, z):
@@ -181,11 +177,55 @@ def test_child_rows_are_read_back(tmp_path, monkeypatch, which):
         return original(params, z)
 
     monkeypatch.setattr(solver, "ml", counting_ml)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["value", "velocity"])
+def test_child_rows_are_read_back(tmp_path, monkeypatch, which):
+    # 512 rows in four blocks of 128: a child solves and formats each half,
+    # and this process only copies their files in
+    query = _query(256, 511, which)
+    csv = _serial(query, tmp_path)
+    _cpus(monkeypatch, 2)
+    calls = _ml_calls_here(monkeypatch)
     forks = _count_forks(monkeypatch)
     write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
     assert (tmp_path / "forked.csv").read_bytes() == csv
-    assert len(forks) == 1
-    assert len(calls) == 2 * 2  # two kernels per block
+    assert len(forks) == 2
+    assert calls == []
+    _no_children_left()
+
+
+@pytest.mark.parametrize("failing", [(0,), (256,), (0, 256)])
+def test_each_failed_half_is_solved_here(tmp_path, monkeypatch, failing):
+    # the halves start at rows 0 and 256, two blocks of 128 rows each: a half
+    # whose child fails is solved and formatted here, two kernels per block
+    query = _query(256, 511)
+    csv = _serial(query, tmp_path)
+    _cpus(monkeypatch, 2)
+    parent, original = os.getpid(), solver._row_blocks
+
+    def row_blocks(query, synth, start, stop):
+        if os.getpid() != parent and start in failing:
+            _fail()
+        return original(query, synth, start, stop)
+
+    monkeypatch.setattr(solver, "_row_blocks", row_blocks)
+    calls = _ml_calls_here(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
+    assert (tmp_path / "forked.csv").read_bytes() == csv
+    assert len(forks) == 2
+    assert len(calls) == 2 * 2 * len(failing)
+    _no_children_left()
+
+
+def test_join_of_a_job_with_no_child_returns_none():
+    with _forked([]) as join:
+        assert join(0) is None and join(1) is None
+    with _forked([lambda fh: fh.write(b"rows")]) as join:
+        assert join(1) is None
+        assert join(0).read() == b"rows"
     _no_children_left()
 
 
@@ -209,7 +249,7 @@ def test_failed_kernel_child_is_recomputed_here(tmp_path, monkeypatch, which):
     _in_children(monkeypatch, solver, "ml", _fail)
     forks = _count_forks(monkeypatch)
     write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert (tmp_path / "forked.csv").read_bytes() == csv
     _no_children_left()
 
@@ -221,7 +261,7 @@ def test_failed_row_child_is_formatted_here(tmp_path, monkeypatch):
     _in_children(monkeypatch, solver, "_table_lines", _fail)
     forks = _count_forks(monkeypatch)
     write_grid_snapshots_csv(query, 257, str(tmp_path / "forked.csv"))
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert (tmp_path / "forked.csv").read_bytes() == csv
     _no_children_left()
 

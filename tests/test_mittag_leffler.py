@@ -265,6 +265,19 @@ class TestContract:
         tol = mlmod._TOL_NEAR if -z <= mlmod._NEAR_LIMIT else mlmod._TOL_FAR
         assert abs(ml(MLParams(alpha, beta), z) - ref) <= tol * abs(ref)
 
+    @pytest.mark.parametrize("delta", [2.0**-52, 1e-12, 1e-8, 1e-6, 1e-4])
+    def test_alpha_just_above_one(self, delta):
+        # the saddle pair's poles lie pi delta off the branch cut, where the
+        # truncated series switches on only half of them; for beta = 1 and
+        # beta = alpha its terms sit next to gamma poles and do not show it,
+        # so the expansion must decline wherever that half matters
+        alpha = 1.0 + delta
+        z = -(np.linspace(14.0, 62.0, 17) ** alpha)
+        tol = np.where(-z <= mlmod._NEAR_LIMIT, mlmod._TOL_NEAR, mlmod._TOL_FAR)
+        for beta in (1.0, alpha):
+            ref = np.array([ml_series_ref(alpha, beta, v) for v in z.tolist()])
+            assert np.all(np.abs(ml(MLParams(alpha, beta), z) - ref) <= tol * np.abs(ref)), beta
+
     def test_alpha_one_tiny_beta_stays_in_double(self, empty_tables, monkeypatch):
         # 1e-300 - k rounds to the pole -k: taken there, every coefficient
         # of the expansion would read zero and the far fallback would climb

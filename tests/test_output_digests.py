@@ -1,4 +1,6 @@
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -61,3 +63,15 @@ def test_check_names_each_file_that_differs(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("differs")] == [
         "differs: tiny_snapshots.csv"]
+
+
+def test_committed_listing_names_every_output():
+    # ``--check tests/output_digests.txt`` compares against this listing: one
+    # sha256 per file of COMMANDS and SWEEP_SEEDS, in the order they are
+    # written.  A change that moves output bytes edits it and says so
+    listing = Path(output_digests.__file__).with_name("output_digests.txt")
+    lines = [line.split("  ", 1) for line in listing.read_text().splitlines()]
+    names = [name for _, files in output_digests.COMMANDS for name in files]
+    assert [name for _, name in lines] == names + [f"sweep_seed{seed}.f64"
+                                                   for seed in output_digests.SWEEP_SEEDS]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in lines)

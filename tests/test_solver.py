@@ -5,7 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fracwave.mittag_leffler as mlmod
 import fracwave.solver
 import fracwave.spectral
 from fracwave.fracops import SampledPath, TimeGrid, caputo_derivative
@@ -211,6 +214,35 @@ class TestModePropagator:
                 head.velocity(data.a, data.b)
             assert calls == [alpha]
             assert "ea" not in vars(prop)
+
+
+class TestRandomAlpha:
+    # the solver's contract is every alpha in (1, 2), not only the three
+    # that ``verify`` samples: at m = l_n^(1/alpha) t <= 25 its kernels match
+    # the series oracle at ``ml``'s own tolerance, and the combinations lie
+    # within that tolerance of the sum of their terms' sizes
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_kernels_and_combinations_match_the_series(self, alpha, fracs):
+        lam = build_interval(1.0, 3).eigenvalues
+        t = np.sort(fracs) * (25.0 / lam[-1] ** (1.0 / alpha))
+        a, b = np.array([1.0, -0.5, 0.25]), np.array([0.3, 0.0, -2.0])
+        prop = ModePropagator(lam, alpha, t)
+        ref = {beta: np.vectorize(ml_series_ref)(alpha, beta, prop.z) for beta in (1.0, 2.0, alpha)}
+        tol = np.where(-prop.z <= mlmod._NEAR_LIMIT, mlmod._TOL_NEAR, mlmod._TOL_FAR)
+        tol += 8.0 * np.finfo(float).eps  # the roundings of a product or a combination
+        e1, te2, ea = ref[1.0], t * ref[2.0], ref[alpha]
+        for got, want in ((prop.e1, e1), (prop.te2, te2), (prop.ea, ea)):
+            assert np.all(np.abs(got - want) <= tol * np.abs(want))
+        A, B, L = np.abs(a)[:, None], np.abs(b)[:, None], lam[:, None]
+        size = A * np.abs(e1) + B * np.abs(te2)
+        sizes = {"value": size, "caputo": L * size,
+                 "velocity": L * A * t ** (alpha - 1.0) * np.abs(ea) + B * np.abs(e1)}
+        for which, want in mode_combinations_ref(lam, alpha, t, ref, a, b).items():
+            got = getattr(prop, which)(a, b)
+            assert np.all(np.abs(got - want) <= tol * sizes[which]), which
 
 
 class TestSolveField:
@@ -430,6 +462,14 @@ class TestTruncationTail:
         expected = math.sqrt(float(np.sum(data.a[16:] ** 2)))
         assert abs(truncation_tail(q, 0.0, 0.0) - expected) < 1e-14
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("n_sum", [None, 4])
+    def test_t_must_be_finite_and_non_negative(self, n_sum, t):
+        # checked before anything else: with every mode summed there is no tail
+        q = SolutionQuery(FracOrder(1.5), self.domain, poly_bump(self.domain), self.grid, n_sum=n_sum)
+        with pytest.raises(ValueError, match="t must be finite and non-negative"):
+            truncation_tail(q, 0.0, t)
+
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta_rejected_before_writing(self, tmp_path, theta):
         q = SolutionQuery(FracOrder(1.5), self.domain, poly_bump(self.domain), self.grid, n_sum=16)
@@ -438,6 +478,24 @@ class TestTruncationTail:
         with pytest.raises(ValueError, match="theta must be finite"):
             write_manifest(q, str(tmp_path / "manifest.json"), theta=theta)
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda n: TimeGrid(1.0, n), "steps"),
+    (lambda n: build_interval(1.0, n), "the mode count"),
+    (lambda n: build_rectangle(1.0, 1.0, n), "the mode count"),
+    (lambda n: uniform_grid(build_interval(1.0, 4), n), "the points per axis"),
+    (lambda n: SolutionQuery(FracOrder(1.5), build_interval(1.0, 8), random_decay(8, 2.0, 1),
+                             TimeGrid(1.0, 8), n_sum=n), "n_sum"),
+], ids=["TimeGrid", "build_interval", "build_rectangle", "uniform_grid", "SolutionQuery"])
+def test_counts_must_be_integers(make, name):
+    for bad in (3.5, 4.0, "4"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            make(bad)
+    for good in (4, np.int64(4), np.int32(4)):
+        make(good)
+    # kept as a Python int, so a manifest can hold it
+    assert type(TimeGrid(1.0, np.int64(8)).steps) is int
 
 
 class TestExports:

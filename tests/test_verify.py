@@ -1,6 +1,7 @@
-"""``verify``: the forked check shares and the serial path agree, and the
-draws it shares keep their bits."""
+"""``verify``: one loop runs the check shares, forked or on one CPU, with the
+same results, and the draws it shares keep their bits."""
 
+import contextlib
 import math
 import os
 import threading
@@ -68,9 +69,11 @@ def test_other_thread_runs_in_process(monkeypatch):
     assert {r.details["pid"] for r in results} == {os.getpid()}
 
 
-def _fake_checks(raise_at=None):
+def _fake_checks(raise_at=None, calls=None):
     def make(i):
         def check(seed):
+            if calls is not None:
+                calls.append(i)
             if i == raise_at:
                 raise ValueError(f"check {i} failed at seed {seed}")
             return CheckResult(f"fake-{i}", True, {"seed": seed, "pid": os.getpid()})
@@ -86,6 +89,29 @@ def test_pool_returns_results_in_check_order(monkeypatch):
     assert [r.name for r in results] == [f"fake-{i}" for i in range(len(ALL_CHECKS))]
     assert {r.details["seed"] for r in results} == {5}
     assert os.getpid() not in {r.details["pid"] for r in results}
+
+
+def test_one_cpu_runs_the_same_loop(monkeypatch):
+    # no jobs: the one share is joined like a forked one, its join finds no
+    # child, and it runs here in the order it was dealt
+    calls, entered, joins = [], [], []
+    monkeypatch.setattr(verify, "ALL_CHECKS", _fake_checks(calls=calls))
+    real = verify._forked
+
+    @contextlib.contextmanager
+    def recording(jobs):
+        entered.append(list(jobs))
+        with real(jobs) as join:
+            yield lambda i: joins.append(i) or join(i)
+
+    monkeypatch.setattr(verify, "_forked", recording)
+    _cpus(monkeypatch, 1)
+    _forbid_fork(monkeypatch)
+    results = run_all(6)
+    assert entered == [[]] and joins == [0]
+    assert calls == verify._shares(1)[0]
+    assert [r.name for r in results] == [f"fake-{i}" for i in range(len(ALL_CHECKS))]
+    assert {r.details["pid"] for r in results} == {os.getpid()}
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 16])
