@@ -7,7 +7,6 @@ from .fracops import (
     TimeGrid,
     caputo_derivative,
     frac_integral,
-    frac_integral_inverse,
     gagliardo_seminorm,
     norm_equivalence_study,
     semigroup_check,
@@ -52,7 +51,6 @@ __all__ = [
     "build_rectangle",
     "caputo_derivative",
     "frac_integral",
-    "frac_integral_inverse",
     "frac_power_norm",
     "gagliardo_seminorm",
     "gamma",

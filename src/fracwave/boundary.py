@@ -40,7 +40,6 @@ __all__ = [
     "multiplier_identity_check",
     "fractional_identity_check",
     "trace_seminorm_bound",
-    "two_time_identity_check",
     "trace_to_csv",
 ]
 
@@ -73,14 +72,10 @@ class TraceSeries:
     def as_path(self) -> SampledPath:
         return SampledPath(self.grid, self.values)
 
-    def energy(self) -> float:
-        """Time integral of the weighted squared trace (trapezoid)."""
-        return float(_trace_energy(self.values, self.weights, self.grid.nodes))
-
 
 def _trace_energy(values: np.ndarray, weights: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """``TraceSeries.energy`` of every trace in ``values`` (..., M+1, B) at
-    once; each trace's squares and sums are those of its own call."""
+    """Time integral (trapezoid) of the boundary-weighted squared trace, for
+    every trace in ``values`` (..., M+1, B) at once."""
     return np.trapezoid(values**2 @ weights, nodes, axis=-1)
 
 
@@ -229,7 +224,6 @@ def multiplier_identity_check(
     wfun: TestFunction,
     hfield: MultiplierField,
     L: float = 1.0,
-    n_gauss: int = 64,
 ) -> dict:
     """Residual of the one-dimensional integration-by-parts identity
 
@@ -239,7 +233,7 @@ def multiplier_identity_check(
     for xb in (0.0, L):
         if abs(float(np.asarray(wfun.w(np.array([xb])))[0])) > 1e-10:
             raise ValueError("the test function must vanish on the boundary")
-    x, wq = _leggauss(n_gauss)
+    x, wq = _leggauss(64)
     x = 0.5 * L * (x + 1.0)
     wq = 0.5 * L * wq
     dwx = wfun.dw(x)
@@ -403,37 +397,3 @@ def _trace_bound_report(domain: SpectralDomain, data: ModeCoefficients, al: floa
                            value=plain**2 / energy, bound_rhs=energy)
     cross = plain / (il2 + semi) if (il2 + semi) > 0 else 0.0
     return TraceBoundReport(integrated, plain_rep, cross_ratio=cross)
-
-
-def two_time_identity_check(
-    domain: SpectralDomain,
-    data: ModeCoefficients,
-    alpha,
-    beta: float,
-    tgrid: TimeGrid,
-    node_pairs,
-) -> float:
-    """Max residual of the two-time difference form of the identity.
-
-    For selected node pairs (i, j) the boundary term built from trace
-    differences must match the duality and volume terms built from
-    coefficient differences; exercised as a slow cross check.
-    """
-    if not domain.is_interval:
-        raise ValueError("two-time identity is interval-only")
-    (L,) = domain.lengths
-    lam = domain.eigenvalues
-    icoeff, itrace, icap, G = _identity_terms(domain, data, alpha, beta, tgrid)
-    worst = 0.0
-    for i, j in node_pairs:
-        d = icoeff[:, i] - icoeff[:, j]
-        dcap = icap[:, i] - icap[:, j]
-        dtr = itrace[i] - itrace[j]
-        lhs = float(dtr**2 @ domain.boundary_weights)
-        duality = 2.0 * float(dcap @ G @ d)
-        volume = (2.0 / L) * float(np.sum(lam * d**2))
-        rhs = duality + volume
-        scale = max(abs(lhs), abs(rhs))
-        if scale > 0:
-            worst = max(worst, abs(lhs - rhs) / scale)
-    return worst

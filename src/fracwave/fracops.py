@@ -18,7 +18,6 @@ shifted by its first node and evaluated by real FFT.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -26,24 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mittag_leffler import gamma
-from .spectral import _integer, _write_csv
+from .spectral import _integer
 
 __all__ = [
     "TimeGrid",
     "KernelPhi",
     "SampledPath",
     "frac_integral",
-    "frac_integral_inverse",
     "caputo_derivative",
-    "caputo_first_order",
     "young_bound_check",
     "semigroup_check",
     "gagliardo_seminorm",
     "sobolev_norm",
     "l2_time_norm",
     "norm_equivalence_study",
-    "path_to_csv",
-    "path_from_csv",
 ]
 
 
@@ -167,43 +162,11 @@ def frac_integral(f: SampledPath, beta: float) -> SampledPath:
     return SampledPath(grid, out)
 
 
-def frac_integral_inverse(g: SampledPath, beta: float, f0: float | np.ndarray = 0.0) -> SampledPath:
-    """Deconvolve the product-trapezoidal integral (diagnostic/test use).
-
-    The node-0 value of the preimage is not determined by the data
-    (the integral vanishes there for every input) and must be supplied.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    grid = g.grid
-    M = grid.steps
-    gv = g.components()
-    w, v = _conv_weights(beta, M, grid.spacing)
-    first = np.broadcast_to(np.atleast_1d(np.asarray(f0, dtype=float)), gv.shape[1:]).astype(float)
-    # rows n = 1..M:  g_n - (w_n - v_{n+1}) f_0 = sum_{k=1..n} w_{n-k} f_k
-    rhs = gv[1:] - (w[1:] - v[2 : M + 2])[:, None] * first[None, :]
-    # the lower-triangular Toeplitz system, by forward substitution
-    sol = np.empty_like(rhs)
-    for n in range(M):
-        sol[n] = (rhs[n] - w[n:0:-1] @ sol[:n]) / w[0]
-    out = np.vstack([first[None, :], sol])
-    if not g.is_vector:
-        out = out[:, 0]
-    return SampledPath(grid, out)
-
-
 def caputo_derivative(f_second: SampledPath, alpha: float) -> SampledPath:
     """Caputo derivative of order alpha in (1, 2) from second-derivative samples."""
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
     return frac_integral(f_second, 2.0 - alpha)
-
-
-def caputo_first_order(f_prime: SampledPath, alpha: float) -> SampledPath:
-    """Caputo derivative of order alpha in (0, 1) from first-derivative samples."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return frac_integral(f_prime, 1.0 - alpha)
 
 
 def _node_weights(grid: TimeGrid) -> np.ndarray:
@@ -423,24 +386,3 @@ def norm_equivalence_study(ensemble, beta: float, weights=None) -> EquivalenceSt
     if not ratios:
         raise ValueError("all ensemble members have zero norm")
     return EquivalenceStudy(np.asarray(ratios), skipped)
-
-
-def path_to_csv(path: SampledPath, filename: str) -> None:
-    vals = path.components()
-    header = ["t"] + [f"v{i}" for i in range(vals.shape[1])]
-    _write_csv(filename, header, np.column_stack((path.grid.nodes, vals)))
-
-
-def path_from_csv(filename: str) -> SampledPath:
-    with open(filename, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(x) for x in row] for row in rows[1:]])
-    t = data[:, 0]
-    steps = len(t) - 1
-    grid = TimeGrid(t_end=float(t[-1]), steps=steps)
-    if not np.allclose(t, grid.nodes, rtol=0, atol=1e-12 * max(1.0, t[-1])):
-        raise ValueError("CSV nodes are not a uniform grid starting at 0")
-    vals = data[:, 1:]
-    if vals.shape[1] == 1:
-        vals = vals[:, 0]
-    return SampledPath(grid, vals)

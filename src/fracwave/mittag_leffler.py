@@ -36,8 +36,9 @@ Positive axis:
 
 Every tier is elementwise: a value and its accept flag, and so the tier
 that produces it, depend on its own argument alone, never on the rest of
-its call.  The series gives each value its own term count and stop (see
-``_series_double``), and the algebraic series charges each value at least
+its call.  The series gives each value its own term count and stop, and
+charges its truncation as the geometric tail its falling term ratios bound
+(see ``_series_double``); the algebraic series charges each value at least
 what its early exit could leave out (below).  The cascade runs every tier,
 and the fallbacks, over windows of about ``_CASCADE_CHUNK`` (8,192) input
 positions and writes what they accept straight into the result, so a
@@ -127,6 +128,7 @@ __all__ = [
     "gamma",
     "ml",
     "DECAY_SAMPLES",
+    "GROWTH_THRESHOLD",
     "verify_decay_bound",
     "max_ratio",
 ]
@@ -340,9 +342,14 @@ def _series_double(alpha, beta, z, tol):
     that ends on a term ``|t| <= 1e-20 acc`` or that reaches its term count,
     ``_series_length`` at its own ``m``, capped at ``m = _M_DOUBLE`` for
     negative ``z`` and ``_M_POS_SERIES`` for positive ``z``.  A value that
-    stops is written out and leaves the working arrays.  The loop extends
-    the table as it reads it and updates its arrays in place, in the
-    operation order of ``t = t * (z * R_k)`` and the Kahan step.
+    stops is written out and leaves the working arrays.  Its truncation is
+    charged as the geometric tail ``|t| q/(1 - q)``, at least ``|t|``: the
+    ratios fall, so every later term is at most ``q = |z| R_{k-1}``, read
+    from the last ratio used, times the one before.  Where ``q >= 1`` the
+    value is declined.  At small alpha the terms fall slowly and that tail
+    is up to about 12 times ``|t|``.  The loop extends the table as it
+    reads it and updates its arrays in place, in the operation order of
+    ``t = t * (z * R_k)`` and the Kahan step.
     """
     m_cap = _M_POS_SERIES if z[0] > 0.0 else _M_DOUBLE
     # no value reaches its term count before this many terms
@@ -379,10 +386,14 @@ def _series_double(alpha, beta, z, tol):
                 m = np.minimum(np.abs(zs) ** (1.0 / alpha), m_cap)
             stop |= k >= _series_length(alpha, m) - 1
         if stop.any():
-            # est = 4 eps acc + |t|, accepted where est <= tol |s|
+            # est = 4 eps acc + |t| max(1, q/(1 - q)), accepted where est <=
+            # tol |s| and q < 1
             done = idx[stop]
+            q = np.abs(zs[stop]) * ratios[k - 1]
+            with np.errstate(divide="ignore", invalid="ignore"):  # at q = 1
+                tail = w[stop] * np.maximum(1.0, q / (1.0 - q))
             val[done] = s[stop]
-            ok[done] = 4.0 * _EPS * acc[stop] + w[stop] <= tol[done] * np.abs(s[stop])
+            ok[done] = (q < 1.0) & (4.0 * _EPS * acc[stop] + tail <= tol[done] * np.abs(s[stop]))
             run = ~stop
             idx, zs, t, s, comp, acc = (a[run] for a in (idx, zs, t, s, comp, acc))
             w = np.empty_like(s)
@@ -1050,6 +1061,9 @@ def ml(params: MLParams, z):
 
 # the dyadic samples z = -2**k, k = 0..20, every envelope fit runs on
 DECAY_SAMPLES = tuple(-(2.0**k) for k in range(21))
+# the level-to-level growth ratio of the envelope's running sup that its tail
+# may not exceed
+GROWTH_THRESHOLD = 1.1
 
 
 def _dyadic_levels(az: np.ndarray) -> np.ndarray:
@@ -1059,8 +1073,9 @@ def _dyadic_levels(az: np.ndarray) -> np.ndarray:
     return lev
 
 
-def _tail_growth_violation(level_sups: np.ndarray, threshold: float = 1.1) -> float:
-    """Max excess of running-sup growth ratios over the tail half of levels.
+def _tail_growth_violation(level_sups: np.ndarray) -> float:
+    """Max excess of running-sup growth ratios over ``GROWTH_THRESHOLD``,
+    in the tail half of the levels.
 
     The weighted samples |E|(1+|z|) legitimately climb toward their plateau
     over the first levels; unboundedness shows up as persistent growth in the
@@ -1074,7 +1089,7 @@ def _tail_growth_violation(level_sups: np.ndarray, threshold: float = 1.1) -> fl
     tail = ratios[start:]
     if tail.size == 0:
         return 0.0
-    return float(max(0.0, np.max(tail) - threshold))
+    return float(max(0.0, np.max(tail) - GROWTH_THRESHOLD))
 
 
 def verify_decay_bound(params: MLParams, z_samples) -> BoundFit:

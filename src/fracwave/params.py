@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mittag_leffler import gamma
-
 __all__ = [
     "FracOrder",
     "ThetaRange",
@@ -40,10 +38,6 @@ class ThetaRange:
             )
         return float(theta)
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
 
 def velocity_dual_range(alpha: float) -> ThetaRange:
     """Dual-norm exponents for which the velocity stays continuous in time."""
@@ -74,11 +68,6 @@ class FracOrder:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and 1.0 < self.alpha < 2.0):
             raise ValueError(f"alpha must lie strictly in (1, 2), got {self.alpha}")
-
-    @property
-    def kernel_gamma(self) -> float:
-        """Gamma(2 - alpha), the kernel normalization of the time derivative."""
-        return gamma(2.0 - self.alpha)
 
 
 def as_alpha(value) -> float:

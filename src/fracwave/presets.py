@@ -42,29 +42,21 @@ def poly_bump(domain: SpectralDomain) -> ModeCoefficients:
     return ModeCoefficients(a, np.zeros_like(a))
 
 
-def random_decay(N: int, p: float, seed: int, on: str = "both") -> ModeCoefficients:
-    """Gaussian draws damped by n^-p; the seed fixes the draw exactly."""
+def random_decay(N: int, p: float, seed: int) -> ModeCoefficients:
+    """Gaussian draws on both data, damped by n^-p; the seed fixes the draw exactly."""
     if p <= 0.5:
         raise ValueError("need p > 1/2 for square-summable data")
     rng = np.random.default_rng(seed)
     n = np.arange(1, N + 1, dtype=float)
     a = rng.standard_normal(N) * n ** (-p)
     b = rng.standard_normal(N) * n ** (-p)
-    if on == "u0":
-        b = np.zeros(N)
-    elif on == "u1":
-        a = np.zeros(N)
-    elif on != "both":
-        raise ValueError("on must be 'u0', 'u1' or 'both'")
     return ModeCoefficients(a, b)
 
 
-def power_decay(N: int, s: float, on: str = "u0") -> ModeCoefficients:
-    """Deterministic coefficients n^-s on one datum."""
+def power_decay(N: int, s: float) -> ModeCoefficients:
+    """Deterministic position coefficients n^-s, zero velocity."""
     n = np.arange(1, N + 1, dtype=float)
-    c = n ** (-s)
-    z = np.zeros(N)
-    return ModeCoefficients(c, z) if on == "u0" else ModeCoefficients(z, c)
+    return ModeCoefficients(n ** (-s), np.zeros(N))
 
 
 def h1_saturating(N: int, delta: float = 0.05) -> ModeCoefficients:
@@ -75,7 +67,7 @@ def h1_saturating(N: int, delta: float = 0.05) -> ModeCoefficients:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return power_decay(N, (3.0 + delta) / 2.0, on="u0")
+    return power_decay(N, (3.0 + delta) / 2.0)
 
 
 PRESET_NAMES = ("single-mode", "poly-bump", "random-decay", "h1-saturating")
@@ -90,7 +82,7 @@ def build_preset(name: str, domain: SpectralDomain, *, mode: int = 1, p: float =
     if name == "poly-bump":
         return poly_bump(domain)
     if name == "random-decay":
-        return random_decay(N, p=p, seed=seed, on="both")
+        return random_decay(N, p=p, seed=seed)
     if name == "h1-saturating":
         return h1_saturating(N, delta=delta)
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

@@ -9,7 +9,6 @@ boundedness, exact scaling invariance and fitted rate exponents.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from .params import (
     velocity_dual_range,
 )
 from .solver import ModePropagator
-from .spectral import ModeCoefficients, SpectralDomain, _write_json, pairwise_sum, tail_stabilizes
+from .spectral import ModeCoefficients, SpectralDomain, _integer, pairwise_sum, tail_stabilizes
 
 __all__ = [
     "NormReport",
@@ -33,8 +32,6 @@ __all__ = [
     "smooth_data_velocity",
     "velocity_blowup_rate",
     "fit_loglog_slope",
-    "reports_to_csv",
-    "reports_to_json",
 ]
 
 
@@ -52,19 +49,6 @@ class NormReport:
         if self.bound_rhs is not None:
             d["bound_rhs"] = self.bound_rhs
         return d
-
-
-def reports_to_csv(reports, filename: str) -> None:
-    rows = [r.as_dict() for r in reports]
-    keys = sorted({k for r in rows for k in r})
-    with open(filename, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def reports_to_json(reports, filename: str) -> None:
-    _write_json(filename, [r.as_dict() for r in reports])
 
 
 def fit_loglog_slope(t, err) -> float:
@@ -113,7 +97,6 @@ def uniform_bound_report(
     alpha,
     theta: float,
     t_end: float,
-    n_times: int = 129,
 ) -> list[NormReport]:
     """Sup-over-grid energy and dual-velocity norms, per ensemble member.
 
@@ -123,7 +106,7 @@ def uniform_bound_report(
     """
     al = as_alpha(alpha)
     theta = velocity_dual_range(al).validate(theta)
-    times = np.linspace(0.0, t_end, n_times)
+    times = np.linspace(0.0, t_end, 129)
     lam = domain.eigenvalues
     prop = ModePropagator(lam, al, times)
     reports: list[NormReport] = []
@@ -172,9 +155,13 @@ def l2_time_norms(
 
     The integrands blow up at the origin like t^(-2 a theta_grad) and
     t^(a (2 theta_cap - 1)); both are integrable inside the admissible theta
-    windows, and the quadrature uses a quadratically graded mesh with an
-    extrapolated first panel.
+    windows, and the quadrature uses a quadratically graded mesh of
+    ``steps`` panels (an integer, at least 2) with an extrapolated first
+    panel.
     """
+    steps = _integer("steps", steps)
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
     al = as_alpha(alpha)
     theta_grad = gradient_range(al).validate(theta_grad)
     theta_cap = caputo_dual_range(al).validate(theta_cap)
@@ -243,11 +230,9 @@ def velocity_blowup_rate(
     domain: SpectralDomain,
     data: ModeCoefficients,
     alpha,
-    t_lo: float = 1e-4,
-    t_hi: float = 1e-2,
-    n_points: int = 9,
 ) -> BlowupFit:
-    """Fit the short-time growth exponent of the plain-L2 velocity norm.
+    """Fit the short-time growth exponent of the plain-L2 velocity norm on
+    9 geometrically spaced times from 1e-4 to 1e-2.
 
     For position-only data the norm behaves like t^(alpha-1); multi-mode
     input only mixes the prefactor, which is flagged, not rejected.
@@ -256,7 +241,7 @@ def velocity_blowup_rate(
     if np.any(data.b != 0.0):
         raise ValueError("the blow-up rate study needs velocity-free data (b = 0)")
     multi = int(np.count_nonzero(data.a)) > 1
-    ts = np.geomspace(t_lo, t_hi, n_points)
+    ts = np.geomspace(1e-4, 1e-2, 9)
     v = ModePropagator(domain.eigenvalues, al, ts).velocity(data.a, data.b)
     norm = np.sqrt(pairwise_sum(v**2, axis=0))
     slope = fit_loglog_slope(ts, norm)

@@ -56,7 +56,6 @@ __all__ = [
     "ModeState",
     "ModePropagator",
     "mode_solution",
-    "mode_second_derivative",
     "mode_second_derivative_samples",
     "coefficient_evolution",
     "solve_field",
@@ -222,15 +221,6 @@ def mode_solution(lam: float, alpha, a: float, b: float, t) -> ModeState:
         raise ValueError("the eigenvalue must be positive")
     prop = ModePropagator(lam, alpha, t)
     return ModeState(*(_scalar_or_row(getattr(prop, w)(a, b), t) for w in _WHICH))
-
-
-def mode_second_derivative(lam: float, alpha, a: float, b: float, t) -> np.ndarray:
-    """Analytic second time derivative of a mode, valid for t > 0.
-
-    Used by residual studies that feed the discrete fractional derivative;
-    it blows up like t^(alpha-2) at the origin, so t = 0 is rejected.
-    """
-    return _scalar_or_row(ModePropagator(lam, alpha, t).second_derivative(a, b), t)
 
 
 def mode_second_derivative_samples(lam, alpha, a, b, tgrid: TimeGrid) -> np.ndarray:

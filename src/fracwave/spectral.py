@@ -63,9 +63,6 @@ __all__ = [
     "grid_sum",
     "tail_stabilizes",
     "domain_to_config",
-    "domain_from_config",
-    "coeffs_to_csv",
-    "coeffs_from_csv",
 ]
 
 
@@ -485,9 +482,6 @@ class ModeCoefficients:
     def __len__(self) -> int:
         return self.a.size
 
-    def scaled(self, factor: float) -> "ModeCoefficients":
-        return ModeCoefficients(self.a * factor, self.b * factor)
-
     def energy(self, lam) -> float:
         """Data energy sum(lam a^2) + sum(b^2) for eigenvalues ``lam``."""
         return float(np.sum(lam * self.a**2) + np.sum(self.b**2))
@@ -503,13 +497,6 @@ def domain_to_config(domain: SpectralDomain) -> dict:
 
 # domain kind -> (builder taking that many lengths and the mode count, number of axes)
 _BUILDERS = {"interval": (build_interval, 1), "rectangle": (build_rectangle, 2)}
-
-
-def domain_from_config(cfg: dict) -> SpectralDomain:
-    if cfg["kind"] not in _BUILDERS:
-        raise ValueError(f"unknown domain kind {cfg['kind']!r}")
-    build, axes = _BUILDERS[cfg["kind"]]
-    return build(*cfg["lengths"][:axes], cfg["mode_count"])
 
 
 # A snapshot CSV's two halves go to forked children only when the later half
@@ -645,16 +632,3 @@ def _write_json(filename: str, obj) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(filename, "w") as fh:
         fh.write(text + "\n")
-
-
-def coeffs_to_csv(coeffs: ModeCoefficients, filename: str) -> None:
-    index = range(1, len(coeffs.a) + 1)
-    _write_csv(filename, ["n", "a", "b"], zip(index, coeffs.a.tolist(), coeffs.b.tolist()))
-
-
-def coeffs_from_csv(filename: str) -> ModeCoefficients:
-    with open(filename, newline="") as fh:
-        rows = list(csv.reader(fh))
-    a = np.array([float(r[1]) for r in rows[1:]])
-    b = np.array([float(r[2]) for r in rows[1:]])
-    return ModeCoefficients(a, b)

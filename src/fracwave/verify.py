@@ -54,8 +54,8 @@ from .fracops import (
     norm_equivalence_study,
     semigroup_check,
 )
-from .mittag_leffler import (DECAY_SAMPLES, MLParams, _mpmath_single, gamma, max_ratio, ml,
-                             verify_decay_bound)
+from .mittag_leffler import (DECAY_SAMPLES, GROWTH_THRESHOLD, MLParams, _mpmath_single, gamma,
+                             max_ratio, ml, verify_decay_bound)
 from .presets import _random_trig_paths, h1_saturating, random_decay, single_mode
 from .regularity import fit_loglog_slope, initial_convergence, velocity_blowup_rate
 from .solver import ModePropagator, mode_second_derivative_samples
@@ -142,7 +142,7 @@ def check_decay_envelope(seed: int = 0) -> CheckResult:
         fit = verify_decay_bound(MLParams(alpha, 1.0), DECAY_SAMPLES)
         rows[str(alpha)] = {"c_empirical": fit.c_empirical, "max_violation": fit.max_violation}
         passed &= (fit.max_violation == 0.0) and math.isfinite(fit.c_empirical)
-    return CheckResult("decay-envelope", passed, {"per_alpha": rows, "growth_threshold": 1.1})
+    return CheckResult("decay-envelope", passed, {"per_alpha": rows, "growth_threshold": GROWTH_THRESHOLD})
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-9):

@@ -21,7 +21,6 @@ from fracwave.boundary import (
     trace_seminorm_bound,
     trace_to_csv,
     trig_test_function,
-    two_time_identity_check,
 )
 from fracwave.fracops import TimeGrid
 from fracwave.presets import power_decay, random_decay, single_mode
@@ -121,7 +120,7 @@ class TestHiddenRatio:
         data = random_decay(16, 2.0, 5)
         grid = TimeGrid(1.0, 64)
         r1 = hidden_inequality_ratio(dom, [data], 1.5, grid).max_ratio
-        r2 = hidden_inequality_ratio(dom, [data.scaled(7.0)], 1.5, grid).max_ratio
+        r2 = hidden_inequality_ratio(dom, [ModeCoefficients(7.0 * data.a, 7.0 * data.b)], 1.5, grid).max_ratio
         assert abs(r1 - r2) <= 1e-12 * r1
 
     def test_zero_energy_skipped(self):
@@ -454,21 +453,3 @@ class TestTraceSeminormBound:
         dom = build_interval(1.0, 4)
         with pytest.raises(ValueError):
             trace_seminorm_bound(dom, [single_mode(4, 1)], 1.5, 1.0, TimeGrid(1.0, 64))
-
-
-@pytest.mark.slow
-class TestTwoTimeIdentity:
-    def test_difference_form(self):
-        dom = build_interval(1.0, 4)
-        data = single_mode(4, 1)
-        worst = two_time_identity_check(
-            dom, data, 1.5, 0.25, TimeGrid(1.0, 512), [(64, 256), (128, 384), (256, 512)]
-        )
-        assert worst <= 5e-2
-
-    def test_refinement(self):
-        dom = build_interval(1.0, 4)
-        data = single_mode(4, 1)
-        w1 = two_time_identity_check(dom, data, 1.75, 0.25, TimeGrid(1.0, 256), [(64, 192)])
-        w2 = two_time_identity_check(dom, data, 1.75, 0.25, TimeGrid(1.0, 1024), [(256, 768)])
-        assert w2 < w1

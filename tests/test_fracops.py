@@ -14,14 +14,10 @@ from fracwave.fracops import (
     SampledPath,
     TimeGrid,
     caputo_derivative,
-    caputo_first_order,
     frac_integral,
-    frac_integral_inverse,
     gagliardo_seminorm,
     l2_time_norm,
     norm_equivalence_study,
-    path_from_csv,
-    path_to_csv,
     semigroup_check,
     sobolev_norm,
     young_bound_check,
@@ -195,14 +191,6 @@ class TestCaputo:
     def test_order_domain(self, alpha):
         with pytest.raises(ValueError):
             caputo_derivative(SampledPath(GRID, np.ones(GRID.steps + 1)), alpha)
-
-    def test_first_order_branch(self):
-        # f = t^2 with f' = 2t: derivative of order a in (0,1) is
-        # 2 t^(2-a)/Gamma(3-a), exact for the linear integrand
-        alpha = 0.4
-        out = caputo_first_order(SampledPath(GRID, 2.0 * GRID.nodes), alpha)
-        ref = 2.0 * GRID.nodes ** (2.0 - alpha) / gamma(3.0 - alpha)
-        assert np.max(np.abs(out.values[1:] - ref[1:]) / ref[1:]) < 1e-10
 
 
 class TestYoungBound:
@@ -497,32 +485,8 @@ class TestNormEquivalence:
 
 
 class TestInverse:
-    def test_roundtrip(self):
-        f = trig_path(GRID, 12)
-        g = frac_integral(f, 0.4)
-        back = frac_integral_inverse(g, 0.4, f0=f.values[0])
-        assert np.max(np.abs(back.values - f.values)) < 1e-10
-
     def test_sobolev_norm_is_sum(self):
         v = trig_path(GRID, 13)
         assert abs(
             sobolev_norm(v, 0.3) - (l2_time_norm(v) + gagliardo_seminorm(v, 0.3))
         ) < 1e-14
-
-
-class TestCsv:
-    def test_scalar_roundtrip(self, tmp_path):
-        f = trig_path(GRID, 20)
-        fname = str(tmp_path / "path.csv")
-        path_to_csv(f, fname)
-        back = path_from_csv(fname)
-        assert back.grid == f.grid
-        assert np.array_equal(back.values, f.values)
-
-    def test_vector_roundtrip(self, tmp_path):
-        f = trig_path(GRID, 21)
-        stacked = SampledPath(GRID, np.stack([f.values, -f.values], axis=1))
-        fname = str(tmp_path / "vec.csv")
-        path_to_csv(stacked, fname)
-        back = path_from_csv(fname)
-        assert np.array_equal(back.values, stacked.values)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mpmath as mp
@@ -38,6 +38,16 @@ ML_1P25_1P25_M5 = -0.01122191771732039
 ML_1P75_2_M30 = 0.01903396646586622
 ML_1P5_1P5_M120 = -2.8759567175019854e-05
 ML_1P25_1_M300 = -0.0006847792156716808
+
+
+@st.composite
+def _contract_args(draw):
+    """(alpha, beta, z) with alpha in [0.05, 2], beta in (0.02, 5] and z of
+    either sign at cancellation scale m = |z|**(1/alpha) <= 35."""
+    alpha = draw(st.floats(0.05, 2.0))
+    beta = draw(st.floats(0.02, 5.0, exclude_min=True))
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    return alpha, beta, sign * draw(st.floats(0.0, 35.0)) ** alpha
 
 
 class TestGamma:
@@ -147,6 +157,17 @@ class TestOracleAgreement:
             for z in (0.5, 5.0, 40.0):
                 ref = ml_series_ref(alpha, beta, z)
                 assert abs(ml(MLParams(alpha, beta), z) - ref) <= 1e-11 * abs(ref)
+
+    @given(args=_contract_args())
+    # alpha <= 0.19, where the series' terms fall slowly: charged only its
+    # last term, the series tier accepted this value 2.7e-10 relative off
+    @example(args=(0.05616401146738228, 0.052124676048760324, 1.1185103868546284))
+    def test_within_tolerance_of_the_oracle(self, args):
+        # ml's own tolerance: 3e-11 for |z| <= 64, 1e-9 beyond
+        alpha, beta, z = args
+        ref = ml_series_ref(alpha, beta, z)
+        tol = 3e-11 if abs(z) <= 64.0 else 1e-9
+        assert abs(ml(MLParams(alpha, beta), z) - ref) <= tol * abs(ref)
 
 
 class TestRecurrence:

@@ -19,7 +19,6 @@ from fracwave.solver import (
     ModePropagator,
     SolutionQuery,
     coefficient_evolution,
-    mode_second_derivative,
     mode_second_derivative_samples,
     mode_solution,
     solve_field,
@@ -95,12 +94,12 @@ class TestSecondDerivative:
             vp = mode_solution(LAM1, alpha, 1.0, 0.5, t0 + dh).y_prime
             vm = mode_solution(LAM1, alpha, 1.0, 0.5, t0 - dh).y_prime
             fd = (vp - vm) / (2.0 * dh)
-            got = mode_second_derivative(LAM1, alpha, 1.0, 0.5, t0)
+            got = ModePropagator(LAM1, alpha, t0).second_derivative(1.0, 0.5)[0, 0]
             assert abs(got - fd) < 1e-5 * abs(fd)
 
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
-            mode_second_derivative(LAM1, 1.5, 1.0, 0.0, 0.0)
+            ModePropagator(LAM1, 1.5, 0.0).second_derivative(1.0, 0.0)
 
     def test_sample_panel_means(self):
         # near the origin the samples must reproduce the exact panel means
