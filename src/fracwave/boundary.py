@@ -22,7 +22,7 @@ from .fracops import (
     gagliardo_seminorm,
     l2_time_norm,
 )
-from .params import as_alpha, identity_overlap_range
+from .params import as_alpha
 from .regularity import NormReport
 from .solver import ModePropagator, mode_second_derivative_samples
 from .spectral import (_MODE_SUM_BYTES, ModeCoefficients, SpectralDomain, _gauss_panels,
@@ -175,6 +175,8 @@ def _ratio_study(domain: SpectralDomain, prop: ModePropagator, ensemble,
     """The ratio study of ``ensemble`` on ``prop``'s kernels, one ``_traces``
     contraction for all its draws of nonzero energy; the traces of the draws
     whose indices are in ``keep`` stay in ``RatioStudy.traces``."""
+    if not ensemble:
+        raise ValueError("ensemble must be non-empty")
     energies = [data.energy(domain.eigenvalues) for data in ensemble]
     live = [i for i, energy in enumerate(energies) if energy != 0.0]
     if not live:
@@ -200,10 +202,10 @@ class TestFunction:
     d2w: callable
 
 
-def trig_test_function(coeffs, L: float = 1.0) -> TestFunction:
-    """Sine polynomial sum_k c_k sin(k pi x / L); vanishes at both ends."""
+def trig_test_function(coeffs) -> TestFunction:
+    """Sine polynomial sum_k c_k sin(k pi x) on (0, 1); vanishes at both ends."""
     c = np.asarray(coeffs, dtype=float)
-    k = np.arange(1, len(c) + 1) * math.pi / L
+    k = np.arange(1, len(c) + 1) * math.pi
 
     def w(x):
         x = np.asarray(x, dtype=float)
@@ -220,29 +222,25 @@ def trig_test_function(coeffs, L: float = 1.0) -> TestFunction:
     return TestFunction(w, dw, d2w)
 
 
-def multiplier_identity_check(
-    wfun: TestFunction,
-    hfield: MultiplierField,
-    L: float = 1.0,
-) -> dict:
+def multiplier_identity_check(wfun: TestFunction, hfield: MultiplierField) -> dict:
     """Residual of the one-dimensional integration-by-parts identity
 
-        2 int w'' h w' dx = [h (w')^2]_0^L - int h' (w')^2 dx
+        2 int w'' h w' dx = [h (w')^2]_0^1 - int h' (w')^2 dx
 
-    for a C^2 function vanishing on the boundary."""
-    for xb in (0.0, L):
+    on (0, 1), for a C^2 function vanishing on the boundary."""
+    for xb in (0.0, 1.0):
         if abs(float(np.asarray(wfun.w(np.array([xb])))[0])) > 1e-10:
             raise ValueError("the test function must vanish on the boundary")
     x, wq = _leggauss(64)
-    x = 0.5 * L * (x + 1.0)
-    wq = 0.5 * L * wq
+    x = 0.5 * (x + 1.0)
+    wq = 0.5 * wq
     dwx = wfun.dw(x)
     lhs = 2.0 * float(np.sum(wq * wfun.d2w(x) * hfield.h(x) * dwx))
-    hL = float(np.asarray(hfield.h(np.array([L])))[0])
+    h1 = float(np.asarray(hfield.h(np.array([1.0])))[0])
     h0 = float(np.asarray(hfield.h(np.array([0.0])))[0])
-    dL = float(np.asarray(wfun.dw(np.array([L])))[0])
+    d1 = float(np.asarray(wfun.dw(np.array([1.0])))[0])
     d0 = float(np.asarray(wfun.dw(np.array([0.0])))[0])
-    rhs = hL * dL**2 - h0 * d0**2 - float(np.sum(wq * hfield.dh(x) * dwx**2))
+    rhs = h1 * d1**2 - h0 * d0**2 - float(np.sum(wq * hfield.dh(x) * dwx**2))
     residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
     return {"lhs": lhs, "rhs": rhs, "residual": residual}
 
@@ -287,24 +285,11 @@ def _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid):
     return frac_integral(SampledPath(tgrid, cap), beta).values.T
 
 
-def _identity_terms(domain, data, alpha, beta, tgrid):
-    """Ingredients of both identity checks on the interval: the order-beta
-    integrated mode coefficients and boundary trace, the integrated discrete
-    derivative coefficients, and the multiplier's product matrix."""
-    coeff = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes).value(data.a, data.b)
-    icoeff = frac_integral(SampledPath(tgrid, coeff.T), beta).values.T
-    itrace = mode_sum(icoeff, domain.boundary_normal_deriv)
-    icap = _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid)
-    G = _product_matrix(domain, interval_multiplier(domain.lengths[0]))
-    return icoeff, itrace, icap, G
-
-
 def fractional_identity_check(
     domain: SpectralDomain,
     data: ModeCoefficients,
     alpha,
     beta: float,
-    theta: float,
     tgrid: TimeGrid,
 ) -> IdentityCheck:
     """Time-integrated multiplier identity on the interval.
@@ -322,16 +307,18 @@ def fractional_identity_check(
     if not domain.is_interval:
         raise ValueError("the multiplier identity is only available on the interval "
                          "(the field cannot be C^1 across rectangle corners)")
-    al = as_alpha(alpha)
-    identity_overlap_range(al).validate(theta)
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     (L,) = domain.lengths
     lam = domain.eigenvalues
-    icoeff, itrace, icap, G = _identity_terms(domain, data, alpha, beta, tgrid)
     tt = tgrid.nodes
+    coeff = ModePropagator(lam, alpha, tt).value(data.a, data.b)
+    icoeff = frac_integral(SampledPath(tgrid, coeff.T), beta).values.T
+    itrace = mode_sum(icoeff, domain.boundary_normal_deriv)
+    icap = _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid)
+    G = _product_matrix(domain, interval_multiplier(L))
 
-    lhs = float(np.trapezoid(itrace**2 @ domain.boundary_weights, tt))
+    lhs = float(_trace_energy(itrace, domain.boundary_weights, tt))
     duality = np.einsum("nt,nm,mt->t", icap, G, icoeff)
     volume = (2.0 / L) * pairwise_sum(lam[:, None] * icoeff**2, axis=0)
     duality_term = 2.0 * float(np.trapezoid(duality, tt))

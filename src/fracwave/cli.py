@@ -24,7 +24,7 @@ from .fracops import (
     semigroup_check,
     young_bound_check,
 )
-from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
+from .mittag_leffler import MLParams, ml, verify_decay_bound
 from .params import FracOrder
 from .presets import PRESET_NAMES, _random_trig_paths, build_preset, random_decay
 from .solver import _WHICH, SolutionQuery, write_grid_snapshots_csv, write_manifest
@@ -61,6 +61,8 @@ def _build_domain(descriptor: str, modes: int):
 
 def _z_range(text: str) -> np.ndarray:
     lo, hi, n = text.split(":")
+    if int(n) < 1:
+        raise ValueError(text)
     return np.linspace(float(lo), float(hi), int(n))
 
 
@@ -95,7 +97,7 @@ def _cmd_ml(args) -> int:
     rows = {"alpha": args.alpha, "beta": args.beta,
             "z": [float(v) for v in z], "E": [float(v) for v in values]}
     if args.decay_check:
-        fit = verify_decay_bound(params, DECAY_SAMPLES)
+        fit = verify_decay_bound(params)
         rows["decay_check"] = {
             "mu": fit.mu, "c_empirical": fit.c_empirical,
             "sample_count": fit.sample_count, "max_violation": fit.max_violation,

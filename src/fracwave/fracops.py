@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mittag_leffler import gamma
-from .spectral import _integer
+from .spectral import _check_t_end, _integer
 
 __all__ = [
     "TimeGrid",
@@ -50,8 +50,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ValueError("t_end must be positive and finite")
+        _check_t_end(self.t_end)
         object.__setattr__(self, "steps", _integer("steps", self.steps))
         if self.steps < 2:
             raise ValueError("need at least 2 steps")
@@ -349,9 +348,9 @@ def gagliardo_seminorm(v: SampledPath, beta: float, weights=None) -> float:
     return math.ldexp(math.sqrt(total), scale)
 
 
-def sobolev_norm(v: SampledPath, beta: float, weights=None) -> float:
+def sobolev_norm(v: SampledPath, beta: float) -> float:
     """H^beta(0,T;H) norm: L2 norm plus the Slobodeckij seminorm."""
-    return l2_time_norm(v, weights) + gagliardo_seminorm(v, beta, weights)
+    return l2_time_norm(v) + gagliardo_seminorm(v, beta)
 
 
 @dataclass
@@ -368,7 +367,7 @@ class EquivalenceStudy:
         return float(np.max(self.ratios))
 
 
-def norm_equivalence_study(ensemble, beta: float, weights=None) -> EquivalenceStudy:
+def norm_equivalence_study(ensemble, beta: float) -> EquivalenceStudy:
     """Ratios ||I^beta u||_{H^beta} / ||u||_{L2} over an ensemble of paths, bounded
     below only over paths with u(0) = 0 (``verify``'s sine sums): ``frac_integral``'s
     matrix has a zero row 0, and its null vector, mostly a spike at t = 0, has ratio ~1e-15."""
@@ -377,12 +376,12 @@ def norm_equivalence_study(ensemble, beta: float, weights=None) -> EquivalenceSt
     ratios = []
     skipped = 0
     for u in ensemble:
-        denom = l2_time_norm(u, weights)
+        denom = l2_time_norm(u)
         if denom == 0.0:
             skipped += 1
             continue
         iu = frac_integral(u, beta)
-        ratios.append(sobolev_norm(iu, beta, weights) / denom)
+        ratios.append(sobolev_norm(iu, beta) / denom)
     if not ratios:
         raise ValueError("all ensemble members have zero norm")
     return EquivalenceStudy(np.asarray(ratios), skipped)

@@ -56,12 +56,12 @@ The series' term ratios ``c_{k+1}/c_k`` of ``c_k = 1/Gamma(alpha k +
 beta)`` and the expansions' coefficients ``1/Gamma(beta - alpha k)`` (c_k
 at k < 0) are doubles rounded from 20-digit reciprocal gammas, one table of
 each per (alpha, beta).  Each grows only as far as it is read: the series
-extends its ratios ``_SERIES_CHUNK`` (8) at a time when its loop reaches
-their end, the algebraic series its coefficients ``_ASYM_CHUNK`` (8) at a
-time, and the contour sum reads the lead coefficient alone.  Every entry is the same
+extends its ratios ``_TERM_CHUNK`` (8) at a time when its loop reaches
+their end, the algebraic series its coefficients as many at a time, and
+the contour sum reads the lead coefficient alone.  Every entry is the same
 20-digit computation whenever it is built, so a grown table has the bits of
 one built whole.  The algebraic series also stops early: after each
-``_ASYM_CHUNK`` terms it bounds every later term it could add, ``|1/Gamma(x)|``
+``_TERM_CHUNK`` terms it bounds every later term it could add, ``|1/Gamma(x)|``
 by 1.13 for ``x > 0`` and by ``Gamma(1 - x)/pi`` for ``x < 0``, and ``|z|**-k``
 by ``zmin**(1-k)/|z|`` over the smallest running ``|z|``.  It ends once every
 such term lies below ``2**-54`` times its value's ``|sum|``, under half an
@@ -287,10 +287,10 @@ def _asym_coeffs(alpha: float, beta: float, size: int) -> np.ndarray:
     return coeffs
 
 
-# the series extends its table by this many ratios when its loop reaches
-# the end of what is built, and tests its values' stops after each such run
-# of terms
-_SERIES_CHUNK = 8
+# both series take their terms in runs of this many: each extends its table
+# by a run when its loop reaches the end of what is built, and tests whether
+# it can stop after each run
+_TERM_CHUNK = 8
 
 
 def _series_length(alpha: float, m):
@@ -338,7 +338,7 @@ def _series_double(alpha, beta, z, tol):
     ``_FACTOR_MAX``.  ``R_k = Gamma(alpha k + beta)/Gamma(alpha k + alpha +
     beta)`` falls as k grows, because the digamma function increases on
     (0, inf), so that test reads ``R_0`` alone.  Otherwise the value takes
-    its terms in runs of ``_SERIES_CHUNK``, and stops after the first run
+    its terms in runs of ``_TERM_CHUNK``, and stops after the first run
     that ends on a term ``|t| <= 1e-20 acc`` or that reaches its term count,
     ``_series_length`` at its own ``m``, capped at ``m = _M_DOUBLE`` for
     negative ``z`` and ``_M_POS_SERIES`` for positive ``z``.  A value that
@@ -354,7 +354,7 @@ def _series_double(alpha, beta, z, tol):
     m_cap = _M_POS_SERIES if z[0] > 0.0 else _M_DOUBLE
     # no value reaches its term count before this many terms
     first = _series_length(alpha, 0.0) - 1
-    ratios, c0, _ = _series_table(alpha, beta, _SERIES_CHUNK)
+    ratios, c0, _ = _series_table(alpha, beta, _TERM_CHUNK)
     val = np.zeros_like(z)
     ok = np.zeros(z.shape, dtype=bool)
     with np.errstate(over="ignore"):
@@ -367,9 +367,9 @@ def _series_double(alpha, beta, z, tol):
     w = np.empty_like(s)
     k = 0
     while idx.size:
-        if ratios.size < k + _SERIES_CHUNK:
-            ratios = _series_table(alpha, beta, k + _SERIES_CHUNK)[0]
-        for r in ratios[k : k + _SERIES_CHUNK]:
+        if ratios.size < k + _TERM_CHUNK:
+            ratios = _series_table(alpha, beta, k + _TERM_CHUNK)[0]
+        for r in ratios[k : k + _TERM_CHUNK]:
             t *= np.multiply(zs, r, out=w)
             # the Kahan step y = t - comp, tmp = s + y, comp = (tmp - s) - y,
             # s = tmp, with y in comp and tmp in w
@@ -379,7 +379,7 @@ def _series_double(alpha, beta, z, tol):
             np.subtract(s, comp, out=comp)
             s, w = w, s
             acc += np.abs(t, out=w)
-        k += _SERIES_CHUNK
+        k += _TERM_CHUNK
         stop = w <= 1e-20 * acc
         if k >= first:
             with np.errstate(over="ignore"):
@@ -390,8 +390,9 @@ def _series_double(alpha, beta, z, tol):
             # tol |s| and q < 1
             done = idx[stop]
             q = np.abs(zs[stop]) * ratios[k - 1]
-            with np.errstate(divide="ignore", invalid="ignore"):  # at q = 1
-                tail = w[stop] * np.maximum(1.0, q / (1.0 - q))
+            # q/(1 - q) only where q < 1: q >= 1 is declined below
+            tail = w[stop] * np.maximum(1.0, np.divide(q, 1.0 - q, out=np.ones_like(q),
+                                                        where=q < 1.0))
             val[done] = s[stop]
             ok[done] = (q < 1.0) & (4.0 * _EPS * acc[stop] + tail <= tol[done] * np.abs(s[stop]))
             run = ~stop
@@ -404,9 +405,6 @@ def _series_double(alpha, beta, z, tol):
 # large-argument expansions
 
 
-# the algebraic series builds its coefficients this many at a time, and
-# checks at the end of each such run of terms whether it can stop
-_ASYM_CHUNK = 8
 # a term below this fraction of |s| lies under half an ulp of s: adding it
 # leaves s unchanged
 _NEGLIGIBLE = 2.0**-54
@@ -459,14 +457,14 @@ def _algebraic(alpha, beta, z):
     bound.  For integer ``alpha`` the series ends at the first gamma pole,
     and what was kept is exact wherever it had not already stopped.
 
-    After every ``_ASYM_CHUNK`` terms the loop also ends if no later term
+    After every ``_TERM_CHUNK`` terms the loop also ends if no later term
     can change a running value's sums: each term it could still add or stop
     at is bounded below ``_NEGLIGIBLE`` times that value's ``|sum|``.  So sum
     and abs_sum keep the bits of the whole loop.  Every value is charged at
     least ``_NEGLIGIBLE |sum|``, the most such a term can be: the estimate
     is the larger of that and what the whole loop charges, so it does not
     depend on where the loop ended, nor on the other values.  Coefficients
-    are built ``_ASYM_CHUNK`` at a time, as far as the loop reads them.
+    are built ``_TERM_CHUNK`` at a time, as far as the loop reads them.
     """
     log_g = _log_coeff_bounds(alpha, beta)
     az = np.abs(z)
@@ -491,7 +489,7 @@ def _algebraic(alpha, beta, z):
         if ends:
             break
         if k > coeffs.size:
-            coeffs = _asym_coeffs(alpha, beta, -(-k // _ASYM_CHUNK) * _ASYM_CHUNK)
+            coeffs = _asym_coeffs(alpha, beta, -(-k // _TERM_CHUNK) * _TERM_CHUNK)
         rg = coeffs[k - 1]  # zero at a pole
         if rg != 0.0:
             np.multiply(p, rg, out=t)
@@ -518,7 +516,7 @@ def _algebraic(alpha, beta, z):
                     np.add(s, t, out=s, where=active)
                     np.add(s_abs, mag, out=s_abs, where=active)
                     np.copyto(prev, mag, where=active)
-        if k % _ASYM_CHUNK == 0 and k < _ASYM_KMAX:
+        if k % _TERM_CHUNK == 0 and k < _ASYM_KMAX:
             # a later term j of a running value is at most g_j |z|**-j <=
             # g_j zmin**(1-j) / |z|, over the smallest running |z|; |sum z|
             # is about the same for every value.  exp(709) is near the top
@@ -977,10 +975,10 @@ _POS_TIERS = (((_ANY, _M_POS_SERIES), _series_double), ((_ANY, math.inf), _asym_
 _CASCADE_CHUNK = 2**13
 
 
-def _cascade(alpha, beta, z, tiers, pending=None, out=None):
-    """Evaluate at nonzero ``z`` of one sign: every entry, or those where
-    ``pending`` is set (it is cleared as they are evaluated).  Writes them
-    into ``out`` (a new array by default) and returns it.
+def _cascade(alpha, beta, z, tiers, pending, out):
+    """Evaluate at the entries of ``z`` where ``pending`` is set, all nonzero
+    and of one sign (``pending`` is cleared as they are evaluated), and write
+    them into ``out``.
 
     Window by window, each tier sees the still-pending arguments in its band
     of ``m`` and keeps the values whose error estimate meets the tolerance;
@@ -988,8 +986,6 @@ def _cascade(alpha, beta, z, tiers, pending=None, out=None):
     and ``m > _M_MP_SERIES`` the expansion, and the contour sum where that
     declines, the power series otherwise.
     """
-    pending = np.ones(z.shape, dtype=bool) if pending is None else pending
-    out = np.empty_like(z) if out is None else out
     step = max(1, -(-z.size // max(1, round(z.size / _CASCADE_CHUNK))))
     for start in range(0, z.size, step):
         w = slice(start, start + step)
@@ -1017,7 +1013,6 @@ def _cascade(alpha, beta, z, tiers, pending=None, out=None):
                 res[i] = _contour_mp(alpha, beta, v) if val is None else val
             else:
                 res[i] = _mpmath_single(alpha, beta, v)
-    return out
 
 
 def ml(params: MLParams, z):
@@ -1066,13 +1061,6 @@ DECAY_SAMPLES = tuple(-(2.0**k) for k in range(21))
 GROWTH_THRESHOLD = 1.1
 
 
-def _dyadic_levels(az: np.ndarray) -> np.ndarray:
-    lev = np.zeros(az.shape, dtype=int)
-    big = az >= 1.0
-    lev[big] = np.floor(np.log2(az[big])).astype(int)
-    return lev
-
-
 def _tail_growth_violation(level_sups: np.ndarray) -> float:
     """Max excess of running-sup growth ratios over ``GROWTH_THRESHOLD``,
     in the tail half of the levels.
@@ -1081,34 +1069,20 @@ def _tail_growth_violation(level_sups: np.ndarray) -> float:
     over the first levels; unboundedness shows up as persistent growth in the
     later ones, so only the tail half of the level-to-level ratios is scored.
     """
-    if level_sups.size < 2:
-        return 0.0
     running = np.maximum.accumulate(level_sups)
     ratios = running[1:] / running[:-1]
-    start = ratios.size // 2
-    tail = ratios[start:]
-    if tail.size == 0:
-        return 0.0
+    tail = ratios[ratios.size // 2 :]
     return float(max(0.0, np.max(tail) - GROWTH_THRESHOLD))
 
 
-def verify_decay_bound(params: MLParams, z_samples) -> BoundFit:
-    """Check sup |E(z)|(1+|z|) saturates across dyadic extensions of z <= 0."""
+def verify_decay_bound(params: MLParams) -> BoundFit:
+    """Check sup |E(z)|(1+|z|) saturates across the dyadic ``DECAY_SAMPLES``."""
     if not 1.0 < params.alpha < 2.0:
         raise ValueError("the decay envelope requires alpha strictly in (1, 2)")
-    z = np.asarray(z_samples, dtype=float).ravel()
-    if z.size == 0:
-        raise ValueError("z_samples must be non-empty")
-    if np.any(z > 0.0):
-        raise ValueError("all samples must lie on the non-positive real axis")
-
+    z = np.asarray(DECAY_SAMPLES)
+    # one sample per dyadic level, in ascending |z|: each is its level's sup
     values = np.abs(ml(params, z)) * (1.0 + np.abs(z))
-    az = np.abs(z)
-    levels = _dyadic_levels(az)
-    # the levels present, ascending (``np.unique`` would load ``numpy.ma``)
-    uniq = np.flatnonzero(np.bincount(levels))
-    sups = np.array([values[levels == l].max() for l in uniq])
-    violation = _tail_growth_violation(sups)
+    violation = _tail_growth_violation(values)
     mu = 0.5 * (math.pi * params.alpha / 2.0 + math.pi)
     return BoundFit(
         mu=mu,

@@ -11,7 +11,6 @@ __all__ = [
     "velocity_dual_range",
     "gradient_range",
     "caputo_dual_range",
-    "identity_overlap_range",
 ]
 
 
@@ -52,11 +51,6 @@ def gradient_range(alpha: float) -> ThetaRange:
 def caputo_dual_range(alpha: float) -> ThetaRange:
     """Dual exponents with square-integrable fractional time derivative."""
     return ThetaRange("caputo-dual", (alpha - 1.0) / (2.0 * alpha), 0.5)
-
-
-def identity_overlap_range(alpha: float) -> ThetaRange:
-    """Overlap of the gradient and caputo-dual windows; midpoint is 1/4."""
-    return ThetaRange("identity-overlap", (alpha - 1.0) / (2.0 * alpha), 1.0 / (2.0 * alpha))
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,13 @@ __all__ = [
 ]
 
 
-def single_mode(N: int, k: int = 1, amplitude: float = 1.0, on: str = "u0") -> ModeCoefficients:
-    """All energy in one mode, on the position or the velocity datum."""
+def single_mode(N: int, k: int = 1) -> ModeCoefficients:
+    """Unit position datum in mode ``k``, zero velocity."""
     if not 1 <= k <= N:
         raise ValueError("mode index out of range")
-    if on not in ("u0", "u1"):
-        raise ValueError("on must be 'u0' or 'u1'")
     a = np.zeros(N)
-    b = np.zeros(N)
-    (a if on == "u0" else b)[k - 1] = amplitude
-    return ModeCoefficients(a, b)
+    a[k - 1] = 1.0
+    return ModeCoefficients(a, np.zeros(N))
 
 
 def poly_bump(domain: SpectralDomain) -> ModeCoefficients:

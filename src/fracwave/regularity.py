@@ -22,7 +22,7 @@ from .params import (
     velocity_dual_range,
 )
 from .solver import ModePropagator
-from .spectral import ModeCoefficients, SpectralDomain, _integer, pairwise_sum, tail_stabilizes
+from .spectral import ModeCoefficients, SpectralDomain, _check_t_end, pairwise_sum, tail_stabilizes
 
 __all__ = [
     "NormReport",
@@ -42,13 +42,11 @@ class NormReport:
     quantity: str
     params: dict
     value: float
-    bound_rhs: float | None = None
+    bound_rhs: float
 
     def as_dict(self) -> dict:
-        d = {"quantity": self.quantity, "value": self.value, **self.params}
-        if self.bound_rhs is not None:
-            d["bound_rhs"] = self.bound_rhs
-        return d
+        return {"quantity": self.quantity, "value": self.value, **self.params,
+                "bound_rhs": self.bound_rhs}
 
 
 def fit_loglog_slope(t, err) -> float:
@@ -106,6 +104,7 @@ def uniform_bound_report(
     """
     al = as_alpha(alpha)
     theta = velocity_dual_range(al).validate(theta)
+    _check_t_end(t_end)
     times = np.linspace(0.0, t_end, 129)
     lam = domain.eigenvalues
     prop = ModePropagator(lam, al, times)
@@ -142,6 +141,10 @@ def _graded_integral(times, integrand):
     return total
 
 
+# panels of the graded time mesh of ``l2_time_norms``
+_GRADED_STEPS = 512
+
+
 def l2_time_norms(
     domain: SpectralDomain,
     data: ModeCoefficients,
@@ -149,22 +152,19 @@ def l2_time_norms(
     theta_grad: float,
     theta_cap: float,
     t_end: float,
-    steps: int = 512,
 ) -> tuple[NormReport, NormReport]:
     """Time-L2 norms of the smoothed gradient and the dual fractional derivative.
 
     The integrands blow up at the origin like t^(-2 a theta_grad) and
     t^(a (2 theta_cap - 1)); both are integrable inside the admissible theta
     windows, and the quadrature uses a quadratically graded mesh of
-    ``steps`` panels (an integer, at least 2) with an extrapolated first
-    panel.
+    ``_GRADED_STEPS`` panels with an extrapolated first panel.
     """
-    steps = _integer("steps", steps)
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
     al = as_alpha(alpha)
     theta_grad = gradient_range(al).validate(theta_grad)
     theta_cap = caputo_dual_range(al).validate(theta_cap)
+    _check_t_end(t_end)
+    steps = _GRADED_STEPS
     lam = domain.eigenvalues
     j = np.arange(steps + 1, dtype=float)
     times = t_end * (j / steps) ** 2

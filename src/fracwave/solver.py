@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .fracops import TimeGrid
-from .mittag_leffler import DECAY_SAMPLES, MLParams, ml, verify_decay_bound
+from .mittag_leffler import MLParams, ml, verify_decay_bound
 from .params import FracOrder, as_alpha
 from .spectral import (_FORK_MIN_VALUES, ModeCoefficients, SpectralDomain, _csv_file, _fork_width,
                        _forked, _grid_size, _grid_synthesis, _integer, _table_lines, _write_csv,
@@ -302,7 +302,7 @@ def solve_grid(query: SolutionQuery, P: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _decay_constant(alpha: float, beta: float) -> float:
-    return verify_decay_bound(MLParams(alpha, beta), DECAY_SAMPLES).c_empirical
+    return verify_decay_bound(MLParams(alpha, beta)).c_empirical
 
 
 def truncation_tail(query: SolutionQuery, theta: float, t: float) -> float:

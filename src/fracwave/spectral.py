@@ -277,6 +277,12 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_t_end(t_end) -> None:
+    """Raise ``ValueError`` naming ``t_end`` unless it is positive and finite."""
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+
+
 def build_interval(L: float, N: int) -> SpectralDomain:
     """Sine eigenbasis on (0, L): modes 1..N, lambda_n = (n pi / L)^2."""
     N = _integer("the mode count", N)

@@ -54,8 +54,8 @@ from .fracops import (
     norm_equivalence_study,
     semigroup_check,
 )
-from .mittag_leffler import (DECAY_SAMPLES, GROWTH_THRESHOLD, MLParams, _mpmath_single, gamma,
-                             max_ratio, ml, verify_decay_bound)
+from .mittag_leffler import (GROWTH_THRESHOLD, MLParams, _mpmath_single, gamma, max_ratio, ml,
+                             verify_decay_bound)
 from .presets import _random_trig_paths, h1_saturating, random_decay, single_mode
 from .regularity import fit_loglog_slope, initial_convergence, velocity_blowup_rate
 from .solver import ModePropagator, mode_second_derivative_samples
@@ -139,7 +139,7 @@ def check_decay_envelope(seed: int = 0) -> CheckResult:
     rows = {}
     passed = True
     for alpha in _ALPHAS:
-        fit = verify_decay_bound(MLParams(alpha, 1.0), DECAY_SAMPLES)
+        fit = verify_decay_bound(MLParams(alpha, 1.0))
         rows[str(alpha)] = {"c_empirical": fit.c_empirical, "max_violation": fit.max_violation}
         passed &= (fit.max_violation == 0.0) and math.isfinite(fit.c_empirical)
     return CheckResult("decay-envelope", passed, {"per_alpha": rows, "growth_threshold": GROWTH_THRESHOLD})
@@ -367,12 +367,12 @@ def check_trace_energy_bound(seed: int = 7) -> CheckResult:
 
 def check_integrated_identity(seed: int = 0) -> CheckResult:
     """Integrated multiplier identity: small residual, halving under refinement."""
-    alpha, beta, theta = 1.75, 0.25, 0.25
+    alpha, beta = 1.75, 0.25
     dom = build_interval(1.0, 8)
     data = single_mode(8, 1)
     res = {}
     for M in (1024, 2048):
-        res[M] = fractional_identity_check(dom, data, alpha, beta, theta, TimeGrid(1.0, M)).residual
+        res[M] = fractional_identity_check(dom, data, alpha, beta, TimeGrid(1.0, M)).residual
     ratio = res[2048] / res[1024]
     passed = res[1024] <= 5e-2 and 0.4 <= ratio <= 0.6
     return CheckResult(

@@ -350,14 +350,14 @@ class TestFractionalIdentity:
     def test_zero_data(self):
         dom = build_interval(1.0, 4)
         zero = ModeCoefficients(np.zeros(4), np.zeros(4))
-        chk = fractional_identity_check(dom, zero, 1.5, 0.25, 0.25, TimeGrid(1.0, 64))
+        chk = fractional_identity_check(dom, zero, 1.5, 0.25, TimeGrid(1.0, 64))
         assert chk.residual == 0.0
 
     def test_refinement(self):
         dom = build_interval(1.0, 4)
         data = single_mode(4, 1)
-        r_coarse = fractional_identity_check(dom, data, 1.75, 0.25, 0.25, TimeGrid(1.0, 512)).residual
-        r_fine = fractional_identity_check(dom, data, 1.75, 0.25, 0.25, TimeGrid(1.0, 2048)).residual
+        r_coarse = fractional_identity_check(dom, data, 1.75, 0.25, TimeGrid(1.0, 512)).residual
+        r_fine = fractional_identity_check(dom, data, 1.75, 0.25, TimeGrid(1.0, 2048)).residual
         assert r_coarse <= 5e-2
         assert r_fine < 0.5 * r_coarse
 
@@ -365,26 +365,21 @@ class TestFractionalIdentity:
         # order one turns the fractional integral into the running integral
         dom = build_interval(1.0, 4)
         data = single_mode(4, 1)
-        chk = fractional_identity_check(dom, data, 1.75, 1.0, 0.25, TimeGrid(1.0, 1024))
+        chk = fractional_identity_check(dom, data, 1.75, 1.0, TimeGrid(1.0, 1024))
         assert chk.residual <= 5e-2
 
     def test_multimode_refinement(self):
         dom = build_interval(1.0, 8)
         data = random_decay(8, 2.0, 3)
-        r1 = fractional_identity_check(dom, data, 1.5, 0.25, 0.25, TimeGrid(1.0, 512)).residual
-        r2 = fractional_identity_check(dom, data, 1.5, 0.25, 0.25, TimeGrid(1.0, 2048)).residual
+        r1 = fractional_identity_check(dom, data, 1.5, 0.25, TimeGrid(1.0, 512)).residual
+        r2 = fractional_identity_check(dom, data, 1.5, 0.25, TimeGrid(1.0, 2048)).residual
         assert r2 < r1
-
-    def test_theta_gate(self):
-        dom = build_interval(1.0, 4)
-        with pytest.raises(ValueError, match="identity-overlap"):
-            fractional_identity_check(dom, single_mode(4, 1), 1.5, 0.25, 0.45, TimeGrid(1.0, 64))
 
     def test_rectangle_rejected(self):
         dom = build_rectangle(1.0, 1.0, 4)
         data = ModeCoefficients(np.eye(4)[0], np.zeros(4))
         with pytest.raises(ValueError, match="interval"):
-            fractional_identity_check(dom, data, 1.5, 0.25, 0.25, TimeGrid(1.0, 64))
+            fractional_identity_check(dom, data, 1.5, 0.25, TimeGrid(1.0, 64))
 
 
 class TestTraceSeminormBound:

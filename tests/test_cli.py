@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,8 @@ def test_solve_failing_at_late_rows_leaves_no_file(tmp_path, capsys):
      "--domain: expected interval:L or rectangle:L1,L2, got 'interval:1.0,2.0'"),
     (["solve", "--domain", "disk:1.0"],
      "--domain: expected interval:L or rectangle:L1,L2, got 'disk:1.0'"),
+    (["ml", "--z-range=0:1:0"], "--z-range: expected lo:hi:count, got '0:1:0'"),
+    (["ml", "--z-range=0:1:-2"], "--z-range: expected lo:hi:count, got '0:1:-2'"),
 ])
 def test_unreadable_value_names_its_flag(tmp_path, capsys, argv, message):
     if argv[0] == "solve":
@@ -235,6 +238,30 @@ def test_regularity_tasks(tmp_path):
     out = tmp_path / "smooth.json"
     assert main(["regularity", "--task", "smooth", "--modes", "64",
                  "--preset", "poly-bump", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("task", ["uniform", "l2norms"])
+@pytest.mark.parametrize("t_end", ["0", "-1", "nan", "inf"])
+def test_regularity_rejects_a_t_end_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                    task, t_end):
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy warning on the way
+        code = main(["regularity", "--task", task, "--modes", "16", f"--t-end={t_end}",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: t_end must be positive and finite, got {float(t_end)!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_hidden_rejects_an_empty_ensemble(tmp_path, capsys, draws):
+    out = tmp_path / "h.json"
+    assert main(["hidden", "--draws", draws, "--modes", "16", "--steps", "64",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: ensemble must be non-empty\n"
+    assert not out.exists()
 
 
 def test_hidden_study(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import mpmath as mp
 import fracwave.mittag_leffler as mlmod
 from fracwave.mittag_leffler import (
+    DECAY_SAMPLES,
     Z_MAX,
     BoundFit,
     MLParams,
@@ -422,12 +423,12 @@ class TestCascade:
         assert ok.any() and not ok.all()
 
     def test_series_table_built_once(self, empty_tables):
-        # the table grows _SERIES_CHUNK ratios at a time as far as the series
+        # the table grows _TERM_CHUNK ratios at a time as far as the series
         # reads it: a call that reads no further reuses the same tuple, one
         # that reads further replaces it, once, with a longer table of the
         # same leading bits, which a later negative argument reuses
         alpha, beta = 1.37, 1.11
-        chunk = mlmod._SERIES_CHUNK
+        chunk = mlmod._TERM_CHUNK
         p = MLParams(alpha, beta)
         ml(p, -1e-3)
         record = empty_tables(alpha, beta)
@@ -643,7 +644,8 @@ class TestExpansionMp:
 
         monkeypatch.setattr(mlmod, "_expansion_mp", spy)
         monkeypatch.setattr(mlmod, "_M_MP_SERIES", 20.0)
-        got = mlmod._cascade(alpha, beta, np.array([z]), ())
+        got = np.empty(1)
+        mlmod._cascade(alpha, beta, np.array([z]), (), np.ones(1, dtype=bool), got)
         assert calls == [None] and got[0].hex() == mlmod._contour_mp(alpha, beta, z).hex()
 
 
@@ -845,7 +847,8 @@ class TestCoefficientTable:
         z = -np.array([10.0, 100.0, 1000.0, 3000.0])
         series = (np.abs(z) ** (1.0 / alpha) <= mlmod._M_MP_SERIES).tolist()
         assert series[:2] == [True, True] and not series[-1]
-        vals = mlmod._cascade(alpha, beta, z, ())
+        vals = np.empty_like(z)
+        mlmod._cascade(alpha, beta, z, (), np.ones(z.shape, dtype=bool), vals)
         runs = [prec for i, prec in enumerate(gamma_calls) if i == 0 or gamma_calls[i - 1] != prec]
         assert runs[:2] == [mp.libmp.dps_to_prec(mlmod._fallback_dps(alpha, v)) for v in z[:2]]
         assert vals.tolist() == [(mlmod._mpmath_single if s else mlmod._contour_mp)(alpha, beta, v)
@@ -1339,27 +1342,24 @@ class TestAlgebraicExit:
 
 
 class TestDecayBound:
-    SAMPLES = [-(2.0**k) for k in range(21)]
-
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
     def test_envelope_saturates(self, alpha):
-        fit = verify_decay_bound(MLParams(alpha, 1.0), self.SAMPLES)
+        fit = verify_decay_bound(MLParams(alpha, 1.0))
         assert isinstance(fit, BoundFit)
         assert math.isfinite(fit.c_empirical) and fit.c_empirical > 0
         assert fit.max_violation == 0.0
         assert not fit.violated
         assert math.pi * alpha / 2 < fit.mu < math.pi
 
-    @pytest.mark.parametrize("samples", [SAMPLES, SAMPLES[::-1] + [-0.5, 0.0, -3.0, -1e5],
-                                         [-0.25, -0.75]])
-    def test_level_sups_as_unique_levels_give_them(self, samples):
+    def test_level_sups_as_unique_levels_give_them(self):
+        # the samples are z = -2**k, k = 0..20: one per dyadic level
+        # floor(log2 |z|), in ascending |z|, so each is its level's sup
         params = MLParams(1.5, 1.0)
-        z = np.array(samples)
+        z = np.array(DECAY_SAMPLES)
+        assert z.tolist() == [-(2.0**k) for k in range(21)]
         values = np.abs(ml(params, z)) * (1.0 + np.abs(z))
-        levels = mlmod._dyadic_levels(np.abs(z))
-        sups = np.array([values[levels == l].max() for l in np.unique(levels)])
-        fit = verify_decay_bound(params, samples)
-        assert fit.max_violation == mlmod._tail_growth_violation(sups)
+        fit = verify_decay_bound(params)
+        assert fit.max_violation == mlmod._tail_growth_violation(values)
         assert fit.c_empirical == float(np.max(values))
         assert fit.sample_count == z.size
 
@@ -1374,21 +1374,13 @@ class TestDecayBound:
         assert proc.stdout.splitlines()[-1] == "False"
 
     def test_second_parameter(self):
-        fit = verify_decay_bound(MLParams(1.25, 1.25), self.SAMPLES)
+        fit = verify_decay_bound(MLParams(1.25, 1.25))
         assert math.isfinite(fit.c_empirical)
         assert fit.max_violation == 0.0
 
     def test_alpha_two_excluded(self):
         with pytest.raises(ValueError):
-            verify_decay_bound(MLParams(2.0, 1.0), self.SAMPLES)
-
-    def test_empty_samples(self):
-        with pytest.raises(ValueError):
-            verify_decay_bound(MLParams(1.5, 1.0), [])
-
-    def test_positive_samples_rejected(self):
-        with pytest.raises(ValueError):
-            verify_decay_bound(MLParams(1.5, 1.0), [-1.0, 2.0])
+            verify_decay_bound(MLParams(2.0, 1.0))
 
     def test_growth_flag_logic(self):
         # an envelope that keeps doubling (cosine-like weighting) must trip

@@ -275,7 +275,7 @@ class TestSolveField:
 
     def test_linearity(self):
         d1 = single_mode(8, 1)
-        d2 = single_mode(8, 3, amplitude=0.5, on="u1")
+        d2 = ModeCoefficients(np.zeros(8), 0.5 * np.eye(8)[2])
         combo = ModeCoefficients(2.0 * d1.a + d2.a, 2.0 * d1.b + d2.b)
         x = np.array([0.3, 0.6])
         f1 = solve_field(SolutionQuery(FracOrder(1.5), self.domain, d1, self.grid), x)
