@@ -544,8 +544,9 @@ def _forked(jobs):
 
     A child gets its inputs by copy-on-write and writes to an anonymous
     temporary file opened before the fork, so nothing is pickled and no pipe
-    fills up.  It ends in ``os._exit`` after flushing that file, running none
-    of the caller's ``finally`` blocks or ``atexit`` handlers and flushing no
+    fills up.  It ends as the CLI process does (``cli.run``): it flushes what
+    it wrote, here its file, then calls ``os._exit``, running none of the
+    caller's ``finally`` blocks or ``atexit`` handlers and flushing no
     inherited buffer.  Children not yet joined are killed and reaped on the
     way out, on any exception too (a signal handler's, Ctrl-C).
     """

@@ -2,7 +2,8 @@
 
 Each check returns a CheckResult with the numbers it computed, so the CLI
 can print one line per criterion and serialize a deterministic report.
-Randomized checks derive all draws from the single seed passed in.
+The randomized checks take a ``seed`` and derive all their draws from it;
+the others take no argument.
 
 ``run_all`` (``fracwave verify all``) deals the checks into one share per
 usable CPU (``_shares``) and walks the shares in one loop, with the rule of
@@ -32,6 +33,7 @@ the same arrays, computed once.
 
 from __future__ import annotations
 
+import inspect
 import math
 import pickle
 from dataclasses import dataclass, field
@@ -80,7 +82,7 @@ def _rel(err_num, scale) -> float:
     return float(np.max(np.abs(err_num) / scale))
 
 
-def check_ml_identities(seed: int = 0) -> CheckResult:
+def check_ml_identities() -> CheckResult:
     """Closed-form identities and the shift recurrence, against exact values
     and the extended-precision series."""
     tol_near, tol_far = 1e-10, 1e-8
@@ -134,7 +136,7 @@ def check_ml_identities(seed: int = 0) -> CheckResult:
                                                  "tol_near": tol_near, "tol_far": tol_far})
 
 
-def check_decay_envelope(seed: int = 0) -> CheckResult:
+def check_decay_envelope() -> CheckResult:
     """The weighted envelope |E|(1+|z|) saturates across dyadic samples."""
     rows = {}
     passed = True
@@ -182,7 +184,7 @@ def check_kernel_peak(seed: int = 7) -> CheckResult:
                         "draws": 50})
 
 
-def check_frac_integral_suite(seed: int = 0) -> CheckResult:
+def check_frac_integral_suite() -> CheckResult:
     """Power-kernel integral exactness, semigroup refinement, derivative images."""
     details = {}
     passed = True
@@ -243,7 +245,7 @@ def check_norm_equivalence(seed: int = 7) -> CheckResult:
     )
 
 
-def check_mode_ode_residual(seed: int = 0) -> CheckResult:
+def check_mode_ode_residual() -> CheckResult:
     """Discrete fractional derivative of a sampled mode against -lambda y."""
     lam = math.pi**2
     details = {}
@@ -267,7 +269,7 @@ def check_mode_ode_residual(seed: int = 0) -> CheckResult:
     return CheckResult("mode-ode-residual", passed, details)
 
 
-def check_initial_data_continuity(seed: int = 0) -> CheckResult:
+def check_initial_data_continuity() -> CheckResult:
     """Energy-norm convergence to the data and the dual-velocity rate."""
     alpha, theta = 1.5, 0.4
     t_seq = 2.0 ** (-np.arange(4, 15, dtype=float))
@@ -295,7 +297,7 @@ def check_initial_data_continuity(seed: int = 0) -> CheckResult:
     return CheckResult("initial-data-continuity", passed, details)
 
 
-def check_velocity_blowup(seed: int = 0) -> CheckResult:
+def check_velocity_blowup() -> CheckResult:
     """Short-time velocity growth exponent alpha - 1 for position data."""
     details = {}
     passed = True
@@ -365,7 +367,7 @@ def check_trace_energy_bound(seed: int = 7) -> CheckResult:
     return CheckResult("trace-energy-bound", passed, details)
 
 
-def check_integrated_identity(seed: int = 0) -> CheckResult:
+def check_integrated_identity() -> CheckResult:
     """Integrated multiplier identity: small residual, halving under refinement."""
     alpha, beta = 1.75, 0.25
     dom = build_interval(1.0, 8)
@@ -419,13 +421,20 @@ def _shares(width: int) -> list[list[int]]:
     return shares
 
 
+def _run_check(check, seed: int) -> CheckResult:
+    """``check(seed)`` if the check takes a seed, else ``check()`` (a
+    ``functools.wraps`` wrapper reports the signature of its check)."""
+    return check(seed) if "seed" in inspect.signature(check).parameters else check()
+
+
 def run_all(seed: int = 7) -> list[CheckResult]:
-    """Every check at ``seed``, in ALL_CHECKS order, run as the module
-    docstring says; a check that raises in a child re-raises here."""
+    """Every check, the randomized ones at ``seed``, in ALL_CHECKS order,
+    run as the module docstring says; a check that raises in a child
+    re-raises here."""
     shares = _shares(_fork_width())
 
     def checks(share):
-        return [ALL_CHECKS[i](seed) for i in share]
+        return [_run_check(ALL_CHECKS[i], seed) for i in share]
 
     done = {}
     jobs = [lambda fh, share=share: pickle.dump(checks(share), fh) for share in shares]

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from fracwave.verify import (
+    _run_check,
     check_decay_envelope,
     check_frac_integral_suite,
     check_initial_data_continuity,
@@ -44,7 +45,7 @@ CRITERIA = [
 
 @pytest.mark.parametrize("number,check", CRITERIA, ids=[c[1].__name__ for c in CRITERIA])
 def test_criterion(number, check):
-    result = check(SEED)
+    result = _run_check(check, SEED)
     print(f"criterion {number:02d} {'PASS' if result.passed else 'FAIL'}  {result.name}")
     assert result.passed, json.dumps(result.details, default=str)
 

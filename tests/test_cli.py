@@ -1,6 +1,8 @@
 import argparse
+import ast
 import json
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -436,6 +438,90 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+# stdout block-buffered, as it is by default on a pipe, so a lost flush shows
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _module(argv, launcher=None):
+    """``python -m fracwave.cli argv``, or ``python -c launcher argv``."""
+    head = ["-m", "fracwave.cli"] if launcher is None else ["-c", launcher]
+    return subprocess.run([sys.executable] + head + argv, capture_output=True, text=True,
+                          env=BUFFERED, timeout=300)
+
+
+# Runs the module as ``python -m`` does, after registering an exit handler
+# that prints a marker: it runs only if the interpreter's own exit runs.
+WITH_ATEXIT = """
+import atexit, runpy
+atexit.register(print, "atexit ran")
+runpy.run_module("fracwave.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv,code,teardown", [
+    (["ml", "--z=-1"], 0, False),
+    (["bogus-command"], 2, True),
+], ids=["success", "usage-error"])
+def test_only_a_normal_return_skips_the_teardown(argv, code, teardown):
+    proc = _module(argv, WITH_ATEXIT)
+    assert proc.returncode == code, proc.stderr
+    assert ("atexit ran" in proc.stdout) == teardown
+    assert ("E_{1.5,1.0}(-1.0) = " in proc.stdout) == (code == 0)
+
+
+def test_piped_output_is_flushed_whole():
+    # 20,000 lines, far more than any stdio buffer holds
+    proc = _module(["ml", "--z-range=-10:0:20000"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 20000
+    assert lines[-1] == "E_{1.5,1.0}(0.0) = 1.0"
+
+
+def test_closed_stdout_ends_quietly_with_141():
+    proc = subprocess.Popen([sys.executable, "-m", "fracwave.cli", "ml", "--z-range=-10:0:20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=BUFFERED)
+    with proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first.startswith("E_{1.5,1.0}(-10.0) = ")
+    assert (proc.returncode, err) == (141, "")
+
+
+# ``verify`` with its first check swapped for one that fails
+FAILING_CHECK = """
+import runpy
+from fracwave import verify
+verify.ALL_CHECKS = (lambda: verify.CheckResult("failing", False),) + verify.ALL_CHECKS[1:]
+runpy.run_module("fracwave.cli", run_name="__main__")
+"""
+
+
+# status 0 is pinned by test_only_a_normal_return_skips_the_teardown
+@pytest.mark.parametrize("argv,launcher,code,out", [
+    (["verify", "--seed", "7"], FAILING_CHECK, 1, "FAIL  failing\n"),
+    (["ml", "--z-range=1:2:0"], None, 2, ""),
+], ids=["check-failed", "value-error"])
+def test_exit_statuses(argv, launcher, code, out):
+    proc = _module(argv, launcher)
+    assert proc.returncode == code, proc.stderr
+    assert out in proc.stdout
+    assert ("error: " in proc.stderr) == (code == 2)
+
+
+def test_console_script_is_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["fracwave"]
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [stmt] = block.body
+    assert target == f"fracwave.cli:{stmt.value.func.id}"
 
 
 # Solves whose whole-array assembly used to dominate memory: a 305 MB

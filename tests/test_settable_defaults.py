@@ -20,7 +20,7 @@ SRC = pathlib.Path(fracwave.__file__).parent
 
 # parameter -> why it stays although no call in the package passes it
 KEPT = {
-    "cli.main.argv": "the console entry point calls main() with no argument",
+    "cli.main.argv": "the process entry, cli.run, calls main() with no argument",
     "solver.SolutionQuery.n_sum": "the manifest's tail (truncation_tail) is built on it",
 }
 

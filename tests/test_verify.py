@@ -2,6 +2,7 @@
 same results, and the draws it shares keep their bits."""
 
 import contextlib
+import functools
 import math
 import os
 import threading
@@ -137,6 +138,25 @@ def test_shares_split_the_two_longest_checks():
 def test_shares_spread_checks_of_no_cost(monkeypatch):
     monkeypatch.setattr(verify, "ALL_CHECKS", _fake_checks())
     assert [len(share) for share in verify._shares(2)] == [6, 5]
+
+
+def test_seed_goes_only_to_checks_that_take_one(monkeypatch):
+    def traced(check):  # as the bench tracer wraps every check
+        @functools.wraps(check)
+        def wrapper(*args, **kwargs):
+            return check(*args, **kwargs)
+        return wrapper
+
+    def seeded(seed):
+        return CheckResult("seeded", True, {"seed": seed})
+
+    def unseeded():
+        return CheckResult("unseeded", True)
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (traced(seeded), traced(unseeded), unseeded))
+    _cpus(monkeypatch, 1)
+    assert [(r.name, r.details) for r in run_all(4)] == [
+        ("seeded", {"seed": 4}), ("unseeded", {}), ("unseeded", {})]
 
 
 def test_pool_reraises_a_check_error(monkeypatch):
