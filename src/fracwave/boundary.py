@@ -15,14 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import (
-    SampledPath,
-    TimeGrid,
-    frac_integral,
-    gagliardo_seminorm,
-    l2_time_norm,
-)
-from .params import as_alpha
+from .fracops import (SampledPath, TimeGrid, _frac_integrals, frac_integral, gagliardo_seminorm,
+                      l2_time_norm)
 from .regularity import NormReport
 from .solver import ModePropagator, mode_second_derivative_samples
 from .spectral import (_MODE_SUM_BYTES, ModeCoefficients, SpectralDomain, _gauss_panels,
@@ -85,18 +79,21 @@ def trace_to_csv(trace: TraceSeries, filename: str) -> None:
     _write_csv(filename, ["t", "boundary_point", "value"], rows)
 
 
-def _trace_tail_check(domain: SpectralDomain, data, t_end: float) -> None:
-    """Raise for the first dataset of ``data`` (a sequence) whose boundary
-    trace series has not visibly converged, all datasets tested at once."""
-    if any(len(d) != domain.mode_count for d in data):
+def _coefficients(domain: SpectralDomain, data, t_end: float) -> np.ndarray:
+    """The coefficients ``(a, b)`` of the datasets ``data`` (a sequence),
+    stacked as rows (len(data), 2N), once every dataset's boundary trace
+    series has passed the tail check: raises for the first that has not
+    visibly converged, all datasets tested at once."""
+    N = domain.mode_count
+    if any(len(d) != N for d in data):
         raise ValueError("data length must equal the domain mode count")
+    coeffs = np.array([np.concatenate([d.a, d.b]) for d in data]).reshape(len(data), 2 * N)
     # coarse divergence guard: sqrt(lambda)-weighted coefficients must have
     # visibly flattened partial sums (borderline H1 data, decay ~ 1/n, fails;
     # the n^-2-or-faster test classes pass with margin even for random draws)
-    shape = (len(data), domain.mode_count)
-    terms = np.abs(np.reshape([d.b for d in data], shape))
+    terms = np.abs(coeffs[:, N:])
     terms *= t_end
-    terms += np.abs(np.reshape([d.a for d in data], shape))
+    terms += np.abs(coeffs[:, :N])
     terms *= np.sqrt(domain.eigenvalues)
     ok = tail_stabilizes(terms, frac=0.25, tol=0.22)
     if not ok.all():
@@ -107,29 +104,29 @@ def _trace_tail_check(domain: SpectralDomain, data, t_end: float) -> None:
             "boundary trace mode sum has not stabilized: the last quarter of "
             f"the modes still contributes {frac:.1%} (needs faster coefficient decay)"
         )
+    return coeffs
 
 
-def _traces(domain: SpectralDomain, prop: ModePropagator, data, tgrid: TimeGrid):
-    """Boundary traces of the datasets ``data`` (a sequence) on ``prop``'s
-    kernels, in order, as blocks of shape (draws, M+1, B).
+def _traces(domain: SpectralDomain, prop: ModePropagator, coeffs: np.ndarray):
+    """Boundary traces of the datasets whose stacked ``(a, b)`` rows are
+    ``coeffs`` (see ``_coefficients``) on ``prop``'s kernels, in order, as
+    blocks of shape (draws, M+1, B).
 
-    Every dataset passes the tail check first.  A block is one contraction
-    ``einsum("rn,nt->rt", W, K)`` of ``W = phi'^T (x) C``, the boundary
-    normal derivatives times the block's stacked coefficients ``(a, b)``,
-    reshaped to (B * draws, 2N), with ``K = [e1; te2]`` of shape (2N, M+1).
-    Without ``optimize`` NumPy adds the 2N products of each entry in mode
-    order in its own loop, not in BLAS, so a trace has the same bits alone
-    or in any block, under any number of BLAS threads.  A block, its
-    product, its transposed copy and a caller's squares of it stay within
-    ``_MODE_SUM_BYTES``.
+    A block is one contraction ``einsum("rn,nt->rt", W, K)`` of ``W = phi'^T
+    (x) C``, the boundary normal derivatives times the block's rows ``C`` of
+    ``coeffs``, reshaped to (B * draws, 2N), with ``K = [e1; te2]`` of shape
+    (2N, M+1).  Without ``optimize`` NumPy adds the 2N products of each
+    entry in mode order in its own loop, not in BLAS, so a trace has the
+    same bits alone or in any block, under any number of BLAS threads.  A
+    block, its product, its transposed copy and a caller's squares of it
+    stay within ``_MODE_SUM_BYTES``.
     """
-    _trace_tail_check(domain, data, tgrid.t_end)
     phi = np.tile(domain.boundary_normal_deriv.T, 2)  # (B, 2N)
     K = np.concatenate([prop.e1, prop.te2])
     (B, N2), T = phi.shape, K.shape[1]
     size = max(1, _MODE_SUM_BYTES // (8 * B * (N2 + 3 * T)))
-    for i in range(0, len(data), size):
-        C = np.array([np.concatenate([d.a, d.b]) for d in data[i : i + size]])
+    for i in range(0, len(coeffs), size):
+        C = coeffs[i : i + size]
         out = np.einsum("rn,nt->rt", (phi[:, None, :] * C).reshape(-1, N2), K, optimize=False)
         yield np.ascontiguousarray(out.reshape(B, len(C), T).transpose(1, 2, 0))
 
@@ -137,12 +134,34 @@ def _traces(domain: SpectralDomain, prop: ModePropagator, data, tgrid: TimeGrid)
 def normal_trace(domain: SpectralDomain, data: ModeCoefficients, alpha, tgrid: TimeGrid) -> TraceSeries:
     """Series trace of the normal derivative on the boundary quadrature."""
     prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
-    ((values,),) = _traces(domain, prop, [data], tgrid)
+    ((values,),) = _traces(domain, prop, _coefficients(domain, [data], tgrid.t_end))
     return _series(domain, tgrid, values)
 
 
 def _series(domain: SpectralDomain, tgrid: TimeGrid, values: np.ndarray) -> TraceSeries:
     return TraceSeries(tgrid, domain.boundary_points, domain.boundary_weights, values)
+
+
+@dataclass(frozen=True)
+class _Draws:
+    """What a study of an ensemble on ``tgrid`` needs that does not depend
+    on the order alpha, built once (``_draws``) for every alpha: each draw's
+    data energy, the indices of the draws of nonzero energy and their
+    tail-checked ``(a, b)`` rows (``_coefficients``)."""
+
+    domain: SpectralDomain
+    tgrid: TimeGrid
+    energies: list
+    live: list
+    coeffs: np.ndarray
+
+
+def _draws(domain: SpectralDomain, ensemble, tgrid: TimeGrid) -> _Draws:
+    ensemble = list(ensemble)
+    coeffs = _coefficients(domain, ensemble, tgrid.t_end)
+    energies = [data.energy(domain.eigenvalues) for data in ensemble]
+    live = [i for i, energy in enumerate(energies) if energy != 0.0]
+    return _Draws(domain, tgrid, energies, live, coeffs[live])
 
 
 @dataclass
@@ -167,30 +186,28 @@ def hidden_inequality_ratio(
     """Trace energy over data energy, per draw, with the shared mode dynamics
     evaluated once and the traces contracted together for the whole ensemble."""
     prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
-    return _ratio_study(domain, prop, list(ensemble), tgrid)
+    return _ratio_study(prop, _draws(domain, ensemble, tgrid))
 
 
-def _ratio_study(domain: SpectralDomain, prop: ModePropagator, ensemble,
-                 tgrid: TimeGrid, keep=()) -> RatioStudy:
-    """The ratio study of ``ensemble`` on ``prop``'s kernels, one ``_traces``
+def _ratio_study(prop: ModePropagator, draws: _Draws, keep=()) -> RatioStudy:
+    """The ratio study of ``draws`` on ``prop``'s kernels, one ``_traces``
     contraction for all its draws of nonzero energy; the traces of the draws
     whose indices are in ``keep`` stay in ``RatioStudy.traces``."""
-    if not ensemble:
+    if not draws.energies:
         raise ValueError("ensemble must be non-empty")
-    energies = [data.energy(domain.eigenvalues) for data in ensemble]
-    live = [i for i, energy in enumerate(energies) if energy != 0.0]
-    if not live:
+    if not draws.live:
         raise ValueError("every draw had zero energy")
+    domain, tgrid = draws.domain, draws.tgrid
     nums, traces = [], {}
-    for block in _traces(domain, prop, [ensemble[i] for i in live], tgrid):
-        for i, values in zip(live[len(nums) :], block):
+    for block in _traces(domain, prop, draws.coeffs):
+        for i, values in zip(draws.live[len(nums) :], block):
             if i in keep:
                 traces[i] = _series(domain, tgrid, values.copy())
         nums += _trace_energy(block, domain.boundary_weights, tgrid.nodes).tolist()
-    table = [{"draw": i, "trace_energy": num, "data_energy": energies[i],
-              "ratio": num / energies[i]} for i, num in zip(live, nums)]
-    return RatioStudy(np.asarray([row["ratio"] for row in table]), len(ensemble) - len(live),
-                      table, traces)
+    table = [{"draw": i, "trace_energy": num, "data_energy": draws.energies[i],
+              "ratio": num / draws.energies[i]} for i, num in zip(draws.live, nums)]
+    return RatioStudy(np.asarray([row["ratio"] for row in table]),
+                      len(draws.energies) - len(draws.live), table, traces)
 
 
 @dataclass(frozen=True)
@@ -267,21 +284,18 @@ class IdentityCheck:
         return abs(self.lhs - self.rhs) / scale if scale > 0 else 0.0
 
 
-def _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid):
+def _integrated_caputo_coeffs(prop: ModePropagator, data: ModeCoefficients, live, beta, tgrid):
     """I^beta of the discrete fractional time derivative, per mode.
 
     The derivative is produced by the quadrature pipeline itself: the
     product-trapezoidal integral of order 2 - alpha applied to sampled
     second derivatives (mean-preserving near the origin, where they blow up
-    like t^(alpha-2)), then the order-beta integral.
+    like t^(alpha-2)), then the order-beta integral.  ``prop`` holds the
+    modes ``live``; every other mode's samples are zero.
     """
-    al = as_alpha(alpha)
-    second = np.zeros((domain.mode_count, tgrid.steps + 1))
-    live = (data.a != 0.0) | (data.b != 0.0)
-    if np.any(live):
-        second[live] = mode_second_derivative_samples(domain.eigenvalues[live], al,
-                                                      data.a[live], data.b[live], tgrid)
-    cap = frac_integral(SampledPath(tgrid, second.T), 2.0 - al).values
+    second = np.zeros((len(data), tgrid.steps + 1))
+    second[live] = mode_second_derivative_samples(prop, data.a[live], data.b[live], tgrid)
+    cap = frac_integral(SampledPath(tgrid, second.T), 2.0 - prop.alpha).values
     return frac_integral(SampledPath(tgrid, cap), beta).values.T
 
 
@@ -303,6 +317,10 @@ def fractional_identity_check(
     plain inner product, valid for the smooth truncated series.  The two
     routes share no time-discretization shortcut, so the residual honestly
     tracks the quadrature error and decreases under grid refinement.
+
+    Kernels are evaluated for the modes of nonzero data alone, on one
+    propagator; every other mode's coefficients are exact zeros, which add
+    nothing to a sum with a nonzero term and square to zero.
     """
     if not domain.is_interval:
         raise ValueError("the multiplier identity is only available on the interval "
@@ -312,10 +330,15 @@ def fractional_identity_check(
     (L,) = domain.lengths
     lam = domain.eigenvalues
     tt = tgrid.nodes
-    coeff = ModePropagator(lam, alpha, tt).value(data.a, data.b)
+    if len(data) != domain.mode_count:
+        raise ValueError("data length must equal the domain mode count")
+    live = np.flatnonzero((data.a != 0.0) | (data.b != 0.0))
+    prop = ModePropagator(lam[live], alpha, tt)
+    coeff = np.zeros((len(data), tt.size))
+    coeff[live] = prop.value(data.a[live], data.b[live])
     icoeff = frac_integral(SampledPath(tgrid, coeff.T), beta).values.T
     itrace = mode_sum(icoeff, domain.boundary_normal_deriv)
-    icap = _integrated_caputo_coeffs(domain, data, alpha, beta, tgrid)
+    icap = _integrated_caputo_coeffs(prop, data, live, beta, tgrid)
     G = _product_matrix(domain, interval_multiplier(L))
 
     lhs = float(_trace_energy(itrace, domain.boundary_weights, tt))
@@ -347,40 +370,46 @@ def trace_seminorm_bound(
     time-Sobolev data (L2 squared plus squared Slobodeckij seminorm); route
     2 is the plain squared L2 norm of the trace.  Both are divided by the
     data energy; a zero-energy draw reports zeros.  The mode dynamics are
-    evaluated once, and the traces contracted together (``_traces``), for
-    the whole ensemble.
+    evaluated once, the traces contracted together (``_traces``), and the
+    routes measured on the stack of traces (``_route_reports``), for the
+    whole ensemble.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     prop = ModePropagator(domain.eigenvalues, alpha, tgrid.nodes)
-    ensemble = list(ensemble)
-    values = (v for block in _traces(domain, prop, ensemble, tgrid) for v in block)
-    return [_trace_bound_report(domain, data, prop.alpha, beta, _series(domain, tgrid, v))
-            for data, v in zip(ensemble, values)]
+    draws = _draws(domain, ensemble, tgrid)
+    traces = [SampledPath(tgrid, v) for block in _traces(domain, prop, draws.coeffs) for v in block]
+    return _route_reports(domain, tgrid, draws.energies, prop.alpha, beta, traces)
 
 
-def _trace_bound_report(domain: SpectralDomain, data: ModeCoefficients, al: float,
-                        beta: float, trace: TraceSeries | None) -> TraceBoundReport:
-    """The two routes of one draw from its trace, which a zero-energy draw
-    (reported as zeros) need not have."""
-    energy = data.energy(domain.eigenvalues)
-    if energy == 0.0:
-        return TraceBoundReport(
-            NormReport("integrated-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
-            NormReport("plain-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
-            cross_ratio=0.0,
-        )
+def _route_reports(domain: SpectralDomain, tgrid: TimeGrid, energies, al: float, beta: float,
+                   traces) -> list[TraceBoundReport]:
+    """The two routes of each draw of data energy ``energies[i]``, from
+    ``traces``, the trace paths on ``tgrid`` of the draws of nonzero energy
+    in order; a zero-energy draw has no trace and reports zeros.  The traces
+    go through ``frac_integral`` and each norm as one stack, and every value
+    keeps the bits of its draw measured alone."""
     wts = domain.boundary_weights
-    path = trace.as_path()
-    itr = frac_integral(path, beta)
-    il2 = l2_time_norm(itr, wts)
-    semi = gagliardo_seminorm(itr, beta, wts)
-    plain = l2_time_norm(path, wts)
-    tgrid = trace.grid
-    params = {"alpha": al, "beta": beta, "t_end": tgrid.t_end, "steps": tgrid.steps}
-    integrated = NormReport("integrated-trace-energy", params,
-                            value=(il2**2 + semi**2) / energy, bound_rhs=energy)
-    plain_rep = NormReport("plain-trace-energy", params,
-                           value=plain**2 / energy, bound_rhs=energy)
-    cross = plain / (il2 + semi) if (il2 + semi) > 0 else 0.0
-    return TraceBoundReport(integrated, plain_rep, cross_ratio=cross)
+    measured = iter(())
+    if traces:
+        itr = _frac_integrals(traces, beta)
+        measured = zip(l2_time_norm(itr, wts).tolist(), gagliardo_seminorm(itr, beta, wts).tolist(),
+                       l2_time_norm(traces, wts).tolist())
+    reports = []
+    for energy in energies:
+        if energy == 0.0:
+            reports.append(TraceBoundReport(
+                NormReport("integrated-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
+                NormReport("plain-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
+                cross_ratio=0.0,
+            ))
+            continue
+        il2, semi, plain = next(measured)
+        params = {"alpha": al, "beta": beta, "t_end": tgrid.t_end, "steps": tgrid.steps}
+        reports.append(TraceBoundReport(
+            NormReport("integrated-trace-energy", params,
+                       value=(il2**2 + semi**2) / energy, bound_rhs=energy),
+            NormReport("plain-trace-energy", params, value=plain**2 / energy, bound_rhs=energy),
+            cross_ratio=plain / (il2 + semi) if (il2 + semi) > 0 else 0.0,
+        ))
+    return reports

@@ -142,23 +142,49 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def frac_integral(f: SampledPath, beta: float) -> SampledPath:
-    """Fractional integral of order beta in (0, 1] by product trapezoid."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    grid = f.grid
-    vals = f.components()
+@functools.lru_cache(maxsize=4)
+def _conv_factors(grid: TimeGrid, beta: float):
+    """Path-independent factors of ``frac_integral`` on ``grid``, read-only:
+    the FFT length, the spectrum of the convolution weights ``w`` (as a
+    column) and the start correction ``v`` of ``_conv_weights``."""
     w, v = _conv_weights(beta, grid.steps, grid.spacing)
     # linear convolution by real FFT; padding to the full length 2M+1 keeps
     # wrap-around out of the first M+1 outputs
     size = _fast_len(2 * grid.steps + 1)
-    spec = np.fft.rfft(vals, size, axis=0) * np.fft.rfft(w[:, None], size, axis=0)
-    out = np.fft.irfft(spec, size, axis=0)[: grid.steps + 1]
+    wspec = np.fft.rfft(w[:, None], size, axis=0)
+    wspec.setflags(write=False)
+    v.setflags(write=False)
+    return size, wspec, v
+
+
+def frac_integral(f: SampledPath, beta: float) -> SampledPath:
+    """Fractional integral of order beta in (0, 1] by product trapezoid.
+
+    Each column of a vector-valued path is transformed alone, so a stack of
+    paths passed as the columns of one path gives each path's own bits; the
+    weights and their spectrum are cached per (grid, beta).
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    grid = f.grid
+    vals = f.components()
+    size, wspec, v = _conv_factors(grid, beta)
+    out = np.fft.irfft(np.fft.rfft(vals, size, axis=0) * wspec, size, axis=0)[: grid.steps + 1]
     out -= v[1 : grid.steps + 2, None] * vals[0][None, :]
     out[0] = 0.0
     if not f.is_vector:
         out = out[:, 0]
     return SampledPath(grid, out)
+
+
+def _frac_integrals(paths, beta: float) -> list:
+    """``frac_integral`` of each of ``paths`` (a sequence on one grid) in
+    one call: the paths go through as the columns of one path."""
+    grid, stack = _stack(paths)
+    P, R, d = stack.shape
+    cols = frac_integral(SampledPath(grid, stack.transpose(1, 0, 2).reshape(R, P * d)), beta).values
+    return [SampledPath(grid, v if p.is_vector else v[:, 0])
+            for p, v in zip(paths, cols.reshape(R, P, d).transpose(1, 0, 2))]
 
 
 def caputo_derivative(f_second: SampledPath, alpha: float) -> SampledPath:
@@ -190,27 +216,63 @@ def _component_weights(weights, d: int):
     return w
 
 
-def _pow2_scaled(vals: np.ndarray, wts):
-    """``(vals * 2**-s, wts * 2**-2w, s + w)``: values scaled below 1 and
-    weights below 4 by exact powers of two, so that no square of a value and
-    no weighted square overflows or underflows.  A norm formed from the
-    scaled arrays is the norm of the originals times ``2**-(s + w)``, with
-    the same bits wherever the originals' squares stay in the normal range."""
-    scale = math.frexp(float(np.max(np.abs(vals), initial=0.0)))[1]
-    vals = np.ldexp(vals, -scale)
+def _pow2_scaled(stack: np.ndarray, wts):
+    """``(stack * 2**-s, wts * 2**-2w, s + w)`` for a stack (P, M+1, d) of
+    paths: each path's values scaled below 1 by its own exact power of two
+    ``2**-s``, the weights below 4 by ``2**-2w``, so that no square of a
+    value and no weighted square overflows or underflows.  A norm formed
+    from a scaled path is the norm of the original times ``2**-(s + w)``,
+    with the same bits wherever the original's squares stay in the normal
+    range.  The exponents come back as Python ints, one per path."""
+    scale = np.frexp(np.max(np.abs(stack), axis=(1, 2), initial=0.0))[1]
+    stack = np.ldexp(stack, -scale[:, None, None])
     if wts is not None:
         wscale = (math.frexp(float(np.max(wts, initial=0.0)))[1] + 1) // 2
         wts = np.ldexp(wts, -2 * wscale)
-        scale += wscale
-    return vals, wts, scale
+        scale = scale + wscale
+    return stack, wts, scale.tolist()
 
 
-def l2_time_norm(f: SampledPath, weights=None) -> float:
-    """Trapezoidal L2(0,T;H) norm; `weights` are per-component H-weights."""
-    vals = f.components()
-    vals, wts, scale = _pow2_scaled(vals, _component_weights(weights, vals.shape[1]))
-    sq = np.sum(vals**2, axis=1) if wts is None else vals**2 @ wts
-    return math.ldexp(math.sqrt(float(np.sum(_node_weights(f.grid) * sq))), scale)
+def _wsum(stack: np.ndarray, wts) -> np.ndarray:
+    """Sums over the last axis of ``stack``, one array per path (first
+    axis), weighted by ``wts`` when given, each with the bits of its path
+    reduced alone: a plain sum reduces every row on its own, and each
+    path's weighted sum is its own BLAS call, as a batched product may pick
+    another kernel."""
+    if wts is None:
+        return np.sum(stack, axis=-1)
+    return np.array([x @ wts for x in stack]).reshape(stack.shape[:-1])
+
+
+def _stack(paths) -> tuple[TimeGrid, np.ndarray]:
+    """The grid and the values (P, M+1, d) of ``paths``: one sampled path
+    (P = 1), or a non-empty sequence of them on one grid with one shape."""
+    paths = [paths] if isinstance(paths, SampledPath) else list(paths)
+    if not paths:
+        raise ValueError("need at least one path")
+    grid, shape = paths[0].grid, paths[0].values.shape
+    if any(p.grid != grid or p.values.shape != shape for p in paths):
+        raise ValueError("the paths of a stack must share one grid and one shape")
+    return grid, np.stack([p.components() for p in paths])
+
+
+def _one_or_each(paths, values: np.ndarray):
+    """``values``, one per path, as a float for one path or an array for a
+    sequence of them."""
+    return float(values[0]) if isinstance(paths, SampledPath) else values
+
+
+def l2_time_norm(f, weights=None):
+    """Trapezoidal L2(0,T;H) norm; `weights` are per-component H-weights.
+
+    ``f`` is one sampled path, for a float, or a sequence of paths on one
+    grid, for an array of one norm per path, measured in one pass with the
+    bits of each path alone."""
+    grid, stack = _stack(f)
+    stack, wts, scales = _pow2_scaled(stack, _component_weights(weights, stack.shape[2]))
+    sums = np.sum(_node_weights(grid) * _wsum(stack**2, wts), axis=-1)
+    return _one_or_each(f, np.array([math.ldexp(math.sqrt(s), scale)
+                                     for s, scale in zip(sums.tolist(), scales)]))
 
 
 def young_bound_check(f: SampledPath, beta: float) -> tuple[float, float]:
@@ -296,8 +358,8 @@ def _seminorm_factors(grid: TimeGrid, beta: float):
     return band, size, spec, diag
 
 
-def gagliardo_seminorm(v: SampledPath, beta: float, weights=None) -> float:
-    """Slobodeckij seminorm of order beta in (0,1) of a sampled path.
+def gagliardo_seminorm(v, beta: float, weights=None):
+    """Slobodeckij seminorm of order beta in (0,1) of sampled paths.
 
     Exterior cells (two or more cells off the diagonal) use the tensor
     trapezoid on node values: ``|v_i - v_j|**2 |t_i - t_j|**(-1-2 beta)``,
@@ -313,43 +375,47 @@ def gagliardo_seminorm(v: SampledPath, beta: float, weights=None) -> float:
     linear slopes, which keeps the quadrature finite for the integrable
     singularity.  O(M log M) time and O(M d) memory; the data-independent
     factors are cached per (grid, beta).
+
+    ``v`` is one sampled path, for a float, or a sequence of paths on one
+    grid, for an array of one seminorm per path: the differences, squares
+    and transforms run on the whole stack, and every reduction keeps the
+    bits of its path alone (``_wsum``; the dot products run path by path).
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    grid = v.grid
+    grid, stack = _stack(v)
     M = grid.steps
     h = grid.spacing
-    vals = v.components()
-    vals, wts, scale = _pow2_scaled(vals, _component_weights(weights, vals.shape[1]))
-
-    def sqnorm(diff):
-        return np.sum(diff**2, axis=-1) if wts is None else diff**2 @ wts
-
+    stack, wts, scales = _pow2_scaled(stack, _component_weights(weights, stack.shape[2]))
     band, size, spec, diag = _seminorm_factors(grid, beta)
-    total = 0.0
+    totals = [0.0] * len(stack)
     for k, coef in enumerate(band, start=1):
-        total += float(coef @ sqnorm(vals[k:] - vals[:-k]))
+        for p, sq in enumerate(_wsum((stack[:, k:] - stack[:, :-k]) ** 2, wts)):
+            totals[p] += float(coef @ sq)
     if spec is not None:
-        x = vals - vals[0]
+        x = stack - stack[:, :1]
         u = x.copy()
-        u[1:-1] *= 2.0
-        ku = np.fft.irfft(np.fft.rfft(u, size, axis=0) * spec[:, None], size, axis=0)[: M + 1]
-        cross = np.sum(u * ku, axis=0)
-        far = float(diag @ sqnorm(x)) - float(np.sum(cross) if wts is None else cross @ wts)
-        total += max(far, 0.0)  # non-negative; rounding may leave it just below
+        u[:, 1:-1] *= 2.0
+        ku = np.fft.irfft(np.fft.rfft(u, size, axis=1) * spec[:, None], size, axis=1)[:, : M + 1]
+        cross = _wsum(np.sum(u * ku, axis=1), wts).tolist()
+        for p, sq in enumerate(_wsum(x**2, wts)):
+            far = float(diag @ sq) - cross[p]
+            totals[p] += max(far, 0.0)  # non-negative; rounding may leave it just below
 
     c0 = 2.0 / ((2.0 - 2.0 * beta) * (3.0 - 2.0 * beta))
     c1 = (2.0 ** (3.0 - 2.0 * beta) - 2.0) / ((2.0 - 2.0 * beta) * (3.0 - 2.0 * beta))
-    slopes = (vals[1:] - vals[:-1]) / h
-    total += c0 * h ** (3.0 - 2.0 * beta) * float(np.sum(sqnorm(slopes)))
-    if M >= 2:
-        mid = (vals[2:] - vals[:-2]) / (2.0 * h)
-        total += 2.0 * c1 * h ** (3.0 - 2.0 * beta) * float(np.sum(sqnorm(mid)))
-    return math.ldexp(math.sqrt(total), scale)
+    slopes = np.sum(_wsum(((stack[:, 1:] - stack[:, :-1]) / h) ** 2, wts), axis=-1).tolist()
+    mids = np.sum(_wsum(((stack[:, 2:] - stack[:, :-2]) / (2.0 * h)) ** 2, wts), axis=-1).tolist()
+    for p, (slope, mid) in enumerate(zip(slopes, mids)):  # M >= 2: every path has a mid
+        totals[p] += c0 * h ** (3.0 - 2.0 * beta) * slope
+        totals[p] += 2.0 * c1 * h ** (3.0 - 2.0 * beta) * mid
+    return _one_or_each(v, np.array([math.ldexp(math.sqrt(total), scale)
+                                     for total, scale in zip(totals, scales)]))
 
 
-def sobolev_norm(v: SampledPath, beta: float) -> float:
-    """H^beta(0,T;H) norm: L2 norm plus the Slobodeckij seminorm."""
+def sobolev_norm(v, beta: float):
+    """H^beta(0,T;H) norm: L2 norm plus the Slobodeckij seminorm, of one
+    path or of each of a sequence of them."""
     return l2_time_norm(v) + gagliardo_seminorm(v, beta)
 
 
@@ -368,20 +434,16 @@ class EquivalenceStudy:
 
 
 def norm_equivalence_study(ensemble, beta: float) -> EquivalenceStudy:
-    """Ratios ||I^beta u||_{H^beta} / ||u||_{L2} over an ensemble of paths, bounded
-    below only over paths with u(0) = 0 (``verify``'s sine sums): ``frac_integral``'s
-    matrix has a zero row 0, and its null vector, mostly a spike at t = 0, has ratio ~1e-15."""
+    """Ratios ||I^beta u||_{H^beta} / ||u||_{L2} over an ensemble of paths on one grid,
+    bounded below only over paths with u(0) = 0 (``verify``'s sine sums): ``frac_integral``'s
+    matrix has a zero row 0, and its null vector, mostly a spike at t = 0, has ratio ~1e-15.
+    The ensemble goes through the integral and each norm as one stack."""
     if not ensemble:
         raise ValueError("ensemble must be non-empty")
-    ratios = []
-    skipped = 0
-    for u in ensemble:
-        denom = l2_time_norm(u)
-        if denom == 0.0:
-            skipped += 1
-            continue
-        iu = frac_integral(u, beta)
-        ratios.append(sobolev_norm(iu, beta) / denom)
-    if not ratios:
+    ensemble = list(ensemble)
+    denoms = l2_time_norm(ensemble)
+    live = denoms != 0.0
+    if not live.any():
         raise ValueError("all ensemble members have zero norm")
-    return EquivalenceStudy(np.asarray(ratios), skipped)
+    iu = _frac_integrals([u for u, on in zip(ensemble, live) if on], beta)
+    return EquivalenceStudy(sobolev_norm(iu, beta) / denoms[live], int(np.count_nonzero(~live)))

@@ -105,16 +105,31 @@ class ModeState:
     y_caputo: np.ndarray
 
 
+def _kernel(compute):
+    """A kernel of ``ModePropagator``, computed by ``compute`` on first use;
+    a time view (``ModePropagator.at``) reads it as columns of its base's."""
+
+    def kernel(self):
+        if self._base is None:
+            return compute(self)
+        prop, cols = self._base
+        return getattr(prop, compute.__name__)[:, cols]
+
+    kernel.__doc__ = compute.__doc__
+    return cached_property(kernel)
+
+
 class ModePropagator:
     """The ML kernels of modes ``l_n`` on one time set, for any data (a, b).
 
     ``z = -l_n t^a`` (shape (N, len(times))) is formed once; each kernel
     (``e1`` = E_{a,1}, ``te2`` = t E_{a,2}, ``ea`` = E_{a,a}, ``eam1`` =
-    E_{a,a-1}, the last for t > 0 only) costs one ``ml`` call on that whole
-    grid, on first use.  Time powers stay separate factors so each
-    combination multiplies in one fixed order.  Studies over many datasets
-    build one propagator and reuse it for every draw, and ``head`` serves
-    a study over fewer modes from the same kernels.
+    E_{a,a-1}) costs one ``ml`` call on that whole grid, on first use.  Time
+    powers stay separate factors so each combination multiplies in one fixed
+    order.  Studies over many datasets build one propagator and reuse it for
+    every draw; ``head`` serves a study over fewer modes from the same
+    kernels, and ``at`` one on some of the times, such as a coarser grid
+    nested in this one.
     """
 
     def __init__(self, eigenvalues, alpha, times):
@@ -124,6 +139,7 @@ class ModePropagator:
         if np.any(self.times < 0.0):
             raise ValueError("t must be non-negative")
         self.z = -np.outer(self.lam, self.times**self.alpha)
+        self._base = None  # (propagator, time slice) of a time view
 
     def _ml(self, beta: float) -> np.ndarray:
         return ml(MLParams(self.alpha, beta), self.z)
@@ -136,22 +152,38 @@ class ModePropagator:
         value does not depend on its call."""
         sub = object.__new__(ModePropagator)
         sub.lam, sub.alpha, sub.times, sub.z = self.lam[:n], self.alpha, self.times, self.z[:n]
+        sub._base = None
         for name in ("e1", "te2", "ea", "eam1"):
             if name in vars(self):
                 vars(sub)[name] = vars(self)[name][:n]
         return sub
 
-    @cached_property
+    def at(self, cols: slice) -> "ModePropagator":
+        """The propagator of the same modes on ``times[cols]``, for a slice
+        ``cols``: with ``cols = slice(None, None, s)`` every ``s``-th time,
+        the grid of ``s`` times the step where the times are a uniform grid
+        (the time-axis twin of ``head``).  Each kernel of the view is a
+        column view of this propagator's, computed here, on all of its
+        times, on first use by either, so views of one propagator evaluate
+        every kernel once.  A column view has the bits of a propagator of
+        its own on equal times, since an ``ml`` value does not depend on its
+        call."""
+        sub = object.__new__(ModePropagator)
+        sub.lam, sub.alpha, sub.times, sub.z = self.lam, self.alpha, self.times[cols], self.z[:, cols]
+        sub._base = (self, cols)
+        return sub
+
+    @_kernel
     def e1(self) -> np.ndarray:
         return self._ml(1.0)
 
-    @cached_property
+    @_kernel
     def te2(self) -> np.ndarray:
         out = self._ml(2.0)
         out *= self.times[None, :]
         return out
 
-    @cached_property
+    @_kernel
     def ea(self) -> np.ndarray:
         return self._ml(self.alpha)
 
@@ -164,10 +196,8 @@ class ModePropagator:
         out[pos] = tt[pos] ** (self.alpha - 1.0)
         return out
 
-    @cached_property
+    @_kernel
     def eam1(self) -> np.ndarray:
-        if np.any(self.times <= 0.0):
-            raise ValueError("the second derivative needs t > 0")
         return self._ml(self.alpha - 1.0)
 
     # Each combination builds its result in one array with at most one
@@ -196,6 +226,8 @@ class ModePropagator:
     def second_derivative(self, a, b) -> np.ndarray:
         """y_n''(t) = -l_n (a t^(alpha-2) E_{a,a-1} + b t^(alpha-1) E_{a,a}); it
         blows up like t^(alpha-2) at the origin, so t > 0 only."""
+        if np.any(self.times <= 0.0):
+            raise ValueError("the second derivative needs t > 0")
         eam1 = self.eam1
         t2 = self.times ** (self.alpha - 2.0)
         out = _col(a) * t2[None, :]
@@ -223,8 +255,10 @@ def mode_solution(lam: float, alpha, a: float, b: float, t) -> ModeState:
     return ModeState(*(_scalar_or_row(getattr(prop, w)(a, b), t) for w in _WHICH))
 
 
-def mode_second_derivative_samples(lam, alpha, a, b, tgrid: TimeGrid) -> np.ndarray:
-    """Second-derivative node samples tuned for the product-trapezoid rule.
+def mode_second_derivative_samples(prop: ModePropagator, a, b, tgrid: TimeGrid) -> np.ndarray:
+    """Second-derivative node samples of ``prop``'s modes, tuned for the
+    product-trapezoid rule, shape (N, M+1); ``prop``'s times are the nodes
+    of ``tgrid`` (a time view of a finer grid's propagator serves).
 
     Near the origin y'' blows up like t^(alpha-2) and plain samples make the
     piecewise-linear interpolant integrate wrongly at first order.  Over the
@@ -232,21 +266,17 @@ def mode_second_derivative_samples(lam, alpha, a, b, tgrid: TimeGrid) -> np.ndar
     means equal the exact ones (backward recursion anchored on the exact
     value at the junction); beyond that the samples are exact.  Quadrature
     error norms away from the origin then converge at roughly first order
-    instead of alpha - 1.
-
-    ``lam``, ``a`` and ``b`` may be arrays over modes, evaluated in one
-    ``ml`` call per kernel: the samples then have shape (N, M+1), and
-    (M+1,) for a scalar ``lam``.
+    instead of alpha - 1.  Both stretches are time views of ``prop``
+    (``ModePropagator.at``), so each kernel is one ``ml`` call on its times.
     """
-    t = tgrid.nodes
     M = tgrid.steps
     J = min(M // 2, max(4, math.isqrt(M)))
-    v = np.empty((np.size(lam), M + 1))
-    v[:, J:] = ModePropagator(lam, alpha, t[J:]).second_derivative(a, b)
-    means = np.diff(ModePropagator(lam, alpha, t[: J + 1]).velocity(a, b), axis=1) / tgrid.spacing
+    v = np.empty((prop.lam.size, M + 1))
+    v[:, J:] = prop.at(slice(J, None)).second_derivative(a, b)
+    means = np.diff(prop.at(slice(None, J + 1)).velocity(a, b), axis=1) / tgrid.spacing
     for j in range(J - 1, -1, -1):
         v[:, j] = 2.0 * means[:, j] - v[:, j + 1]
-    return v if np.ndim(lam) else v[0]
+    return v
 
 
 def coefficient_evolution(query: SolutionQuery) -> np.ndarray:

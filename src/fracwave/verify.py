@@ -17,18 +17,26 @@ Each check draws only from its seed and ML values do not depend on cache
 state, so the results, and the report bytes, are identical either way.
 
 Work that does not depend on the data runs once.  The trace-energy check
-draws its three ensembles before its alpha loop and evaluates one 128-mode
-propagator per alpha; its 64-mode studies read the leading rows of those
-kernels (``ModePropagator.head``), each study takes the traces of all its
-draws in one contraction (``boundary._traces``), and its route reports
-reuse the traces its first study computed.  ``check_ml_identities`` makes
-one ``ml`` call per order, and its oracle, the fallback ``_mpmath_single``,
+draws its three ensembles, tail-checks them and stacks their coefficients
+and data energies (``boundary._draws``) before its alpha loop, and
+evaluates one 128-mode propagator per alpha; its 64-mode studies read the
+leading rows of those kernels (``ModePropagator.head``), each study takes
+the traces of all its draws in one contraction (``boundary._traces``), and
+its route reports measure the traces its first study kept as one stack
+(``boundary._route_reports``: one ``frac_integral`` and one pass of each
+norm).  The norm-equivalence check measures each ensemble as one stack the
+same way.  The mode-ODE check evaluates each kernel once per alpha on its
+finest grid and reads every coarser grid as every s-th time of it
+(``ModePropagator.at``); the integrated-identity check evaluates kernels
+for its one mode of nonzero data alone.  ``check_ml_identities`` makes one
+``ml`` call per order, and its oracle, the fallback ``_mpmath_single``,
 takes all but the first q coefficients of alpha = p/q by exact recurrence.
 None of this sharing moves a bit: an ``ml`` value does not depend on its
-call, nor a trace on the other draws of its contraction (the tests pin
-that on the grids used here), the recurrence rounds to the doubles of the
-gamma-per-term series (tested for q <= 8), and the draws and traces are
-the same arrays, computed once.
+call, nor a trace on the other draws of its contraction, nor a norm on the
+other paths of its stack (the tests pin these on the grids used here); a
+coarse grid's nodes are every s-th node of the fine grid's, bit for bit;
+the recurrence rounds to the doubles of the gamma-per-term series (tested
+for q <= 8), and the draws and traces are the same arrays, computed once.
 """
 
 from __future__ import annotations
@@ -41,8 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import (
+    _draws,
     _ratio_study,
-    _trace_bound_report,
+    _route_reports,
     fractional_identity_check,
     interval_multiplier,
     multiplier_identity_check,
@@ -250,15 +259,19 @@ def check_mode_ode_residual() -> CheckResult:
     lam = math.pi**2
     details = {}
     passed = True
+    grids = (256, 512, 1024)
     for alpha in _ALPHAS:
+        # one propagator per alpha on the finest grid: every grid reads every
+        # s-th time of its kernels, so each kernel is evaluated once
+        fine = ModePropagator(lam, alpha, TimeGrid(1.0, grids[-1]).nodes)
         errs = []
-        grids = (256, 512, 1024)
         for M in grids:
             g = TimeGrid(1.0, M)
             t = g.nodes
-            second = mode_second_derivative_samples(lam, alpha, 1.0, 0.0, g)
+            prop = fine.at(slice(None, None, grids[-1] // M))
+            second = mode_second_derivative_samples(prop, 1.0, 0.0, g)[0]
             cap = caputo_derivative(SampledPath(g, second), alpha)
-            target = ModePropagator(lam, alpha, t).caputo(1.0, 0.0)[0]
+            target = prop.caputo(1.0, 0.0)[0]
             sel = t >= 0.05
             num = np.sqrt(np.trapezoid((cap.values[sel] - target[sel]) ** 2, t[sel]))
             den = np.sqrt(np.trapezoid(target[sel] ** 2, t[sel]))
@@ -331,24 +344,25 @@ def check_trace_energy_bound(seed: int = 7) -> CheckResult:
     grid = TimeGrid(T, 192)
     details = {}
     passed = True
-    # the draws do not depend on alpha; the route reports take every fourth
-    # draw of the first study and reuse its traces
-    draws = [random_decay(64, 2.0, seed + i) for i in range(100)]
-    draws_re = [random_decay(64, 2.0, seed + 1000 + i) for i in range(100)]
-    draws128 = [random_decay(128, 2.0, seed + i) for i in range(100)]
-    routes = range(0, len(draws), 4)
+    # the draws, their tail checks, stacked coefficients and data energies
+    # do not depend on alpha; the route reports take every fourth draw of
+    # the first study and reuse its traces
     dom64, dom128 = build_interval(1.0, 64), build_interval(1.0, 128)
+    draws = _draws(dom64, [random_decay(64, 2.0, seed + i) for i in range(100)], grid)
+    draws_re = _draws(dom64, [random_decay(64, 2.0, seed + 1000 + i) for i in range(100)], grid)
+    draws128 = _draws(dom128, [random_decay(128, 2.0, seed + i) for i in range(100)], grid)
+    routes = range(0, len(draws.energies), 4)
     for alpha in _ALPHAS:
         # one propagator per alpha: the 64-mode studies read the leading rows
         # of the 128-mode kernels, so each kernel is evaluated once
         prop128 = ModePropagator(dom128.eigenvalues, alpha, grid.nodes)
-        study128 = _ratio_study(dom128, prop128, draws128, grid)
+        study128 = _ratio_study(prop128, draws128)
         prop64 = prop128.head(64)
-        study = _ratio_study(dom64, prop64, draws, grid, keep=routes)
-        study_re = _ratio_study(dom64, prop64, draws_re, grid)
+        study = _ratio_study(prop64, draws, keep=routes)
+        study_re = _ratio_study(prop64, draws_re)
 
-        reps = [_trace_bound_report(dom64, draws[i], prop64.alpha, beta, study.traces.get(i))
-                for i in routes]
+        reps = _route_reports(dom64, grid, [draws.energies[i] for i in routes], prop64.alpha, beta,
+                              [study.traces[i].as_path() for i in routes if i in study.traces])
         cross = np.asarray([rep.cross_ratio for rep in reps])
         bracket = float(np.max(cross) / np.min(cross))
 
@@ -400,15 +414,17 @@ ALL_CHECKS = (
 
 
 # Cold ms of each check by function name (by name, so a wrapped check keeps
-# its cost): the median of 7 fresh processes per check at seed 7 on a 2-core
-# x86 host, each timing one call,
+# its cost): the median of 15 fresh processes per check at seed 7 on a 2-core
+# x86 host, taken in rounds over all the checks, each timing one call,
 #   python -c "import time; from fracwave import verify; t = time.perf_counter();
 #              verify.check_trace_energy_bound(7); print(time.perf_counter() - t)"
+# The host's speed moves all of them together by up to about 1.6 times from
+# run to run; the shares read only their ratios
 _COLD_MS = dict(
-    check_trace_energy_bound=204, check_ml_identities=147, check_integrated_identity=98,
-    check_initial_data_continuity=79, check_norm_equivalence=66, check_mode_ode_residual=58,
-    check_decay_envelope=38, check_multiplier_identity=20, check_kernel_peak=15,
-    check_velocity_blowup=10, check_frac_integral_suite=6)
+    check_trace_energy_bound=132, check_ml_identities=87, check_initial_data_continuity=66,
+    check_mode_ode_residual=30, check_norm_equivalence=29, check_integrated_identity=27,
+    check_multiplier_identity=19, check_kernel_peak=12, check_decay_envelope=8,
+    check_velocity_blowup=7, check_frac_integral_suite=4)
 
 
 def _shares(width: int) -> list[list[int]]:

@@ -2,12 +2,15 @@
 
 Each test prints one PASS/FAIL line; the details dict carries the numbers
 the verdict was based on.  Criterion 12 additionally runs the CLI twice in
-subprocesses and requires bit-identical reports.
+subprocesses and requires bit-identical reports, with the sha256 listed for
+``verify_seed7.json`` in ``tests/output_digests.txt``.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +70,10 @@ def test_criterion_12_determinism(tmp_path):
     identical = reports[0] == reports[1]
     print(f"criterion 12 {'PASS' if identical else 'FAIL'}  verify-determinism")
     assert identical
+    listing = Path(__file__).with_name("output_digests.txt")
+    listed = dict(line.split("  ", 1)[::-1] for line in listing.read_text().splitlines())
+    digest = hashlib.sha256(reports[0]).hexdigest()
+    assert digest == listed[f"verify_seed{SEED}.json"], (
+        f"the seed-{SEED} report's sha256 {digest} is not the one {listing.name} lists: a change "
+        "that moves report bytes updates that listing (python tests/output_digests.py) and says "
+        "so in CHANGES.md")

@@ -9,8 +9,10 @@ import pytest
 import fracwave.mittag_leffler
 from fracwave import boundary
 from fracwave.boundary import (
+    _coefficients,
+    _draws,
     _ratio_study,
-    _trace_bound_report,
+    _route_reports,
     _traces,
     MultiplierField,
     fractional_identity_check,
@@ -22,7 +24,8 @@ from fracwave.boundary import (
     trace_to_csv,
     trig_test_function,
 )
-from fracwave.fracops import TimeGrid
+from fracwave.fracops import TimeGrid, frac_integral, gagliardo_seminorm, l2_time_norm
+from fracwave.regularity import NormReport
 from fracwave.presets import power_decay, random_decay, single_mode
 from fracwave.solver import ModePropagator
 from fracwave.spectral import (_MODE_SUM_BYTES, ModeCoefficients, build_interval, build_rectangle,
@@ -166,7 +169,28 @@ def _kernels(domain, alpha=1.5, grid=CHECK_GRID):
 
 
 def _stacked(domain, prop, draws, grid=CHECK_GRID):
-    return np.concatenate(list(_traces(domain, prop, draws, grid)))
+    return np.concatenate(list(_traces(domain, prop, _coefficients(domain, draws, grid.t_end))))
+
+
+def route_report_alone(domain, data, al, beta, trace):
+    """The two routes of one draw from its own trace alone, as the route
+    code measured each draw before the stacked reports: one
+    ``frac_integral``, two ``l2_time_norm`` and one ``gagliardo_seminorm``
+    call; a zero-energy draw reports zeros."""
+    energy = data.energy(domain.eigenvalues)
+    if energy == 0.0:
+        return (NormReport("integrated-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0),
+                NormReport("plain-trace-energy", {"alpha": al, "beta": beta}, 0.0, 0.0), 0.0)
+    wts = domain.boundary_weights
+    path = trace.as_path()
+    itr = frac_integral(path, beta)
+    il2 = l2_time_norm(itr, wts)
+    semi = gagliardo_seminorm(itr, beta, wts)
+    plain = l2_time_norm(path, wts)
+    params = {"alpha": al, "beta": beta, "t_end": trace.grid.t_end, "steps": trace.grid.steps}
+    return (NormReport("integrated-trace-energy", params, (il2**2 + semi**2) / energy, energy),
+            NormReport("plain-trace-energy", params, plain**2 / energy, energy),
+            plain / (il2 + semi) if (il2 + semi) > 0 else 0.0)
 
 
 class TestTraces:
@@ -192,15 +216,37 @@ class TestTraces:
         dom = build_interval(1.0, 64)
         draws = [random_decay(64, 2.0, 7 + i) for i in range(20)]
         keep = range(0, 20, 4)
-        study = _ratio_study(dom, _kernels(dom), draws, CHECK_GRID, keep=keep)
+        study = _ratio_study(_kernels(dom), _draws(dom, draws, CHECK_GRID), keep=keep)
         routes = trace_seminorm_bound(dom, [draws[i] for i in keep], 1.5, 0.25, CHECK_GRID)
         for i, route in zip(keep, routes):
             trace = study.traces[i]
             assert np.array_equal(trace.values, normal_trace(dom, draws[i], 1.5, CHECK_GRID).values)
-            own = _trace_bound_report(dom, draws[i], 1.5, 0.25, trace)
-            assert own.cross_ratio == route.cross_ratio
-            assert own.integrated_route.value == route.integrated_route.value
-            assert own.plain_route.value == route.plain_route.value
+            integrated, plain, cross = route_report_alone(dom, draws[i], 1.5, 0.25, trace)
+            assert cross == route.cross_ratio
+            assert integrated.value == route.integrated_route.value
+            assert plain.value == route.plain_route.value
+
+    @pytest.mark.parametrize("domain", [build_interval(1.0, 64), build_rectangle(1.0, 1.5, 16)],
+                             ids=["interval", "rectangle"])
+    def test_stacked_route_reports_are_each_draw_alone(self, domain):
+        # the check's route reports: the kept traces of a study, with a
+        # zero-energy draw among them, measured as one stack
+        n = domain.mode_count
+        draws = [random_decay(n, 2.0, 7 + i) for i in range(9)]
+        draws[4] = ModeCoefficients(np.zeros(n), np.zeros(n))
+        prop = _kernels(domain)
+        study = _ratio_study(prop, _draws(domain, draws, CHECK_GRID), keep=range(9))
+        assert sorted(study.traces) == [0, 1, 2, 3, 5, 6, 7, 8]
+        energies = [data.energy(domain.eigenvalues) for data in draws]
+        reps = _route_reports(domain, CHECK_GRID, energies, prop.alpha, 0.25,
+                              [study.traces[i].as_path() for i in sorted(study.traces)])
+        assert reps == trace_seminorm_bound(domain, draws, 1.5, 0.25, CHECK_GRID)
+        for i, (data, rep) in enumerate(zip(draws, reps)):
+            integrated, plain, cross = route_report_alone(domain, data, 1.5, 0.25,
+                                                          study.traces.get(i))
+            assert rep.integrated_route == integrated and rep.plain_route == plain
+            assert rep.cross_ratio == cross
+            assert (rep.cross_ratio == 0.0) == (i == 4)
 
 
 class TestRatioStudy:
@@ -209,7 +255,7 @@ class TestRatioStudy:
     def test_energies_match_the_per_draw_route(self, domain):
         draws = [random_decay(domain.mode_count, 2.0, 7 + i) for i in range(10)]
         prop = _kernels(domain)
-        study = _ratio_study(domain, prop, draws, CHECK_GRID)
+        study = _ratio_study(prop, _draws(domain, draws, CHECK_GRID))
         assert [row["draw"] for row in study.table] == list(range(10))
         for row in study.table:
             data = draws[row["draw"]]
@@ -224,7 +270,7 @@ class TestRatioStudy:
         dom = build_interval(1.0, 64)
         draws = [random_decay(64, 2.0, 7 + i) for i in range(6)]
         draws[2] = ModeCoefficients(np.zeros(64), np.zeros(64))
-        study = _ratio_study(dom, _kernels(dom), draws, CHECK_GRID, keep={1, 2, 5})
+        study = _ratio_study(_kernels(dom), _draws(dom, draws, CHECK_GRID), keep={1, 2, 5})
         assert study.skipped == 1
         assert [row["draw"] for row in study.table] == [0, 1, 3, 4, 5]
         assert sorted(study.traces) == [1, 5]
@@ -240,7 +286,7 @@ class TestRatioStudy:
             normal_trace(dom, bad, 1.5, CHECK_GRID)
         draws = [random_decay(64, 2.0, 7 + i) for i in range(5)] + [bad]
         with pytest.raises(ValueError, match="not stabilized") as study:
-            _ratio_study(dom, _kernels(dom), draws, CHECK_GRID)
+            _ratio_study(_kernels(dom), _draws(dom, draws, CHECK_GRID))
         assert str(study.value) == str(alone.value)
 
     def test_one_tail_check_per_study(self, monkeypatch):
@@ -252,7 +298,8 @@ class TestRatioStudy:
 
         monkeypatch.setattr(boundary, "tail_stabilizes", counting)
         dom = build_interval(1.0, 64)
-        _ratio_study(dom, _kernels(dom), [random_decay(64, 2.0, s) for s in range(50)], CHECK_GRID)
+        _ratio_study(_kernels(dom), _draws(dom, [random_decay(64, 2.0, s) for s in range(50)],
+                                          CHECK_GRID))
         assert calls == [(50, 64)]
 
     def test_stacked_tail_check_flags_each_draw_as_alone(self):
@@ -268,13 +315,13 @@ class TestRatioStudy:
         for start in range(len(draws)):
             rest = draws[start:]
             if all(passes[start:]):
-                boundary._trace_tail_check(dom, rest, 1.0)
+                boundary._coefficients(dom, rest, 1.0)
                 continue
             first = passes.index(False, start)
             with pytest.raises(ValueError, match="not stabilized") as alone_err:
-                boundary._trace_tail_check(dom, [draws[first]], 1.0)
+                boundary._coefficients(dom, [draws[first]], 1.0)
             with pytest.raises(ValueError, match="not stabilized") as study_err:
-                boundary._trace_tail_check(dom, rest, 1.0)
+                boundary._coefficients(dom, rest, 1.0)
             assert str(study_err.value) == str(alone_err.value)
 
     def test_memory_does_not_grow_with_the_draws(self):

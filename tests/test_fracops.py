@@ -11,6 +11,7 @@ from fracwave.fracops import (
     _BAND,
     _band_counts,
     _fast_len,
+    _frac_integrals,
     SampledPath,
     TimeGrid,
     caputo_derivative,
@@ -440,6 +441,49 @@ class TestL2TimeNorm:
             weighted = float(np.sqrt(np.sum(node_w * (vals**2 @ wts))))
             assert l2_time_norm(path) == plain
             assert l2_time_norm(path, wts) == weighted
+
+
+class TestStacks:
+    # the route reports and the norm-equivalence ensembles measure a stack
+    # of paths in one pass; every value must be its path's, measured alone
+    @given(
+        count=st.integers(1, 30),
+        M=st.integers(2, 300),
+        d=st.sampled_from([1, 2, 3, 9]),
+        weighted=st.booleans(),
+        zero=st.booleans(),
+        beta=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_norms_are_each_path_alone(self, count, M, d, weighted, zero, beta, seed):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(1.0, M)
+        # path scales spread over six decades
+        stack = rng.standard_normal((count, M + 1, d)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+        if zero:
+            stack[rng.integers(count)] = 0.0
+        weights = rng.uniform(0.0, 2.0, d) if weighted else None
+        paths = [SampledPath(grid, vals) for vals in stack]
+        l2, semi = l2_time_norm(paths, weights), gagliardo_seminorm(paths, beta, weights)
+        assert l2.shape == semi.shape == (count,)
+        for p, (path, integral) in enumerate(zip(paths, _frac_integrals(paths, beta))):
+            assert l2[p] == l2_time_norm(path, weights)
+            assert semi[p] == gagliardo_seminorm(path, beta, weights)
+            assert np.array_equal(integral.values, frac_integral(path, beta).values)
+            assert (l2[p] == 0.0) == (not np.any(path.values))
+
+    def test_stack_needs_one_grid(self):
+        paths = [trig_path(TimeGrid(1.0, 64), 1), trig_path(TimeGrid(2.0, 64), 2)]
+        with pytest.raises(ValueError, match="one grid"):
+            norm_equivalence_study(paths, 0.25)
+
+    def test_study_is_each_path_alone(self):
+        paths = [trig_path(TimeGrid(1.0, 256), s) for s in range(12)]
+        paths[5] = SampledPath(paths[0].grid, np.zeros(257))
+        study = norm_equivalence_study(paths, 0.25)
+        alone = [sobolev_norm(frac_integral(u, 0.25), 0.25) / l2_time_norm(u)
+                 for i, u in enumerate(paths) if i != 5]
+        assert study.skipped == 1 and study.ratios.tolist() == alone
 
 
 class TestNormEquivalence:

@@ -105,7 +105,7 @@ class TestSecondDerivative:
         # near the origin the samples must reproduce the exact panel means
         # of the second derivative (increments of the analytic velocity)
         g = TimeGrid(1.0, 64)
-        v = mode_second_derivative_samples(LAM1, 1.25, 1.0, 0.0, g)
+        v = mode_second_derivative_samples(ModePropagator(LAM1, 1.25, g.nodes), 1.0, 0.0, g)[0]
         st = mode_solution(LAM1, 1.25, 1.0, 0.0, g.nodes)
         means = np.diff(st.y_prime) / g.spacing
         lin_means = 0.5 * (v[1:] + v[:-1])
@@ -118,9 +118,10 @@ class TestSecondDerivative:
         g = TimeGrid(1.0, 256)
         lam = (np.arange(1, 33) * np.pi) ** 2
         a, b = np.linspace(1.0, 0.1, 32), np.linspace(0.5, -0.3, 32)
-        batch = mode_second_derivative_samples(lam, alpha, a, b, g)
-        single = np.array([mode_second_derivative_samples(lam_n, alpha, a_n, b_n, g)
-                           for lam_n, a_n, b_n in zip(lam, a, b)])
+        batch = mode_second_derivative_samples(ModePropagator(lam, alpha, g.nodes), a, b, g)
+        single = np.concatenate([
+            mode_second_derivative_samples(ModePropagator(lam_n, alpha, g.nodes), a_n, b_n, g)
+            for lam_n, a_n, b_n in zip(lam, a, b)])
         assert batch.shape == single.shape == (32, 257)
         assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
 
@@ -213,6 +214,36 @@ class TestModePropagator:
                 head.velocity(data.a, data.b)
             assert calls == [alpha]
             assert "ea" not in vars(prop)
+
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    def test_time_view_is_the_coarse_grids_own_propagator(self, monkeypatch, alpha):
+        # ``verify``'s nested grids (256, 512, 1024 and 1024, 2048 steps):
+        # the coarse nodes are every s-th fine node, bit for bit, and a
+        # strided view's kernels, z, time powers and second-derivative
+        # samples are the coarse propagator's own, from one ``ml`` call per
+        # kernel on the fine grid
+        lam = build_interval(1.0, 8).eigenvalues
+        a, b = random_decay(8, 2.0, 1).a, random_decay(8, 2.0, 2).b
+        names = ("z", "e1", "te2", "ea", "eam1", "tpow")
+        want = {}
+        for M in (256, 512, 1024, 2048):
+            grid = TimeGrid(1.0, M)
+            own = ModePropagator(lam, alpha, grid.nodes)
+            want[M] = ([getattr(own, name) for name in names],
+                       mode_second_derivative_samples(own, a, b, grid))
+        calls = []
+        original = fracwave.solver.ml
+        monkeypatch.setattr(fracwave.solver, "ml",
+                            lambda params, z: calls.append(params.beta) or original(params, z))
+        fine = ModePropagator(lam, alpha, TimeGrid(1.0, 2048).nodes)
+        for M, (kernels, samples) in want.items():
+            grid = TimeGrid(1.0, M)
+            view = fine.at(slice(None, None, 2048 // M))
+            assert np.array_equal(view.times, grid.nodes)
+            for name, kernel in zip(names, kernels):
+                assert np.array_equal(getattr(view, name), kernel), name
+            assert np.array_equal(mode_second_derivative_samples(view, a, b, grid), samples)
+        assert sorted(calls) == sorted([1.0, 2.0, alpha, alpha - 1.0])
 
 
 class TestRandomAlpha:
@@ -423,7 +454,7 @@ class TestEquationResidual:
         for M in (256, 512):
             g = TimeGrid(1.0, M)
             st = mode_solution(LAM1, alpha, 1.0, 0.0, g.nodes)
-            second = mode_second_derivative_samples(LAM1, alpha, 1.0, 0.0, g)
+            second = mode_second_derivative_samples(ModePropagator(LAM1, alpha, g.nodes), 1.0, 0.0, g)[0]
             cap = caputo_derivative(SampledPath(g, second), alpha)
             target = -LAM1 * st.y
             sel = g.nodes >= 0.05
